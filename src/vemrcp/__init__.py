@@ -25,7 +25,6 @@ from .quadrature import cell_quadrature, polygon_quadrature
 from .recovery import (
     RecoveredStressField,
     RecoveryConditioningError,
-    StressModeBasis,
     evaluate_recovered_stress,
     recover_field,
     stress_modes_at,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -44,7 +43,6 @@ class StudyConfig:
     patch_test: bool = False
     vtk: bool = False
     base_subdivisions: int = 8
-    workers: int = 1
     clock: object = field(default=time.perf_counter, repr=False)
 
 
@@ -112,14 +110,6 @@ def parse_config(argv=None) -> StudyConfig:
     if args.mesh_file is not None:
         families = (MeshFamily.EXTERNAL,)
 
-    workers = 1
-    raw_threads = os.environ.get("VEMRCP_THREADS")
-    if raw_threads:
-        try:
-            workers = max(1, int(raw_threads))
-        except ValueError:
-            logger.warning("ignoring non-integer VEMRCP_THREADS=%r", raw_threads)
-
     return StudyConfig(
         test=args.test,
         families=families,
@@ -132,7 +122,6 @@ def parse_config(argv=None) -> StudyConfig:
         mesh_file=args.mesh_file,
         patch_test=args.patch_test,
         vtk=args.vtk,
-        workers=workers,
     )
 
 
@@ -243,9 +232,7 @@ def _print_study(records: list[ConvergenceRecord], methods) -> None:
 
 def _run_patch_test(config: StudyConfig) -> int:
     material = LameMaterial(config.lam, config.mu)
-    results = run_patch_test(
-        material, seed=config.seed, methods=config.methods, workers=config.workers
-    )
+    results = run_patch_test(material, seed=config.seed, methods=config.methods)
     all_ok = True
     for res in results:
         ok = res.passed()
@@ -262,7 +249,7 @@ def _run_external(config: StudyConfig) -> list[ConvergenceRecord]:
     material = LameMaterial(config.lam, config.mu)
     case = manufactured_case(config.test, material)
     start = config.clock()
-    result, errors = run_level(mesh, material, case, config.methods, config.workers)
+    result, errors = run_level(mesh, material, case, config.methods)
     record = ConvergenceRecord(
         test=config.test,
         family=MeshFamily.EXTERNAL,
@@ -307,7 +294,6 @@ def run(config: StudyConfig) -> int:
                 methods=config.methods,
                 seed=config.seed,
                 base_subdivisions=config.base_subdivisions,
-                workers=config.workers,
                 clock=config.clock,
                 on_level=exporter,
             )

@@ -1,9 +1,10 @@
 """Polygonal meshes of the unit square: storage, geometry queries, patches, text IO.
 
 Vertices are rows of an (nv, 2) float array; a cell is a counterclockwise
-cycle of vertex indices. Meshes are immutable after construction and safe to
-share between workers; derived topology (edge incidence, vertex-to-cell map)
-is built lazily and cached on the instance.
+cycle of vertex indices. Vertex coordinates and cells do not change after
+construction, but derived topology (edge incidence, vertex-to-cell map) and
+the per-cell quadrature rules are built lazily and cached on the instance, so
+a mesh is not safe to share between threads without a lock.
 """
 
 from __future__ import annotations

@@ -2,13 +2,21 @@
 
 On each patch the recovered stress is a linear combination of seven
 self-equilibrated modes (three constants plus four divergence-free linear
-fields) added to a particular stress that balances the sampled body force.
-The mode coefficients minimize the patch complementary energy, in which the
-computed displacement enters only through its trace on the outer patch
-boundary: exactly the data a virtual element solution provides.
+fields) added to a particular stress that balances the body force sampled at
+the patch centre. The mode coefficients minimize the patch complementary
+energy, in which the computed displacement enters only through its trace on
+the outer patch boundary: exactly the data a virtual element solution
+provides.
 
-Modes are expressed in patch-local coordinates (shifted to the patch centroid
-and scaled by its diameter) to keep the 7x7 systems uniformly conditioned.
+Modes are expressed in patch-local coordinates (xi, eta), shifted to the
+area-weighted patch centroid and scaled by the patch vertex diameter, to keep
+the 7x7 systems uniformly conditioned. There the mode matrix is
+P = MODES[0] + xi MODES[1] + eta MODES[2], so the moments of (1, xi, eta)
+over a patch, summed from per-cell area, centroid and central second moments
+by the parallel-axis identity, give the compliance matrix H and the
+particular-stress work exactly. The boundary work uses two Gauss points per
+outer edge, and all patches of a mesh are solved as one stack.
+
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
 patch (labelled PATCH1B when the central cell touches the boundary).
@@ -17,21 +25,13 @@ patch (labelled PATCH1B when the central cell touches the boundary).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .material import LameMaterial, compliance_matrix
-from .mesh import (
-    ElementPatch,
-    PatchKind,
-    PolygonalMesh,
-    build_patch,
-    centroid_of,
-    patch_outer_edges,
-    signed_area,
-)
+from .mesh import PatchKind, PolygonalMesh, build_patch, patch_outer_edges
 from .quadrature import cell_quadrature
 
 logger = logging.getLogger(__name__)
@@ -40,235 +40,157 @@ _GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 RECOVERY_KINDS = ("rcp0", "rcp1")
 
+# Coefficients of 1, xi and eta in the 3x7 mode matrix (rows sx, sy, sxy):
+# modes 3-6 are (eta, 0, 0), (0, xi, 0), (xi, 0, -eta) and (0, eta, -xi).
+MODES = np.zeros((3, 3, 7))
+MODES[0, :, :3] = np.eye(3)
+MODES[1, [1, 0, 2], [4, 5, 6]] = (1.0, 1.0, -1.0)
+MODES[2, [0, 2, 1], [3, 5, 6]] = (1.0, -1.0, 1.0)
+
 
 class RecoveryConditioningError(Exception):
     """A patch system was too ill-conditioned to trust."""
 
 
-@dataclass(frozen=True)
-class StressModeBasis:
-    """Local frame of the self-equilibrated stress modes of one patch."""
-
-    center: np.ndarray
-    scale: float
-
-
-@dataclass
-class ParticularStress:
-    """Constant body-force sample of a patch with its antiderivative anchor.
-
-    Within each member cell the particular stress is
-    (-bx * (x - ax), -by * (y - ay), 0), whose divergence -b cancels the
-    sampled force exactly. The sample is taken at the patch centroid (for a
-    single-cell patch that is the cell centroid) and the free integration
-    constants anchor the field there as well, so the particular stress is one
-    linear field over the whole patch. It does not lie in the span of the
-    self-equilibrated modes, whose divergence is zero, so the single load
-    sample enters the patch fit: in the loaded manufactured cases a linear
-    load sample would lower the vertex-patch (rcp1) energy error 1.1-2.4x at
-    every level, up to 2.2x at n = 8. An analytic antiderivative pair, when
-    supplied, replaces the sampled form wholesale.
-    """
-
-    cells: dict
-    antiderivative: object = None
-
-    @property
-    def is_zero(self) -> bool:
-        if self.antiderivative is not None:
-            return False
-        return all(abs(b[0]) == 0.0 and abs(b[1]) == 0.0 for b, _ in self.cells.values())
-
-
 @dataclass
 class RecoveredStressField:
-    """Recovered coefficients for every cell of a mesh."""
+    """Recovered stress of every cell: modes of its patch plus the particular stress."""
 
     mesh: PolygonalMesh
     kind: str
-    betas: np.ndarray                 # (ncells, 7)
-    bases: list                       # StressModeBasis per cell
-    particulars: list                 # (b_sample, anchor, antiderivative) per cell
+    centers: np.ndarray               # (ncells, 2) patch centre, also the load sample point
+    scales: np.ndarray                # (ncells,) patch vertex diameter
+    betas: np.ndarray                 # (ncells, 7) mode coefficients
+    loads: np.ndarray                 # (ncells, 2) body force sampled at the centre
     fallback_cells: tuple = ()
 
 
-def stress_modes_at(basis: StressModeBasis, points) -> np.ndarray:
+class PatchSystems(NamedTuple):
+    """The 7x7 systems H beta = g of a list of patches, with their frames."""
+
+    centers: np.ndarray               # (npatch, 2)
+    scales: np.ndarray                # (npatch,)
+    loads: np.ndarray                 # (npatch, 2)
+    H: np.ndarray                     # (npatch, 7, 7)
+    g: np.ndarray                     # (npatch, 7)
+
+
+def stress_modes_at(center, scale: float, points) -> np.ndarray:
     """Evaluate the 3x7 mode matrix at one point or a stack of points."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    xi = (pts[:, 0] - basis.center[0]) / basis.scale
-    eta = (pts[:, 1] - basis.center[1]) / basis.scale
-    m = len(pts)
-    P = np.zeros((m, 3, 7))
-    P[:, 0, 0] = 1.0
-    P[:, 1, 1] = 1.0
-    P[:, 2, 2] = 1.0
-    P[:, 0, 3] = eta
-    P[:, 1, 4] = xi
-    P[:, 0, 5] = xi
-    P[:, 2, 5] = -eta
-    P[:, 1, 6] = eta
-    P[:, 2, 6] = -xi
-    return P[0] if single else P
+    local = (np.asarray(points, dtype=float) - center) / scale
+    return MODES[0] + local[..., 0, None, None] * MODES[1] + local[..., 1, None, None] * MODES[2]
 
 
-def patch_basis(mesh: PolygonalMesh, patch: ElementPatch) -> StressModeBasis:
-    """Area-weighted centroid and diameter of the patch."""
-    total = 0.0
-    center = np.zeros(2)
-    vert_ids: set[int] = set()
-    for ci in patch.member_cells:
-        pts = mesh.cell_coords(ci)
-        a = signed_area(pts)
-        total += a
-        center += a * centroid_of(pts)
-        vert_ids.update(int(v) for v in mesh.cells[ci])
-    center /= total
-    coords = mesh.vertices[sorted(vert_ids)]
-    diff = coords[:, None, :] - coords[None, :, :]
-    scale = float(np.sqrt((diff ** 2).sum(axis=2).max()))
-    return StressModeBasis(center=center, scale=scale)
+def _sum_by(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of `values` that share an `owner` index in [0, n)."""
+    flat = values.reshape(len(owner), -1)
+    sums = [np.bincount(owner, col, minlength=n) for col in flat.T]
+    return np.stack(sums, axis=-1).reshape((n,) + values.shape[1:])
 
 
-def particular_solution(
+def _cell_moments(mesh: PolygonalMesh):
+    """Area, centroid and central second moments (2x2) of every cell, exact by the cell rule."""
+    nc = mesh.num_cells
+    rules = [cell_quadrature(mesh, ci) for ci in range(nc)]
+    cell = np.repeat(np.arange(nc), [len(w) for _, w in rules])
+    pts = np.concatenate([p for p, _ in rules])
+    w = np.concatenate([w for _, w in rules])
+    area = np.bincount(cell, w, minlength=nc)
+    centroid = _sum_by(cell, w[:, None] * pts, nc) / area[:, None]
+    d = pts - centroid[cell]
+    second = _sum_by(cell, w[:, None, None] * d[:, :, None] * d[:, None, :], nc)
+    return area, centroid, second
+
+
+def patch_systems(
     mesh: PolygonalMesh,
-    patch: ElementPatch,
-    body_force,
-    anchor=None,
-    antiderivative=None,
-) -> ParticularStress:
-    """Sample the body force once per patch, at its centroid.
-
-    `antiderivative`, when given, is a callable (x, y) -> (Ix, Iy) with
-    d/dx Ix = bx and d/dy Iy = by; it overrides the sampled fallback.
-    """
-    if anchor is None:
-        anchor = patch_basis(mesh, patch).center
-    anchor = np.asarray(anchor, dtype=float)
-    if body_force is None:
-        b = np.zeros(2)
-    else:
-        b = np.asarray(body_force(anchor[0], anchor[1]), dtype=float).reshape(2)
-    cells = {ci: (b, anchor) for ci in patch.member_cells}
-    return ParticularStress(cells=cells, antiderivative=antiderivative)
-
-
-def particular_stress_at(particular: ParticularStress, cell: int, points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    out = np.zeros((len(pts), 3))
-    if particular.antiderivative is not None:
-        ix, iy = particular.antiderivative(pts[:, 0], pts[:, 1])
-        out[:, 0] = -np.asarray(ix, dtype=float)
-        out[:, 1] = -np.asarray(iy, dtype=float)
-    else:
-        b, a = particular.cells[cell]
-        out[:, 0] = -b[0] * (pts[:, 0] - a[0])
-        out[:, 1] = -b[1] * (pts[:, 1] - a[1])
-    return out[0] if single else out
-
-
-def compute_H(
-    mesh: PolygonalMesh,
-    patch: ElementPatch,
     material: LameMaterial,
-    basis: StressModeBasis | None = None,
-) -> np.ndarray:
-    """Patch compliance Gram matrix of the stress modes (7x7, SPD)."""
-    if basis is None:
-        basis = patch_basis(mesh, patch)
-    Cinv = compliance_matrix(material)
-    pts, w = _patch_quadrature(mesh, patch)
-    P = stress_modes_at(basis, pts)
-    H = np.einsum("m,mia,ij,mjb->ab", w, P, Cinv, P, optimize=True)
-    cond = np.linalg.cond(H)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RecoveryConditioningError(
-            f"patch at cell {patch.central_cell}: condition number {cond:.3e}"
-        )
-    return H
-
-
-def _patch_quadrature(mesh, patch):
-    pts_list, w_list = [], []
-    for ci in patch.member_cells:
-        p, w = cell_quadrature(mesh, ci)
-        pts_list.append(p)
-        w_list.append(w)
-    return np.vstack(pts_list), np.concatenate(w_list)
-
-
-def compute_g(
-    mesh: PolygonalMesh,
-    patch: ElementPatch,
-    material: LameMaterial,
-    basis: StressModeBasis,
-    particular: ParticularStress,
+    patches: list,
     displacement,
-) -> np.ndarray:
-    """Right-hand side of the patch system.
+    body_force,
+) -> PatchSystems:
+    """Assemble the complementary-energy system of every patch in `patches`.
 
-    The work term pairs each mode's boundary traction with the displacement
-    trace on the outer patch boundary only; interior inter-element edges
-    cancel. `displacement` is either the global dof vector (its trace is
-    interpolated linearly per edge) or a callable u(x, y) evaluated directly
-    at the Gauss points. Two Gauss points per edge integrate the (at most
-    cubic) integrand exactly.
+    `displacement` is either the global dof vector (its trace is interpolated
+    linearly per edge) or a callable u(x, y) -> (m, 2) evaluated at the Gauss
+    points. `body_force` is None or a vectorized callable b(x, y) -> (m, 2).
     """
-    outer = patch_outer_edges(mesh, patch)
-    a_pts = np.empty((len(outer), 2))
-    b_pts = np.empty((len(outer), 2))
-    ia = np.empty(len(outer), dtype=np.int64)
-    ib = np.empty(len(outer), dtype=np.int64)
-    for k, (ci, e) in enumerate(outer):
-        cell = mesh.cells[ci]
-        i, j = int(cell[e]), int(cell[(e + 1) % len(cell)])
-        ia[k], ib[k] = i, j
-        a_pts[k] = mesh.vertices[i]
-        b_pts[k] = mesh.vertices[j]
-    tang = b_pts - a_pts
-    lengths = np.hypot(tang[:, 0], tang[:, 1])
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    npatch = len(patches)
+    area, centroid, second = _cell_moments(mesh)
+    owner = np.repeat(np.arange(npatch), [len(p.member_cells) for p in patches])
+    member = np.concatenate([p.member_cells for p in patches])
 
-    g = np.zeros(7)
-    for t in _GAUSS2:
-        x = a_pts + t * tang
+    first = np.cumsum([0] + [len(c) for c in mesh.cells[:-1]])   # global id of local edge 0
+    scales = np.empty(npatch)
+    outer = []                        # global ids of each patch's outer edges
+    for k, patch in enumerate(patches):
+        pts = mesh.vertices[np.concatenate([mesh.cells[ci] for ci in patch.member_cells])]
+        scales[k] = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max())
+        ci, e = np.array(patch_outer_edges(mesh, patch)).T
+        outer.append(first[ci] + e)
+    centers = _sum_by(owner, area[member, None] * centroid[member], npatch)
+    centers /= np.bincount(owner, area[member], minlength=npatch)[:, None]
+
+    # Moments of (1, xi, eta) by the parallel-axis identity.
+    s = scales[owner, None]
+    phi = np.column_stack([np.ones(len(member)), (centroid[member] - centers[owner]) / s])
+    cell_m = area[member, None, None] * phi[:, :, None] * phi[:, None, :]
+    cell_m[:, 1:, 1:] += second[member] / (s * s)[:, :, None]
+    M = _sum_by(owner, cell_m, npatch)
+
+    Cinv = compliance_matrix(material)
+    H = np.einsum("pab,abkl->pkl", M, np.einsum("aik,ij,bjl->abkl", MODES, Cinv, MODES))
+
+    # Work of each mode's traction on the displacement trace: S[p, a] sums
+    # phi_a * (weight * traction pair) over the Gauss points of the outer edges.
+    edge_owner = np.repeat(np.arange(npatch), [len(o) for o in outer])
+    outer = np.concatenate(outer)
+    ia = np.concatenate(mesh.cells)[outer]
+    ib = np.concatenate([np.roll(c, -1) for c in mesh.cells])[outer]
+    a = mesh.vertices[ia]
+    t = mesh.vertices[ib] - a
+    S = np.zeros((npatch, 3, 3))
+    for gp in _GAUSS2:
+        x = a + gp * t
         if callable(displacement):
             u = np.asarray(displacement(x[:, 0], x[:, 1]), dtype=float)
         else:
-            ua = np.column_stack([displacement[2 * ia], displacement[2 * ia + 1]])
-            ub = np.column_stack([displacement[2 * ib], displacement[2 * ib + 1]])
-            u = (1.0 - t) * ua + t * ub
-        traction_pair = np.column_stack(
-            [
-                normals[:, 0] * u[:, 0],
-                normals[:, 1] * u[:, 1],
-                normals[:, 1] * u[:, 0] + normals[:, 0] * u[:, 1],
-            ]
+            uv = np.asarray(displacement, dtype=float).reshape(-1, 2)
+            u = (1.0 - gp) * uv[ia] + gp * uv[ib]
+        # Gauss weight |e|/2 times the unit outer normal is (t_y, -t_x) / 2.
+        pair = 0.5 * np.column_stack(
+            [t[:, 1] * u[:, 0], -t[:, 0] * u[:, 1], t[:, 1] * u[:, 1] - t[:, 0] * u[:, 0]]
         )
-        P = stress_modes_at(basis, x)
-        g += np.einsum("m,mia,mi->a", 0.5 * lengths, P, traction_pair, optimize=True)
+        local = (x - centers[edge_owner]) / scales[edge_owner, None]
+        for d, factor in enumerate((1.0, local[:, 0, None], local[:, 1, None])):
+            S[:, d] += _sum_by(edge_owner, factor * pair, npatch)
 
-    if not particular.is_zero:
-        Cinv = compliance_matrix(material)
-        for ci in patch.member_cells:
-            pts, w = cell_quadrature(mesh, ci)
-            sp = particular_stress_at(particular, ci, pts)
-            P = stress_modes_at(basis, pts)
-            g -= np.einsum("m,mia,ij,mj->a", w, P, Cinv, sp, optimize=True)
-    return g
+    # Particular stress (-bx (x - cx), -by (y - cy), 0) = xi V[1] + eta V[2].
+    loads = np.zeros((npatch, 2))
+    if body_force is not None:
+        loads[:] = body_force(centers[:, 0], centers[:, 1])
+    V = np.zeros((npatch, 3, 3))
+    V[:, 1, 0] = -loads[:, 0] * scales
+    V[:, 2, 1] = -loads[:, 1] * scales
+    # g = sum_a MODES[a]^T (S[a] - C^-1 sum_b M[a, b] V[b])
+    g = np.einsum("aik,pai->pk", MODES, S - (M @ V) @ Cinv)
+    return PatchSystems(centers, scales, loads, H, g)
 
 
-def solve_patch(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    beta = np.linalg.solve(H, g)
-    residual = np.linalg.norm(H @ beta - g)
-    if not np.all(np.isfinite(beta)) or residual > 1e-12 * np.linalg.norm(g) + 1e-300:
-        raise RecoveryConditioningError(
-            f"patch solve residual {residual:.3e} for |g| = {np.linalg.norm(g):.3e}"
-        )
-    return beta
+def solve_patches(H: np.ndarray, g: np.ndarray):
+    """Solve the stacked systems; returns (betas, failed).
+
+    A patch fails when its condition number exceeds 1e12 or its solve leaves
+    a residual above 1e-12 |g|; its betas are then not to be used.
+    """
+    cond = np.linalg.cond(H)
+    failed = ~(np.isfinite(cond) & (cond <= 1e12))
+    betas = np.zeros(g.shape)
+    betas[~failed] = np.linalg.solve(H[~failed], g[~failed, :, None])[..., 0]
+    residual = np.linalg.norm(np.einsum("pab,pb->pa", H, betas) - g, axis=1)
+    failed |= ~np.isfinite(betas).all(axis=1)
+    failed |= residual > 1e-12 * np.linalg.norm(g, axis=1) + 1e-300
+    return betas, failed
 
 
 def recover_field(
@@ -277,82 +199,42 @@ def recover_field(
     displacement,
     body_force,
     kind: str,
-    workers: int = 1,
-    antiderivative=None,
 ) -> RecoveredStressField:
     """Run the patch recovery centered on every cell.
 
     An ill-conditioned vertex-neighbor patch falls back to its single-cell
     patch; the affected cells are flagged on the returned field.
     """
+
+    def fit(cells, patch_kind):
+        patches = [build_patch(mesh, int(ci), patch_kind) for ci in cells]
+        system = patch_systems(mesh, material, patches, displacement, body_force)
+        betas, failed = solve_patches(system.H, system.g)
+        return (system.centers, system.scales, betas, system.loads), failed
+
     if kind not in RECOVERY_KINDS:
         raise ValueError(f"unknown recovery kind {kind!r}")
     patch_kind = PatchKind.PATCH0 if kind == "rcp0" else PatchKind.PATCH1
-    nc = mesh.num_cells
-    betas = np.empty((nc, 7))
-    bases: list = [None] * nc
-    particulars: list = [None] * nc
-    fallbacks: list[int] = []
-
-    def one_cell(ci: int):
-        patch = build_patch(mesh, ci, patch_kind)
-        try:
-            beta, basis, part = _solve_one_patch(
-                mesh, patch, material, displacement, body_force, antiderivative
-            )
-        except RecoveryConditioningError:
-            if patch_kind is PatchKind.PATCH0:
-                raise
-            logger.warning("cell %d: vertex patch ill-conditioned, using single-cell patch", ci)
-            fallbacks.append(ci)
-            patch = build_patch(mesh, ci, PatchKind.PATCH0)
-            beta, basis, part = _solve_one_patch(
-                mesh, patch, material, displacement, body_force, antiderivative
-            )
-        betas[ci] = beta
-        bases[ci] = basis
-        b, anchor = part.cells[ci]
-        particulars[ci] = (b, anchor, part.antiderivative)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one_cell, range(nc)))
-    else:
-        for ci in range(nc):
-            one_cell(ci)
-    return RecoveredStressField(
-        mesh=mesh,
-        kind=kind,
-        betas=betas,
-        bases=bases,
-        particulars=particulars,
-        fallback_cells=tuple(sorted(fallbacks)),
-    )
-
-
-def _solve_one_patch(mesh, patch, material, displacement, body_force, antiderivative=None):
-    basis = patch_basis(mesh, patch)
-    particular = particular_solution(
-        mesh, patch, body_force, anchor=basis.center, antiderivative=antiderivative
-    )
-    H = compute_H(mesh, patch, material, basis)
-    g = compute_g(mesh, patch, material, basis, particular, displacement)
-    return solve_patch(H, g), basis, particular
+    cells = np.arange(mesh.num_cells)
+    arrays, failed = fit(cells, patch_kind)
+    fallback = cells[failed] if patch_kind is PatchKind.PATCH1 else cells[:0]
+    if len(fallback):
+        logger.warning("cells %s: vertex patch ill-conditioned, using single-cell patch",
+                       fallback.tolist())
+        single, failed[fallback] = fit(fallback, PatchKind.PATCH0)
+        for full, part in zip(arrays, single):
+            full[fallback] = part
+    if failed.any():
+        raise RecoveryConditioningError(
+            f"patch at cell {np.argmax(failed)}: condition number above 1e12 or inaccurate solve"
+        )
+    return RecoveredStressField(mesh, kind, *arrays, fallback_cells=tuple(fallback.tolist()))
 
 
 def evaluate_recovered_stress(field: RecoveredStressField, cell: int, points) -> np.ndarray:
     """Recovered stress of `cell` at one point or an (m, 2) stack."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    P = stress_modes_at(field.bases[cell], pts)
-    out = P @ field.betas[cell]
-    b, anchor, antiderivative = field.particulars[cell]
-    if antiderivative is not None:
-        ix, iy = antiderivative(pts[:, 0], pts[:, 1])
-        out[:, 0] -= np.asarray(ix, dtype=float)
-        out[:, 1] -= np.asarray(iy, dtype=float)
-    else:
-        out[:, 0] -= b[0] * (pts[:, 0] - anchor[0])
-        out[:, 1] -= b[1] * (pts[:, 1] - anchor[1])
-    return out[0] if single else out
+    center = field.centers[cell]
+    out = stress_modes_at(center, field.scales[cell], pts) @ field.betas[cell]
+    out[..., :2] -= field.loads[cell] * (pts - center)
+    return out

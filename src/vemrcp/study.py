@@ -11,10 +11,15 @@ import numpy as np
 from .cases import ManufacturedCase, manufactured_case
 from .generators import generate_mesh
 from .material import LameMaterial, compliance_matrix, elastic_matrix
-from .mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh
+from .mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh
 from .quadrature import cell_quadrature
-from .recovery import RecoveredStressField, evaluate_recovered_stress, recover_field
-from .vem import element_stresses, solve_dirichlet_problem
+from .recovery import (
+    RecoveredStressField,
+    RecoveryConditioningError,
+    evaluate_recovered_stress,
+    recover_field,
+)
+from .vem import SolveError, element_stresses, solve_dirichlet_problem
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +88,6 @@ def run_level(
     material: LameMaterial,
     case: ManufacturedCase,
     methods=METHODS,
-    workers: int = 1,
 ) -> tuple[LevelResult, dict]:
     """Solve one mesh and compute the requested error norms."""
     u, system = solve_dirichlet_problem(mesh, material, case.body_force, case.displacement)
@@ -94,7 +98,7 @@ def run_level(
         if method == "vem":
             provider = vem_stress_provider(stresses)
         else:
-            recovered = recover_field(mesh, material, u, case.body_force, method, workers)
+            recovered = recover_field(mesh, material, u, case.body_force, method)
             result.recovered[method] = recovered
             provider = recovered_stress_provider(recovered)
         errors[method] = energy_error_norm(mesh, material, case, provider)
@@ -109,14 +113,15 @@ def run_convergence_study(
     methods=METHODS,
     seed: int = 0,
     base_subdivisions: int = 8,
-    workers: int = 1,
     clock=time.perf_counter,
     on_level=None,
 ) -> list[ConvergenceRecord]:
     """Refinement sweep: subdivisions double per level starting at the base.
 
-    A failing level is logged and skipped; the sweep continues, so callers can
-    detect trouble by comparing the record count with `levels`.
+    A level that fails with a mesh, solver, recovery-conditioning or linear
+    algebra error is logged and skipped; the sweep continues, so callers can
+    detect trouble by comparing the record count with `levels`. Any other
+    exception is a programming error and propagates.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -127,8 +132,8 @@ def run_convergence_study(
         start = clock()
         try:
             mesh = generate_mesh(family, n, seed)
-            result, errors = run_level(mesh, material, case, methods, workers)
-        except Exception:
+            result, errors = run_level(mesh, material, case, methods)
+        except (MeshError, SolveError, RecoveryConditioningError, np.linalg.LinAlgError):
             logger.exception("%s/%s level %d (n=%d) failed", test_id, family.value, level, n)
             continue
         elapsed = clock() - start
@@ -213,14 +218,13 @@ def run_patch_test(
     subdivisions: int = 8,
     seed: int = 0,
     methods=METHODS,
-    workers: int = 1,
 ) -> list[PatchTestResult]:
     """Impose the affine field on each family and measure the reproduction error."""
     case = linear_patch_case(material)
     results = []
     for family in families if families is not None else GENERATED_FAMILIES:
         mesh = generate_mesh(family, subdivisions, seed)
-        result, errors = run_level(mesh, material, case, methods, workers)
+        result, errors = run_level(mesh, material, case, methods)
         exact = case.displacement(mesh.vertices[:, 0], mesh.vertices[:, 1]).ravel()
         interior = np.repeat(~mesh.boundary_vertex_flags, 2)
         diff = np.abs(result.displacement[interior] - exact[interior])

@@ -155,8 +155,7 @@ def cell_dofs(mesh: PolygonalMesh, cell: int) -> np.ndarray:
 class GlobalSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dirichlet: dict | None = None
-    element_ops: list | None = field(default=None, repr=False)
+    element_ops: list = field(repr=False)
 
     @property
     def ndof(self) -> int:
@@ -178,13 +177,15 @@ def assemble_global(
     material: LameMaterial,
     body_force=None,
     stabilization_scale: float = 1.0,
-    keep_element_ops: bool = False,
 ) -> GlobalSystem:
-    """Scatter element stiffness and load contributions in cell order."""
+    """Scatter element stiffness and load contributions in cell order.
+
+    The element operators are kept on the system for the stress evaluation.
+    """
     ndof = 2 * mesh.num_vertices
     rows, cols, vals = [], [], []
     f = np.zeros(ndof)
-    ops_list = [] if keep_element_ops else None
+    ops_list = []
     for ci in range(mesh.num_cells):
         ops = element_operators(mesh, ci, material, stabilization_scale)
         dofs = cell_dofs(mesh, ci)
@@ -193,8 +194,7 @@ def assemble_global(
         cols.append(np.tile(dofs, m))
         vals.append(ops.K.ravel())
         f[dofs] += element_load_vector(mesh, ci, body_force)
-        if ops_list is not None:
-            ops_list.append(ops)
+        ops_list.append(ops)
     K = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ndof, ndof),
@@ -210,7 +210,6 @@ def apply_dirichlet(system: GlobalSystem, boundary_values: dict) -> ConstrainedS
     """
     if not boundary_values:
         raise ValueError("empty Dirichlet set leaves the rigid modes unconstrained")
-    system.dirichlet = boundary_values
     ndof = system.ndof
     fixed_mask = np.zeros(ndof, dtype=bool)
     values = np.zeros(ndof)
@@ -258,13 +257,8 @@ def element_stresses(mesh: PolygonalMesh, system: GlobalSystem, material: LameMa
     """Stress of every cell as an (ncells, 3) array."""
     C = elastic_matrix(material)
     out = np.empty((mesh.num_cells, 3))
-    ops_list = system.element_ops
-    for ci in range(mesh.num_cells):
-        if ops_list is not None:
-            Pi_m = ops_list[ci].Pi_m
-        else:
-            Pi_m = compute_Pi_m(compute_G(mesh, ci), compute_B(mesh, ci))
-        out[ci] = element_stress_vem(Pi_m, C, u[cell_dofs(mesh, ci)])
+    for ci, ops in enumerate(system.element_ops):
+        out[ci] = element_stress_vem(ops.Pi_m, C, u[cell_dofs(mesh, ci)])
     return out
 
 
@@ -280,9 +274,7 @@ def solve_dirichlet_problem(
     boundary_displacement(x, y) must return the prescribed (u, v) pair; it is
     evaluated at each boundary vertex.
     """
-    system = assemble_global(
-        mesh, material, body_force, stabilization_scale, keep_element_ops=True
-    )
+    system = assemble_global(mesh, material, body_force, stabilization_scale)
     values = {}
     for v in mesh.boundary_vertices():
         x, y = mesh.vertices[v]

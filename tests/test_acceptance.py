@@ -15,7 +15,7 @@ crossover. rcp1's rate is the higher one on 23 of the 24 pairs, by at least
 single-cell recovery is superconvergent on the structured quadrilateral mesh
 (rate 3.97 against 3.72). Part of rcp1's error in cases b and c comes from
 the single patch-centroid sample of the load in the particular stress
-(`vemrcp.recovery.ParticularStress`): a linear load sample lowers rcp1's
+(`RecoveredStressField.loads` in `vemrcp.recovery`): a linear load sample lowers rcp1's
 error 1.1-2.4x at every level and removes 6 of the 24 losing levels, but it
 changes no pair's rate ordering. An rcp1 that used the single-cell patch would
 tie rcp0 on every pair and fail here; a per-level `rcp1 <= rcp0` count passes it.
@@ -236,7 +236,7 @@ class TestCriterion6Equilibrium:
                             ),
                             pts[:, 0], pts[:, 1], h=1e-4,
                         )
-                        resid = np.abs(div + field.particulars[ci][0]).max()
+                        resid = np.abs(div + field.loads[ci]).max()
                         worst = max(worst, resid)
         ok = worst <= 1e-8
         report(6, "recovered-stress equilibrium", ok, f"max residual {worst:.2e}")

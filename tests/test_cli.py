@@ -14,7 +14,7 @@ from vemrcp.cli import (
     write_csv,
     write_vtk,
 )
-from vemrcp.generators import generate_mesh
+from vemrcp.generators import GenerationError, generate_mesh
 from vemrcp.material import von_mises
 from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, save_mesh
 from vemrcp.study import ConvergenceRecord, observed_rate
@@ -80,12 +80,6 @@ class TestParseConfig:
     def test_invalid_material_rejected(self):
         with pytest.raises(SystemExit):
             parse_config(["--mu", "-1"])
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("VEMRCP_THREADS", "3")
-        assert parse_config([]).workers == 3
-        monkeypatch.setenv("VEMRCP_THREADS", "junk")
-        assert parse_config([]).workers == 1
 
 
 class TestWriteCsv:
@@ -227,7 +221,7 @@ class TestRun:
         import vemrcp.study as study_mod
 
         def boom(family, n, seed=0):
-            raise RuntimeError("generation failed")
+            raise GenerationError("generation failed")
 
         monkeypatch.setattr(study_mod, "generate_mesh", boom)
         config = self.small_config(tmp_path)

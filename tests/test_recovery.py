@@ -1,4 +1,6 @@
-"""Stress-mode, particular-solution, patch-system, and recovery tests."""
+"""Stress-mode, particular-stress, patch-system, and recovery tests."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,19 +10,23 @@ from oracles import fd_stress_divergence, random_points_in_cell
 from vemrcp.cases import manufactured_case
 from vemrcp.generators import generate_mesh
 from vemrcp.material import compliance_matrix
-from vemrcp.mesh import MeshFamily, PatchKind, PolygonalMesh, build_patch, polygon_centroid
+from vemrcp.mesh import (
+    MeshFamily,
+    PatchKind,
+    PolygonalMesh,
+    build_patch,
+    ear_clip,
+    polygon_centroid,
+    signed_area,
+)
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import (
+    RecoveredStressField,
     RecoveryConditioningError,
-    StressModeBasis,
-    compute_H,
-    compute_g,
     evaluate_recovered_stress,
-    particular_solution,
-    particular_stress_at,
-    patch_basis,
+    patch_systems,
     recover_field,
-    solve_patch,
+    solve_patches,
     stress_modes_at,
 )
 from vemrcp.study import linear_patch_case
@@ -50,155 +56,179 @@ def bending_case(mat):
     return displacement, stress
 
 
+def one_patch_system(mesh, mat, cell, kind, displacement, body_force=None):
+    """Centre, scale, load sample, H and g of the one patch centred on `cell`."""
+    system = patch_systems(mesh, mat, [build_patch(mesh, cell, kind)], displacement, body_force)
+    return tuple(a[0] for a in system)
+
+
+def particular_only(field):
+    """The same field with every mode coefficient zeroed: its particular stress."""
+    return dataclasses.replace(field, betas=np.zeros_like(field.betas))
+
+
 class TestStressModes:
     def test_identity_block_at_center(self):
-        basis = StressModeBasis(center=np.array([0.3, -0.7]), scale=2.0)
-        P = stress_modes_at(basis, basis.center)
+        center = np.array([0.3, -0.7])
+        P = stress_modes_at(center, 2.0, center)
         np.testing.assert_allclose(P[:, :3], np.eye(3))
         np.testing.assert_allclose(P[:, 3:], 0.0)
 
     def test_column_six_pattern(self):
-        basis = StressModeBasis(center=np.zeros(2), scale=1.0)
-        P = stress_modes_at(basis, np.array([1.0, 2.0]))
+        P = stress_modes_at(np.zeros(2), 1.0, np.array([1.0, 2.0]))
         np.testing.assert_allclose(P[:, 5], [1.0, 0.0, -2.0])
 
     def test_columns_divergence_free(self, rng):
-        basis = StressModeBasis(center=np.array([0.4, 0.1]), scale=0.37)
+        center = np.array([0.4, 0.1])
         pts = rng.uniform(-1.0, 1.0, size=(100, 2))
         for col in range(7):
             def column_stress(x, y, col=col):
-                return stress_modes_at(basis, np.stack([x, y], axis=-1))[..., :, col]
+                return stress_modes_at(center, 0.37, np.stack([x, y], axis=-1))[..., :, col]
 
             div = fd_stress_divergence(column_stress, pts[:, 0], pts[:, 1])
             np.testing.assert_allclose(div, 0.0, atol=1e-8)
 
     def test_vectorized_shape(self):
-        basis = StressModeBasis(center=np.zeros(2), scale=1.0)
-        assert stress_modes_at(basis, np.zeros((5, 2))).shape == (5, 3, 7)
-        assert stress_modes_at(basis, np.zeros(2)).shape == (3, 7)
+        assert stress_modes_at(np.zeros(2), 1.0, np.zeros((5, 2))).shape == (5, 3, 7)
+        assert stress_modes_at(np.zeros(2), 1.0, np.zeros(2)).shape == (3, 7)
 
 
 class TestParticularSolution:
     def test_zero_force_gives_zero_field(self, mat, rng):
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
-        patch = build_patch(mesh, 0, PatchKind.PATCH1)
-        part = particular_solution(mesh, patch, None)
-        assert part.is_zero
+        field = recover_field(mesh, mat, np.zeros(2 * mesh.num_vertices), None, "rcp1")
+        np.testing.assert_array_equal(field.loads, 0.0)
         pts = rng.uniform(0, 1, (4, 2))
-        np.testing.assert_array_equal(particular_stress_at(part, 0, pts), 0.0)
+        np.testing.assert_array_equal(evaluate_recovered_stress(field, 0, pts), 0.0)
 
-    def test_constant_force_cell_at_origin(self):
+    def test_constant_force_cell_at_origin(self, mat):
         mesh = centered_square_mesh()
-        patch = build_patch(mesh, 0, PatchKind.PATCH0)
-        part = particular_solution(mesh, patch, lambda x, y: (1.0, 0.0))
+
+        def unit_x_force(x, y):
+            return np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
+
+        field = particular_only(recover_field(mesh, mat, np.zeros(8), unit_x_force, "rcp0"))
+        np.testing.assert_allclose(field.centers[0], 0.0, atol=1e-15)
+        np.testing.assert_array_equal(field.loads[0], [1.0, 0.0])
         xs = np.array([[0.2, 0.1], [-0.3, 0.4]])
-        sp = particular_stress_at(part, 0, xs)
+        sp = evaluate_recovered_stress(field, 0, xs)
         np.testing.assert_allclose(sp[:, 0], -xs[:, 0], atol=1e-15)
         np.testing.assert_allclose(sp[:, 1:], 0.0)
 
     def test_divergence_balances_sample_for_test_b(self, mat):
         case = manufactured_case("b", mat)
         mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=6)
+        u = np.zeros(2 * mesh.num_vertices)
+        field = particular_only(recover_field(mesh, mat, u, case.body_force, "rcp0"))
         for ci in range(mesh.num_cells):
-            patch = build_patch(mesh, ci, PatchKind.PATCH0)
-            part = particular_solution(mesh, patch, case.body_force)
             c = polygon_centroid(mesh, ci)
+            # a single-cell patch samples the load at the cell centroid
+            np.testing.assert_allclose(field.centers[ci], c, atol=1e-14)
+            np.testing.assert_allclose(field.loads[ci], case.body_force(*field.centers[ci]))
             div = fd_stress_divergence(
-                lambda x, y: particular_stress_at(part, ci, np.stack([x, y], axis=-1)),
+                lambda x, y: evaluate_recovered_stress(field, ci, np.stack([x, y], axis=-1)),
                 c[0], c[1], h=1e-4,
             )
-            b_sample, _ = part.cells[ci]
-            np.testing.assert_allclose(div + b_sample, 0.0, atol=1e-10)
-
-    def test_analytic_antiderivative_hook(self, mat):
-        mesh = centered_square_mesh()
-        patch = build_patch(mesh, 0, PatchKind.PATCH0)
-        anti = lambda x, y: (x**2 / 2.0, np.zeros_like(y))  # for b = (x, 0)
-        part = particular_solution(mesh, patch, lambda x, y: (x, 0.0), antiderivative=anti)
-        sp = particular_stress_at(part, 0, np.array([0.4, 0.2]))
-        np.testing.assert_allclose(sp, [-0.08, 0.0, 0.0], atol=1e-15)
+            np.testing.assert_allclose(div + field.loads[ci], 0.0, atol=1e-10)
 
 
 class TestPatchSystem:
     def test_h_constant_block_on_unit_square(self, mat):
         mesh = centered_square_mesh()
-        patch = build_patch(mesh, 0, PatchKind.PATCH0)
-        H = compute_H(mesh, patch, mat)
+        _, _, _, H, _ = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, np.zeros(8))
         np.testing.assert_allclose(H[:3, :3], compliance_matrix(mat), atol=1e-14)
 
     def test_h_symmetric(self, mat):
         mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=3)
         for ci in (0, 3):
-            patch = build_patch(mesh, ci, PatchKind.PATCH1)
-            H = compute_H(mesh, patch, mat)
+            _, _, _, H, _ = one_patch_system(
+                mesh, mat, ci, PatchKind.PATCH1, np.zeros(2 * mesh.num_vertices)
+            )
             np.testing.assert_allclose(H, H.T, atol=1e-13 * np.abs(H).max())
 
     def test_h_matches_refined_quadrature(self, mat):
-        mesh = generate_mesh(MeshFamily.POLY_U, 2, seed=5)
-        patch = build_patch(mesh, 1, PatchKind.PATCH1)
-        basis = patch_basis(mesh, patch)
-        H = compute_H(mesh, patch, mat, basis)
         Cinv = compliance_matrix(mat)
-        H_ref = np.zeros((7, 7))
-        from vemrcp.mesh import ear_clip, signed_area
+        case = manufactured_case("b", mat)
+        for family, seed in ((MeshFamily.POLY_U, 5), (MeshFamily.CONC_U, 2)):
+            mesh = generate_mesh(family, 2, seed=seed)
+            patch = build_patch(mesh, 1, PatchKind.PATCH1)
+            u = np.zeros(2 * mesh.num_vertices)
+            center, scale, b, H, g = one_patch_system(
+                mesh, mat, 1, PatchKind.PATCH1, u, case.body_force
+            )
+            np.testing.assert_allclose(b, case.body_force(*center))
 
-        for ci in patch.member_cells:
-            coords = mesh.cell_coords(ci)
-            for tri in ear_clip(coords):
-                corners = coords[list(tri)]
-                H_ref += _refined_triangle_integral(corners, basis, Cinv, depth=2)
-        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-15)
+            def h_integrand(pts):
+                P = stress_modes_at(center, scale, pts)
+                return np.einsum("mia,ij,mjb->mab", P, Cinv, P)
+
+            def load_integrand(pts):
+                # particular stress (-bx (x - cx), -by (y - cy), 0) of the sampled force
+                sp = np.zeros((len(pts), 3))
+                sp[:, :2] = -b * (pts - center)
+                return np.einsum("mia,ij,mj->ma", stress_modes_at(center, scale, pts), Cinv, sp)
+
+            H_ref = np.zeros((7, 7))
+            load_ref = np.zeros(7)
+            for ci in patch.member_cells:
+                coords = mesh.cell_coords(ci)
+                for tri in ear_clip(coords):
+                    corners = coords[list(tri)]
+                    H_ref += _refined_triangle_integral(corners, h_integrand, depth=2)
+                    load_ref += _refined_triangle_integral(corners, load_integrand, depth=2)
+            np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-15)
+            # With zero displacement, g is minus the work of the particular stress.
+            # Its constant-mode entries vanish exactly (first moments about the
+            # centroid), so both sides hold only rounding there.
+            atol = 1e-14 * np.abs(load_ref).max()
+            np.testing.assert_allclose(-g, load_ref, rtol=1e-12, atol=atol)
 
     def test_conditioning_guard(self, mat):
-        mesh = centered_square_mesh()
-        patch = build_patch(mesh, 0, PatchKind.PATCH0)
-        # absurd scale makes the linear modes numerically invisible
-        basis = StressModeBasis(center=np.zeros(2), scale=1e12)
+        # on a 1 x 1e-7 sliver the eta-linear modes are numerically invisible
+        mesh = single_cell_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-7), (0.0, 1e-7)])
+        _, _, _, H, g = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, np.ones(8))
+        _, failed = solve_patches(H[None], g[None])
+        assert failed.tolist() == [True]
         with pytest.raises(RecoveryConditioningError):
-            compute_H(mesh, patch, mat, basis)
+            recover_field(mesh, mat, np.ones(8), None, "rcp0")
 
 
-def _refined_triangle_integral(corners, basis, Cinv, depth):
+def _refined_triangle_integral(corners, integrand, depth):
     if depth == 0:
         pts = TRI7_BARY @ corners
-        from vemrcp.mesh import signed_area
-
         w = TRI7_WEIGHTS * abs(signed_area(corners))
-        P = stress_modes_at(basis, pts)
-        return np.einsum("m,mia,ij,mjb->ab", w, P, Cinv, P)
+        return np.einsum("m,m...->...", w, integrand(pts))
     a, b, c = corners
     ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    out = np.zeros((7, 7))
-    for sub in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)):
-        out += _refined_triangle_integral(np.array(sub), basis, Cinv, depth - 1)
-    return out
+    return sum(
+        _refined_triangle_integral(np.array(sub), integrand, depth - 1)
+        for sub in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))
+    )
 
 
 class TestComputeG:
     def test_zero_displacement_zero_force(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
-        patch = build_patch(mesh, 4, PatchKind.PATCH1)
-        basis = patch_basis(mesh, patch)
-        part = particular_solution(mesh, patch, None)
-        g = compute_g(mesh, patch, mat, basis, part, np.zeros(2 * mesh.num_vertices))
+        *_, g = one_patch_system(
+            mesh, mat, 4, PatchKind.PATCH1, np.zeros(2 * mesh.num_vertices)
+        )
         np.testing.assert_array_equal(g, 0.0)
 
     def test_rigid_translation_kills_constant_entries(self, mat):
         mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=2)
-        patch = build_patch(mesh, 4, PatchKind.PATCH1)
-        basis = patch_basis(mesh, patch)
-        part = particular_solution(mesh, patch, None)
         u = np.zeros(2 * mesh.num_vertices)
         u[0::2] = 1.0  # unit x translation everywhere
-        g = compute_g(mesh, patch, mat, basis, part, u)
+        *_, g = one_patch_system(mesh, mat, 4, PatchKind.PATCH1, u)
         np.testing.assert_allclose(g[:3], 0.0, atol=1e-14)
 
 
 class TestSolvePatch:
     def test_zero_rhs(self, mat):
         mesh = centered_square_mesh()
-        H = compute_H(mesh, build_patch(mesh, 0, PatchKind.PATCH0), mat)
-        np.testing.assert_array_equal(solve_patch(H, np.zeros(7)), 0.0)
+        _, _, _, H, _ = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, np.zeros(8))
+        betas, failed = solve_patches(H[None], np.zeros((1, 7)))
+        np.testing.assert_array_equal(betas, 0.0)
+        assert not failed.any()
 
     def test_constant_stress_round_trip(self, mat):
         # exact boundary displacement of a constant-stress state
@@ -211,12 +241,9 @@ class TestSolvePatch:
             )
 
         mesh = centered_square_mesh()
-        patch = build_patch(mesh, 0, PatchKind.PATCH0)
-        basis = patch_basis(mesh, patch)
-        part = particular_solution(mesh, patch, None)
-        H = compute_H(mesh, patch, mat, basis)
-        g = compute_g(mesh, patch, mat, basis, part, displacement)
-        beta = solve_patch(H, g)
+        _, _, _, H, g = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, displacement)
+        (beta,), failed = solve_patches(H[None], g[None])
+        assert not failed.any()
         np.testing.assert_allclose(beta[:3], sigma, atol=1e-9)
         np.testing.assert_allclose(beta[3:], 0.0, atol=1e-9)
 
@@ -224,14 +251,11 @@ class TestSolvePatch:
         displacement, stress = bending_case(mat)
         pts = 0.5 * np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) + np.array([0.25, -0.4])
         mesh = single_cell_mesh(pts)
-        patch = build_patch(mesh, 0, PatchKind.PATCH0)
-        basis = patch_basis(mesh, patch)
-        part = particular_solution(mesh, patch, None)
-        H = compute_H(mesh, patch, mat, basis)
-        g = compute_g(mesh, patch, mat, basis, part, displacement)
-        beta = solve_patch(H, g)
+        center, scale, _, H, g = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, displacement)
+        (beta,), failed = solve_patches(H[None], g[None])
+        assert not failed.any()
         probe = rng.uniform(-0.2, 0.2, size=(20, 2)) + np.array([0.25, -0.4])
-        recovered = stress_modes_at(basis, probe) @ beta
+        recovered = stress_modes_at(center, scale, probe) @ beta
         np.testing.assert_allclose(recovered, stress(probe[:, 0], probe[:, 1]), atol=1e-9)
 
 
@@ -278,41 +302,31 @@ class TestRecoverField:
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
         case = linear_patch_case(mat)
         u, _ = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
-        original = rec.compute_H
+        original = rec.patch_systems
 
-        def failing_H(mesh_, patch, material, basis=None):
-            if patch.central_cell == 1 and len(patch.member_cells) > 1:
-                raise RecoveryConditioningError("forced")
-            return original(mesh_, patch, material, basis)
+        def singular_H(mesh_, material, patches, displacement, body_force):
+            system = original(mesh_, material, patches, displacement, body_force)
+            for k, patch in enumerate(patches):
+                if patch.central_cell == 1 and len(patch.member_cells) > 1:
+                    system.H[k, 6, :] = system.H[k, :, 6] = 0.0  # forced
+            return system
 
-        monkeypatch.setattr(rec, "compute_H", failing_H)
+        monkeypatch.setattr(rec, "patch_systems", singular_H)
         field = rec.recover_field(mesh, mat, u, None, "rcp1")
         assert field.fallback_cells == (1,)
         expected = case.stress(0.0, 0.0)
         np.testing.assert_allclose(field.betas[1][:3], expected, atol=1e-9)
 
-    def test_workers_match_sequential(self, mat):
-        mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=7)
-        case = manufactured_case("b", mat)
-        u, _ = solve_dirichlet_problem(
-            mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)
-        )
-        seq = recover_field(mesh, mat, u, case.body_force, "rcp1", workers=1)
-        par = recover_field(mesh, mat, u, case.body_force, "rcp1", workers=4)
-        np.testing.assert_array_equal(seq.betas, par.betas)
-
 
 class TestEvaluateRecovered:
     def test_unit_constant_mode(self, mat, unit_square_mesh):
-        from vemrcp.recovery import RecoveredStressField
-
-        basis = StressModeBasis(center=np.array([0.5, 0.5]), scale=1.0)
         field = RecoveredStressField(
             mesh=unit_square_mesh,
             kind="rcp0",
+            centers=np.array([[0.5, 0.5]]),
+            scales=np.array([1.0]),
             betas=np.array([[1.0, 0, 0, 0, 0, 0, 0]]),
-            bases=[basis],
-            particulars=[(np.zeros(2), basis.center, None)],
+            loads=np.zeros((1, 2)),
         )
         pts = np.array([[0.1, 0.9], [0.6, 0.4]])
         np.testing.assert_allclose(
@@ -326,7 +340,7 @@ class TestEvaluateRecovered:
         u, _ = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
         field = recover_field(mesh, mat, u, None, "rcp0")
         for ci in (0, 5):
-            value = evaluate_recovered_stress(field, ci, field.bases[ci].center)
+            value = evaluate_recovered_stress(field, ci, field.centers[ci])
             np.testing.assert_allclose(value, field.betas[ci][:3], atol=1e-15)
 
     def test_equilibrium_with_sampled_force(self, mat, rng):
@@ -345,24 +359,28 @@ class TestEvaluateRecovered:
                     ),
                     pts[:, 0], pts[:, 1],
                 )
-                b_sample = field.particulars[ci][0]
-                np.testing.assert_allclose(div + b_sample, 0.0, atol=1e-8)
+                np.testing.assert_allclose(div + field.loads[ci], 0.0, atol=1e-8)
 
 
 class TestFrameInvariance:
     def test_translation_by_hundred(self, mat, rng):
-        displacement, stress = bending_case(mat)
+        bending, _ = bending_case(mat)
+        case = manufactured_case("b", mat)
         base = generate_mesh(MeshFamily.QUAD_U, 3, seed=9)
         shift = np.array([100.0, 100.0])
         shifted = PolygonalMesh(base.vertices + shift, base.cells, MeshFamily.EXTERNAL)
 
-        def shifted_displacement(x, y):
-            return displacement(x - shift[0], y - shift[1])
+        def shifted_fn(fn):
+            return None if fn is None else lambda x, y: fn(x - shift[0], y - shift[1])
 
-        field_a = recover_field(base, mat, displacement, None, "rcp1")
-        field_b = recover_field(shifted, mat, shifted_displacement, None, "rcp1")
-        for ci in range(base.num_cells):
-            pts = random_points_in_cell(base, ci, rng, 4)
-            sa = evaluate_recovered_stress(field_a, ci, pts)
-            sb = evaluate_recovered_stress(field_b, ci, pts + shift)
-            np.testing.assert_allclose(sa, sb, atol=1e-8)
+        # an unloaded linear stress in the mode span, then case b with its load
+        for displacement, body_force in ((bending, None), (case.displacement, case.body_force)):
+            field_a = recover_field(base, mat, displacement, body_force, "rcp1")
+            field_b = recover_field(
+                shifted, mat, shifted_fn(displacement), shifted_fn(body_force), "rcp1"
+            )
+            for ci in range(base.num_cells):
+                pts = random_points_in_cell(base, ci, rng, 4)
+                sa = evaluate_recovered_stress(field_a, ci, pts)
+                sb = evaluate_recovered_stress(field_b, ci, pts + shift)
+                np.testing.assert_allclose(sa, sb, atol=1e-8)

@@ -179,7 +179,7 @@ class TestLoadVector:
 
 class TestAssemblyAndSolve:
     def test_single_cell_assembly_matches_element(self, unit_square_mesh, mat):
-        system = assemble_global(unit_square_mesh, mat, keep_element_ops=True)
+        system = assemble_global(unit_square_mesh, mat)
         np.testing.assert_allclose(
             system.matrix.toarray(), system.element_ops[0].K, atol=1e-15
         )

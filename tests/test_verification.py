@@ -5,7 +5,7 @@ import pytest
 
 from oracles import fd_strain, fd_stress_divergence
 from vemrcp.cases import CASE_IDS, manufactured_case
-from vemrcp.generators import generate_mesh
+from vemrcp.generators import GenerationError, generate_mesh
 from vemrcp.material import elastic_matrix
 from vemrcp.mesh import MeshFamily, PolygonalMesh
 from vemrcp.study import (
@@ -177,7 +177,7 @@ class TestRunStudy:
 
         def flaky(family, n, seed=0):
             if n == 8:
-                raise RuntimeError("boom")
+                raise GenerationError("boom")
             return original(family, n, seed)
 
         monkeypatch.setattr(study_mod, "generate_mesh", flaky)
@@ -185,6 +185,18 @@ class TestRunStudy:
             "a", MeshFamily.QUAD_S, 3, mat, methods=("vem",), base_subdivisions=4
         )
         assert [r.subdivisions for r in records] == [4, 16]
+
+    def test_programming_error_in_level_propagates(self, mat, monkeypatch):
+        import vemrcp.study as study_mod
+
+        def broken(*args):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(study_mod, "run_level", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            run_convergence_study(
+                "a", MeshFamily.QUAD_S, 2, mat, methods=("vem",), base_subdivisions=4
+            )
 
     def test_deterministic_given_seed(self, mat):
         a = run_convergence_study(
