@@ -38,12 +38,13 @@ from .study import (
     run_patch_test,
 )
 from .vem import (
-    ElementOperators,
+    ElementMatrices,
     GlobalSystem,
     SolveError,
     apply_dirichlet,
     assemble_global,
-    element_stress_vem,
+    element_matrices,
+    element_stresses,
     solve_dirichlet_problem,
     solve_system,
 )

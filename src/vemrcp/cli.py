@@ -13,7 +13,8 @@ import numpy as np
 
 from .cases import CASE_IDS, manufactured_case
 from .material import LameMaterial, von_mises
-from .mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, load_mesh, polygon_centroid
+from .mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, load_mesh
+from .mesh import shoelace, vertex_count_groups
 from .recovery import evaluate_recovered_stress
 from .study import (
     METHODS,
@@ -193,16 +194,16 @@ def write_vtk(mesh: PolygonalMesh, cell_fields: dict, path) -> None:
 
 def _von_mises_fields(record, result, material, methods) -> dict:
     mesh = result.mesh
-    centroids = np.array([polygon_centroid(mesh, ci) for ci in range(mesh.num_cells)])
+    cells = np.arange(mesh.num_cells)
+    centroids = np.empty((mesh.num_cells, 2))
+    for group, idx in vertex_count_groups(mesh):
+        centroids[group] = shoelace(mesh.vertices[idx])[1]
     fields = {}
     if "vem" in methods:
         fields["vm_vem"] = von_mises(result.cell_stresses, material)
     for method in ("rcp0", "rcp1"):
         if method in result.recovered:
-            rec = result.recovered[method]
-            stresses = np.array(
-                [evaluate_recovered_stress(rec, ci, centroids[ci]) for ci in range(mesh.num_cells)]
-            )
+            stresses = evaluate_recovered_stress(result.recovered[method], cells, centroids)
             fields[f"vm_{method}"] = von_mises(stresses, material)
     exact = result.case.stress(centroids[:, 0], centroids[:, 1])
     fields["vm_exact"] = von_mises(exact, material)

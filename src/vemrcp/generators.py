@@ -16,7 +16,7 @@ from .mesh import (
     MeshError,
     MeshFamily,
     PolygonalMesh,
-    centroid_of,
+    shoelace,
     signed_area,
     validate_mesh,
 )
@@ -339,7 +339,7 @@ def _poly_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
             region = vor.regions[vor.point_region[k]]
             if -1 in region or not region:
                 raise GenerationError("poly-u: unbounded Voronoi region during relaxation")
-            new_seeds[k] = centroid_of(_ordered_region(vor, region))
+            new_seeds[k] = shoelace(_ordered_region(vor, region))[1]
         seeds = np.clip(new_seeds, 1e-9, 1.0 - 1e-9)
 
     vor = _mirrored_voronoi(seeds)

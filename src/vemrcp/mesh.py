@@ -2,9 +2,9 @@
 
 Vertices are rows of an (nv, 2) float array; a cell is a counterclockwise
 cycle of vertex indices. Vertex coordinates and cells do not change after
-construction, but derived topology (edge incidence, vertex-to-cell map) and
-the per-cell quadrature rules are built lazily and cached on the instance, so
-a mesh is not safe to share between threads without a lock.
+construction, but derived topology (edge incidence and neighbors, vertex-to-cell
+map) and the per-cell quadrature rules are built lazily and cached on the
+instance, so a mesh is not safe to share between threads without a lock.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ class PolygonalMesh:
                 raise MeshError(f"cell {ci} is not counterclockwise")
         self._edge_map: dict | None = None
         self._vertex_cells: list | None = None
+        self._edge_neighbors: np.ndarray | None = None
         self._quadrature_cache: dict = {}
         self.boundary_vertex_flags = self._compute_boundary_flags()
         self.average_edge_length = average_edge_length(self)
@@ -123,6 +124,25 @@ class PolygonalMesh:
                     emap.setdefault(key, []).append((ci, k, i > j))
             self._edge_map = emap
         return self._edge_map
+
+    @property
+    def edge_neighbors(self) -> np.ndarray:
+        """Cell across every cell edge, or -1 on the boundary.
+
+        Edges are numbered globally in cell order: local edge k of cell ci
+        (from vertex k to vertex k + 1) has id sum(len(cells[:ci])) + k.
+        """
+        if self._edge_neighbors is None:
+            counts = np.array([len(c) for c in self.cells])
+            first = np.cumsum(counts) - counts
+            nb = np.full(counts.sum(), -1, dtype=np.int64)
+            for users in self.edge_map.values():
+                if len(users) == 2:
+                    (c0, k0, _), (c1, k1, _) = users
+                    nb[first[c0] + k0], nb[first[c1] + k1] = c1, c0
+            nb.setflags(write=False)
+            self._edge_neighbors = nb
+        return self._edge_neighbors
 
     @property
     def vertex_cells(self) -> list:
@@ -162,19 +182,30 @@ def polygon_area(mesh: PolygonalMesh, cell: int) -> float:
     return signed_area(mesh.cell_coords(cell))
 
 
-def centroid_of(points: np.ndarray) -> np.ndarray:
-    """Area-weighted centroid, valid for concave simple polygons."""
-    x, y = points[:, 0], points[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+def shoelace(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Area and area-weighted centroid of ccw polygons given as (..., n, 2) vertex cycles.
+
+    Valid for concave simple polygons; a stack of k cells with n vertices each
+    gives areas (k,) and centroids (k, 2).
+    """
+    x, y = points[..., 0], points[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area = 0.5 * float(cross.sum())
-    cx = float(((x + xn) * cross).sum()) / (6.0 * area)
-    cy = float(((y + yn) * cross).sum()) / (6.0 * area)
-    return np.array([cx, cy])
+    area = 0.5 * cross.sum(axis=-1)
+    cx = ((x + xn) * cross).sum(axis=-1) / (6.0 * area)
+    cy = ((y + yn) * cross).sum(axis=-1) / (6.0 * area)
+    return area, np.stack([cx, cy], axis=-1)
 
 
 def polygon_centroid(mesh: PolygonalMesh, cell: int) -> np.ndarray:
-    return centroid_of(mesh.cell_coords(cell))
+    return shoelace(mesh.cell_coords(cell))[1]
+
+
+def vertex_count_groups(mesh: PolygonalMesh) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cells grouped by vertex count n: (cell ids (k,), vertex indices (k, n)) per n."""
+    counts = np.array([len(c) for c in mesh.cells])
+    groups = [np.flatnonzero(counts == n) for n in np.unique(counts)]
+    return [(cells, np.stack([mesh.cells[ci] for ci in cells])) for cells in groups]
 
 
 def edge_outward_normal(mesh: PolygonalMesh, cell: int, edge: int) -> np.ndarray:
@@ -309,26 +340,6 @@ def build_patch(mesh: PolygonalMesh, cell: int, kind: PatchKind) -> ElementPatch
     touches_boundary = bool(mesh.boundary_vertex_flags[mesh.cells[cell]].any())
     out_kind = PatchKind.PATCH1B if touches_boundary else PatchKind.PATCH1
     return ElementPatch(cell, tuple(sorted(members)), out_kind)
-
-
-def patch_outer_edges(mesh: PolygonalMesh, patch: ElementPatch) -> list[tuple[int, int]]:
-    """Edges of the patch boundary as (member cell, local edge) pairs.
-
-    An edge is outer when its opposite side is either the domain exterior or
-    a cell outside the patch; its outward normal (w.r.t. the owning cell)
-    then points out of the patch.
-    """
-    members = set(patch.member_cells)
-    outer = []
-    for ci in patch.member_cells:
-        cell = mesh.cells[ci]
-        nxt = np.roll(cell, -1)
-        for k, (i, j) in enumerate(zip(cell, nxt)):
-            key = (int(i), int(j)) if i < j else (int(j), int(i))
-            users = mesh.edge_map[key]
-            if all(uc == ci or uc not in members for uc, _, _ in users):
-                outer.append((ci, k))
-    return outer
 
 
 # ---------------------------------------------------------------------------

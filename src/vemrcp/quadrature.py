@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import PolygonalMesh, ear_clip, signed_area
+from .mesh import PolygonalMesh, ear_clip
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -31,28 +31,18 @@ TRI7_WEIGHTS = np.array(
 )
 
 
-def triangle_quadrature(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Physical points and weights of the 7-point rule on one triangle."""
-    pts = TRI7_BARY @ coords
-    w = TRI7_WEIGHTS * abs(signed_area(coords))
-    return pts, w
-
-
 def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule over the ear-clip triangulation of a cell (cached)."""
     cached = mesh._quadrature_cache.get(cell)
     if cached is not None:
         return cached
     coords = mesh.cell_coords(cell)
-    pts_list, w_list = [], []
-    for tri in ear_clip(coords):
-        p, w = triangle_quadrature(coords[list(tri)])
-        pts_list.append(p)
-        w_list.append(w)
-    pts = np.vstack(pts_list)
-    w = np.concatenate(w_list)
-    mesh._quadrature_cache[cell] = (pts, w)
-    return pts, w
+    tris = coords[np.array(ear_clip(coords))]                 # (t, 3, 2), all triangles at once
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    rule = (TRI7_BARY @ tris).reshape(-1, 2), (area[:, None] * TRI7_WEIGHTS).ravel()
+    mesh._quadrature_cache[cell] = rule
+    return rule
 
 
 def polygon_quadrature(mesh: PolygonalMesh, cell: int, integrand) -> float:

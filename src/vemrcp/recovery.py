@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .material import LameMaterial, compliance_matrix
-from .mesh import PatchKind, PolygonalMesh, build_patch, patch_outer_edges
+from .mesh import PatchKind, PolygonalMesh, build_patch
 from .quadrature import cell_quadrature
 
 logger = logging.getLogger(__name__)
@@ -102,6 +102,24 @@ def _cell_moments(mesh: PolygonalMesh):
     return area, centroid, second
 
 
+def outer_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
+    """Outer edges of patches given as (patch, member cell) pairs.
+
+    Returns (patch, global edge id) arrays (see `PolygonalMesh.edge_neighbors`),
+    ordered by pair and then by local edge. An edge is outer when the cell
+    across it is the domain exterior or not a member of the same patch; its
+    outward normal (w.r.t. the member cell) then points out of the patch.
+    """
+    counts = np.array([len(c) for c in mesh.cells])
+    first = np.cumsum(counts) - counts             # global id of each cell's local edge 0
+    n = counts[member]
+    pair = np.repeat(np.arange(len(member)), n)
+    edge = first[member][pair] + np.arange(n.sum()) - (np.cumsum(n) - n)[pair]
+    patch, nb, nc = owner[pair], mesh.edge_neighbors[edge], mesh.num_cells
+    outer = (nb < 0) | ~np.isin(patch * nc + nb, owner * nc + member)
+    return patch[outer], edge[outer]
+
+
 def patch_systems(
     mesh: PolygonalMesh,
     material: LameMaterial,
@@ -120,14 +138,10 @@ def patch_systems(
     owner = np.repeat(np.arange(npatch), [len(p.member_cells) for p in patches])
     member = np.concatenate([p.member_cells for p in patches])
 
-    first = np.cumsum([0] + [len(c) for c in mesh.cells[:-1]])   # global id of local edge 0
     scales = np.empty(npatch)
-    outer = []                        # global ids of each patch's outer edges
     for k, patch in enumerate(patches):
         pts = mesh.vertices[np.concatenate([mesh.cells[ci] for ci in patch.member_cells])]
         scales[k] = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max())
-        ci, e = np.array(patch_outer_edges(mesh, patch)).T
-        outer.append(first[ci] + e)
     centers = _sum_by(owner, area[member, None] * centroid[member], npatch)
     centers /= np.bincount(owner, area[member], minlength=npatch)[:, None]
 
@@ -143,8 +157,7 @@ def patch_systems(
 
     # Work of each mode's traction on the displacement trace: S[p, a] sums
     # phi_a * (weight * traction pair) over the Gauss points of the outer edges.
-    edge_owner = np.repeat(np.arange(npatch), [len(o) for o in outer])
-    outer = np.concatenate(outer)
+    edge_owner, outer = outer_edges(mesh, owner, member)
     ia = np.concatenate(mesh.cells)[outer]
     ib = np.concatenate([np.roll(c, -1) for c in mesh.cells])[outer]
     a = mesh.vertices[ia]
@@ -231,10 +244,18 @@ def recover_field(
     return RecoveredStressField(mesh, kind, *arrays, fallback_cells=tuple(fallback.tolist()))
 
 
-def evaluate_recovered_stress(field: RecoveredStressField, cell: int, points) -> np.ndarray:
-    """Recovered stress of `cell` at one point or an (m, 2) stack."""
+def evaluate_recovered_stress(field: RecoveredStressField, cell, points) -> np.ndarray:
+    """Recovered stress of `cell` at one point or an (m, 2) stack.
+
+    `cell` is one cell id, or an int array aligned with the (m, 2) points
+    that names the cell of each point.
+    """
     pts = np.asarray(points, dtype=float)
+    cell = np.asarray(cell)
     center = field.centers[cell]
-    out = stress_modes_at(center, field.scales[cell], pts) @ field.betas[cell]
+    local = (pts - center) / field.scales[cell][..., None]
+    # coef[..., a, :] = MODES[a] @ beta: the stress coefficients of 1, xi and eta.
+    coef = np.einsum("aik,...k->...ai", MODES, field.betas[cell])
+    out = coef[..., 0, :] + np.einsum("...a,...ai->...i", local, coef[..., 1:, :])
     out[..., :2] -= field.loads[cell] * (pts - center)
     return out

@@ -4,158 +4,102 @@ Element displacements live at the vertices in interleaved (u1, v1, ..., un, vn)
 order. The strain projector maps those degrees of freedom to the constant
 strain (eps_x, eps_y, gamma_xy); only the piecewise-linear boundary trace of
 the displacement enters its construction, so no interior shape functions are
-ever evaluated.
+ever evaluated. The Gram matrix of the constant-strain basis is G = |E| I,
+so the projector is Pi_m = B / |E|.
+
+Every kernel works on all cells of one vertex count n at once: cells are
+grouped by n (`vertex_count_groups`) and a group of k cells is a stack of
+(k, n, 2) vertex coordinates, (k, 3, 2n) projectors and (k, 2n, 2n)
+stiffness matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .material import LameMaterial, elastic_matrix
-from .mesh import MeshError, PolygonalMesh, centroid_of, signed_area
-
-_RIGID_AND_LINEAR = (
-    lambda x, y: (1.0, 0.0),
-    lambda x, y: (0.0, 1.0),
-    lambda x, y: (-y, x),
-    lambda x, y: (x, 0.0),
-    lambda x, y: (0.0, y),
-    lambda x, y: (y, x),
-)
+from .mesh import MeshError, PolygonalMesh, shoelace, vertex_count_groups
 
 
 class SolveError(Exception):
     """Linear solver failed to reach the required residual."""
 
 
-@dataclass
-class ElementOperators:
-    """Per-cell matrices of the first-order scheme."""
+class ElementMatrices(NamedTuple):
+    """Geometry and matrices of a group of k cells with n vertices each."""
 
-    cell: int
-    n: int
-    G: np.ndarray
-    B: np.ndarray
-    Pi_m: np.ndarray
-    Kc: np.ndarray
-    Ks: np.ndarray
-    K: np.ndarray
+    area: np.ndarray                  # (k,)
+    centroid: np.ndarray              # (k, 2)
+    Pi_m: np.ndarray                  # (k, 3, 2n) strain projector
+    Kc: np.ndarray                    # (k, 2n, 2n) consistency stiffness
+    Ks: np.ndarray                    # (k, 2n, 2n) stabilization stiffness
 
 
-def compute_G(mesh: PolygonalMesh, cell: int) -> np.ndarray:
-    """Gram matrix of the constant-strain basis: |E| times the identity."""
-    return signed_area(mesh.cell_coords(cell)) * np.eye(3)
-
-
-def compute_B(mesh: PolygonalMesh, cell: int) -> np.ndarray:
+def compute_B(pts: np.ndarray) -> np.ndarray:
     """Boundary pairing of constant strains with the linear displacement trace.
 
-    Each edge contributes half its scaled outward normal to both endpoint
-    vertices; the result is exact because the trace is linear per edge. For a
-    dof vector sampled from displacement u this realizes the divergence
-    theorem: B @ v = integral over the cell of the symmetric gradient of u
-    whenever u is linear.
+    `pts` holds the vertex cycles of k cells as (k, n, 2); the result is
+    (k, 3, 2n). Each edge contributes half its scaled outward normal to both
+    endpoint vertices; the result is exact because the trace is linear per
+    edge. For a dof vector sampled from displacement u this realizes the
+    divergence theorem: B @ v = integral over the cell of the symmetric
+    gradient of u whenever u is linear.
     """
-    pts = mesh.cell_coords(cell)
-    n = len(pts)
-    tang = np.roll(pts, -1, axis=0) - pts
-    scaled_normals = np.column_stack([tang[:, 1], -tang[:, 0]])  # |e| * outward unit
-    w = 0.5 * (scaled_normals + np.roll(scaled_normals, 1, axis=0))
-    B = np.zeros((3, 2 * n))
-    B[0, 0::2] = w[:, 0]
-    B[1, 1::2] = w[:, 1]
-    B[2, 0::2] = w[:, 1]
-    B[2, 1::2] = w[:, 0]
+    k, n, _ = pts.shape
+    tang = np.roll(pts, -1, axis=1) - pts
+    scaled_normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1)  # |e| * outward unit
+    w = 0.5 * (scaled_normals + np.roll(scaled_normals, 1, axis=1))
+    B = np.zeros((k, 3, 2 * n))
+    B[:, 0, 0::2] = w[..., 0]
+    B[:, 1, 1::2] = w[..., 1]
+    B[:, 2, 0::2] = w[..., 1]
+    B[:, 2, 1::2] = w[..., 0]
     return B
 
 
-def compute_Pi_m(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Strain projector: solve G X = B column-wise."""
-    try:
-        return np.linalg.solve(G, B)
-    except np.linalg.LinAlgError as exc:
-        raise MeshError("singular strain Gram matrix (degenerate cell)") from exc
+def element_matrices(
+    pts: np.ndarray, cells, C: np.ndarray, stabilization_scale: float = 1.0
+) -> ElementMatrices:
+    """Projector and stiffness of k cells with n vertices each, `pts` (k, n, 2).
 
-
-def consistency_stiffness(Pi_m: np.ndarray, C: np.ndarray, area: float) -> np.ndarray:
-    """Rank-3 stiffness carrying the constant-strain energy exactly."""
-    return area * Pi_m.T @ C @ Pi_m
-
-
-def stabilization_stiffness(
-    mesh: PolygonalMesh, cell: int, Kc: np.ndarray, scale: float = 1.0
-) -> np.ndarray:
-    """Complementary stiffness vanishing on linear displacement fields.
-
-    Projects dof space onto the span of the six vertex-sampled linear vector
-    fields and penalizes the orthogonal complement with half the trace of the
-    consistency stiffness. Triangles have no complement, so their term is
-    numerically zero.
+    Kc = |E| Pi_m^T C Pi_m carries the constant-strain energy exactly. Ks
+    projects dof space onto the span of the six vertex-sampled rigid and
+    linear vector fields and penalizes the orthogonal complement with half the
+    trace of Kc; it vanishes on linear fields, and on triangles, which have no
+    complement. `cells` names the cells in the rank-check error.
     """
-    pts = mesh.cell_coords(cell)
-    n = len(pts)
-    center = centroid_of(pts)
-    xh = pts[:, 0] - center[0]
-    yh = pts[:, 1] - center[1]
-    L = np.zeros((2 * n, 6))
-    for col, mode in enumerate(_RIGID_AND_LINEAR):
-        ux, uy = mode(xh, yh)
-        L[0::2, col] = ux
-        L[1::2, col] = uy
+    k, n, _ = pts.shape
+    area, centroid = shoelace(pts)
+    Pi_m = compute_B(pts) / area[:, None, None]
+    Kc = area[:, None, None] * np.swapaxes(Pi_m, 1, 2) @ C @ Pi_m
+    # Columns: the rigid modes (1, 0), (0, 1), (-y, x), then (x, 0), (0, y), (y, x).
+    xh, yh = np.moveaxis(pts - centroid[:, None, :], -1, 0)
+    one, zero = np.ones_like(xh), np.zeros_like(xh)
+    L = np.stack([
+        np.stack([one, zero, -yh, xh, zero, yh], axis=-1),
+        np.stack([zero, one, xh, zero, yh, xh], axis=-1),
+    ], axis=2).reshape(k, 2 * n, 6)
     q, r = np.linalg.qr(L)
-    if np.abs(np.diag(r)).min() <= 1e-12 * np.abs(np.diag(r)).max():
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    deficient = diag.min(axis=1) <= 1e-12 * diag.max(axis=1)
+    if deficient.any():
+        cell = np.asarray(cells)[np.argmax(deficient)]
         raise MeshError(f"cell {cell}: degenerate geometry, linear modes are rank deficient")
-    tau = 0.5 * np.trace(Kc) * scale
-    return tau * (np.eye(2 * n) - q @ q.T)
-
-
-def element_operators(
-    mesh: PolygonalMesh,
-    cell: int,
-    material: LameMaterial,
-    stabilization_scale: float = 1.0,
-) -> ElementOperators:
-    area = signed_area(mesh.cell_coords(cell))
-    G = compute_G(mesh, cell)
-    B = compute_B(mesh, cell)
-    Pi_m = compute_Pi_m(G, B)
-    C = elastic_matrix(material)
-    Kc = consistency_stiffness(Pi_m, C, area)
-    Ks = stabilization_stiffness(mesh, cell, Kc, stabilization_scale)
-    return ElementOperators(
-        cell=cell, n=len(mesh.cells[cell]), G=G, B=B, Pi_m=Pi_m, Kc=Kc, Ks=Ks, K=Kc + Ks
-    )
-
-
-def element_load_vector(mesh: PolygonalMesh, cell: int, body_force) -> np.ndarray:
-    """Centroid-sampled body force, spread evenly over the vertex dofs."""
-    n = len(mesh.cells[cell])
-    if body_force is None:
-        return np.zeros(2 * n)
-    pts = mesh.cell_coords(cell)
-    area = signed_area(pts)
-    cx, cy = centroid_of(pts)
-    b = np.asarray(body_force(cx, cy), dtype=float).reshape(2)
-    return np.tile(b * (area / n), n)
-
-
-def cell_dofs(mesh: PolygonalMesh, cell: int) -> np.ndarray:
-    verts = mesh.cells[cell]
-    dofs = np.empty(2 * len(verts), dtype=np.int64)
-    dofs[0::2] = 2 * verts
-    dofs[1::2] = 2 * verts + 1
-    return dofs
+    tau = 0.5 * np.trace(Kc, axis1=1, axis2=2) * stabilization_scale
+    Ks = tau[:, None, None] * (np.eye(2 * n) - q @ np.swapaxes(q, 1, 2))
+    return ElementMatrices(area, centroid, Pi_m, Kc, Ks)
 
 
 @dataclass
 class GlobalSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    element_ops: list = field(repr=False)
+    groups: list = field(repr=False)  # (cell ids (k,), dofs (k, 2n), Pi_m (k, 3, 2n)) per n
 
     @property
     def ndof(self) -> int:
@@ -178,28 +122,39 @@ def assemble_global(
     body_force=None,
     stabilization_scale: float = 1.0,
 ) -> GlobalSystem:
-    """Scatter element stiffness and load contributions in cell order.
+    """Assemble stiffness and load one vertex-count group at a time.
 
-    The element operators are kept on the system for the stress evaluation.
+    `body_force` is None or a vectorized callable b(x, y) -> (m, 2); a
+    constant (2,) result is broadcast. It is called once, at all cell
+    centroids, and each cell's b |E| is spread evenly over its vertices. The
+    projectors are kept on the system for the stress evaluation.
     """
     ndof = 2 * mesh.num_vertices
-    rows, cols, vals = [], [], []
-    f = np.zeros(ndof)
-    ops_list = []
-    for ci in range(mesh.num_cells):
-        ops = element_operators(mesh, ci, material, stabilization_scale)
-        dofs = cell_dofs(mesh, ci)
-        m = len(dofs)
-        rows.append(np.repeat(dofs, m))
-        cols.append(np.tile(dofs, m))
-        vals.append(ops.K.ravel())
-        f[dofs] += element_load_vector(mesh, ci, body_force)
-        ops_list.append(ops)
+    C = elastic_matrix(material)
+    area = np.empty(mesh.num_cells)
+    centroid = np.empty((mesh.num_cells, 2))
+    rows, cols, vals, groups = [], [], [], []
+    for cells, idx in vertex_count_groups(mesh):
+        ops = element_matrices(mesh.vertices[idx], cells, C, stabilization_scale)
+        dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(len(cells), -1)
+        m = dofs.shape[1]
+        rows.append(np.repeat(dofs, m, axis=1).ravel())
+        cols.append(np.tile(dofs, m).ravel())
+        vals.append((ops.Kc + ops.Ks).ravel())
+        area[cells], centroid[cells] = ops.area, ops.centroid
+        groups.append((cells, dofs, ops.Pi_m))
     K = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ndof, ndof),
     ).tocsr()
-    return GlobalSystem(matrix=K, rhs=f, element_ops=ops_list)
+    f = np.zeros(ndof)
+    if body_force is not None:
+        b = np.asarray(body_force(centroid[:, 0], centroid[:, 1]), dtype=float)
+        b = np.broadcast_to(b, (mesh.num_cells, 2))
+        for cells, dofs, _ in groups:
+            n = dofs.shape[1] // 2
+            np.add.at(f, dofs, np.tile(b[cells] * (area[cells, None] / n), n))
+    return GlobalSystem(matrix=K, rhs=f, groups=groups)
 
 
 def apply_dirichlet(system: GlobalSystem, boundary_values: dict) -> ConstrainedSystem:
@@ -247,18 +202,13 @@ def solve_system(constrained: ConstrainedSystem) -> np.ndarray:
     return u
 
 
-def element_stress_vem(Pi_m: np.ndarray, C: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Constant element stress from the projected strain."""
-    return C @ (Pi_m @ v)
-
-
 def element_stresses(mesh: PolygonalMesh, system: GlobalSystem, material: LameMaterial,
                      u: np.ndarray) -> np.ndarray:
-    """Stress of every cell as an (ncells, 3) array."""
+    """Constant stress C Pi_m u of every cell as an (ncells, 3) array."""
     C = elastic_matrix(material)
     out = np.empty((mesh.num_cells, 3))
-    for ci, ops in enumerate(system.element_ops):
-        out[ci] = element_stress_vem(ops.Pi_m, C, u[cell_dofs(mesh, ci)])
+    for cells, dofs, Pi_m in system.groups:
+        out[cells] = np.einsum("ij,kjd,kd->ki", C, Pi_m, u[dofs])
     return out
 
 
@@ -271,8 +221,10 @@ def solve_dirichlet_problem(
 ) -> tuple[np.ndarray, GlobalSystem]:
     """Assemble, constrain every boundary vertex, and solve.
 
-    boundary_displacement(x, y) must return the prescribed (u, v) pair; it is
-    evaluated at each boundary vertex.
+    body_force is None or a vectorized callable b(x, y) -> (m, 2), called once
+    at all cell centroids (see `assemble_global`). boundary_displacement(x, y)
+    must return the prescribed (u, v) pair; it is evaluated at each boundary
+    vertex.
     """
     system = assemble_global(mesh, material, body_force, stabilization_scale)
     values = {}

@@ -24,6 +24,7 @@ from vemrcp.recovery import (
     RecoveredStressField,
     RecoveryConditioningError,
     evaluate_recovered_stress,
+    outer_edges,
     patch_systems,
     recover_field,
     solve_patches,
@@ -343,6 +344,18 @@ class TestEvaluateRecovered:
             value = evaluate_recovered_stress(field, ci, field.centers[ci])
             np.testing.assert_allclose(value, field.betas[ci][:3], atol=1e-15)
 
+    def test_cell_array_matches_per_cell_calls(self, mat, rng):
+        mesh = generate_mesh(MeshFamily.CONC_U, 4, seed=0)
+        case = manufactured_case("b", mat)
+        u, _ = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+        field = recover_field(mesh, mat, u, case.body_force, "rcp1")
+        cells = rng.integers(0, mesh.num_cells, 200)
+        pts = rng.uniform(0.0, 1.0, (200, 2))
+        expected = [evaluate_recovered_stress(field, int(c), p) for c, p in zip(cells, pts)]
+        np.testing.assert_allclose(
+            evaluate_recovered_stress(field, cells, pts), expected, rtol=1e-14, atol=1e-14
+        )
+
     def test_equilibrium_with_sampled_force(self, mat, rng):
         mesh = generate_mesh(MeshFamily.QUAD_U, 3, seed=4)
         case = manufactured_case("b", mat)
@@ -384,3 +397,27 @@ class TestFrameInvariance:
                 sa = evaluate_recovered_stress(field_a, ci, pts)
                 sb = evaluate_recovered_stress(field_b, ci, pts + shift)
                 np.testing.assert_allclose(sa, sb, atol=1e-8)
+
+
+class TestOuterEdges:
+    @pytest.mark.parametrize(
+        "family", [MeshFamily.CONC_U, MeshFamily.POLY_U], ids=lambda f: f.value
+    )
+    def test_matches_brute_force_edge_map(self, family):
+        mesh = generate_mesh(family, 8, seed=0)
+        patches = [build_patch(mesh, ci, PatchKind.PATCH1) for ci in range(mesh.num_cells)]
+        owner = np.repeat(np.arange(len(patches)), [len(p.member_cells) for p in patches])
+        member = np.concatenate([p.member_cells for p in patches])
+        patch, edge = outer_edges(mesh, owner, member)
+        first = np.cumsum([0] + [len(c) for c in mesh.cells[:-1]])
+        expected = set()
+        for k, p in enumerate(patches):
+            for ci in p.member_cells:
+                cell = mesh.cells[ci]
+                for e in range(len(cell)):
+                    i, j = sorted((int(cell[e]), int(cell[(e + 1) % len(cell)])))
+                    users = mesh.edge_map[(i, j)]
+                    if all(uc == ci or uc not in p.member_cells for uc, _, _ in users):
+                        expected.add((k, int(first[ci]) + e))
+        assert len(patch) == len(expected)
+        assert set(zip(patch.tolist(), edge.tolist())) == expected

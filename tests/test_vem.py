@@ -10,14 +10,11 @@ from vemrcp.material import elastic_matrix
 from vemrcp.mesh import MeshFamily, polygon_area
 from vemrcp.study import linear_patch_case
 from vemrcp.vem import (
+    ElementMatrices,
     apply_dirichlet,
     assemble_global,
     compute_B,
-    compute_G,
-    compute_Pi_m,
-    element_load_vector,
-    element_operators,
-    element_stress_vem,
+    element_matrices,
     element_stresses,
     solve_dirichlet_problem,
     solve_system,
@@ -41,57 +38,68 @@ def random_polygon_mesh(rng, n=6):
     return single_cell_mesh(pts)
 
 
+def cell_ops(mesh, mat, stabilization_scale=1.0) -> ElementMatrices:
+    """The grouped kernel called on the one cell of a one-cell mesh."""
+    ops = element_matrices(
+        mesh.cell_coords(0)[None], [0], elastic_matrix(mat), stabilization_scale
+    )
+    return ElementMatrices(*(a[0] for a in ops))
+
+
+def cell_B(mesh):
+    return compute_B(mesh.cell_coords(0)[None])[0]
+
+
 class TestComputeG:
-    def test_unit_square(self, unit_square_mesh):
-        np.testing.assert_allclose(compute_G(unit_square_mesh, 0), np.eye(3))
+    """G = |E| I, so the kernel keeps only the area it divides B by."""
 
-    def test_half_area_cell(self):
+    def test_unit_square(self, unit_square_mesh, mat):
+        assert cell_ops(unit_square_mesh, mat).area == pytest.approx(1.0, rel=1e-15)
+
+    def test_half_area_cell(self, mat):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0, 1)])
-        np.testing.assert_allclose(compute_G(mesh, 0), 0.5 * np.eye(3))
+        assert cell_ops(mesh, mat).area == pytest.approx(0.5, rel=1e-15)
 
-    def test_matches_quadrature(self, rng):
+    def test_matches_quadrature(self, rng, mat):
         from vemrcp.quadrature import cell_quadrature
 
         mesh = random_polygon_mesh(rng)
         pts, w = cell_quadrature(mesh, 0)
         # constant-strain basis is the identity, so the gram matrix is area * I
-        np.testing.assert_allclose(
-            compute_G(mesh, 0), w.sum() * np.eye(3), atol=1e-13
-        )
+        assert cell_ops(mesh, mat).area == pytest.approx(w.sum(), abs=1e-13)
 
 
 class TestComputeB:
     def test_divergence_theorem_on_linear_field(self, unit_square_mesh):
         v = dof_vector_from(unit_square_mesh, 0, lambda x, y: (x, 0.0))
-        np.testing.assert_allclose(compute_B(unit_square_mesh, 0) @ v, [1, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(cell_B(unit_square_mesh) @ v, [1, 0, 0], atol=1e-14)
 
     def test_rigid_translation_annihilated(self, rng):
         mesh = random_polygon_mesh(rng)
         v = dof_vector_from(mesh, 0, lambda x, y: (1.0, 0.0))
-        np.testing.assert_allclose(compute_B(mesh, 0) @ v, 0.0, atol=1e-14)
+        np.testing.assert_allclose(cell_B(mesh) @ v, 0.0, atol=1e-14)
 
     def test_rigid_rotation_annihilated(self, rng):
         mesh = random_polygon_mesh(rng)
         v = dof_vector_from(mesh, 0, lambda x, y: (-y, x))
-        np.testing.assert_allclose(compute_B(mesh, 0) @ v, 0.0, atol=1e-13)
+        np.testing.assert_allclose(cell_B(mesh) @ v, 0.0, atol=1e-13)
 
 
 class TestProjector:
-    def test_first_order_projector_is_scaled_B(self, rng):
+    def test_first_order_projector_is_scaled_B(self, rng, mat):
         mesh = random_polygon_mesh(rng)
-        G, B = compute_G(mesh, 0), compute_B(mesh, 0)
-        np.testing.assert_allclose(compute_Pi_m(G, B), B / polygon_area(mesh, 0))
+        np.testing.assert_allclose(cell_ops(mesh, mat).Pi_m, cell_B(mesh) / polygon_area(mesh, 0))
 
-    def test_exact_on_constant_strain_field(self, rng):
+    def test_exact_on_constant_strain_field(self, rng, mat):
         mesh = random_polygon_mesh(rng)
-        Pi = compute_Pi_m(compute_G(mesh, 0), compute_B(mesh, 0))
+        Pi = cell_ops(mesh, mat).Pi_m
         v = dof_vector_from(mesh, 0, lambda x, y: (x, 0.0))
         np.testing.assert_allclose(Pi @ v, [1, 0, 0], atol=1e-12)
 
-    def test_consistency_on_random_linear_fields(self, rng):
+    def test_consistency_on_random_linear_fields(self, rng, mat):
         for _ in range(25):
             mesh = random_polygon_mesh(rng, n=int(rng.integers(3, 9)))
-            Pi = compute_Pi_m(compute_G(mesh, 0), compute_B(mesh, 0))
+            Pi = cell_ops(mesh, mat).Pi_m
             a = rng.uniform(-1, 1, 6)
             v = dof_vector_from(
                 mesh, 0,
@@ -99,9 +107,9 @@ class TestProjector:
             )
             np.testing.assert_allclose(Pi @ v, [a[1], a[5], a[2] + a[4]], atol=1e-12)
 
-    def test_rigid_motion_maps_to_zero(self, rng):
+    def test_rigid_motion_maps_to_zero(self, rng, mat):
         mesh = random_polygon_mesh(rng)
-        Pi = compute_Pi_m(compute_G(mesh, 0), compute_B(mesh, 0))
+        Pi = cell_ops(mesh, mat).Pi_m
         v = dof_vector_from(mesh, 0, lambda x, y: (2.0 - y, -1.0 + x))
         np.testing.assert_allclose(Pi @ v, 0.0, atol=1e-12)
 
@@ -109,27 +117,26 @@ class TestProjector:
 class TestStiffness:
     def test_rigid_modes_in_kernel(self, mat, rng):
         mesh = random_polygon_mesh(rng)
-        ops = element_operators(mesh, 0, mat)
+        ops = cell_ops(mesh, mat)
         for u in (lambda x, y: (1, 0), lambda x, y: (0, 1), lambda x, y: (-y, x)):
             v = dof_vector_from(mesh, 0, u)
             np.testing.assert_allclose(ops.Kc @ v, 0.0, atol=1e-12)
-            np.testing.assert_allclose(ops.K @ v, 0.0, atol=1e-12)
+            np.testing.assert_allclose((ops.Kc + ops.Ks) @ v, 0.0, atol=1e-12)
 
     def test_kc_rank_three_on_hexagon(self, mat, rng):
         mesh = random_polygon_mesh(rng, n=6)
-        ops = element_operators(mesh, 0, mat)
-        sv = np.linalg.svd(ops.Kc, compute_uv=False)
+        sv = np.linalg.svd(cell_ops(mesh, mat).Kc, compute_uv=False)
         assert np.sum(sv > 1e-10 * sv[0]) == 3
 
     def test_constant_strain_energy(self, unit_square_mesh, mat):
         # strain (1,0,0) on the unit square: v^T Kc v = (lambda + 2 mu) |E| = 3
-        ops = element_operators(unit_square_mesh, 0, mat)
+        ops = cell_ops(unit_square_mesh, mat)
         v = dof_vector_from(unit_square_mesh, 0, lambda x, y: (x, 0.0))
         assert v @ ops.Kc @ v == pytest.approx(3.0, rel=1e-13)
 
     def test_stabilization_kernel_on_linear_fields(self, mat, rng):
         mesh = random_polygon_mesh(rng)
-        ops = element_operators(mesh, 0, mat)
+        ops = cell_ops(mesh, mat)
         for _ in range(10):
             a = rng.uniform(-2, 2, 6)
             v = dof_vector_from(
@@ -140,38 +147,40 @@ class TestStiffness:
 
     def test_triangle_has_zero_stabilization(self, mat):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0.3, 0.8)])
-        ops = element_operators(mesh, 0, mat)
-        np.testing.assert_allclose(ops.Ks, 0.0, atol=1e-12)
+        np.testing.assert_allclose(cell_ops(mesh, mat).Ks, 0.0, atol=1e-12)
 
     def test_full_rank_on_hexagon(self, mat, rng):
         mesh = random_polygon_mesh(rng, n=6)
-        ops = element_operators(mesh, 0, mat)
-        sv = np.linalg.svd(ops.K, compute_uv=False)
+        ops = cell_ops(mesh, mat)
+        sv = np.linalg.svd(ops.Kc + ops.Ks, compute_uv=False)
         assert np.sum(sv > 1e-10 * sv[0]) == 2 * 6 - 3
 
     def test_symmetry(self, mat, rng):
         mesh = random_polygon_mesh(rng, n=7)
-        ops = element_operators(mesh, 0, mat)
-        assert np.max(np.abs(ops.K - ops.K.T)) <= 1e-13 * np.max(np.abs(ops.K))
+        ops = cell_ops(mesh, mat)
+        K = ops.Kc + ops.Ks
+        assert np.max(np.abs(K - K.T)) <= 1e-13 * np.max(np.abs(K))
 
 
 class TestLoadVector:
-    def test_zero_force(self, unit_square_mesh):
+    """On a one-cell mesh the assembled right-hand side is the element load."""
+
+    def test_zero_force(self, unit_square_mesh, mat):
         np.testing.assert_array_equal(
-            element_load_vector(unit_square_mesh, 0, None), np.zeros(8)
+            assemble_global(unit_square_mesh, mat, None).rhs, np.zeros(8)
         )
 
-    def test_unit_x_force_on_square(self, unit_square_mesh):
-        f = element_load_vector(unit_square_mesh, 0, lambda x, y: (1.0, 0.0))
+    def test_unit_x_force_on_square(self, unit_square_mesh, mat):
+        f = assemble_global(unit_square_mesh, mat, lambda x, y: (1.0, 0.0)).rhs
         np.testing.assert_allclose(f[0::2], 0.25)
         np.testing.assert_allclose(f[1::2], 0.0)
 
-    def test_total_load_equals_area_times_force(self, rng):
+    def test_total_load_equals_area_times_force(self, rng, mat):
         from vemrcp.mesh import polygon_centroid
 
         mesh = random_polygon_mesh(rng, n=5)
-        b = lambda x, y: (1.3 * x - y, 0.4 + y)
-        f = element_load_vector(mesh, 0, b)
+        b = lambda x, y: np.stack([1.3 * x - y, 0.4 + y], axis=-1)
+        f = assemble_global(mesh, mat, b).rhs
         cx, cy = polygon_centroid(mesh, 0)
         expected = polygon_area(mesh, 0) * np.asarray(b(cx, cy))
         np.testing.assert_allclose([f[0::2].sum(), f[1::2].sum()], expected, atol=1e-14)
@@ -180,9 +189,8 @@ class TestLoadVector:
 class TestAssemblyAndSolve:
     def test_single_cell_assembly_matches_element(self, unit_square_mesh, mat):
         system = assemble_global(unit_square_mesh, mat)
-        np.testing.assert_allclose(
-            system.matrix.toarray(), system.element_ops[0].K, atol=1e-15
-        )
+        ops = cell_ops(unit_square_mesh, mat)
+        np.testing.assert_allclose(system.matrix.toarray(), ops.Kc + ops.Ks, atol=1e-15)
 
     def test_global_rigid_kernel(self, mat):
         mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=8)
@@ -229,6 +237,44 @@ class TestAssemblyAndSolve:
         np.testing.assert_array_equal(solve_system(constrained), 0.0)
 
 
+class TestGroupedAssembly:
+    """Cells of several vertex counts: grouping must not mis-scatter any of them."""
+
+    @pytest.fixture
+    def poly_mesh(self):
+        mesh = generate_mesh(MeshFamily.POLY_U, 5, seed=0)
+        assert len({len(c) for c in mesh.cells}) >= 3
+        return mesh
+
+    def test_matches_scattered_single_cell_assemblies(self, poly_mesh, mat):
+        from vemrcp.cases import manufactured_case
+
+        mesh = poly_mesh
+        case = manufactured_case("b", mat)
+        system = assemble_global(mesh, mat, case.body_force)
+        ndof = 2 * mesh.num_vertices
+        K, f = np.zeros((ndof, ndof)), np.zeros(ndof)
+        for ci, verts in enumerate(mesh.cells):
+            local = assemble_global(single_cell_mesh(mesh.cell_coords(ci)), mat, case.body_force)
+            dofs = np.stack([2 * verts, 2 * verts + 1], axis=-1).ravel()
+            K[np.ix_(dofs, dofs)] += local.matrix.toarray()
+            f[dofs] += local.rhs
+        np.testing.assert_allclose(system.matrix.toarray(), K, rtol=0, atol=1e-13 * np.abs(K).max())
+        np.testing.assert_allclose(system.rhs, f, rtol=0, atol=1e-13 * np.abs(f).max())
+
+    def test_element_stresses_are_projected_strains(self, poly_mesh, mat, rng):
+        mesh = poly_mesh
+        u = rng.standard_normal(2 * mesh.num_vertices)
+        C = elastic_matrix(mat)
+        expected = []
+        for ci, verts in enumerate(mesh.cells):
+            B = compute_B(mesh.cell_coords(ci)[None])[0]
+            u_cell = np.stack([u[2 * verts], u[2 * verts + 1]], axis=-1).ravel()
+            expected.append(C @ (B / polygon_area(mesh, ci)) @ u_cell)
+        got = element_stresses(mesh, assemble_global(mesh, mat), mat, u)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
 class TestPatchTestProperty:
     @pytest.mark.parametrize(
         "family", [MeshFamily.HEX_S, MeshFamily.CONC_S, MeshFamily.POLY_U, MeshFamily.CONC_U],
@@ -263,17 +309,17 @@ class TestPatchTestProperty:
 
 class TestElementStress:
     def test_uniaxial_strain_stress(self, unit_square_mesh, mat):
-        C = elastic_matrix(mat)
-        Pi = compute_Pi_m(compute_G(unit_square_mesh, 0), compute_B(unit_square_mesh, 0))
         v = dof_vector_from(unit_square_mesh, 0, lambda x, y: (x, 0.0))
-        np.testing.assert_allclose(element_stress_vem(Pi, C, v), [3, 1, 0], atol=1e-13)
+        system = assemble_global(unit_square_mesh, mat)
+        np.testing.assert_allclose(
+            element_stresses(unit_square_mesh, system, mat, v), [[3, 1, 0]], atol=1e-13
+        )
 
     def test_rigid_motion_stress_free(self, mat, rng):
         mesh = random_polygon_mesh(rng)
-        C = elastic_matrix(mat)
-        Pi = compute_Pi_m(compute_G(mesh, 0), compute_B(mesh, 0))
         v = dof_vector_from(mesh, 0, lambda x, y: (1 - 2 * y, 0.5 + 2 * x))
-        np.testing.assert_allclose(element_stress_vem(Pi, C, v), 0.0, atol=1e-12)
+        system = assemble_global(mesh, mat)
+        np.testing.assert_allclose(element_stresses(mesh, system, mat, v), 0.0, atol=1e-12)
 
 
 class TestTriangleEquivalence:

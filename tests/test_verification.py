@@ -6,17 +6,21 @@ import pytest
 from oracles import fd_strain, fd_stress_divergence
 from vemrcp.cases import CASE_IDS, manufactured_case
 from vemrcp.generators import GenerationError, generate_mesh
-from vemrcp.material import elastic_matrix
+from vemrcp.material import compliance_matrix, elastic_matrix
 from vemrcp.mesh import MeshFamily, PolygonalMesh
+from vemrcp.quadrature import polygon_quadrature
+from vemrcp.recovery import evaluate_recovered_stress
 from vemrcp.study import (
     ConvergenceRecord,
     energy_error_norm,
     exact_stress_provider,
     linear_patch_case,
     observed_rate,
+    recovered_stress_provider,
     run_convergence_study,
     run_level,
     run_patch_test,
+    vem_stress_provider,
 )
 
 
@@ -79,6 +83,39 @@ class TestEnergyErrorNorm:
         case = linear_patch_case(mat)
         _, errors = run_level(mesh, mat, case)
         assert all(e <= 1e-18 for e in errors.values()), errors
+
+    @pytest.mark.parametrize(
+        "family", [MeshFamily.POLY_U, MeshFamily.CONC_U], ids=lambda f: f.value
+    )
+    def test_one_pass_matches_per_cell_reference(self, family, mat):
+        mesh = generate_mesh(family, 4, seed=0)
+        case = manufactured_case("b", mat)
+        result, errors = run_level(mesh, mat, case, methods=("vem", "rcp1"))
+        rcp1 = result.recovered["rcp1"]
+        per_cell = {
+            "vem": lambda ci, pts: result.cell_stresses[ci],
+            "rcp1": lambda ci, pts: evaluate_recovered_stress(rcp1, ci, pts),
+            "exact": lambda ci, pts: case.stress(pts[:, 0], pts[:, 1]),
+        }
+        providers = {
+            "vem": vem_stress_provider(result.cell_stresses),
+            "rcp1": recovered_stress_provider(rcp1),
+            "exact": exact_stress_provider(case),
+        }
+        Cinv = compliance_matrix(mat)
+        for name, stress_of in per_cell.items():
+            def integrand(x, y, ci):
+                d = case.stress(x, y) - stress_of(ci, np.stack([x, y], axis=-1))
+                return np.einsum("mi,ij,mj->m", d, Cinv, d)
+
+            expected = sum(
+                polygon_quadrature(mesh, ci, lambda x, y: integrand(x, y, ci))
+                for ci in range(mesh.num_cells)
+            )
+            got = energy_error_norm(mesh, mat, case, providers[name])
+            assert got == pytest.approx(expected, rel=1e-12), name
+            if name in errors:
+                assert errors[name] == got
 
     def test_quad_refinement_ratio_near_four(self, mat):
         case = manufactured_case("a", mat)
