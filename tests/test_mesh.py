@@ -11,6 +11,7 @@ from vemrcp.generators import generate_mesh
 from vemrcp.mesh import (
     GENERATED_FAMILIES,
     ElementPatch,
+    MeshError,
     MeshFamily,
     MeshFormatError,
     MeshValidationError,
@@ -270,6 +271,25 @@ class TestPatches:
                 assert a in patches[b].member_cells
 
 
+class TestConstructorChecks:
+    SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([[0, 1, 2, 3], [0, 1]], "cell 1 has fewer than 3 vertices"),
+            ([[0, 1, 2, 3], [0, 1, 1, 2]], "cell 1 repeats a vertex"),
+            ([[0, 1, 2, 3], [0, 1, 4]], "cell 1 references a vertex out of range"),
+            ([[0, 1, 2, 3], [0, -1, 2]], "cell 1 references a vertex out of range"),
+            ([[0, 1, 2, 3], [0, 2, 1]], "cell 1 is not counterclockwise"),
+        ],
+        ids=["short", "repeat", "high", "negative", "clockwise"],
+    )
+    def test_first_bad_cell_named(self, cells, message):
+        with pytest.raises(MeshError, match=f"^{message}$"):
+            PolygonalMesh(np.array(self.SQUARE, dtype=float), cells, MeshFamily.EXTERNAL)
+
+
 class TestValidation:
     def test_overlapping_cells_fail(self):
         verts = np.array(
@@ -295,6 +315,18 @@ class TestValidation:
         report = validate_mesh(mesh)
         assert not report.ok
         assert any("shared by 3" in e or "same direction" in e for e in report.errors)
+
+    def test_self_intersecting_cell_reported(self):
+        # ccw by signed area, but the last two edges cross the bottom edge
+        pts = np.array([(0, 0), (3, 0), (3, 3), (0, 3), (2, -1)], dtype=float) / 3.0
+        report = validate_mesh(single_cell_mesh(pts))
+        assert report.errors[0] == "cell 0: self-intersecting boundary"
+
+    def test_same_direction_edge_reported(self):
+        verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], dtype=float)
+        mesh = PolygonalMesh(verts, [[0, 1, 2], [0, 1, 3]], MeshFamily.EXTERNAL)
+        report = validate_mesh(mesh)
+        assert "edge (0,1): traversed twice in the same direction" in report.errors
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_generator_round_trip(self, family):
