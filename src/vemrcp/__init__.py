@@ -11,14 +11,9 @@ from .mesh import (
     MeshValidationError,
     PatchKind,
     PolygonalMesh,
-    average_edge_length,
     build_patch,
-    edge_outward_normal,
     load_mesh,
-    polygon_area,
-    polygon_centroid,
     save_mesh,
-    triangulate_polygon,
     validate_mesh,
 )
 from .quadrature import cell_quadrature, polygon_quadrature

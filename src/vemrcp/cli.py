@@ -14,7 +14,7 @@ import numpy as np
 from .cases import CASE_IDS, manufactured_case
 from .material import LameMaterial, von_mises
 from .mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, load_mesh
-from .mesh import shoelace, vertex_count_groups
+from .mesh import cell_records, shoelace, vertex_count_groups
 from .recovery import evaluate_recovered_stress
 from .study import (
     METHODS,
@@ -178,10 +178,8 @@ def write_vtk(mesh: PolygonalMesh, cell_fields: dict, path) -> None:
     out.append(f"POINTS {mesh.num_vertices} double")
     for x, y in mesh.vertices:
         out.append(f"{_fmt(x)} {_fmt(y)} 0.0")
-    size = sum(len(c) + 1 for c in mesh.cells)
-    out.append(f"CELLS {mesh.num_cells} {size}")
-    for cell in mesh.cells:
-        out.append(f"{len(cell)} " + " ".join(str(int(v)) for v in cell))
+    out.append(f"CELLS {mesh.num_cells} {len(mesh.indices) + mesh.num_cells}")
+    out.extend(cell_records(mesh))
     out.append(f"CELL_TYPES {mesh.num_cells}")
     out.extend(["7"] * mesh.num_cells)  # VTK_POLYGON
     out.append(f"CELL_DATA {mesh.num_cells}")

@@ -9,7 +9,7 @@ generated mesh is validated before it is returned.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay, Voronoi
+from scipy.spatial import Delaunay, Voronoi, cKDTree
 
 from .mesh import (
     GENERATED_FAMILIES,
@@ -17,7 +17,6 @@ from .mesh import (
     MeshFamily,
     PolygonalMesh,
     shoelace,
-    signed_area,
     validate_mesh,
 )
 
@@ -60,94 +59,64 @@ def generate_mesh(family: MeshFamily, subdivisions: int, seed: int = 0) -> Polyg
     return mesh
 
 
-class _VertexPool:
-    """Deduplicates nearly coincident points via a quantized spatial hash."""
+def _merge_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge every point lying within 1e-9 (max-norm) of an earlier one.
 
-    def __init__(self, tol: float = 1e-9):
-        self.tol = tol
-        self.points: list[np.ndarray] = []
-        self._grid: dict = {}
-
-    def add(self, p) -> int:
-        x, y = float(p[0]), float(p[1])
-        ix, iy = int(round(x / self.tol)), int(round(y / self.tol))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx in self._grid.get((ix + dx, iy + dy), ()):
-                    q = self.points[idx]
-                    if abs(q[0] - x) <= self.tol and abs(q[1] - y) <= self.tol:
-                        return idx
-        idx = len(self.points)
-        self.points.append(np.array([x, y]))
-        self._grid.setdefault((ix, iy), []).append(idx)
-        return idx
-
-    def array(self) -> np.ndarray:
-        return np.array(self.points)
+    The first point of each cluster is kept, in order of first appearance;
+    returns the kept points and the new index of every input point.
+    """
+    pairs = cKDTree(points).query_pairs(1e-9, p=np.inf, output_type="ndarray")
+    first = np.arange(len(points))
+    np.minimum.at(first, pairs[:, 1], pairs[:, 0])
+    keep = first == np.arange(len(points))
+    return points[keep], (np.cumsum(keep) - 1)[first]
 
 
 # ---------------------------------------------------------------------------
 # structured families
 # ---------------------------------------------------------------------------
 
-def _grid(n: int):
+def _grid(n: int) -> np.ndarray:
     xs = np.linspace(0.0, 1.0, n + 1)
     xv, yv = np.meshgrid(xs, xs, indexing="xy")
-    verts = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    return verts, vid
+    return np.column_stack([xv.ravel(), yv.ravel()])
 
 
-def _quad_structured(n: int, rng) -> tuple[np.ndarray, list]:
-    verts, vid = _grid(n)
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return verts, cells
+def _squares(n: int):
+    """Corner ids a, b, c, d (ccw from bottom left) of the grid squares, row by row."""
+    k = np.arange(n * n)
+    a = k + k // n                                   # (n + 1) j + i for square (i, j)
+    return a, a + 1, a + n + 2, a + n + 1
 
 
-def _tri_structured(n: int, rng) -> tuple[np.ndarray, list]:
+def _quad_structured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    return _grid(n), np.stack(_squares(n), axis=1)
+
+
+def _tri_structured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     # every square split along the same (bottom-left to top-right) diagonal
-    verts, vid = _grid(n)
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append([a, b, c])
-            cells.append([a, c, d])
-    return verts, cells
+    a, b, c, d = _squares(n)
+    return _grid(n), np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
-def _conc_structured(n: int, rng) -> tuple[np.ndarray, list]:
+def _conc_structured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Each square split by a bent diagonal into a convex and a dart-shaped quad.
 
     The mid vertex of the diagonal is pushed off-center, alternating sides in
     a checkerboard so the darts form a chevron pattern.
     """
-    verts, vid = _grid(n)
-    pool = _VertexPool()
-    for p in verts:
-        pool.add(p)
-    cells = []
+    verts = _grid(n)
+    a, b, c, d = _squares(n)
     h = 1.0 / n
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            pa, pc = verts[a], verts[c]
-            diag = pc - pa
-            perp = np.array([-diag[1], diag[0]]) / np.hypot(diag[0], diag[1])
-            side = 1.0 if (i + j) % 2 == 0 else -1.0
-            m = pool.add(0.5 * (pa + pc) + side * 0.2 * h * np.sqrt(2.0) * perp)
-            # the half the mid vertex leans into becomes the dart
-            cells.append([a, b, c, m])
-            cells.append([a, m, c, d])
-    return pool.array(), cells
+    diag = verts[c] - verts[a]
+    perp = np.column_stack([-diag[:, 1], diag[:, 0]]) / np.hypot(diag[:, 0], diag[:, 1])[:, None]
+    j, i = np.divmod(np.arange(n * n), n)
+    side = np.where((i + j) % 2 == 0, 1.0, -1.0)
+    mid = 0.5 * (verts[a] + verts[c]) + (side * 0.2 * h * np.sqrt(2.0))[:, None] * perp
+    m = len(verts) + np.arange(n * n)
+    # the half the mid vertex leans into becomes the dart
+    cells = np.stack([a, b, c, m, a, m, c, d], axis=1).reshape(-1, 4)
+    return np.vstack([verts, mid]), cells
 
 
 def _hex_structured(n: int, rng) -> tuple[np.ndarray, list]:
@@ -163,8 +132,7 @@ def _hex_structured(n: int, rng) -> tuple[np.ndarray, list]:
     angles = np.deg2rad(np.arange(0.0, 360.0, 60.0))
     hex_offsets = radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
-    pool = _VertexPool()
-    cells = []
+    polygons = []
     i_max = int(np.ceil(1.0 / (1.5 * radius))) + 1
     j_max = int(np.ceil(1.0 / row_h)) + 1
     for i in range(-1, i_max + 1):
@@ -176,8 +144,9 @@ def _hex_structured(n: int, rng) -> tuple[np.ndarray, list]:
             clipped = _clip_to_unit_square(poly)
             if clipped is None or len(clipped) < 3:
                 continue
-            cells.append([pool.add(p) for p in clipped])
-    return pool.array(), cells
+            polygons.append(clipped)
+    points, ids = _merge_points(np.concatenate(polygons))
+    return points, np.split(ids, np.cumsum([len(p) for p in polygons])[:-1])
 
 
 def _clip_to_unit_square(poly: np.ndarray):
@@ -221,7 +190,7 @@ def _clip_to_unit_square(poly: np.ndarray):
     if not pts:
         return None
     arr = np.array(pts)
-    if abs(signed_area(arr)) < 1e-14:
+    if abs(shoelace(arr)[0]) < 1e-14:
         return None
     return arr
 
@@ -231,47 +200,39 @@ def _clip_to_unit_square(poly: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _jittered_grid(n: int, rng) -> np.ndarray:
-    verts, vid = _grid(n)
-    verts = verts.copy()
+    verts = _grid(n)
     h = 1.0 / n
-    interior = np.ones(len(verts), dtype=bool)
-    for j in (0, n):
-        for i in range(n + 1):
-            interior[vid(i, j)] = False
-            interior[vid(j, i)] = False
+    j, i = np.divmod(np.arange(len(verts)), n + 1)
+    interior = (i > 0) & (i < n) & (j > 0) & (j < n)
     jitter = rng.uniform(-0.25 * h, 0.25 * h, size=(int(interior.sum()), 2))
     verts[interior] += jitter
     return verts
 
 
-def _quad_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
+def _quad_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     verts = _jittered_grid(n, rng)
     _, cells = _quad_structured(n, rng)
     return verts, cells
 
 
-def _conc_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
+def _conc_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Each jittered quad split into two concave hexagons by a zig-zag cut."""
     verts = _jittered_grid(n, rng)
-    _, quads = _quad_structured(n, rng)
-    pool = _VertexPool()
-    for p in verts:
-        pool.add(p)
-    cells = []
-    for quad in quads:
-        a, b, c, d = (verts[k] for k in quad)
-        ia, ib, ic, id_ = quad
-        p = 0.5 * (a + b)
-        q = 0.5 * (c + d)
-        axis = q - p
-        perp = np.array([-axis[1], axis[0]]) / np.hypot(axis[0], axis[1])
-        delta = 0.15 * np.hypot(axis[0], axis[1])
-        z1 = pool.add(p + axis / 3.0 + delta * perp)
-        z2 = pool.add(p + 2.0 * axis / 3.0 - delta * perp)
-        ip, iq = pool.add(p), pool.add(q)
-        cells.append([ia, ip, z1, z2, iq, id_])
-        cells.append([ip, ib, ic, iq, z2, z1])
-    return pool.array(), cells
+    ia, ib, ic, id_ = _squares(n)
+    a, b, c, d = verts[ia], verts[ib], verts[ic], verts[id_]
+    p = 0.5 * (a + b)
+    q = 0.5 * (c + d)
+    axis = q - p
+    length = np.hypot(axis[:, 0], axis[:, 1])[:, None]
+    perp = np.column_stack([-axis[:, 1], axis[:, 0]]) / length
+    delta = 0.15 * length
+    z1 = p + axis / 3.0 + delta * perp
+    z2 = p + 2.0 * axis / 3.0 - delta * perp
+    # Neighbouring quads emit their shared edge midpoint twice; merging keeps the first.
+    points, ids = _merge_points(np.vstack([verts, np.stack([z1, z2, p, q], axis=1).reshape(-1, 2)]))
+    z1, z2, ip, iq = ids[len(verts):].reshape(-1, 4).T
+    cells = np.stack([ia, ip, z1, z2, iq, id_, ip, ib, ic, iq, z2, z1], axis=1)
+    return points, cells.reshape(-1, 6)
 
 
 def _poisson_disk(n: int, rng) -> np.ndarray:
@@ -310,17 +271,16 @@ def _poisson_disk(n: int, rng) -> np.ndarray:
     return np.array(pts)
 
 
-def _tri_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
+def _tri_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     pts = _poisson_disk(n, rng)
-    tri = Delaunay(pts)
-    cells = []
-    for simplex in tri.simplices:
-        coords = pts[simplex]
-        a = signed_area(coords)
-        if abs(a) < 1e-14:
-            raise GenerationError(f"tri-u: degenerate Delaunay triangle {simplex}")
-        cells.append(simplex if a > 0 else simplex[::-1])
-    return pts, cells
+    simplices = Delaunay(pts).simplices
+    area = shoelace(pts[simplices])[0]
+    degenerate = np.abs(area) < 1e-14
+    if degenerate.any():
+        raise GenerationError(
+            f"tri-u: degenerate Delaunay triangle {simplices[np.argmax(degenerate)]}"
+        )
+    return pts, np.where(area[:, None] > 0, simplices, simplices[:, ::-1])
 
 
 def _poly_unstructured(n: int, rng) -> tuple[np.ndarray, list]:

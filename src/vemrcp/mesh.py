@@ -1,9 +1,11 @@
 """Polygonal meshes of the unit square: storage, geometry queries, patches, text IO.
 
-Vertices are rows of an (nv, 2) float array; a cell is a counterclockwise
-cycle of vertex indices. Vertex coordinates and cells do not change after
-construction, but derived topology (edge incidence and neighbors, vertex-to-cell
-map) and the per-cell quadrature rules are built lazily and cached on the
+Vertices are rows of an (nv, 2) float array. The cells are one ragged pair of
+index arrays, as in PolyMesher: cell ci is the counterclockwise vertex cycle
+indices[offsets[ci]:offsets[ci + 1]], and the cell edge from its k-th vertex
+to the next has the global id offsets[ci] + k. All derived topology (edge
+incidence, neighbours, boundary flags, the vertex-to-cell map) is built once
+at construction. Only the per-cell quadrature rules are cached lazily on the
 instance, so a mesh is not safe to share between threads without a lock.
 """
 
@@ -67,39 +69,97 @@ class ElementPatch:
     kind: PatchKind
 
 
+_CELL_CHECKS = (
+    "has fewer than 3 vertices",
+    "repeats a vertex",
+    "references a vertex out of range",
+    "is not counterclockwise",
+)
+
+
 class PolygonalMesh:
     """Conforming polygonal tessellation with counterclockwise cells.
 
-    Boundary vertex flags are always recomputed from edge incidence, never
-    taken on trust from a file or generator.
+    `cells` is a sequence of vertex-index sequences; it is stored as the
+    ragged pair `offsets`, `indices` (see the module docstring), and
+    `cells[ci]` and `vertex_cells[v]` (the cells around v, in cell order) are
+    read-only views. Per global edge id, `edge_ends` is the end vertex and
+    `edge_neighbors` the cell across (-1 on the boundary or on an edge of
+    more than two cells). Per unique edge, in order of first appearance,
+    `edges` holds the (lo, hi) vertex pair and `edge_uses` how many cell
+    edges run lo -> hi and hi -> lo. Boundary vertex flags are always
+    recomputed from edge incidence, never taken on trust from a file or
+    generator.
     """
 
-    def __init__(self, vertices: np.ndarray, cells: list, family: MeshFamily):
+    def __init__(self, vertices: np.ndarray, cells, family: MeshFamily):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         if not np.all(np.isfinite(vertices)):
             raise MeshError("non-finite vertex coordinates")
+        if len(cells) == 0:
+            raise MeshError("mesh has no cells")
+        if len(vertices) == 0:
+            raise MeshError("mesh has no vertices")
         self.vertices = vertices
-        self.vertices.setflags(write=False)
-        self.cells = [np.asarray(c, dtype=np.int64) for c in cells]
         self.family = family
-        nv = len(vertices)
-        for ci, cell in enumerate(self.cells):
-            if len(cell) < 3:
-                raise MeshError(f"cell {ci} has fewer than 3 vertices")
-            if len(np.unique(cell)) != len(cell):
-                raise MeshError(f"cell {ci} repeats a vertex")
-            if cell.min() < 0 or cell.max() >= nv:
-                raise MeshError(f"cell {ci} references a vertex out of range")
-            if signed_area(vertices[cell]) <= 0.0:
-                raise MeshError(f"cell {ci} is not counterclockwise")
-        self._edge_map: dict | None = None
-        self._vertex_cells: list | None = None
-        self._edge_neighbors: np.ndarray | None = None
+        counts = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.indices = idx = np.concatenate(cells).astype(np.int64, copy=False)
+        nc, nv = len(counts), len(vertices)
+        cell_of = np.repeat(np.arange(nc), counts)
+        # Position of the next vertex of the same cell cycle.
+        succ = np.arange(1, len(idx) + 1)
+        nonempty = counts > 0
+        succ[self.offsets[1:][nonempty] - 1] = self.offsets[:-1][nonempty]
+
+        # All cell checks at once; the error names the first bad cell and its first failed check.
+        out_of_range = (idx < 0) | (idx >= nv)
+        order = np.lexsort((idx, cell_of))
+        same = (np.diff(idx[order]) == 0) & (np.diff(cell_of[order]) == 0)
+        xy = vertices[np.where(out_of_range, 0, idx)]
+        cross = xy[:, 0] * xy[succ, 1] - xy[succ, 0] * xy[:, 1]
+        area = 0.5 * np.add.reduceat(np.append(cross, 0.0), self.offsets[:-1])
+        failed = np.zeros((len(_CELL_CHECKS), nc), dtype=bool)
+        failed[0] = counts < 3
+        failed[1, cell_of[order][1:][same]] = True
+        failed[2, cell_of[out_of_range]] = True
+        failed[3] = area <= 0.0
+        if failed.any():
+            ci = int(np.argmax(failed.any(axis=0)))
+            raise MeshError(f"cell {ci} {_CELL_CHECKS[np.argmax(failed[:, ci])]}")
+
+        # Edge incidence: one unique pass over the sorted (lo, hi) key of every cell edge.
+        self.edge_ends = ends = idx[succ]
+        lo, hi = np.minimum(idx, ends), np.maximum(idx, ends)
+        _, first, edge_of, users = np.unique(
+            lo * nv + hi, return_index=True, return_inverse=True, return_counts=True
+        )
+        by_edge = np.argsort(edge_of, kind="stable")
+        pair = (np.cumsum(users) - users)[users == 2]
+        e0, e1 = by_edge[pair], by_edge[pair + 1]
+        self.edge_neighbors = np.full(len(idx), -1, dtype=np.int64)
+        self.edge_neighbors[e0], self.edge_neighbors[e1] = cell_of[e1], cell_of[e0]
+        on_boundary = users[edge_of] == 1
+        self.boundary_vertex_flags = np.zeros(nv, dtype=bool)
+        self.boundary_vertex_flags[idx[on_boundary]] = True
+        self.boundary_vertex_flags[ends[on_boundary]] = True
+        appearance = np.argsort(first)
+        self.edges = np.column_stack([lo, hi])[first[appearance]]
+        reverse = np.bincount(edge_of[idx > ends], minlength=len(users))
+        self.edge_uses = np.column_stack([users - reverse, reverse])[appearance]
+        d = vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]]
+        self.average_edge_length = float(np.hypot(d[:, 0], d[:, 1]).mean())
+
+        by_vertex = np.argsort(idx, kind="stable")
+        vertex_offsets = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=nv))])
+        for arr in (self.vertices, self.offsets, ends, self.edge_neighbors,
+                    self.boundary_vertex_flags, self.edges, self.edge_uses):
+            arr.setflags(write=False)
+        self.cells = _ragged(idx, self.offsets)
+        self.vertex_cells = _ragged(cell_of[by_vertex], vertex_offsets)
         self._quadrature_cache: dict = {}
-        self.boundary_vertex_flags = self._compute_boundary_flags()
-        self.average_edge_length = average_edge_length(self)
 
     @property
     def num_vertices(self) -> int:
@@ -107,80 +167,25 @@ class PolygonalMesh:
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return len(self.offsets) - 1
 
     def cell_coords(self, cell: int) -> np.ndarray:
         return self.vertices[self.cells[cell]]
-
-    @property
-    def edge_map(self) -> dict:
-        """Map (lo, hi) vertex pair -> list of (cell, local_edge, reversed)."""
-        if self._edge_map is None:
-            emap: dict = {}
-            for ci, cell in enumerate(self.cells):
-                nxt = np.roll(cell, -1)
-                for k, (i, j) in enumerate(zip(cell, nxt)):
-                    key = (int(i), int(j)) if i < j else (int(j), int(i))
-                    emap.setdefault(key, []).append((ci, k, i > j))
-            self._edge_map = emap
-        return self._edge_map
-
-    @property
-    def edge_neighbors(self) -> np.ndarray:
-        """Cell across every cell edge, or -1 on the boundary.
-
-        Edges are numbered globally in cell order: local edge k of cell ci
-        (from vertex k to vertex k + 1) has id sum(len(cells[:ci])) + k.
-        """
-        if self._edge_neighbors is None:
-            counts = np.array([len(c) for c in self.cells])
-            first = np.cumsum(counts) - counts
-            nb = np.full(counts.sum(), -1, dtype=np.int64)
-            for users in self.edge_map.values():
-                if len(users) == 2:
-                    (c0, k0, _), (c1, k1, _) = users
-                    nb[first[c0] + k0], nb[first[c1] + k1] = c1, c0
-            nb.setflags(write=False)
-            self._edge_neighbors = nb
-        return self._edge_neighbors
-
-    @property
-    def vertex_cells(self) -> list:
-        """For each vertex, the cells incident to it (in cell order)."""
-        if self._vertex_cells is None:
-            v2c: list = [[] for _ in range(self.num_vertices)]
-            for ci, cell in enumerate(self.cells):
-                for v in cell:
-                    v2c[int(v)].append(ci)
-            self._vertex_cells = v2c
-        return self._vertex_cells
-
-    def _compute_boundary_flags(self) -> np.ndarray:
-        flags = np.zeros(self.num_vertices, dtype=bool)
-        for (i, j), users in self.edge_map.items():
-            if len(users) == 1:
-                flags[i] = True
-                flags[j] = True
-        flags.setflags(write=False)
-        return flags
 
     def boundary_vertices(self) -> np.ndarray:
         return np.nonzero(self.boundary_vertex_flags)[0]
 
 
+def _ragged(values: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """Read-only views values[offsets[k]:offsets[k + 1]], one per k."""
+    values.setflags(write=False)
+    bounds = offsets.tolist()
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 # ---------------------------------------------------------------------------
 # elementary polygon geometry
 # ---------------------------------------------------------------------------
-
-def signed_area(points: np.ndarray) -> float:
-    """Shoelace area of a closed polygon given as an (n, 2) vertex cycle."""
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def polygon_area(mesh: PolygonalMesh, cell: int) -> float:
-    return signed_area(mesh.cell_coords(cell))
-
 
 def shoelace(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Area and area-weighted centroid of ccw polygons given as (..., n, 2) vertex cycles.
@@ -197,51 +202,32 @@ def shoelace(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return area, np.stack([cx, cy], axis=-1)
 
 
-def polygon_centroid(mesh: PolygonalMesh, cell: int) -> np.ndarray:
-    return shoelace(mesh.cell_coords(cell))[1]
-
-
 def vertex_count_groups(mesh: PolygonalMesh) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cells grouped by vertex count n: (cell ids (k,), vertex indices (k, n)) per n."""
-    counts = np.array([len(c) for c in mesh.cells])
-    groups = [np.flatnonzero(counts == n) for n in np.unique(counts)]
-    return [(cells, np.stack([mesh.cells[ci] for ci in cells])) for cells in groups]
+    counts = np.diff(mesh.offsets)
+    groups = []
+    for n in np.unique(counts):
+        cells = np.flatnonzero(counts == n)
+        groups.append((cells, mesh.indices[mesh.offsets[cells, None] + np.arange(n)]))
+    return groups
 
 
-def edge_outward_normal(mesh: PolygonalMesh, cell: int, edge: int) -> np.ndarray:
-    """Unit normal of local edge `edge` pointing out of the (ccw) cell."""
-    pts = mesh.cell_coords(cell)
-    a = pts[edge]
-    b = pts[(edge + 1) % len(pts)]
-    t = b - a
-    length = float(np.hypot(t[0], t[1]))
-    if length == 0.0:
-        raise MeshError(f"cell {cell} edge {edge} has zero length")
-    return np.array([t[1], -t[0]]) / length
+def _crossing_cells(pts: np.ndarray) -> np.ndarray:
+    """Flag the cells of a (k, n, 2) stack in which two non-adjacent edges properly cross."""
+    n = pts.shape[1]
+    i, j = np.triu_indices(n, 2)
+    keep = (i > 0) | (j < n - 1)
+    p1, p2 = pts[:, i[keep]], pts[:, (i[keep] + 1) % n]
+    q1, q2 = pts[:, j[keep]], pts[:, (j[keep] + 1) % n]
 
-
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
     def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
+            b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
 
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4
-
-
-def is_simple_polygon(points: np.ndarray) -> bool:
-    """True when no two non-adjacent polygon edges cross."""
-    n = len(points)
-    for i in range(n):
-        a1, a2 = points[i], points[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_properly_intersect(a1, a2, points[j], points[(j + 1) % n]):
-                return False
-    return True
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    crossing = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != d2) & (d3 != d4)
+    return crossing.any(axis=1)
 
 
 def ear_clip(points: np.ndarray) -> list[tuple[int, int, int]]:
@@ -305,22 +291,6 @@ def ear_clip(points: np.ndarray) -> list[tuple[int, int, int]]:
     return triangles
 
 
-def triangulate_polygon(mesh: PolygonalMesh, cell: int) -> list[tuple[int, int, int]]:
-    """Partition a cell into triangles of global vertex indices."""
-    cell_idx = mesh.cells[cell]
-    local = ear_clip(mesh.cell_coords(cell))
-    return [tuple(int(cell_idx[i]) for i in tri) for tri in local]
-
-
-def average_edge_length(mesh: PolygonalMesh) -> float:
-    """Arithmetic mean length over unique mesh edges."""
-    total = 0.0
-    for (i, j) in mesh.edge_map:
-        d = mesh.vertices[j] - mesh.vertices[i]
-        total += float(np.hypot(d[0], d[1]))
-    return total / len(mesh.edge_map)
-
-
 # ---------------------------------------------------------------------------
 # patches
 # ---------------------------------------------------------------------------
@@ -334,12 +304,10 @@ def build_patch(mesh: PolygonalMesh, cell: int, kind: PatchKind) -> ElementPatch
     """
     if kind is PatchKind.PATCH0:
         return ElementPatch(cell, (cell,), PatchKind.PATCH0)
-    members = {cell}
-    for v in mesh.cells[cell]:
-        members.update(mesh.vertex_cells[int(v)])
+    members = np.unique(np.concatenate([mesh.vertex_cells[v] for v in mesh.cells[cell]]))
     touches_boundary = bool(mesh.boundary_vertex_flags[mesh.cells[cell]].any())
     out_kind = PatchKind.PATCH1B if touches_boundary else PatchKind.PATCH1
-    return ElementPatch(cell, tuple(sorted(members)), out_kind)
+    return ElementPatch(cell, tuple(members.tolist()), out_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +334,25 @@ def validate_mesh(mesh: PolygonalMesh, domain_area: float | None = None) -> Vali
     if not np.all(np.isfinite(mesh.vertices)):
         errors.append("non-finite vertex coordinates")
 
+    # Cell areas are positive: the constructor rejects any other cell.
     area_sum = 0.0
-    for ci in range(mesh.num_cells):
-        pts = mesh.cell_coords(ci)
-        a = signed_area(pts)
-        if a <= 0.0:
-            errors.append(f"cell {ci}: non-positive signed area {a:g}")
-            continue
-        area_sum += a
-        if not is_simple_polygon(pts):
-            errors.append(f"cell {ci}: self-intersecting boundary")
+    crossing = []
+    for cells, idx in vertex_count_groups(mesh):
+        pts = mesh.vertices[idx]
+        area_sum += float(shoelace(pts)[0].sum())
+        crossing.append(cells[_crossing_cells(pts)])
+    for ci in np.sort(np.concatenate(crossing)):
+        errors.append(f"cell {ci}: self-intersecting boundary")
 
-    for (i, j), users in mesh.edge_map.items():
-        if len(users) > 2:
-            errors.append(f"edge ({i},{j}): shared by {len(users)} cells")
-        elif len(users) == 2:
-            if users[0][2] == users[1][2]:
-                errors.append(f"edge ({i},{j}): traversed twice in the same direction")
+    users = mesh.edge_uses.sum(axis=1)
+    for e in np.flatnonzero((users > 2) | ((users == 2) & (mesh.edge_uses[:, 0] != 1))):
+        i, j = mesh.edges[e]
+        if users[e] > 2:
+            errors.append(f"edge ({i},{j}): shared by {users[e]} cells")
+        else:
+            errors.append(f"edge ({i},{j}): traversed twice in the same direction")
 
-    num_edges = len(mesh.edge_map)
-    euler = mesh.num_vertices - num_edges + mesh.num_cells
+    euler = mesh.num_vertices - len(mesh.edges) + mesh.num_cells
     if euler != 1:
         errors.append(f"Euler characteristic V-E+F = {euler}, expected 1")
 
@@ -416,11 +383,13 @@ def load_mesh(path) -> PolygonalMesh:
     """
     path = Path(path)
     tokens: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                tokens.append((ln, body.split()))
+    for ln, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            body = raw.decode("ascii").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise MeshFormatError(f"{path}: line {ln}: non-ASCII byte") from exc
+        if body:
+            tokens.append((ln, body.split()))
 
     if not tokens or " ".join(tokens[0][1]) != _MAGIC:
         raise MeshFormatError(f"{path}: line 1: expected header '{_MAGIC}'")
@@ -431,6 +400,8 @@ def load_mesh(path) -> PolygonalMesh:
         nv, nc = int(tokens[1][1][0]), int(tokens[1][1][1])
     except ValueError as exc:
         raise MeshFormatError(f"{path}: line {tokens[1][0]}: bad counts") from exc
+    if nv < 0 or nc < 0:
+        raise MeshFormatError(f"{path}: line {tokens[1][0]}: negative counts")
     if len(tokens) != 2 + nv + nc:
         raise MeshFormatError(
             f"{path}: expected {2 + nv + nc} content lines, found {len(tokens)}"
@@ -464,7 +435,10 @@ def load_mesh(path) -> PolygonalMesh:
                 f"{path}: line {ln}: cell {k} references vertex {bad[0]} out of range"
             )
         arr = np.asarray(idx, dtype=np.int64)
-        if signed_area(vertices[arr]) < 0.0:
+        # Degenerate or non-finite cells are rejected by the mesh constructor below.
+        with np.errstate(all="ignore"):
+            clockwise = shoelace(vertices[arr])[0] < 0.0
+        if clockwise:
             logger.warning("%s: cell %d was clockwise; reversed to counterclockwise", path, k)
             arr = arr[::-1].copy()
         cells.append(arr)
@@ -483,5 +457,12 @@ def save_mesh(mesh: PolygonalMesh, path) -> None:
         fh.write(f"{_MAGIC}\n{mesh.num_vertices} {mesh.num_cells}\n")
         for x, y in mesh.vertices:
             fh.write(f"{x:.15g} {y:.15g}\n")
-        for cell in mesh.cells:
-            fh.write(f"{len(cell)} " + " ".join(str(int(i)) for i in cell) + "\n")
+        fh.write("\n".join(cell_records(mesh)) + "\n")
+
+
+def cell_records(mesh: PolygonalMesh) -> list[str]:
+    """One 'n i0 i1 ... i(n-1)' line per cell, as in the text format and in legacy VTK."""
+    counts = np.diff(mesh.offsets)
+    tokens = np.insert(mesh.indices, mesh.offsets[:-1], counts).astype(str)
+    bounds = (mesh.offsets + np.arange(mesh.num_cells + 1)).tolist()
+    return [" ".join(tokens[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -110,11 +110,10 @@ def outer_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
     across it is the domain exterior or not a member of the same patch; its
     outward normal (w.r.t. the member cell) then points out of the patch.
     """
-    counts = np.array([len(c) for c in mesh.cells])
-    first = np.cumsum(counts) - counts             # global id of each cell's local edge 0
-    n = counts[member]
+    first = mesh.offsets[member]                   # global id of each member's local edge 0
+    n = mesh.offsets[member + 1] - first
     pair = np.repeat(np.arange(len(member)), n)
-    edge = first[member][pair] + np.arange(n.sum()) - (np.cumsum(n) - n)[pair]
+    edge = first[pair] + np.arange(n.sum()) - (np.cumsum(n) - n)[pair]
     patch, nb, nc = owner[pair], mesh.edge_neighbors[edge], mesh.num_cells
     outer = (nb < 0) | ~np.isin(patch * nc + nb, owner * nc + member)
     return patch[outer], edge[outer]
@@ -158,8 +157,7 @@ def patch_systems(
     # Work of each mode's traction on the displacement trace: S[p, a] sums
     # phi_a * (weight * traction pair) over the Gauss points of the outer edges.
     edge_owner, outer = outer_edges(mesh, owner, member)
-    ia = np.concatenate(mesh.cells)[outer]
-    ib = np.concatenate([np.roll(c, -1) for c in mesh.cells])[outer]
+    ia, ib = mesh.indices[outer], mesh.edge_ends[outer]
     a = mesh.vertices[ia]
     t = mesh.vertices[ib] - a
     S = np.zeros((npatch, 3, 3))

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from vemrcp.mesh import ear_clip, signed_area
+from vemrcp.mesh import ear_clip, shoelace
 
 
 def cst_element(coords: np.ndarray, C: np.ndarray):
@@ -115,11 +115,31 @@ def random_simple_polygon(rng, max_vertices=10):
     return center + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
+def is_simple_polygon(points) -> bool:
+    """True when no two non-adjacent edges of the (n, 2) cycle properly cross (pairwise loop)."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    n = len(points)
+    for i in range(n):
+        p1, p2 = points[i], points[(i + 1) % n]
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            q1, q2 = points[j], points[(j + 1) % n]
+            d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+            d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
+                return False
+    return True
+
+
 def random_points_in_cell(mesh, cell, rng, count):
     """Uniform interior samples via the cell's ear-clip triangulation."""
     coords = mesh.cell_coords(cell)
     tris = [coords[list(t)] for t in ear_clip(coords)]
-    areas = np.array([abs(signed_area(t)) for t in tris])
+    areas = np.array([abs(shoelace(t)[0]) for t in tris])
     choice = rng.choice(len(tris), size=count, p=areas / areas.sum())
     pts = np.empty((count, 2))
     for k, t_idx in enumerate(choice):

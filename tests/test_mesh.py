@@ -4,10 +4,12 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import single_cell_mesh
-from oracles import random_simple_polygon
-from vemrcp.generators import generate_mesh
+from oracles import is_simple_polygon, random_simple_polygon
+from vemrcp.generators import _merge_points, generate_mesh
 from vemrcp.mesh import (
     GENERATED_FAMILIES,
     ElementPatch,
@@ -17,29 +19,40 @@ from vemrcp.mesh import (
     MeshValidationError,
     PatchKind,
     PolygonalMesh,
-    average_edge_length,
     build_patch,
     ear_clip,
-    edge_outward_normal,
     load_mesh,
-    polygon_area,
-    polygon_centroid,
     save_mesh,
-    signed_area,
-    triangulate_polygon,
+    shoelace,
     validate_mesh,
 )
+from vemrcp.vem import compute_B
 
 ALL_FAMILIES = list(GENERATED_FAMILIES)
 
 
+def cell_area(mesh, ci):
+    return shoelace(mesh.cell_coords(ci))[0]
+
+
+def cell_centroid(mesh, ci):
+    return shoelace(mesh.cell_coords(ci))[1]
+
+
+def vertex_normals(mesh, ci):
+    """Per-vertex weights of compute_B: half the sum of the scaled outward
+    normals of the two edges that meet at each vertex, as (n, 2)."""
+    B = compute_B(mesh.cell_coords(ci)[None])[0]
+    return np.column_stack([B[0, 0::2], B[1, 1::2]])
+
+
 class TestPolygonGeometry:
     def test_unit_square_area(self, unit_square_mesh):
-        assert polygon_area(unit_square_mesh, 0) == pytest.approx(1.0)
+        assert cell_area(unit_square_mesh, 0) == pytest.approx(1.0)
 
     def test_triangle_area(self):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0, 1)])
-        assert polygon_area(mesh, 0) == pytest.approx(0.5)
+        assert cell_area(mesh, 0) == pytest.approx(0.5)
 
     def test_concave_quad_area_matches_triangulation(self):
         # concave quad scaled into the unit domain
@@ -51,14 +64,14 @@ class TestPolygonGeometry:
             tri_sum += 0.5 * abs(
                 (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
             )
-        assert polygon_area(mesh, 0) == pytest.approx(tri_sum, rel=1e-12)
+        assert cell_area(mesh, 0) == pytest.approx(tri_sum, rel=1e-12)
 
     def test_square_centroid(self, unit_square_mesh):
-        np.testing.assert_allclose(polygon_centroid(unit_square_mesh, 0), [0.5, 0.5])
+        np.testing.assert_allclose(cell_centroid(unit_square_mesh, 0), [0.5, 0.5])
 
     def test_triangle_centroid(self):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0, 1)])
-        np.testing.assert_allclose(polygon_centroid(mesh, 0), [1 / 3, 1 / 3])
+        np.testing.assert_allclose(cell_centroid(mesh, 0), [1 / 3, 1 / 3])
 
     def test_l_shape_centroid_matches_triangulation(self):
         coords = 0.5 * np.array(
@@ -72,55 +85,53 @@ class TestPolygonGeometry:
             area = 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
             total_area += area
             weighted += area * (a + b + c) / 3.0
-        np.testing.assert_allclose(polygon_centroid(mesh, 0), weighted / total_area, atol=1e-14)
-        np.testing.assert_allclose(polygon_centroid(mesh, 0), [5 / 12, 5 / 12])
+        np.testing.assert_allclose(cell_centroid(mesh, 0), weighted / total_area, atol=1e-14)
+        np.testing.assert_allclose(cell_centroid(mesh, 0), [5 / 12, 5 / 12])
 
 
 class TestOutwardNormal:
+    """Orientation of the scaled outward edge normals that vem.compute_B pairs with the trace."""
+
     def test_bottom_edge(self, unit_square_mesh):
-        np.testing.assert_allclose(edge_outward_normal(unit_square_mesh, 0, 0), [0, -1])
+        # the bottom edge gives both its end vertices y-weight -1/2: outward is down
+        np.testing.assert_allclose(vertex_normals(unit_square_mesh, 0)[[0, 1], 1], -0.5)
 
     def test_right_edge(self, unit_square_mesh):
-        np.testing.assert_allclose(edge_outward_normal(unit_square_mesh, 0, 1), [1, 0])
+        np.testing.assert_allclose(vertex_normals(unit_square_mesh, 0)[[1, 2], 0], 0.5)
 
     def test_diagonal_edge(self):
-        # cell lies left of the edge (0,0) -> (1,1)
+        # on a triangle the weight of the vertex opposite an edge is minus half
+        # that edge's scaled outward normal; the cell lies left of (0,0) -> (1,1)
         mesh = single_cell_mesh([(0, 0), (1, 1), (0, 1)])
-        expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        np.testing.assert_allclose(edge_outward_normal(mesh, 0, 0), expected)
+        expected = np.array([1.0, -1.0])  # |e| = sqrt(2) times the unit normal
+        np.testing.assert_allclose(-2.0 * vertex_normals(mesh, 0)[2], expected)
 
     def test_points_away_from_centroid_on_convex_cells(self, rng):
         mesh = generate_mesh(MeshFamily.HEX_S, 3)
         for ci in range(mesh.num_cells):
             pts = mesh.cell_coords(ci)
-            center = polygon_centroid(mesh, ci)
-            for e in range(len(pts)):
-                mid = 0.5 * (pts[e] + pts[(e + 1) % len(pts)])
-                n = edge_outward_normal(mesh, ci, e)
-                assert np.dot(n, mid - center) > 0.0
+            center = cell_centroid(mesh, ci)
+            for w, p in zip(vertex_normals(mesh, ci), pts):
+                assert np.dot(w, p - center) > 0.0
 
     def test_closed_polygon_normal_integral_vanishes(self):
         for fam in ALL_FAMILIES:
             mesh = generate_mesh(fam, 3, seed=5)
             for ci in range(mesh.num_cells):
-                pts = mesh.cell_coords(ci)
-                total = np.zeros(2)
-                for e in range(len(pts)):
-                    a, b = pts[e], pts[(e + 1) % len(pts)]
-                    total += np.linalg.norm(b - a) * edge_outward_normal(mesh, ci, e)
+                total = vertex_normals(mesh, ci).sum(axis=0)
                 np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
 
 class TestTriangulation:
     def test_triangle_is_itself(self):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0, 1)])
-        assert triangulate_polygon(mesh, 0) == [(0, 1, 2)]
+        assert ear_clip(mesh.cell_coords(0)) == [(0, 1, 2)]
 
     def test_convex_quad_two_triangles(self, unit_square_mesh):
-        tris = triangulate_polygon(unit_square_mesh, 0)
+        tris = ear_clip(unit_square_mesh.cell_coords(0))
         assert len(tris) == 2
         total = sum(
-            abs(signed_area(unit_square_mesh.vertices[list(t)])) for t in tris
+            abs(shoelace(unit_square_mesh.vertices[list(t)])[0]) for t in tris
         )
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -129,18 +140,18 @@ class TestTriangulation:
             [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
         )
         mesh = single_cell_mesh(coords / 4.0)
-        tris = triangulate_polygon(mesh, 0)
-        total = sum(signed_area(mesh.vertices[list(t)]) for t in tris)
-        assert total == pytest.approx(polygon_area(mesh, 0), rel=1e-12)
+        tris = ear_clip(mesh.cell_coords(0))
+        total = sum(shoelace(mesh.vertices[list(t)])[0] for t in tris)
+        assert total == pytest.approx(cell_area(mesh, 0), rel=1e-12)
 
     def test_thousand_random_simple_polygons(self, rng):
         for _ in range(1000):
             coords = random_simple_polygon(rng)
             mesh = single_cell_mesh(coords)
             total = sum(
-                signed_area(mesh.vertices[list(t)]) for t in triangulate_polygon(mesh, 0)
+                shoelace(mesh.vertices[list(t)])[0] for t in ear_clip(mesh.cell_coords(0))
             )
-            assert total == pytest.approx(polygon_area(mesh, 0), rel=1e-12)
+            assert total == pytest.approx(cell_area(mesh, 0), rel=1e-12)
 
 
 class TestGenerators:
@@ -149,7 +160,7 @@ class TestGenerators:
         assert mesh.num_cells == 4
         assert mesh.num_vertices == 9
         for ci in range(4):
-            assert polygon_area(mesh, ci) == pytest.approx(0.25)
+            assert cell_area(mesh, ci) == pytest.approx(0.25)
             sides = np.linalg.norm(
                 np.roll(mesh.cell_coords(ci), -1, axis=0) - mesh.cell_coords(ci), axis=1
             )
@@ -158,17 +169,17 @@ class TestGenerators:
     def test_tri_s_n2(self):
         mesh = generate_mesh(MeshFamily.TRI_S, 2, seed=0)
         assert mesh.num_cells == 8
-        total = sum(polygon_area(mesh, ci) for ci in range(mesh.num_cells))
+        total = sum(cell_area(mesh, ci) for ci in range(mesh.num_cells))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_poly_u_n4_seed42(self):
         mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=42)
         report = validate_mesh(mesh)
         assert report.ok, report.errors
-        total = sum(polygon_area(mesh, ci) for ci in range(mesh.num_cells))
+        total = sum(cell_area(mesh, ci) for ci in range(mesh.num_cells))
         assert total == pytest.approx(1.0, abs=1e-10)
-        interior = [u for u in mesh.edge_map.values() if len(u) == 2]
-        assert interior  # a 16-cell tessellation certainly has interior edges
+        interior = mesh.edge_uses.sum(axis=1) == 2
+        assert interior.any()  # a 16-cell tessellation certainly has interior edges
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_all_families_validate(self, family):
@@ -180,10 +191,34 @@ class TestGenerators:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_area_and_euler(self, family):
         mesh = generate_mesh(family, 4, seed=3)
-        total = sum(polygon_area(mesh, ci) for ci in range(mesh.num_cells))
+        total = sum(cell_area(mesh, ci) for ci in range(mesh.num_cells))
         assert total == pytest.approx(1.0, abs=1e-10)
-        euler = mesh.num_vertices - len(mesh.edge_map) + mesh.num_cells
+        euler = mesh.num_vertices - len(mesh.edges) + mesh.num_cells
         assert euler == 1
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_incidence_matches_edge_dict(self, family):
+        mesh = generate_mesh(family, 8, seed=1)
+        users = {}                                   # (lo, hi) -> [(cell, global edge id)]
+        for ci, cell in enumerate(mesh.cells):
+            for k, (i, j) in enumerate(zip(cell.tolist(), np.roll(cell, -1).tolist())):
+                users.setdefault((min(i, j), max(i, j)), []).append((ci, mesh.offsets[ci] + k))
+        neighbors = np.full(len(mesh.indices), -1)
+        boundary = np.zeros(mesh.num_vertices, dtype=bool)
+        for (i, j), used in users.items():
+            if len(used) == 2:
+                (c0, e0), (c1, e1) = used
+                neighbors[e0], neighbors[e1] = c1, c0
+            boundary[[i, j]] |= len(used) == 1
+        np.testing.assert_array_equal(mesh.edge_neighbors, neighbors)
+        np.testing.assert_array_equal(mesh.boundary_vertex_flags, boundary)
+        np.testing.assert_array_equal(mesh.edges, list(users))
+
+    def test_merge_points_keeps_first_of_each_cluster(self):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (1e-12, 0.0), (1.0, 1e-10), (2.0, 0.0), (1.0, 2e-9)])
+        kept, ids = _merge_points(pts)
+        np.testing.assert_array_equal(kept, pts[[0, 1, 4, 5]])
+        np.testing.assert_array_equal(ids, [0, 1, 0, 1, 2, 3])
 
     def test_deterministic_for_fixed_inputs(self):
         a = generate_mesh(MeshFamily.POLY_U, 3, seed=11)
@@ -219,7 +254,7 @@ class TestGenerators:
 
 class TestAverageEdgeLength:
     def test_single_square(self, unit_square_mesh):
-        assert average_edge_length(unit_square_mesh) == pytest.approx(1.0)
+        assert unit_square_mesh.average_edge_length == pytest.approx(1.0)
 
     def test_quad_s_n2(self):
         assert generate_mesh(MeshFamily.QUAD_S, 2).average_edge_length == pytest.approx(0.5)
@@ -263,6 +298,21 @@ class TestPatches:
         assert set(patch.member_cells) == brute
         assert len(patch.member_cells) == 4
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_edge_and_vertex_neighbours_agree(self, family):
+        mesh = generate_mesh(family, 8, seed=0)
+        members = [
+            set(build_patch(mesh, ci, PatchKind.PATCH1).member_cells)
+            for ci in range(mesh.num_cells)
+        ]
+        vertex_sets = [set(cell.tolist()) for cell in mesh.cells]
+        for ci in range(mesh.num_cells):
+            across = mesh.edge_neighbors[mesh.offsets[ci]:mesh.offsets[ci + 1]]
+            assert set(across[across >= 0].tolist()) <= members[ci]
+            assert all(ci in members[cj] for cj in members[ci])
+            brute = {cj for cj, vs in enumerate(vertex_sets) if vs & vertex_sets[ci]}
+            assert members[ci] == brute
+
     def test_adjacency_symmetry(self):
         mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=9)
         patches = [build_patch(mesh, ci, PatchKind.PATCH1) for ci in range(mesh.num_cells)]
@@ -282,8 +332,9 @@ class TestConstructorChecks:
             ([[0, 1, 2, 3], [0, 1, 4]], "cell 1 references a vertex out of range"),
             ([[0, 1, 2, 3], [0, -1, 2]], "cell 1 references a vertex out of range"),
             ([[0, 1, 2, 3], [0, 2, 1]], "cell 1 is not counterclockwise"),
+            ([[0, 1, 2, 3], [0, 2, 1], [0, 1, 1, 2], [0, 1]], "cell 1 is not counterclockwise"),
         ],
-        ids=["short", "repeat", "high", "negative", "clockwise"],
+        ids=["short", "repeat", "high", "negative", "clockwise", "first-of-several"],
     )
     def test_first_bad_cell_named(self, cells, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
@@ -316,11 +367,28 @@ class TestValidation:
         assert not report.ok
         assert any("shared by 3" in e or "same direction" in e for e in report.errors)
 
+    def test_edge_of_three_cells_has_no_neighbour(self):
+        verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
+        mesh = PolygonalMesh(verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
+        # global edge ids of (0, 1) in the three cells: 0, 3 + 2 and 6 + 0
+        np.testing.assert_array_equal(mesh.edge_neighbors[[0, 5, 6]], -1)
+        assert "edge (0,1): shared by 3 cells" in validate_mesh(mesh).errors
+
     def test_self_intersecting_cell_reported(self):
         # ccw by signed area, but the last two edges cross the bottom edge
         pts = np.array([(0, 0), (3, 0), (3, 3), (0, 3), (2, -1)], dtype=float) / 3.0
         report = validate_mesh(single_cell_mesh(pts))
         assert report.errors[0] == "cell 0: self-intersecting boundary"
+
+    def test_simplicity_matches_pairwise_reference(self, rng):
+        # random vertex cycles, many of them self-intersecting, oriented ccw
+        for _ in range(300):
+            pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(4, 9)), 2))
+            if shoelace(pts)[0] < 0.0:
+                pts = pts[::-1]
+            errors = validate_mesh(single_cell_mesh(pts)).errors
+            flagged = "cell 0: self-intersecting boundary" in errors
+            assert flagged == (not is_simple_polygon(pts))
 
     def test_same_direction_edge_reported(self):
         verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], dtype=float)
@@ -332,6 +400,36 @@ class TestValidation:
     def test_generator_round_trip(self, family):
         mesh = generate_mesh(family, 5, seed=13)
         assert validate_mesh(mesh).ok
+
+
+_PMESH = "pmesh 1\n4 2\n0 0\n1 0\n1 1\n0 1\n3 0 1 2\n3 0 2 3\n"
+_TOKENS = st.sampled_from(
+    ["-1", "0", "1", "2", "3", "4", "0.5", "1e400", "nan", "x", "#", "pmesh",
+     "99999999999999999999", "\u00e9"]
+)
+
+
+@st.composite
+def mutated_pmesh(draw) -> bytes:
+    """A valid two-triangle file with tokens replaced, lines inserted, deleted or
+    repeated after the header, and sometimes a few stray bytes."""
+    lines = [line.split() for line in _PMESH.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, len(lines) - 1))
+        action = draw(st.sampled_from(("token", "token", "insert", "delete", "repeat")))
+        if action == "token" and lines[k]:
+            lines[k][draw(st.integers(0, len(lines[k]) - 1))] = draw(_TOKENS)
+        elif action == "insert":
+            lines.insert(k, draw(st.lists(_TOKENS, max_size=4)))
+        elif action == "delete" and len(lines) > 2:
+            del lines[k]
+        elif action == "repeat":
+            lines.insert(k, list(lines[k]))
+    data = "\n".join(" ".join(line) for line in lines).encode()
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.binary(min_size=1, max_size=2)) + data[k:]
+    return data
 
 
 class TestMeshFile:
@@ -349,7 +447,7 @@ class TestMeshFile:
         path.write_text("pmesh 1\n4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n")
         mesh = load_mesh(path)
         assert mesh.num_cells == 1
-        assert polygon_area(mesh, 0) == pytest.approx(1.0)
+        assert cell_area(mesh, 0) == pytest.approx(1.0)
 
     def test_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "square.pmesh"
@@ -363,7 +461,7 @@ class TestMeshFile:
         path.write_text("pmesh 1\n4 1\n0 0\n1 0\n1 1\n0 1\n4 0 3 2 1\n")
         with caplog.at_level(logging.WARNING):
             mesh = load_mesh(path)
-        assert polygon_area(mesh, 0) == pytest.approx(1.0)
+        assert cell_area(mesh, 0) == pytest.approx(1.0)
         assert any("counterclockwise" in r.message for r in caplog.records)
 
     def test_vertex_index_out_of_range(self, tmp_path):
@@ -371,6 +469,40 @@ class TestMeshFile:
         path.write_text("pmesh 1\n4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 7\n")
         with pytest.raises(MeshFormatError, match=r"cell 0 references vertex 7"):
             load_mesh(path)
+
+    def test_negative_vertex_count(self, tmp_path):
+        path = tmp_path / "bad.pmesh"
+        path.write_text("pmesh 1\n-1 2\n3 0 1 2\n")
+        with pytest.raises(MeshFormatError, match="line 2"):
+            load_mesh(path)
+
+    def test_negative_cell_count(self, tmp_path):
+        path = tmp_path / "bad.pmesh"
+        path.write_text("pmesh 1\n4 -1\n0 0\n1 0\n1 1\n")
+        with pytest.raises(MeshFormatError, match="line 2"):
+            load_mesh(path)
+
+    def test_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "bad.pmesh"
+        path.write_bytes(b"pmesh 1\n4 1\n0 0\n1 0\n1 1\n0 1 \xe9\n4 0 1 2 3\n")
+        with pytest.raises(MeshFormatError, match="line 6"):
+            load_mesh(path)
+
+    def test_zero_cells(self, tmp_path):
+        path = tmp_path / "empty.pmesh"
+        path.write_text("pmesh 1\n0 0\n")
+        with pytest.raises(MeshError, match="no cells"):
+            load_mesh(path)
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=mutated_pmesh())
+    def test_mutated_file_loads_or_raises_mesh_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pmesh"
+        path.write_bytes(data)
+        try:
+            load_mesh(path)
+        except MeshError:
+            pass
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.pmesh"
