@@ -153,6 +153,22 @@ class TestTriangulation:
             )
             assert total == pytest.approx(cell_area(mesh, 0), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "coords, expected",
+        [
+            ([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)], [(4, 0, 2), (2, 3, 4)]),
+            ([(0, 0), (1, 0), (1, 0.5), (1, 1), (0.5, 1), (0, 1)], [(5, 0, 1), (1, 3, 5)]),
+        ],
+        ids=["one-collinear", "two-collinear"],
+    )
+    def test_collinear_vertex_clipped_without_triangle(self, coords, expected):
+        assert ear_clip(np.array(coords, dtype=float)) == expected
+
+    def test_clockwise_square_fails(self):
+        clockwise = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)])
+        with pytest.raises(MeshError, match="ear clipping failed"):
+            ear_clip(clockwise)
+
 
 class TestGenerators:
     def test_quad_s_n2(self):
