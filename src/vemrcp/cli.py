@@ -13,9 +13,9 @@ import numpy as np
 
 from .cases import CASE_IDS, manufactured_case
 from .material import LameMaterial, von_mises
-from .mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, load_mesh
+from .mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, load_mesh
 from .mesh import cell_records, shoelace, vertex_count_groups
-from .recovery import evaluate_recovered_stress
+from .recovery import RecoveryConditioningError, evaluate_recovered_stress
 from .study import (
     METHODS,
     ConvergenceRecord,
@@ -24,6 +24,7 @@ from .study import (
     run_level,
     run_patch_test,
 )
+from .vem import SolveError
 
 logger = logging.getLogger(__name__)
 
@@ -190,7 +191,7 @@ def write_vtk(mesh: PolygonalMesh, cell_fields: dict, path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
 
 
-def _von_mises_fields(record, result, material, methods) -> dict:
+def _von_mises_fields(result, material, methods) -> dict:
     mesh = result.mesh
     cells = np.arange(mesh.num_cells)
     centroids = np.empty((mesh.num_cells, 2))
@@ -260,7 +261,7 @@ def _run_external(config: StudyConfig) -> list[ConvergenceRecord]:
         wall_time=config.clock() - start,
     )
     if config.vtk:
-        fields = _von_mises_fields(record, result, material, config.methods)
+        fields = _von_mises_fields(result, material, config.methods)
         write_vtk(mesh, fields, config.out_dir / f"vm_{config.test}_external.vtk")
     return [record]
 
@@ -281,7 +282,7 @@ def run(config: StudyConfig) -> int:
             exporter = None
             if config.vtk:
                 def exporter(record, result, _family=family):
-                    fields = _von_mises_fields(record, result, material, config.methods)
+                    fields = _von_mises_fields(result, material, config.methods)
                     name = f"vm_{config.test}_{_family.value}_L{record.level}.vtk"
                     write_vtk(result.mesh, fields, config.out_dir / name)
 
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
     config = parse_config(argv)
     try:
         return run(config)
-    except Exception:
+    except (OSError, MeshError, SolveError, RecoveryConditioningError, np.linalg.LinAlgError):
         logger.exception("study failed")
         return 2
 

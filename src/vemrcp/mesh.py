@@ -57,7 +57,6 @@ GENERATED_FAMILIES = tuple(f for f in MeshFamily if f is not MeshFamily.EXTERNAL
 class PatchKind(Enum):
     PATCH0 = "patch0"
     PATCH1 = "patch1"
-    PATCH1B = "patch1b"
 
 
 @dataclass(frozen=True)
@@ -230,65 +229,46 @@ def _crossing_cells(pts: np.ndarray) -> np.ndarray:
     return crossing.any(axis=1)
 
 
-def ear_clip(points: np.ndarray) -> list[tuple[int, int, int]]:
-    """Triangulate a simple ccw polygon by ear clipping; returns local index triples.
+def ear_clip(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangulate a (k, n, 2) stack of simple ccw polygons by ear clipping, all cells at once.
 
-    Collinear vertices (zero-area ears) are clipped eagerly, which keeps the
-    routine robust on cells whose boundary runs straight through a vertex.
+    Each step removes one vertex from the current cycle of every cell: its
+    first collinear vertex (a zero-area ear, clipped without a triangle), else
+    its first convex ear that holds no other remaining vertex. Returns local
+    vertex ids (k, n - 2, 3) and the (k, n - 2) mask of emitted triangles.
+    A cell with no ear left raises MeshError naming its index in the stack.
     """
-    n = len(points)
-    if n == 3:
-        return [(0, 1, 2)]
-    scale = float(np.ptp(points, axis=0).max())
-    eps = 1e-12 * scale * scale
-    remaining = list(range(n))
-    triangles: list[tuple[int, int, int]] = []
-
-    def cross_at(k: int) -> float:
-        a = points[remaining[k - 1]]
-        b = points[remaining[k]]
-        c = points[remaining[(k + 1) % len(remaining)]]
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def ear_is_empty(k: int) -> bool:
-        ia = remaining[k - 1]
-        ib = remaining[k]
-        ic = remaining[(k + 1) % len(remaining)]
-        a, b, c = points[ia], points[ib], points[ic]
-        for idx in remaining:
-            if idx in (ia, ib, ic):
-                continue
-            p = points[idx]
-            d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-            d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-            if d1 > -eps and d2 > -eps and d3 > -eps:
-                return False
-        return True
-
-    while len(remaining) > 3:
-        clipped = False
-        # degenerate (collinear) ears first: removing them never changes geometry
-        for k in range(len(remaining)):
-            if abs(cross_at(k)) <= eps:
-                remaining.pop(k)
-                clipped = True
-                break
-        if clipped:
-            continue
-        for k in range(len(remaining)):
-            if cross_at(k) > eps and ear_is_empty(k):
-                ia = remaining[k - 1]
-                ib = remaining[k]
-                ic = remaining[(k + 1) % len(remaining)]
-                triangles.append((ia, ib, ic))
-                remaining.pop(k)
-                clipped = True
-                break
-        if not clipped:
-            raise MeshError("ear clipping failed: polygon is not simple")
-    triangles.append(tuple(remaining))
-    return triangles
+    k, n, _ = points.shape
+    scale = np.ptp(points, axis=1).max(axis=1)
+    eps = (1e-12 * scale * scale)[:, None]
+    rows = np.arange(k)[:, None]
+    remaining = np.broadcast_to(np.arange(n), (k, n))
+    tris = np.empty((k, n - 2, 3), dtype=np.int64)
+    emitted = np.ones((k, n - 2), dtype=bool)
+    for step, m in enumerate(range(n, 3, -1)):
+        j = np.arange(m)
+        ear = np.stack([j - 1, j, (j + 1) % m], axis=-1)        # positions of (a, b, c) per ear
+        p = points[rows, remaining]
+        a, b, c = np.moveaxis(p[:, ear], 2, 0)
+        # turn[s, :, i, q]: cross product of side s of ear i with remaining vertex q.
+        start, d = np.stack([a, b, c]), np.stack([b - a, c - b, a - c])
+        turn = (d[..., 0, None] * (p[:, None, :, 1] - start[..., 1, None])
+                - d[..., 1, None] * (p[:, None, :, 0] - start[..., 0, None]))
+        cross = turn[0][:, j, (j + 1) % m]
+        others = (j - j[:, None] + 1) % m > 2
+        holds = ((turn > -eps[..., None]).all(axis=0) & others).any(axis=-1)
+        collinear = np.abs(cross) <= eps
+        convex = (cross > eps) & ~holds
+        flat = collinear.any(axis=1)
+        stuck = ~flat & ~convex.any(axis=1)
+        if stuck.any():
+            raise MeshError(f"cell {np.argmax(stuck)}: ear clipping failed: polygon is not simple")
+        pick = np.where(flat, collinear.argmax(axis=1), convex.argmax(axis=1))
+        tris[:, step] = remaining[rows, ear[pick]]
+        emitted[:, step] = ~flat
+        remaining = remaining[j != pick[:, None]].reshape(k, m - 1)
+    tris[:, -1] = remaining
+    return tris, emitted
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +279,12 @@ def build_patch(mesh: PolygonalMesh, cell: int, kind: PatchKind) -> ElementPatch
     """Assemble the recovery patch for `cell`.
 
     PATCH0 is the degenerate single-cell patch. PATCH1 collects every cell
-    sharing at least one vertex with the central one and is relabelled
-    PATCH1B whenever the central cell touches the domain boundary.
+    sharing at least one vertex with the central one.
     """
     if kind is PatchKind.PATCH0:
         return ElementPatch(cell, (cell,), PatchKind.PATCH0)
     members = np.unique(np.concatenate([mesh.vertex_cells[v] for v in mesh.cells[cell]]))
-    touches_boundary = bool(mesh.boundary_vertex_flags[mesh.cells[cell]].any())
-    out_kind = PatchKind.PATCH1B if touches_boundary else PatchKind.PATCH1
-    return ElementPatch(cell, tuple(members.tolist()), out_kind)
+    return ElementPatch(cell, tuple(members.tolist()), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +300,7 @@ class ValidationReport:
         return self.errors[0] if self.errors else ""
 
 
-def validate_mesh(mesh: PolygonalMesh, domain_area: float | None = None) -> ValidationReport:
+def validate_mesh(mesh: PolygonalMesh) -> ValidationReport:
     """Check the structural mesh invariants and report the violations found.
 
     For generated families the cells must tile the unit square; externally
@@ -356,13 +333,8 @@ def validate_mesh(mesh: PolygonalMesh, domain_area: float | None = None) -> Vali
     if euler != 1:
         errors.append(f"Euler characteristic V-E+F = {euler}, expected 1")
 
-    if domain_area is None and mesh.family is not MeshFamily.EXTERNAL:
-        domain_area = 1.0
-    if domain_area is not None:
-        if abs(area_sum - domain_area) > 1e-10 * max(domain_area, 1.0):
-            errors.append(
-                f"cell areas sum to {area_sum!r}, expected {domain_area!r}"
-            )
+    if mesh.family is not MeshFamily.EXTERNAL and abs(area_sum - 1.0) > 1e-10:
+        errors.append(f"cell areas sum to {area_sum!r}, expected 1.0")
 
     return ValidationReport(ok=not errors, errors=errors)
 

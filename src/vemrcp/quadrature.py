@@ -1,14 +1,16 @@
 """Degree-5 quadrature on polygonal cells via ear-clip triangulation.
 
-The per-cell point/weight arrays are cached on the mesh, so repeated
-integrations (stiffness checks, recovery systems, error norms) reuse them.
+The first rule asked of a mesh fills the rules of all its cells, one stacked
+ear clip per vertex-count group, and caches them on the mesh by cell id, so
+repeated integrations (stiffness checks, recovery systems, error norms) reuse
+them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import PolygonalMesh, ear_clip
+from .mesh import PolygonalMesh, ear_clip, vertex_count_groups
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -32,17 +34,19 @@ TRI7_WEIGHTS = np.array(
 
 
 def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule over the ear-clip triangulation of a cell (cached)."""
-    cached = mesh._quadrature_cache.get(cell)
-    if cached is not None:
-        return cached
-    coords = mesh.cell_coords(cell)
-    tris = coords[np.array(ear_clip(coords))]                 # (t, 3, 2), all triangles at once
-    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
-    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    rule = (TRI7_BARY @ tris).reshape(-1, 2), (area[:, None] * TRI7_WEIGHTS).ravel()
-    mesh._quadrature_cache[cell] = rule
-    return rule
+    """Composite rule over the ear-clip triangulation of a cell; a miss fills every cell."""
+    cache = mesh._quadrature_cache
+    if cell not in cache:
+        for cells, idx in vertex_count_groups(mesh):
+            coords = mesh.vertices[idx]                                  # (k, n, 2)
+            local, emitted = ear_clip(coords)
+            tris = coords[np.arange(len(cells))[:, None, None], local]   # (k, n - 2, 3, 2)
+            e1, e2 = tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :]
+            area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+            pts, w = TRI7_BARY @ tris, area[..., None] * TRI7_WEIGHTS
+            for ci, keep, p, wk in zip(cells.tolist(), emitted, pts, w):
+                cache[ci] = p[keep].reshape(-1, 2), wk[keep].ravel()
+    return cache[cell]
 
 
 def polygon_quadrature(mesh: PolygonalMesh, cell: int, integrand) -> float:

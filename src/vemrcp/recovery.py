@@ -9,8 +9,8 @@ the outer patch boundary: exactly the data a virtual element solution
 provides.
 
 Modes are expressed in patch-local coordinates (xi, eta), shifted to the
-area-weighted patch centroid and scaled by the patch vertex diameter, to keep
-the 7x7 systems uniformly conditioned. There the mode matrix is
+area-weighted patch centroid and scaled by the diagonal of the patch's
+bounding box, to keep the 7x7 systems uniformly conditioned. There the mode matrix is
 P = MODES[0] + xi MODES[1] + eta MODES[2], so the moments of (1, xi, eta)
 over a patch, summed from per-cell area, centroid and central second moments
 by the parallel-axis identity, give the compliance matrix H and the
@@ -19,7 +19,7 @@ outer edge, and all patches of a mesh are solved as one stack.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
-patch (labelled PATCH1B when the central cell touches the boundary).
+patch.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class RecoveredStressField:
     mesh: PolygonalMesh
     kind: str
     centers: np.ndarray               # (ncells, 2) patch centre, also the load sample point
-    scales: np.ndarray                # (ncells,) patch vertex diameter
+    scales: np.ndarray                # (ncells,) patch bounding-box diagonal
     betas: np.ndarray                 # (ncells, 7) mode coefficients
     loads: np.ndarray                 # (ncells, 2) body force sampled at the centre
     fallback_cells: tuple = ()
@@ -102,13 +102,14 @@ def _cell_moments(mesh: PolygonalMesh):
     return area, centroid, second
 
 
-def outer_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
-    """Outer edges of patches given as (patch, member cell) pairs.
+def patch_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
+    """Edges of the member cells of patches given as (patch, member cell) pairs.
 
-    Returns (patch, global edge id) arrays (see `PolygonalMesh.edge_neighbors`),
-    ordered by pair and then by local edge. An edge is outer when the cell
-    across it is the domain exterior or not a member of the same patch; its
-    outward normal (w.r.t. the member cell) then points out of the patch.
+    Returns (patch, global edge id, outer flag) arrays (see
+    `PolygonalMesh.edge_neighbors`), ordered by pair and then by local edge.
+    An edge is outer when the cell across it is the domain exterior or not a
+    member of the same patch; its outward normal (w.r.t. the member cell)
+    then points out of the patch.
     """
     first = mesh.offsets[member]                   # global id of each member's local edge 0
     n = mesh.offsets[member + 1] - first
@@ -116,7 +117,7 @@ def outer_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
     edge = first[pair] + np.arange(n.sum()) - (np.cumsum(n) - n)[pair]
     patch, nb, nc = owner[pair], mesh.edge_neighbors[edge], mesh.num_cells
     outer = (nb < 0) | ~np.isin(patch * nc + nb, owner * nc + member)
-    return patch[outer], edge[outer]
+    return patch, edge, outer
 
 
 def patch_systems(
@@ -137,10 +138,12 @@ def patch_systems(
     owner = np.repeat(np.arange(npatch), [len(p.member_cells) for p in patches])
     member = np.concatenate([p.member_cells for p in patches])
 
-    scales = np.empty(npatch)
-    for k, patch in enumerate(patches):
-        pts = mesh.vertices[np.concatenate([mesh.cells[ci] for ci in patch.member_cells])]
-        scales[k] = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max())
+    # The edges of a patch are contiguous; their start vertices are its member vertices.
+    edge_owner, edge, outer = patch_edges(mesh, owner, member)
+    pts = mesh.vertices[mesh.indices[edge]]
+    start = np.searchsorted(edge_owner, np.arange(npatch))
+    box = np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)
+    scales = np.hypot(box[:, 0], box[:, 1])
     centers = _sum_by(owner, area[member, None] * centroid[member], npatch)
     centers /= np.bincount(owner, area[member], minlength=npatch)[:, None]
 
@@ -156,7 +159,7 @@ def patch_systems(
 
     # Work of each mode's traction on the displacement trace: S[p, a] sums
     # phi_a * (weight * traction pair) over the Gauss points of the outer edges.
-    edge_owner, outer = outer_edges(mesh, owner, member)
+    edge_owner, outer = edge_owner[outer], edge[outer]
     ia, ib = mesh.indices[outer], mesh.edge_ends[outer]
     a = mesh.vertices[ia]
     t = mesh.vertices[ib] - a

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from vemrcp.mesh import ear_clip, shoelace
+from vemrcp.mesh import MeshError, shoelace
 
 
 def cst_element(coords: np.ndarray, C: np.ndarray):
@@ -135,10 +135,73 @@ def is_simple_polygon(points) -> bool:
     return True
 
 
+def ear_clip_per_cell(points: np.ndarray) -> list[tuple[int, int, int]]:
+    """Triangulate one simple ccw polygon by ear clipping; returns local index triples.
+
+    The one-cell loop that `vemrcp.mesh.ear_clip` replaced, kept as its reference.
+
+    Collinear vertices (zero-area ears) are clipped eagerly, which keeps the
+    routine robust on cells whose boundary runs straight through a vertex.
+    """
+    n = len(points)
+    if n == 3:
+        return [(0, 1, 2)]
+    scale = float(np.ptp(points, axis=0).max())
+    eps = 1e-12 * scale * scale
+    remaining = list(range(n))
+    triangles: list[tuple[int, int, int]] = []
+
+    def cross_at(k: int) -> float:
+        a = points[remaining[k - 1]]
+        b = points[remaining[k]]
+        c = points[remaining[(k + 1) % len(remaining)]]
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def ear_is_empty(k: int) -> bool:
+        ia = remaining[k - 1]
+        ib = remaining[k]
+        ic = remaining[(k + 1) % len(remaining)]
+        a, b, c = points[ia], points[ib], points[ic]
+        for idx in remaining:
+            if idx in (ia, ib, ic):
+                continue
+            p = points[idx]
+            d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+            d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
+            d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
+            if d1 > -eps and d2 > -eps and d3 > -eps:
+                return False
+        return True
+
+    while len(remaining) > 3:
+        clipped = False
+        # degenerate (collinear) ears first: removing them never changes geometry
+        for k in range(len(remaining)):
+            if abs(cross_at(k)) <= eps:
+                remaining.pop(k)
+                clipped = True
+                break
+        if clipped:
+            continue
+        for k in range(len(remaining)):
+            if cross_at(k) > eps and ear_is_empty(k):
+                ia = remaining[k - 1]
+                ib = remaining[k]
+                ic = remaining[(k + 1) % len(remaining)]
+                triangles.append((ia, ib, ic))
+                remaining.pop(k)
+                clipped = True
+                break
+        if not clipped:
+            raise MeshError("ear clipping failed: polygon is not simple")
+    triangles.append(tuple(remaining))
+    return triangles
+
+
 def random_points_in_cell(mesh, cell, rng, count):
     """Uniform interior samples via the cell's ear-clip triangulation."""
     coords = mesh.cell_coords(cell)
-    tris = [coords[list(t)] for t in ear_clip(coords)]
+    tris = [coords[list(t)] for t in ear_clip_per_cell(coords)]
     areas = np.array([abs(shoelace(t)[0]) for t in tris])
     choice = rng.choice(len(tris), size=count, p=areas / areas.sum())
     pts = np.empty((count, 2))

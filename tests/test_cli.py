@@ -217,6 +217,17 @@ class TestRun:
         code = main(["--mesh-file", str(tmp_path / "nope.pmesh"), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_programming_error_escapes_main(self, tmp_path, monkeypatch):
+        import vemrcp.study as study_mod
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(study_mod, "run_level", broken)
+        argv = ["--family", "quad-s", "--levels", "1", "--out", str(tmp_path)]
+        with pytest.raises(TypeError, match="injected"):
+            main(argv)
+
     def test_failed_level_exits_two(self, tmp_path, monkeypatch):
         import vemrcp.study as study_mod
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import single_cell_mesh
-from oracles import is_simple_polygon, random_simple_polygon
+from oracles import ear_clip_per_cell, is_simple_polygon, random_simple_polygon
 from vemrcp.generators import _merge_points, generate_mesh
 from vemrcp.mesh import (
     GENERATED_FAMILIES,
@@ -25,6 +25,7 @@ from vemrcp.mesh import (
     save_mesh,
     shoelace,
     validate_mesh,
+    vertex_count_groups,
 )
 from vemrcp.vem import compute_B
 
@@ -37,6 +38,12 @@ def cell_area(mesh, ci):
 
 def cell_centroid(mesh, ci):
     return shoelace(mesh.cell_coords(ci))[1]
+
+
+def clip_one(coords):
+    """Local triangles of one polygon from the stacked clipper, as index triples."""
+    local, emitted = ear_clip(np.asarray(coords, dtype=float)[None])
+    return [tuple(t) for t in local[0][emitted[0]].tolist()]
 
 
 def vertex_normals(mesh, ci):
@@ -59,7 +66,7 @@ class TestPolygonGeometry:
         coords = 0.4 * np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.5), (0.0, 2.0)])
         mesh = single_cell_mesh(coords)
         tri_sum = 0.0
-        for tri in ear_clip(coords):
+        for tri in clip_one(coords):
             a, b, c = coords[list(tri)]
             tri_sum += 0.5 * abs(
                 (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -80,7 +87,7 @@ class TestPolygonGeometry:
         mesh = single_cell_mesh(coords)
         total_area = 0.0
         weighted = np.zeros(2)
-        for tri in ear_clip(coords):
+        for tri in clip_one(coords):
             a, b, c = coords[list(tri)]
             area = 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
             total_area += area
@@ -125,10 +132,10 @@ class TestOutwardNormal:
 class TestTriangulation:
     def test_triangle_is_itself(self):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0, 1)])
-        assert ear_clip(mesh.cell_coords(0)) == [(0, 1, 2)]
+        assert clip_one(mesh.cell_coords(0)) == [(0, 1, 2)]
 
     def test_convex_quad_two_triangles(self, unit_square_mesh):
-        tris = ear_clip(unit_square_mesh.cell_coords(0))
+        tris = clip_one(unit_square_mesh.cell_coords(0))
         assert len(tris) == 2
         total = sum(
             abs(shoelace(unit_square_mesh.vertices[list(t)])[0]) for t in tris
@@ -140,7 +147,7 @@ class TestTriangulation:
             [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
         )
         mesh = single_cell_mesh(coords / 4.0)
-        tris = ear_clip(mesh.cell_coords(0))
+        tris = clip_one(mesh.cell_coords(0))
         total = sum(shoelace(mesh.vertices[list(t)])[0] for t in tris)
         assert total == pytest.approx(cell_area(mesh, 0), rel=1e-12)
 
@@ -149,7 +156,7 @@ class TestTriangulation:
             coords = random_simple_polygon(rng)
             mesh = single_cell_mesh(coords)
             total = sum(
-                shoelace(mesh.vertices[list(t)])[0] for t in ear_clip(mesh.cell_coords(0))
+                shoelace(mesh.vertices[list(t)])[0] for t in clip_one(mesh.cell_coords(0))
             )
             assert total == pytest.approx(cell_area(mesh, 0), rel=1e-12)
 
@@ -162,12 +169,36 @@ class TestTriangulation:
         ids=["one-collinear", "two-collinear"],
     )
     def test_collinear_vertex_clipped_without_triangle(self, coords, expected):
-        assert ear_clip(np.array(coords, dtype=float)) == expected
+        assert clip_one(coords) == expected
 
     def test_clockwise_square_fails(self):
         clockwise = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)])
         with pytest.raises(MeshError, match="ear clipping failed"):
-            ear_clip(clockwise)
+            ear_clip(clockwise[None])
+
+    def test_failure_names_the_cell(self):
+        square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        with pytest.raises(MeshError, match="cell 1: ear clipping failed"):
+            ear_clip(np.stack([square, square[::-1], square]))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_stack_matches_per_cell_reference(self, family):
+        mesh = generate_mesh(family, 8, seed=0)
+        for cells, idx in vertex_count_groups(mesh):
+            coords = mesh.vertices[idx]
+            local, emitted = ear_clip(coords)
+            for k in range(len(cells)):
+                expected = [list(t) for t in ear_clip_per_cell(coords[k])]
+                assert local[k][emitted[k]].tolist() == expected
+
+    def test_random_polygon_stacks_match_per_cell_reference(self, rng):
+        polygons = [random_simple_polygon(rng) for _ in range(2000)]
+        for n in {len(p) for p in polygons}:
+            coords = np.array([p for p in polygons if len(p) == n])
+            local, emitted = ear_clip(coords)
+            for k in range(len(coords)):
+                expected = [list(t) for t in ear_clip_per_cell(coords[k])]
+                assert local[k][emitted[k]].tolist() == expected
 
 
 class TestGenerators:
@@ -302,7 +333,7 @@ class TestPatches:
         assert set(patch.member_cells) == brute
         assert len(patch.member_cells) == 9
 
-    def test_corner_cell_promotes_to_patch1b(self):
+    def test_corner_patch1_keeps_kind_and_holds_touching_cells(self):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
         patch = build_patch(mesh, 0, PatchKind.PATCH1)
         brute = {
@@ -310,7 +341,7 @@ class TestPatches:
             for ci in range(mesh.num_cells)
             if set(map(int, mesh.cells[ci])) & set(map(int, mesh.cells[0]))
         }
-        assert patch.kind is PatchKind.PATCH1B
+        assert patch.kind is PatchKind.PATCH1
         assert set(patch.member_cells) == brute
         assert len(patch.member_cells) == 4
 
