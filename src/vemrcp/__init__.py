@@ -4,14 +4,11 @@ from .cases import CASE_IDS, ManufacturedCase, manufactured_case
 from .generators import GenerationError, generate_mesh
 from .material import LameMaterial, compliance_matrix, elastic_matrix, von_mises
 from .mesh import (
-    ElementPatch,
     MeshError,
     MeshFamily,
     MeshFormatError,
     MeshValidationError,
-    PatchKind,
     PolygonalMesh,
-    build_patch,
     load_mesh,
     save_mesh,
     validate_mesh,
@@ -20,6 +17,7 @@ from .quadrature import cell_quadrature, polygon_quadrature
 from .recovery import (
     RecoveredStressField,
     RecoveryConditioningError,
+    build_patch,
     evaluate_recovered_stress,
     recover_field,
     stress_modes_at,

@@ -8,6 +8,8 @@ generated mesh is validated before it is returned.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.spatial import Delaunay, Voronoi, cKDTree
 
@@ -151,44 +153,21 @@ def _hex_structured(n: int, rng) -> tuple[np.ndarray, list]:
 
 def _clip_to_unit_square(poly: np.ndarray):
     """Sutherland-Hodgman clip of a convex ccw polygon against [0,1]^2."""
-    def clip(points, inside, intersect):
+    pts = list(poly)
+    for axis, level, keep in ((0, 0.0, operator.ge), (0, 1.0, operator.le),
+                              (1, 0.0, operator.ge), (1, 1.0, operator.le)):
         out = []
-        for k in range(len(points)):
-            cur, nxt = points[k], points[(k + 1) % len(points)]
-            cur_in, nxt_in = inside(cur), inside(nxt)
+        for cur, nxt in zip(pts, pts[1:] + pts[:1]):
+            cur_in = keep(cur[axis], level)
             if cur_in:
                 out.append(cur)
-                if not nxt_in:
-                    out.append(intersect(cur, nxt))
-            elif nxt_in:
-                out.append(intersect(cur, nxt))
-        return out
-
-    def x_cut(level):
-        def f(p, q):
-            t = (level - p[0]) / (q[0] - p[0])
-            return np.array([level, p[1] + t * (q[1] - p[1])])
-        return f
-
-    def y_cut(level):
-        def f(p, q):
-            t = (level - p[1]) / (q[1] - p[1])
-            return np.array([p[0] + t * (q[0] - p[0]), level])
-        return f
-
-    pts = list(poly)
-    pts = clip(pts, lambda p: p[0] >= 0.0, x_cut(0.0))
-    if not pts:
-        return None
-    pts = clip(pts, lambda p: p[0] <= 1.0, x_cut(1.0))
-    if not pts:
-        return None
-    pts = clip(pts, lambda p: p[1] >= 0.0, y_cut(0.0))
-    if not pts:
-        return None
-    pts = clip(pts, lambda p: p[1] <= 1.0, y_cut(1.0))
-    if not pts:
-        return None
+            if cur_in != keep(nxt[axis], level):
+                cut = cur + (level - cur[axis]) / (nxt[axis] - cur[axis]) * (nxt - cur)
+                cut[axis] = level
+                out.append(cut)
+        pts = out
+        if not pts:
+            return None
     arr = np.array(pts)
     if abs(shoelace(arr)[0]) < 1e-14:
         return None

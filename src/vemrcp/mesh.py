@@ -1,12 +1,15 @@
-"""Polygonal meshes of the unit square: storage, geometry queries, patches, text IO.
+"""Polygonal meshes of the unit square: storage, geometry queries, text IO.
 
 Vertices are rows of an (nv, 2) float array. The cells are one ragged pair of
 index arrays, as in PolyMesher: cell ci is the counterclockwise vertex cycle
 indices[offsets[ci]:offsets[ci + 1]], and the cell edge from its k-th vertex
-to the next has the global id offsets[ci] + k. All derived topology (edge
-incidence, neighbours, boundary flags, the vertex-to-cell map) is built once
-at construction. Only the per-cell quadrature rules are cached lazily on the
-instance, so a mesh is not safe to share between threads without a lock.
+to the next has the global id offsets[ci] + k. The vertex-to-cell map is a
+second such pair: the cells around vertex v, in cell order, are
+vertex_cell_ids[vertex_offsets[v]:vertex_offsets[v + 1]]. All derived
+topology (edge incidence, neighbours, boundary flags, the vertex-to-cell map)
+is built once at construction. Only the per-cell quadrature rules are cached
+lazily on the instance, so a mesh is not safe to share between threads
+without a lock.
 """
 
 from __future__ import annotations
@@ -54,20 +57,6 @@ STRUCTURED_FAMILIES = (
 GENERATED_FAMILIES = tuple(f for f in MeshFamily if f is not MeshFamily.EXTERNAL)
 
 
-class PatchKind(Enum):
-    PATCH0 = "patch0"
-    PATCH1 = "patch1"
-
-
-@dataclass(frozen=True)
-class ElementPatch:
-    """A central cell plus the neighbor set used for stress recovery."""
-
-    central_cell: int
-    member_cells: tuple[int, ...]
-    kind: PatchKind
-
-
 _CELL_CHECKS = (
     "has fewer than 3 vertices",
     "repeats a vertex",
@@ -80,15 +69,15 @@ class PolygonalMesh:
     """Conforming polygonal tessellation with counterclockwise cells.
 
     `cells` is a sequence of vertex-index sequences; it is stored as the
-    ragged pair `offsets`, `indices` (see the module docstring), and
-    `cells[ci]` and `vertex_cells[v]` (the cells around v, in cell order) are
-    read-only views. Per global edge id, `edge_ends` is the end vertex and
-    `edge_neighbors` the cell across (-1 on the boundary or on an edge of
-    more than two cells). Per unique edge, in order of first appearance,
-    `edges` holds the (lo, hi) vertex pair and `edge_uses` how many cell
-    edges run lo -> hi and hi -> lo. Boundary vertex flags are always
-    recomputed from edge incidence, never taken on trust from a file or
-    generator.
+    ragged pair `offsets`, `indices`, and the vertex-to-cell map as the pair
+    `vertex_offsets`, `vertex_cell_ids` (see the module docstring);
+    `cells[ci]` is a read-only view. Per global edge id, `edge_ends` is the
+    end vertex and `edge_neighbors` the cell across (-1 on the boundary or
+    on an edge of more than two cells). Per unique edge, in order of first
+    appearance, `edges` holds the (lo, hi) vertex pair and `edge_uses` how
+    many cell edges run lo -> hi and hi -> lo. Boundary vertex flags are
+    always recomputed from edge incidence, never taken on trust from a file
+    or generator.
     """
 
     def __init__(self, vertices: np.ndarray, cells, family: MeshFamily):
@@ -151,13 +140,14 @@ class PolygonalMesh:
         d = vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]]
         self.average_edge_length = float(np.hypot(d[:, 0], d[:, 1]).mean())
 
-        by_vertex = np.argsort(idx, kind="stable")
-        vertex_offsets = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=nv))])
-        for arr in (self.vertices, self.offsets, ends, self.edge_neighbors,
-                    self.boundary_vertex_flags, self.edges, self.edge_uses):
+        self.vertex_offsets = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=nv))])
+        self.vertex_cell_ids = cell_of[np.argsort(idx, kind="stable")]
+        for arr in (self.vertices, self.offsets, idx, ends, self.edge_neighbors,
+                    self.boundary_vertex_flags, self.edges, self.edge_uses,
+                    self.vertex_offsets, self.vertex_cell_ids):
             arr.setflags(write=False)
-        self.cells = _ragged(idx, self.offsets)
-        self.vertex_cells = _ragged(cell_of[by_vertex], vertex_offsets)
+        bounds = self.offsets.tolist()
+        self.cells = [idx[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         self._quadrature_cache: dict = {}
 
     @property
@@ -173,13 +163,6 @@ class PolygonalMesh:
 
     def boundary_vertices(self) -> np.ndarray:
         return np.nonzero(self.boundary_vertex_flags)[0]
-
-
-def _ragged(values: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    """Read-only views values[offsets[k]:offsets[k + 1]], one per k."""
-    values.setflags(write=False)
-    bounds = offsets.tolist()
-    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +212,15 @@ def _crossing_cells(pts: np.ndarray) -> np.ndarray:
     return crossing.any(axis=1)
 
 
-def ear_clip(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ear_clip(points: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
     """Triangulate a (k, n, 2) stack of simple ccw polygons by ear clipping, all cells at once.
 
     Each step removes one vertex from the current cycle of every cell: its
     first collinear vertex (a zero-area ear, clipped without a triangle), else
     its first convex ear that holds no other remaining vertex. Returns local
     vertex ids (k, n - 2, 3) and the (k, n - 2) mask of emitted triangles.
-    A cell with no ear left raises MeshError naming its index in the stack.
+    `cells` names the k cells of the stack: a cell with no ear left raises
+    MeshError naming its id.
     """
     k, n, _ = points.shape
     scale = np.ptp(points, axis=1).max(axis=1)
@@ -262,29 +246,14 @@ def ear_clip(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat = collinear.any(axis=1)
         stuck = ~flat & ~convex.any(axis=1)
         if stuck.any():
-            raise MeshError(f"cell {np.argmax(stuck)}: ear clipping failed: polygon is not simple")
+            cell = np.asarray(cells)[np.argmax(stuck)]
+            raise MeshError(f"cell {cell}: ear clipping failed: polygon is not simple")
         pick = np.where(flat, collinear.argmax(axis=1), convex.argmax(axis=1))
         tris[:, step] = remaining[rows, ear[pick]]
         emitted[:, step] = ~flat
         remaining = remaining[j != pick[:, None]].reshape(k, m - 1)
     tris[:, -1] = remaining
     return tris, emitted
-
-
-# ---------------------------------------------------------------------------
-# patches
-# ---------------------------------------------------------------------------
-
-def build_patch(mesh: PolygonalMesh, cell: int, kind: PatchKind) -> ElementPatch:
-    """Assemble the recovery patch for `cell`.
-
-    PATCH0 is the degenerate single-cell patch. PATCH1 collects every cell
-    sharing at least one vertex with the central one.
-    """
-    if kind is PatchKind.PATCH0:
-        return ElementPatch(cell, (cell,), PatchKind.PATCH0)
-    members = np.unique(np.concatenate([mesh.vertex_cells[v] for v in mesh.cells[cell]]))
-    return ElementPatch(cell, tuple(members.tolist()), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +277,6 @@ def validate_mesh(mesh: PolygonalMesh) -> ValidationReport:
     consistency, Euler characteristic of a simply connected tessellation).
     """
     errors: list[str] = []
-    if not np.all(np.isfinite(mesh.vertices)):
-        errors.append("non-finite vertex coordinates")
-
     # Cell areas are positive: the constructor rejects any other cell.
     area_sum = 0.0
     crossing = []

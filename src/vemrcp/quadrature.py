@@ -39,7 +39,7 @@ def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndar
     if cell not in cache:
         for cells, idx in vertex_count_groups(mesh):
             coords = mesh.vertices[idx]                                  # (k, n, 2)
-            local, emitted = ear_clip(coords)
+            local, emitted = ear_clip(coords, cells)
             tris = coords[np.arange(len(cells))[:, None, None], local]   # (k, n - 2, 3, 2)
             e1, e2 = tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :]
             area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])

@@ -19,7 +19,8 @@ outer edge, and all patches of a mesh are solved as one stack.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
-patch.
+patch. The patches of a fit are one array of (patch, member cell) pairs,
+built in one pass over the mesh's flat vertex-to-cell map.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .material import LameMaterial, compliance_matrix
-from .mesh import PatchKind, PolygonalMesh, build_patch
+from .mesh import PolygonalMesh
 from .quadrature import cell_quadrature
 
 logger = logging.getLogger(__name__)
@@ -65,6 +66,13 @@ class RecoveredStressField:
     fallback_cells: tuple = ()
 
 
+class Patches(NamedTuple):
+    """(patch, member cell) pairs, grouped by patch in request order, members ascending."""
+
+    owner: np.ndarray                 # (npair,) patch index in [0, npatch)
+    member_cells: np.ndarray          # (npair,) cell id
+
+
 class PatchSystems(NamedTuple):
     """The 7x7 systems H beta = g of a list of patches, with their frames."""
 
@@ -86,6 +94,31 @@ def _sum_by(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     flat = values.reshape(len(owner), -1)
     sums = [np.bincount(owner, col, minlength=n) for col in flat.T]
     return np.stack(sums, axis=-1).reshape((n,) + values.shape[1:])
+
+
+def _ragged_ranges(starts: np.ndarray, counts: np.ndarray):
+    """Expand the ranges [starts[k], starts[k] + counts[k]) into (k, position) pairs, in order."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    return group, starts[group] + np.arange(counts.sum()) - (np.cumsum(counts) - counts)[group]
+
+
+def build_patch(mesh: PolygonalMesh, cells, kind: str) -> Patches:
+    """The recovery patches centred on `cells`, one per requested cell, in request order.
+
+    "rcp0" is the cell alone; "rcp1" is every cell sharing at least one
+    vertex with it.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    if kind not in RECOVERY_KINDS:
+        raise ValueError(f"unknown recovery kind {kind!r}")
+    if kind == "rcp0":
+        return Patches(np.arange(len(cells)), cells)
+    patch, corner = _ragged_ranges(mesh.offsets[cells], np.diff(mesh.offsets)[cells])
+    vertex = mesh.indices[corner]
+    pair, slot = _ragged_ranges(mesh.vertex_offsets[vertex], np.diff(mesh.vertex_offsets)[vertex])
+    nc = mesh.num_cells
+    owner, member = np.divmod(np.unique(patch[pair] * nc + mesh.vertex_cell_ids[slot]), nc)
+    return Patches(owner, member)
 
 
 def _cell_moments(mesh: PolygonalMesh):
@@ -111,10 +144,7 @@ def patch_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
     member of the same patch; its outward normal (w.r.t. the member cell)
     then points out of the patch.
     """
-    first = mesh.offsets[member]                   # global id of each member's local edge 0
-    n = mesh.offsets[member + 1] - first
-    pair = np.repeat(np.arange(len(member)), n)
-    edge = first[pair] + np.arange(n.sum()) - (np.cumsum(n) - n)[pair]
+    pair, edge = _ragged_ranges(mesh.offsets[member], np.diff(mesh.offsets)[member])
     patch, nb, nc = owner[pair], mesh.edge_neighbors[edge], mesh.num_cells
     outer = (nb < 0) | ~np.isin(patch * nc + nb, owner * nc + member)
     return patch, edge, outer
@@ -123,20 +153,21 @@ def patch_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
 def patch_systems(
     mesh: PolygonalMesh,
     material: LameMaterial,
-    patches: list,
+    patches: Patches,
     displacement,
     body_force,
 ) -> PatchSystems:
     """Assemble the complementary-energy system of every patch in `patches`.
 
+    `patches` holds (patch, member cell) pairs as `build_patch` returns them.
+
     `displacement` is either the global dof vector (its trace is interpolated
     linearly per edge) or a callable u(x, y) -> (m, 2) evaluated at the Gauss
     points. `body_force` is None or a vectorized callable b(x, y) -> (m, 2).
     """
-    npatch = len(patches)
+    owner, member = patches
+    npatch = int(owner[-1]) + 1
     area, centroid, second = _cell_moments(mesh)
-    owner = np.repeat(np.arange(npatch), [len(p.member_cells) for p in patches])
-    member = np.concatenate([p.member_cells for p in patches])
 
     # The edges of a patch are contiguous; their start vertices are its member vertices.
     edge_owner, edge, outer = patch_edges(mesh, owner, member)
@@ -221,21 +252,18 @@ def recover_field(
     """
 
     def fit(cells, patch_kind):
-        patches = [build_patch(mesh, int(ci), patch_kind) for ci in cells]
+        patches = build_patch(mesh, cells, patch_kind)
         system = patch_systems(mesh, material, patches, displacement, body_force)
         betas, failed = solve_patches(system.H, system.g)
         return (system.centers, system.scales, betas, system.loads), failed
 
-    if kind not in RECOVERY_KINDS:
-        raise ValueError(f"unknown recovery kind {kind!r}")
-    patch_kind = PatchKind.PATCH0 if kind == "rcp0" else PatchKind.PATCH1
     cells = np.arange(mesh.num_cells)
-    arrays, failed = fit(cells, patch_kind)
-    fallback = cells[failed] if patch_kind is PatchKind.PATCH1 else cells[:0]
+    arrays, failed = fit(cells, kind)
+    fallback = cells[failed] if kind == "rcp1" else cells[:0]
     if len(fallback):
         logger.warning("cells %s: vertex patch ill-conditioned, using single-cell patch",
                        fallback.tolist())
-        single, failed[fallback] = fit(fallback, PatchKind.PATCH0)
+        single, failed[fallback] = fit(fallback, "rcp0")
         for full, part in zip(arrays, single):
             full[fallback] = part
     if failed.any():

@@ -211,3 +211,18 @@ def random_points_in_cell(mesh, cell, rng, count):
         s = np.sqrt(r1)
         pts[k] = (1.0 - s) * a + s * (1.0 - r2) * b + s * r2 * c
     return pts
+
+
+# ---------------------------------------------------------------------------
+# recovery patches
+# ---------------------------------------------------------------------------
+
+def vertex_patch_per_cell(mesh, cell) -> np.ndarray:
+    """Cells sharing at least one vertex with `cell`, ascending, from the vertex-to-cell map.
+
+    The per-cell loop that `vemrcp.recovery.build_patch` replaced, kept as its reference.
+    """
+    around = mesh.vertex_offsets
+    return np.unique(
+        np.concatenate([mesh.vertex_cell_ids[around[v]:around[v + 1]] for v in mesh.cells[cell]])
+    )

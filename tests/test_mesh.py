@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import single_cell_mesh
-from oracles import ear_clip_per_cell, is_simple_polygon, random_simple_polygon
+from oracles import (
+    ear_clip_per_cell,
+    is_simple_polygon,
+    random_simple_polygon,
+    vertex_patch_per_cell,
+)
 from vemrcp.generators import _merge_points, generate_mesh
 from vemrcp.mesh import (
     GENERATED_FAMILIES,
-    ElementPatch,
     MeshError,
     MeshFamily,
     MeshFormatError,
     MeshValidationError,
-    PatchKind,
     PolygonalMesh,
-    build_patch,
     ear_clip,
     load_mesh,
     save_mesh,
@@ -27,6 +29,7 @@ from vemrcp.mesh import (
     validate_mesh,
     vertex_count_groups,
 )
+from vemrcp.recovery import build_patch
 from vemrcp.vem import compute_B
 
 ALL_FAMILIES = list(GENERATED_FAMILIES)
@@ -42,7 +45,7 @@ def cell_centroid(mesh, ci):
 
 def clip_one(coords):
     """Local triangles of one polygon from the stacked clipper, as index triples."""
-    local, emitted = ear_clip(np.asarray(coords, dtype=float)[None])
+    local, emitted = ear_clip(np.asarray(coords, dtype=float)[None], [0])
     return [tuple(t) for t in local[0][emitted[0]].tolist()]
 
 
@@ -174,19 +177,19 @@ class TestTriangulation:
     def test_clockwise_square_fails(self):
         clockwise = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)])
         with pytest.raises(MeshError, match="ear clipping failed"):
-            ear_clip(clockwise[None])
+            ear_clip(clockwise[None], [0])
 
     def test_failure_names_the_cell(self):
         square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        with pytest.raises(MeshError, match="cell 1: ear clipping failed"):
-            ear_clip(np.stack([square, square[::-1], square]))
+        with pytest.raises(MeshError, match="cell 7: ear clipping failed"):
+            ear_clip(np.stack([square, square[::-1], square]), np.array([4, 7, 2]))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_stack_matches_per_cell_reference(self, family):
         mesh = generate_mesh(family, 8, seed=0)
         for cells, idx in vertex_count_groups(mesh):
             coords = mesh.vertices[idx]
-            local, emitted = ear_clip(coords)
+            local, emitted = ear_clip(coords, cells)
             for k in range(len(cells)):
                 expected = [list(t) for t in ear_clip_per_cell(coords[k])]
                 assert local[k][emitted[k]].tolist() == expected
@@ -195,7 +198,7 @@ class TestTriangulation:
         polygons = [random_simple_polygon(rng) for _ in range(2000)]
         for n in {len(p) for p in polygons}:
             coords = np.array([p for p in polygons if len(p) == n])
-            local, emitted = ear_clip(coords)
+            local, emitted = ear_clip(coords, np.arange(len(coords)))
             for k in range(len(coords)):
                 expected = [list(t) for t in ear_clip_per_cell(coords[k])]
                 assert local[k][emitted[k]].tolist() == expected
@@ -314,44 +317,48 @@ class TestAverageEdgeLength:
         assert expected == pytest.approx(0.5517766952966369)
 
 
+def patch_member_sets(mesh, cells, kind="rcp1"):
+    """Member cell sets of the patches centred on `cells`, in request order."""
+    owner, member = build_patch(mesh, cells, kind)
+    return [set(member[owner == k].tolist()) for k in range(len(cells))]
+
+
 class TestPatches:
     def test_patch0(self):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
-        patch = build_patch(mesh, 4, PatchKind.PATCH0)
-        assert patch == ElementPatch(4, (4,), PatchKind.PATCH0)
+        patch = build_patch(mesh, [4], "rcp0")
+        assert patch.owner.tolist() == [0]
+        assert patch.member_cells.tolist() == [4]
 
     def test_interior_patch1_is_full_neighborhood(self):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
         central = 4  # middle cell of the 3x3 grid
-        patch = build_patch(mesh, central, PatchKind.PATCH1)
+        patch = build_patch(mesh, [central], "rcp1")
         brute = {
             ci
             for ci in range(mesh.num_cells)
             if set(map(int, mesh.cells[ci])) & set(map(int, mesh.cells[central]))
         }
-        assert patch.kind is PatchKind.PATCH1
-        assert set(patch.member_cells) == brute
+        assert patch.owner.tolist() == [0] * len(patch.member_cells)
+        assert set(patch.member_cells.tolist()) == brute
         assert len(patch.member_cells) == 9
 
     def test_corner_patch1_keeps_kind_and_holds_touching_cells(self):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
-        patch = build_patch(mesh, 0, PatchKind.PATCH1)
+        patch = build_patch(mesh, [0], "rcp1")
         brute = {
             ci
             for ci in range(mesh.num_cells)
             if set(map(int, mesh.cells[ci])) & set(map(int, mesh.cells[0]))
         }
-        assert patch.kind is PatchKind.PATCH1
-        assert set(patch.member_cells) == brute
+        assert patch.owner.tolist() == [0] * len(patch.member_cells)
+        assert set(patch.member_cells.tolist()) == brute
         assert len(patch.member_cells) == 4
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_edge_and_vertex_neighbours_agree(self, family):
         mesh = generate_mesh(family, 8, seed=0)
-        members = [
-            set(build_patch(mesh, ci, PatchKind.PATCH1).member_cells)
-            for ci in range(mesh.num_cells)
-        ]
+        members = patch_member_sets(mesh, np.arange(mesh.num_cells))
         vertex_sets = [set(cell.tolist()) for cell in mesh.cells]
         for ci in range(mesh.num_cells):
             across = mesh.edge_neighbors[mesh.offsets[ci]:mesh.offsets[ci + 1]]
@@ -362,10 +369,34 @@ class TestPatches:
 
     def test_adjacency_symmetry(self):
         mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=9)
-        patches = [build_patch(mesh, ci, PatchKind.PATCH1) for ci in range(mesh.num_cells)]
+        members = patch_member_sets(mesh, np.arange(mesh.num_cells))
         for a in range(mesh.num_cells):
-            for b in patches[a].member_cells:
-                assert a in patches[b].member_cells
+            for b in members[a]:
+                assert a in members[b]
+
+    @staticmethod
+    def assert_matches_per_cell_reference(mesh, cells):
+        owner, member = build_patch(mesh, cells, "rcp1")
+        expected = [vertex_patch_per_cell(mesh, ci) for ci in cells]
+        sizes = [len(m) for m in expected]
+        np.testing.assert_array_equal(owner, np.repeat(np.arange(len(cells)), sizes))
+        np.testing.assert_array_equal(member, np.concatenate(expected))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_all_cells_match_per_cell_reference(self, family):
+        mesh = generate_mesh(family, 8, seed=0)
+        self.assert_matches_per_cell_reference(mesh, np.arange(mesh.num_cells))
+
+    def test_shuffled_subset_follows_request_order(self, rng):
+        mesh = generate_mesh(MeshFamily.CONC_U, 8, seed=0)
+        self.assert_matches_per_cell_reference(mesh, rng.permutation(mesh.num_cells)[:40])
+
+    def test_rcp0_is_identity_pairs(self, rng):
+        mesh = generate_mesh(MeshFamily.POLY_U, 8, seed=0)
+        cells = rng.permutation(mesh.num_cells)
+        owner, member = build_patch(mesh, cells, "rcp0")
+        np.testing.assert_array_equal(owner, np.arange(mesh.num_cells))
+        np.testing.assert_array_equal(member, cells)
 
 
 class TestConstructorChecks:
@@ -386,6 +417,18 @@ class TestConstructorChecks:
     def test_first_bad_cell_named(self, cells, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
             PolygonalMesh(np.array(self.SQUARE, dtype=float), cells, MeshFamily.EXTERNAL)
+
+    def test_non_finite_vertex_rejected(self):
+        verts = np.array(self.SQUARE, dtype=float)
+        verts[2, 1] = np.nan
+        with pytest.raises(MeshError, match="^non-finite vertex coordinates$"):
+            PolygonalMesh(verts, [[0, 1, 2, 3]], MeshFamily.EXTERNAL)
+
+    def test_topology_arrays_are_read_only(self):
+        mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=0)
+        for arr in (mesh.vertices, mesh.offsets, mesh.indices, mesh.cells[0],
+                    mesh.vertex_offsets, mesh.vertex_cell_ids):
+            assert not arr.flags.writeable
 
 
 class TestValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vemrcp.generators import generate_mesh
-from vemrcp.mesh import MeshFamily, shoelace
+from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, shoelace
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS, cell_quadrature, polygon_quadrature
 
 
@@ -55,3 +55,16 @@ class TestPolygonQuadrature:
         a = cell_quadrature(unit_square_mesh, 0)
         b = cell_quadrature(unit_square_mesh, 0)
         assert a[0] is b[0] and a[1] is b[1]
+
+    def test_clip_failure_names_the_mesh_cell(self):
+        # Cell 2 is a non-simple pentagon, the second cell of the five-vertex group.
+        triangle = np.array([(0, 0), (1, 0), (0, 1)], dtype=float) + 10.0
+        pentagon = np.array([(0, 0), (2, 0), (3, 1.5), (1, 3), (-1, 1.5)]) + 20.0
+        crossed = np.array([(0, 4), (2, 4), (0, 0), (5, 1), (0, 3)], dtype=float)
+        mesh = PolygonalMesh(
+            np.concatenate([triangle, pentagon, crossed]),
+            [np.arange(3), np.arange(3, 8), np.arange(8, 13)],
+            MeshFamily.EXTERNAL,
+        )
+        with pytest.raises(MeshError, match="^cell 2: ear clipping failed"):
+            cell_quadrature(mesh, 0)

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 from conftest import single_cell_mesh
-from oracles import ear_clip_per_cell, fd_stress_divergence, random_points_in_cell
+from oracles import (
+    ear_clip_per_cell,
+    fd_stress_divergence,
+    random_points_in_cell,
+    vertex_patch_per_cell,
+)
 from vemrcp.cases import manufactured_case
 from vemrcp.generators import generate_mesh
 from vemrcp.material import compliance_matrix
-from vemrcp.mesh import (
-    MeshFamily,
-    PatchKind,
-    PolygonalMesh,
-    build_patch,
-    shoelace,
-)
+from vemrcp.mesh import MeshFamily, PolygonalMesh, shoelace
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import (
     RecoveredStressField,
     RecoveryConditioningError,
+    build_patch,
     evaluate_recovered_stress,
     patch_edges,
     patch_systems,
@@ -57,7 +57,7 @@ def bending_case(mat):
 
 def one_patch_system(mesh, mat, cell, kind, displacement, body_force=None):
     """Centre, scale, load sample, H and g of the one patch centred on `cell`."""
-    system = patch_systems(mesh, mat, [build_patch(mesh, cell, kind)], displacement, body_force)
+    system = patch_systems(mesh, mat, build_patch(mesh, [cell], kind), displacement, body_force)
     return tuple(a[0] for a in system)
 
 
@@ -134,14 +134,14 @@ class TestParticularSolution:
 class TestPatchSystem:
     def test_h_constant_block_on_unit_square(self, mat):
         mesh = centered_square_mesh()
-        _, _, _, H, _ = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, np.zeros(8))
+        _, _, _, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
         np.testing.assert_allclose(H[:3, :3], compliance_matrix(mat), atol=1e-14)
 
     def test_h_symmetric(self, mat):
         mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=3)
         for ci in (0, 3):
             _, _, _, H, _ = one_patch_system(
-                mesh, mat, ci, PatchKind.PATCH1, np.zeros(2 * mesh.num_vertices)
+                mesh, mat, ci, "rcp1", np.zeros(2 * mesh.num_vertices)
             )
             np.testing.assert_allclose(H, H.T, atol=1e-13 * np.abs(H).max())
 
@@ -150,10 +150,9 @@ class TestPatchSystem:
         case = manufactured_case("b", mat)
         for family, seed in ((MeshFamily.POLY_U, 5), (MeshFamily.CONC_U, 2)):
             mesh = generate_mesh(family, 2, seed=seed)
-            patch = build_patch(mesh, 1, PatchKind.PATCH1)
             u = np.zeros(2 * mesh.num_vertices)
             center, scale, b, H, g = one_patch_system(
-                mesh, mat, 1, PatchKind.PATCH1, u, case.body_force
+                mesh, mat, 1, "rcp1", u, case.body_force
             )
             np.testing.assert_allclose(b, case.body_force(*center))
 
@@ -169,7 +168,7 @@ class TestPatchSystem:
 
             H_ref = np.zeros((7, 7))
             load_ref = np.zeros(7)
-            for ci in patch.member_cells:
+            for ci in vertex_patch_per_cell(mesh, 1):
                 coords = mesh.cell_coords(ci)
                 for tri in ear_clip_per_cell(coords):
                     corners = coords[list(tri)]
@@ -185,7 +184,7 @@ class TestPatchSystem:
     def test_conditioning_guard(self, mat):
         # on a 1 x 1e-7 sliver the eta-linear modes are numerically invisible
         mesh = single_cell_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-7), (0.0, 1e-7)])
-        _, _, _, H, g = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, np.ones(8))
+        _, _, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", np.ones(8))
         _, failed = solve_patches(H[None], g[None])
         assert failed.tolist() == [True]
         with pytest.raises(RecoveryConditioningError):
@@ -209,7 +208,7 @@ class TestComputeG:
     def test_zero_displacement_zero_force(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
         *_, g = one_patch_system(
-            mesh, mat, 4, PatchKind.PATCH1, np.zeros(2 * mesh.num_vertices)
+            mesh, mat, 4, "rcp1", np.zeros(2 * mesh.num_vertices)
         )
         np.testing.assert_array_equal(g, 0.0)
 
@@ -217,14 +216,14 @@ class TestComputeG:
         mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=2)
         u = np.zeros(2 * mesh.num_vertices)
         u[0::2] = 1.0  # unit x translation everywhere
-        *_, g = one_patch_system(mesh, mat, 4, PatchKind.PATCH1, u)
+        *_, g = one_patch_system(mesh, mat, 4, "rcp1", u)
         np.testing.assert_allclose(g[:3], 0.0, atol=1e-14)
 
 
 class TestSolvePatch:
     def test_zero_rhs(self, mat):
         mesh = centered_square_mesh()
-        _, _, _, H, _ = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, np.zeros(8))
+        _, _, _, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
         betas, failed = solve_patches(H[None], np.zeros((1, 7)))
         np.testing.assert_array_equal(betas, 0.0)
         assert not failed.any()
@@ -240,7 +239,7 @@ class TestSolvePatch:
             )
 
         mesh = centered_square_mesh()
-        _, _, _, H, g = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, displacement)
+        _, _, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
         (beta,), failed = solve_patches(H[None], g[None])
         assert not failed.any()
         np.testing.assert_allclose(beta[:3], sigma, atol=1e-9)
@@ -250,7 +249,7 @@ class TestSolvePatch:
         displacement, stress = bending_case(mat)
         pts = 0.5 * np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) + np.array([0.25, -0.4])
         mesh = single_cell_mesh(pts)
-        center, scale, _, H, g = one_patch_system(mesh, mat, 0, PatchKind.PATCH0, displacement)
+        center, scale, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
         (beta,), failed = solve_patches(H[None], g[None])
         assert not failed.any()
         probe = rng.uniform(-0.2, 0.2, size=(20, 2)) + np.array([0.25, -0.4])
@@ -305,9 +304,9 @@ class TestRecoverField:
 
         def singular_H(mesh_, material, patches, displacement, body_force):
             system = original(mesh_, material, patches, displacement, body_force)
-            for k, patch in enumerate(patches):
-                if patch.central_cell == 1 and len(patch.member_cells) > 1:
-                    system.H[k, 6, :] = system.H[k, :, 6] = 0.0  # forced
+            # The full fit requests every cell in order, so patch 1 is centred on cell 1.
+            if np.count_nonzero(patches.owner == 1) > 1:
+                system.H[1, 6, :] = system.H[1, :, 6] = 0.0  # forced
             return system
 
         monkeypatch.setattr(rec, "patch_systems", singular_H)
@@ -407,20 +406,19 @@ class TestOuterEdges:
         for ci, cell in enumerate(mesh.cells):
             for i, j in zip(cell.tolist(), np.roll(cell, -1).tolist()):
                 edge_map.setdefault((min(i, j), max(i, j)), []).append(ci)
-        patches = [build_patch(mesh, ci, PatchKind.PATCH1) for ci in range(mesh.num_cells)]
-        owner = np.repeat(np.arange(len(patches)), [len(p.member_cells) for p in patches])
-        member = np.concatenate([p.member_cells for p in patches])
+        owner, member = build_patch(mesh, np.arange(mesh.num_cells), "rcp1")
         patch, edge, outer = patch_edges(mesh, owner, member)
         patch, edge = patch[outer], edge[outer]
         first = np.cumsum([0] + [len(c) for c in mesh.cells[:-1]])
         expected = set()
-        for k, p in enumerate(patches):
-            for ci in p.member_cells:
+        for k in range(mesh.num_cells):
+            members = vertex_patch_per_cell(mesh, k).tolist()
+            for ci in members:
                 cell = mesh.cells[ci]
                 for e in range(len(cell)):
                     i, j = sorted((int(cell[e]), int(cell[(e + 1) % len(cell)])))
                     users = edge_map[(i, j)]
-                    if all(uc == ci or uc not in p.member_cells for uc in users):
+                    if all(uc == ci or uc not in members for uc in users):
                         expected.add((k, int(first[ci]) + e))
         assert len(patch) == len(expected)
         assert set(zip(patch.tolist(), edge.tolist())) == expected
