@@ -13,8 +13,7 @@ import numpy as np
 
 from .cases import CASE_IDS, manufactured_case
 from .material import LameMaterial, von_mises
-from .mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, load_mesh
-from .mesh import cell_records, shoelace, vertex_count_groups
+from .mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, cell_records, load_mesh
 from .recovery import RecoveryConditioningError, evaluate_recovered_stress
 from .study import (
     METHODS,
@@ -193,10 +192,7 @@ def write_vtk(mesh: PolygonalMesh, cell_fields: dict, path) -> None:
 
 def _von_mises_fields(result, material, methods) -> dict:
     mesh = result.mesh
-    cells = np.arange(mesh.num_cells)
-    centroids = np.empty((mesh.num_cells, 2))
-    for group, idx in vertex_count_groups(mesh):
-        centroids[group] = shoelace(mesh.vertices[idx])[1]
+    cells, centroids = np.arange(mesh.num_cells), mesh.centroids
     fields = {}
     if "vem" in methods:
         fields["vm_vem"] = von_mises(result.cell_stresses, material)

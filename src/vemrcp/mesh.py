@@ -7,9 +7,10 @@ to the next has the global id offsets[ci] + k. The vertex-to-cell map is a
 second such pair: the cells around vertex v, in cell order, are
 vertex_cell_ids[vertex_offsets[v]:vertex_offsets[v + 1]]. All derived
 topology (edge incidence, neighbours, boundary flags, the vertex-to-cell map)
-is built once at construction. Only the per-cell quadrature rules are cached
-lazily on the instance, so a mesh is not safe to share between threads
-without a lock.
+and the cell moments of degree <= 2 (area, centroid, central second moments,
+in closed form from the vertices) are built once at construction. Only the
+per-cell quadrature rules are cached lazily on the instance, so a mesh is not
+safe to share between threads without a lock.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class PolygonalMesh:
     appearance, `edges` holds the (lo, hi) vertex pair and `edge_uses` how
     many cell edges run lo -> hi and hi -> lo. Boundary vertex flags are
     always recomputed from edge incidence, never taken on trust from a file
-    or generator.
+    or generator. Per cell, `areas`, `centroids` and `second_moments` (the
+    2x2 integral of (x - c)(x - c)^T about the centroid c) are exact.
     """
 
     def __init__(self, vertices: np.ndarray, cells, family: MeshFamily):
@@ -106,8 +108,10 @@ class PolygonalMesh:
         out_of_range = (idx < 0) | (idx >= nv)
         order = np.lexsort((idx, cell_of))
         same = (np.diff(idx[order]) == 0) & (np.diff(cell_of[order]) == 0)
+        # Moments are edge sums on coordinates local to each cell, so a far origin costs no digits.
         xy = vertices[np.where(out_of_range, 0, idx)]
-        cross = xy[:, 0] * xy[succ, 1] - xy[succ, 0] * xy[:, 1]
+        local = xy - xy[self.offsets[cell_of]]
+        cross = local[:, 0] * local[succ, 1] - local[succ, 0] * local[:, 1]
         area = 0.5 * np.add.reduceat(np.append(cross, 0.0), self.offsets[:-1])
         failed = np.zeros((len(_CELL_CHECKS), nc), dtype=bool)
         failed[0] = counts < 3
@@ -117,6 +121,15 @@ class PolygonalMesh:
         if failed.any():
             ci = int(np.argmax(failed.any(axis=0)))
             raise MeshError(f"cell {ci} {_CELL_CHECKS[np.argmax(failed[:, ci])]}")
+        starts = self.offsets[:-1]
+        first = np.add.reduceat((local + local[succ]) * cross[:, None], starts)
+        self.areas, self.centroids = area, xy[starts] + first / (6.0 * area[:, None])
+        d = xy - self.centroids[cell_of]
+        x, y, xn, yn = d[:, 0], d[:, 1], d[succ, 0], d[succ, 1]
+        terms = np.column_stack([2.0 * (x * x + x * xn + xn * xn), x * yn + 2.0 * (x * y + xn * yn)
+                                 + xn * y, 2.0 * (y * y + y * yn + yn * yn)])
+        second = np.add.reduceat((x * yn - xn * y)[:, None] * terms, starts) / 24.0
+        self.second_moments = second[:, [0, 1, 1, 2]].reshape(nc, 2, 2)
 
         # Edge incidence: one unique pass over the sorted (lo, hi) key of every cell edge.
         self.edge_ends = ends = idx[succ]
@@ -144,7 +157,8 @@ class PolygonalMesh:
         self.vertex_cell_ids = cell_of[np.argsort(idx, kind="stable")]
         for arr in (self.vertices, self.offsets, idx, ends, self.edge_neighbors,
                     self.boundary_vertex_flags, self.edges, self.edge_uses,
-                    self.vertex_offsets, self.vertex_cell_ids):
+                    self.vertex_offsets, self.vertex_cell_ids, self.areas,
+                    self.centroids, self.second_moments):
             arr.setflags(write=False)
         bounds = self.offsets.tolist()
         self.cells = [idx[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -278,13 +292,10 @@ def validate_mesh(mesh: PolygonalMesh) -> ValidationReport:
     """
     errors: list[str] = []
     # Cell areas are positive: the constructor rejects any other cell.
-    area_sum = 0.0
-    crossing = []
-    for cells, idx in vertex_count_groups(mesh):
-        pts = mesh.vertices[idx]
-        area_sum += float(shoelace(pts)[0].sum())
-        crossing.append(cells[_crossing_cells(pts)])
-    for ci in np.sort(np.concatenate(crossing)):
+    area_sum = float(mesh.areas.sum())
+    groups = vertex_count_groups(mesh)
+    crossing = np.concatenate([cells[_crossing_cells(mesh.vertices[idx])] for cells, idx in groups])
+    for ci in np.sort(crossing):
         errors.append(f"cell {ci}: self-intersecting boundary")
 
     users = mesh.edge_uses.sum(axis=1)

@@ -2,8 +2,7 @@
 
 The first rule asked of a mesh fills the rules of all its cells, one stacked
 ear clip per vertex-count group, and caches them on the mesh by cell id, so
-repeated integrations (stiffness checks, recovery systems, error norms) reuse
-them.
+repeated integrations (error norms of several methods) reuse them.
 """
 
 from __future__ import annotations

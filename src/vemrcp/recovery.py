@@ -12,10 +12,11 @@ Modes are expressed in patch-local coordinates (xi, eta), shifted to the
 area-weighted patch centroid and scaled by the diagonal of the patch's
 bounding box, to keep the 7x7 systems uniformly conditioned. There the mode matrix is
 P = MODES[0] + xi MODES[1] + eta MODES[2], so the moments of (1, xi, eta)
-over a patch, summed from per-cell area, centroid and central second moments
-by the parallel-axis identity, give the compliance matrix H and the
-particular-stress work exactly. The boundary work uses two Gauss points per
-outer edge, and all patches of a mesh are solved as one stack.
+over a patch give the compliance matrix H and the particular-stress work
+exactly. They are summed by the parallel-axis identity from the closed-form
+area, centroid and central second moments that the mesh stores per cell, so
+recovery needs no quadrature and no triangulation. The boundary work uses two
+Gauss points per outer edge, and all patches of a mesh are solved as one stack.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
@@ -33,7 +34,8 @@ import numpy as np
 
 from .material import LameMaterial, compliance_matrix
 from .mesh import PolygonalMesh
-from .quadrature import cell_quadrature
+# Unused here; kept only because the benchmark's span tracer wraps recovery.cell_quadrature.
+from .quadrature import cell_quadrature  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -121,20 +123,6 @@ def build_patch(mesh: PolygonalMesh, cells, kind: str) -> Patches:
     return Patches(owner, member)
 
 
-def _cell_moments(mesh: PolygonalMesh):
-    """Area, centroid and central second moments (2x2) of every cell, exact by the cell rule."""
-    nc = mesh.num_cells
-    rules = [cell_quadrature(mesh, ci) for ci in range(nc)]
-    cell = np.repeat(np.arange(nc), [len(w) for _, w in rules])
-    pts = np.concatenate([p for p, _ in rules])
-    w = np.concatenate([w for _, w in rules])
-    area = np.bincount(cell, w, minlength=nc)
-    centroid = _sum_by(cell, w[:, None] * pts, nc) / area[:, None]
-    d = pts - centroid[cell]
-    second = _sum_by(cell, w[:, None, None] * d[:, :, None] * d[:, None, :], nc)
-    return area, centroid, second
-
-
 def patch_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
     """Edges of the member cells of patches given as (patch, member cell) pairs.
 
@@ -167,7 +155,7 @@ def patch_systems(
     """
     owner, member = patches
     npatch = int(owner[-1]) + 1
-    area, centroid, second = _cell_moments(mesh)
+    area, centroid, second = mesh.areas, mesh.centroids, mesh.second_moments
 
     # The edges of a patch are contiguous; their start vertices are its member vertices.
     edge_owner, edge, outer = patch_edges(mesh, owner, member)

@@ -131,8 +131,6 @@ def assemble_global(
     """
     ndof = 2 * mesh.num_vertices
     C = elastic_matrix(material)
-    area = np.empty(mesh.num_cells)
-    centroid = np.empty((mesh.num_cells, 2))
     rows, cols, vals, groups = [], [], [], []
     for cells, idx in vertex_count_groups(mesh):
         ops = element_matrices(mesh.vertices[idx], cells, C, stabilization_scale)
@@ -141,7 +139,6 @@ def assemble_global(
         rows.append(np.repeat(dofs, m, axis=1).ravel())
         cols.append(np.tile(dofs, m).ravel())
         vals.append((ops.Kc + ops.Ks).ravel())
-        area[cells], centroid[cells] = ops.area, ops.centroid
         groups.append((cells, dofs, ops.Pi_m))
     K = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -149,11 +146,12 @@ def assemble_global(
     ).tocsr()
     f = np.zeros(ndof)
     if body_force is not None:
+        centroid = mesh.centroids
         b = np.asarray(body_force(centroid[:, 0], centroid[:, 1]), dtype=float)
         b = np.broadcast_to(b, (mesh.num_cells, 2))
         for cells, dofs, _ in groups:
             n = dofs.shape[1] // 2
-            np.add.at(f, dofs, np.tile(b[cells] * (area[cells, None] / n), n))
+            np.add.at(f, dofs, np.tile(b[cells] * (mesh.areas[cells, None] / n), n))
     return GlobalSystem(matrix=K, rhs=f, groups=groups)
 
 

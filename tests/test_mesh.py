@@ -1,6 +1,7 @@
 """Geometry, generator, patch, validation, and file-format tests."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from vemrcp.mesh import (
     validate_mesh,
     vertex_count_groups,
 )
+from vemrcp.quadrature import cell_quadrature
 from vemrcp.recovery import build_patch
 from vemrcp.vem import compute_B
 
@@ -97,6 +99,54 @@ class TestPolygonGeometry:
             weighted += area * (a + b + c) / 3.0
         np.testing.assert_allclose(cell_centroid(mesh, 0), weighted / total_area, atol=1e-14)
         np.testing.assert_allclose(cell_centroid(mesh, 0), [5 / 12, 5 / 12])
+
+
+class TestCellMoments:
+    """The closed-form moments stored at construction."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_match_shoelace_and_quadrature(self, family):
+        mesh = generate_mesh(family, 8, seed=0)
+        for cells, idx in vertex_count_groups(mesh):
+            area, centroid = shoelace(mesh.vertices[idx])
+            np.testing.assert_allclose(mesh.areas[cells], area, rtol=1e-12)
+            np.testing.assert_allclose(mesh.centroids[cells], centroid, rtol=0, atol=1e-12)
+        for ci in range(mesh.num_cells):
+            pts, w = cell_quadrature(mesh, ci)
+            area = w.sum()
+            centroid = w @ pts / area
+            d = pts - centroid
+            second = np.einsum("m,mi,mj->ij", w, d, d)
+            assert mesh.areas[ci] == pytest.approx(area, rel=1e-14)
+            np.testing.assert_allclose(mesh.centroids[ci], centroid, rtol=0,
+                                       atol=1e-13 * np.sqrt(area))
+            np.testing.assert_allclose(mesh.second_moments[ci], second, rtol=0,
+                                       atol=1e-12 * np.abs(second).max())
+
+    def test_l_shape_second_moments(self):
+        # Three unit squares with centres c_k, about the centroid c = (5/6, 5/6):
+        # I = sum_k (I_square + (c_k - c)(c_k - c)^T), I_square = I / 12.
+        coords = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+        mesh = single_cell_mesh(coords)
+        ixx, ixy = 3 / 12 + 6 / 9, -1 / 3
+        np.testing.assert_allclose(mesh.centroids[0], [5 / 6, 5 / 6], atol=1e-15)
+        np.testing.assert_allclose(mesh.second_moments[0], [[ixx, ixy], [ixy, ixx]], atol=1e-14)
+
+    def test_far_origin_costs_no_digits(self):
+        mesh = generate_mesh(MeshFamily.QUAD_U, 8, seed=0)
+        shift = np.array([1e4, -1e4])
+        far = PolygonalMesh(mesh.vertices + shift, mesh.cells, MeshFamily.EXTERNAL)
+        np.testing.assert_allclose(far.areas, mesh.areas, rtol=1e-9)
+        np.testing.assert_allclose(far.centroids - shift, mesh.centroids, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(far.second_moments, mesh.second_moments, rtol=0,
+                                   atol=1e-9 * np.abs(mesh.second_moments).max())
+
+    def test_read_only(self):
+        mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=0)
+        for arr in (mesh.areas, mesh.centroids, mesh.second_moments):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestOutwardNormal:
@@ -593,6 +643,21 @@ class TestMeshFile:
             load_mesh(path)
         except MeshError:
             pass
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=mutated_pmesh())
+    def test_near_degenerate_cells_give_finite_moments(self, tmp_path_factory, data):
+        # The fuzzed two-triangle files include slivers and cells with 1e20 coordinates.
+        path = tmp_path_factory.getbasetemp() / "moments.pmesh"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                mesh = load_mesh(path)
+            except MeshError:
+                return
+        assert (mesh.areas > 0.0).all()
+        assert np.isfinite(mesh.centroids).all() and np.isfinite(mesh.second_moments).all()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.pmesh"

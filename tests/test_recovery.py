@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import single_cell_mesh
 from oracles import (
@@ -14,10 +16,11 @@ from oracles import (
 )
 from vemrcp.cases import manufactured_case
 from vemrcp.generators import generate_mesh
-from vemrcp.material import compliance_matrix
-from vemrcp.mesh import MeshFamily, PolygonalMesh, shoelace
+from vemrcp.material import LameMaterial, compliance_matrix
+from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, shoelace
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import (
+    RECOVERY_KINDS,
     RecoveredStressField,
     RecoveryConditioningError,
     build_patch,
@@ -394,6 +397,28 @@ class TestFrameInvariance:
                 sa = evaluate_recovered_stress(field_a, ci, pts)
                 sb = evaluate_recovered_stress(field_b, ci, pts + shift)
                 np.testing.assert_allclose(sa, sb, atol=1e-8)
+
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        family=st.sampled_from(GENERATED_FAMILIES),
+        kind=st.sampled_from(RECOVERY_KINDS),
+        shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        scale=st.floats(1e-2, 1e2),
+    )
+    def test_similarity_moves_stress_by_the_scale_only(self, family, kind, shift, scale):
+        # x -> scale x + shift with the same vertex displacements divides every strain by scale.
+        mat = LameMaterial(1.0, 1.0)
+        mesh = generate_mesh(family, 4, seed=0)
+        moved = PolygonalMesh(scale * mesh.vertices + shift, mesh.cells, mesh.family)
+        u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
+        cells = np.arange(mesh.num_cells)
+        before = evaluate_recovered_stress(recover_field(mesh, mat, u, None, kind), cells,
+                                           mesh.centroids)
+        after = evaluate_recovered_stress(recover_field(moved, mat, u, None, kind), cells,
+                                          moved.centroids)
+        np.testing.assert_allclose(scale * after, before, rtol=0,
+                                   atol=1e-9 * np.abs(before).max())
 
 
 class TestOuterEdges:
