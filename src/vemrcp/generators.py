@@ -8,6 +8,7 @@ generated mesh is validated before it is returned.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -272,33 +273,14 @@ def _poly_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
     num = n * n
     seeds = rng.uniform(0.05, 0.95, size=(num, 2))
     for _ in range(30):
-        vor = _mirrored_voronoi(seeds)
-        new_seeds = np.empty_like(seeds)
-        for k in range(num):
-            region = vor.regions[vor.point_region[k]]
-            if -1 in region or not region:
-                raise GenerationError("poly-u: unbounded Voronoi region during relaxation")
-            new_seeds[k] = shoelace(_ordered_region(vor, region))[1]
-        seeds = np.clip(new_seeds, 1e-9, 1.0 - 1e-9)
-
+        seeds = np.clip(_ordered_regions(_mirrored_voronoi(seeds), num)[2], 1e-9, 1.0 - 1e-9)
     vor = _mirrored_voronoi(seeds)
-    used: dict[int, int] = {}
-    points: list[np.ndarray] = []
-    cells = []
-    for k in range(num):
-        region = vor.regions[vor.point_region[k]]
-        if -1 in region or len(region) < 3:
-            raise GenerationError(f"poly-u: degenerate region for seed {k}")
-        order = _region_order(vor.vertices[region])
-        cell = []
-        for local in order:
-            vid = region[local]
-            if vid not in used:
-                used[vid] = len(points)
-                points.append(vor.vertices[vid])
-            cell.append(used[vid])
-        cells.append(cell)
-    return np.array(points), cells
+    offsets, ids, _ = _ordered_regions(vor, num)
+    # Number the Voronoi vertices in order of first use.
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return vor.vertices[ids[np.sort(first)]], np.split(rank[inverse], offsets[1:-1])
 
 
 def _mirrored_voronoi(seeds: np.ndarray) -> Voronoi:
@@ -309,12 +291,29 @@ def _mirrored_voronoi(seeds: np.ndarray) -> Voronoi:
     return Voronoi(np.vstack([seeds, left, right, bottom, top]))
 
 
-def _region_order(coords: np.ndarray) -> np.ndarray:
-    center = coords.mean(axis=0)
-    ang = np.arctan2(coords[:, 1] - center[1], coords[:, 0] - center[0])
-    return np.argsort(ang)
+def _ordered_regions(vor: Voronoi, num: int):
+    """The regions of the first `num` input points as one ragged pair and their centroids.
 
-
-def _ordered_region(vor: Voronoi, region: list) -> np.ndarray:
-    coords = vor.vertices[region]
-    return coords[_region_order(coords)]
+    Returns offsets (num + 1,), Voronoi vertex ids with each region's cycle
+    sorted by angle about its vertex mean (counterclockwise), and the
+    (num, 2) region centroids; the regions are sorted one vertex-count group
+    at a time.
+    """
+    regions = [vor.regions[r] for r in vor.point_region[:num]]
+    counts = np.fromiter(map(len, regions), dtype=np.int64, count=num)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64, count=offsets[-1])
+    bad = np.union1d(np.flatnonzero(counts < 3), np.repeat(np.arange(num), counts)[ids < 0])
+    if len(bad):
+        raise GenerationError(f"poly-u: unbounded or degenerate Voronoi region for seed {bad[0]}")
+    centroids = np.empty((num, 2))
+    for m in np.unique(counts):
+        cells = np.flatnonzero(counts == m)
+        pos = offsets[cells, None] + np.arange(m)
+        coords = vor.vertices[ids[pos]]
+        center = coords.mean(axis=1, keepdims=True)
+        ang = np.arctan2(coords[..., 1] - center[..., 1], coords[..., 0] - center[..., 0])
+        order = np.argsort(ang, axis=1)
+        ids[pos] = np.take_along_axis(ids[pos], order, axis=1)
+        centroids[cells] = shoelace(np.take_along_axis(coords, order[..., None], axis=1))[1]
+    return offsets, ids, centroids

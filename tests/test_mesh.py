@@ -15,7 +15,15 @@ from oracles import (
     random_simple_polygon,
     vertex_patch_per_cell,
 )
-from vemrcp.generators import _merge_points, generate_mesh
+from scipy.spatial import Voronoi
+
+from vemrcp.generators import (
+    GenerationError,
+    _merge_points,
+    _mirrored_voronoi,
+    _ordered_regions,
+    generate_mesh,
+)
 from vemrcp.mesh import (
     GENERATED_FAMILIES,
     MeshError,
@@ -255,6 +263,23 @@ class TestTriangulation:
 
 
 class TestGenerators:
+    def test_ordered_regions_match_per_region_loop(self):
+        seeds = np.random.default_rng(3).uniform(0.05, 0.95, size=(40, 2))
+        vor = _mirrored_voronoi(seeds)
+        offsets, ids, centroids = _ordered_regions(vor, len(seeds))
+        for k in range(len(seeds)):
+            region = np.array(vor.regions[vor.point_region[k]])
+            coords = vor.vertices[region]
+            center = coords.mean(axis=0)
+            order = np.argsort(np.arctan2(coords[:, 1] - center[1], coords[:, 0] - center[0]))
+            np.testing.assert_array_equal(ids[offsets[k]:offsets[k + 1]], region[order])
+            np.testing.assert_array_equal(centroids[k], shoelace(coords[order])[1])
+
+    def test_unbounded_region_named(self):
+        vor = Voronoi(np.random.default_rng(3).uniform(size=(12, 2)))
+        with pytest.raises(GenerationError, match="unbounded or degenerate Voronoi region"):
+            _ordered_regions(vor, 12)
+
     def test_quad_s_n2(self):
         mesh = generate_mesh(MeshFamily.QUAD_S, 2, seed=0)
         assert mesh.num_cells == 4
