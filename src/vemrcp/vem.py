@@ -155,31 +155,32 @@ def assemble_global(
     return GlobalSystem(matrix=K, rhs=f, groups=groups)
 
 
-def apply_dirichlet(system: GlobalSystem, boundary_values: dict) -> ConstrainedSystem:
+def apply_dirichlet(system: GlobalSystem, vertices, values) -> ConstrainedSystem:
     """Eliminate prescribed vertex displacements from the assembled system.
 
-    boundary_values maps vertex index -> (u, v). The right-hand side of the
-    remaining free block absorbs the coupling term.
+    `vertices` is an index array and `values` the (m, 2) prescribed (u, v)
+    of each. The right-hand side of the remaining free block absorbs the
+    coupling term.
     """
-    if not boundary_values:
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if len(vertices) == 0:
         raise ValueError("empty Dirichlet set leaves the rigid modes unconstrained")
     ndof = system.ndof
+    dofs = np.stack([2 * vertices, 2 * vertices + 1], axis=-1)
     fixed_mask = np.zeros(ndof, dtype=bool)
-    values = np.zeros(ndof)
-    for v, (u_val, v_val) in boundary_values.items():
-        fixed_mask[2 * v] = fixed_mask[2 * v + 1] = True
-        values[2 * v] = u_val
-        values[2 * v + 1] = v_val
+    fixed_mask[dofs] = True
+    prescribed = np.zeros(ndof)
+    prescribed[dofs] = values
     fixed = np.nonzero(fixed_mask)[0]
     free = np.nonzero(~fixed_mask)[0]
     K = system.matrix
-    rhs = system.rhs[free] - K[free][:, fixed] @ values[fixed]
+    rhs = system.rhs[free] - K[free][:, fixed] @ prescribed[fixed]
     return ConstrainedSystem(
         matrix=K[free][:, free].tocsr(),
         rhs=rhs,
         free=free,
         fixed=fixed,
-        fixed_values=values[fixed],
+        fixed_values=prescribed[fixed],
         ndof=ndof,
     )
 
@@ -190,7 +191,7 @@ def solve_system(constrained: ConstrainedSystem) -> np.ndarray:
     u[constrained.fixed] = constrained.fixed_values
     if len(constrained.free) == 0:
         return u
-    x = spsolve(constrained.matrix, constrained.rhs)
+    x = spsolve(constrained.matrix, constrained.rhs, permc_spec="MMD_AT_PLUS_A")
     residual = np.linalg.norm(constrained.matrix @ x - constrained.rhs)
     denom = np.linalg.norm(constrained.rhs)
     rel = residual / denom if denom > 0.0 else residual
@@ -220,14 +221,13 @@ def solve_dirichlet_problem(
     """Assemble, constrain every boundary vertex, and solve.
 
     body_force is None or a vectorized callable b(x, y) -> (m, 2), called once
-    at all cell centroids (see `assemble_global`). boundary_displacement(x, y)
-    must return the prescribed (u, v) pair; it is evaluated at each boundary
-    vertex.
+    at all cell centroids (see `assemble_global`). boundary_displacement is a
+    vectorized callable u(x, y) -> (m, 2) too, called once at all boundary
+    vertices.
     """
     system = assemble_global(mesh, material, body_force, stabilization_scale)
-    values = {}
-    for v in mesh.boundary_vertices():
-        x, y = mesh.vertices[v]
-        values[int(v)] = np.asarray(boundary_displacement(x, y), dtype=float).reshape(2)
-    constrained = apply_dirichlet(system, values)
+    boundary = mesh.boundary_vertices()
+    x, y = mesh.vertices[boundary].T
+    values = np.asarray(boundary_displacement(x, y), dtype=float).reshape(-1, 2)
+    constrained = apply_dirichlet(system, boundary, values)
     return solve_system(constrained), system

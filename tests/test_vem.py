@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import MatrixRankWarning
 
 from conftest import single_cell_mesh
 from oracles import cst_solve
@@ -10,7 +12,9 @@ from vemrcp.material import elastic_matrix
 from vemrcp.mesh import MeshFamily, shoelace
 from vemrcp.study import linear_patch_case
 from vemrcp.vem import (
+    ConstrainedSystem,
     ElementMatrices,
+    SolveError,
     apply_dirichlet,
     assemble_global,
     compute_B,
@@ -206,32 +210,38 @@ class TestAssemblyAndSolve:
     def test_empty_dirichlet_rejected(self, unit_square_mesh, mat):
         system = assemble_global(unit_square_mesh, mat)
         with pytest.raises(ValueError, match="Dirichlet"):
-            apply_dirichlet(system, {})
+            apply_dirichlet(system, [], np.zeros((0, 2)))
 
     def test_zero_boundary_keeps_rhs(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
         body = lambda x, y: (1.0, -2.0)
         system = assemble_global(mesh, mat, body)
-        constrained = apply_dirichlet(
-            system, {int(v): (0.0, 0.0) for v in mesh.boundary_vertices()}
-        )
+        boundary = mesh.boundary_vertices()
+        constrained = apply_dirichlet(system, boundary, np.zeros((len(boundary), 2)))
         np.testing.assert_array_equal(constrained.rhs, system.rhs[constrained.free])
 
     def test_fully_constrained_single_cell(self, unit_square_mesh, mat):
         system = assemble_global(unit_square_mesh, mat)
-        values = {v: (0.1 * v, -0.2 * v) for v in range(4)}
-        constrained = apply_dirichlet(system, values)
+        vertices = np.arange(4)
+        constrained = apply_dirichlet(system, vertices, np.outer(vertices, [0.1, -0.2]))
         assert len(constrained.free) == 0
         u = solve_system(constrained)
         for v in range(4):
             np.testing.assert_allclose(u[2 * v : 2 * v + 2], [0.1 * v, -0.2 * v])
 
+    def test_singular_block_fails_residual_check(self):
+        constrained = ConstrainedSystem(
+            matrix=sp.csr_matrix((2, 2)), rhs=np.ones(2), free=np.arange(2),
+            fixed=np.arange(0), fixed_values=np.zeros(0), ndof=2,
+        )
+        with pytest.warns(MatrixRankWarning), pytest.raises(SolveError, match="residual"):
+            solve_system(constrained)
+
     def test_zero_everything_gives_zero(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
         system = assemble_global(mesh, mat)
-        constrained = apply_dirichlet(
-            system, {int(v): (0.0, 0.0) for v in mesh.boundary_vertices()}
-        )
+        boundary = mesh.boundary_vertices()
+        constrained = apply_dirichlet(system, boundary, np.zeros((len(boundary), 2)))
         np.testing.assert_array_equal(solve_system(constrained), 0.0)
 
 
