@@ -122,12 +122,14 @@ class PolygonalMesh:
             ci = int(np.argmax(failed.any(axis=0)))
             raise MeshError(f"cell {ci} {_CELL_CHECKS[np.argmax(failed[:, ci])]}")
         starts = self.offsets[:-1]
-        first = np.add.reduceat((local + local[succ]) * cross[:, None], starts)
-        self.areas, self.centroids = area, xy[starts] + first / (6.0 * area[:, None])
-        d = xy - self.centroids[cell_of]
-        x, y, xn, yn = d[:, 0], d[:, 1], d[succ, 0], d[succ, 1]
-        terms = np.column_stack([2.0 * (x * x + x * xn + xn * xn), x * yn + 2.0 * (x * y + xn * yn)
-                                 + xn * y, 2.0 * (y * y + y * yn + yn * yn)])
+        moment = np.add.reduceat((local + local[succ]) * cross[:, None], starts)
+        self.areas, self.centroids = area, xy[starts] + moment / (6.0 * area[:, None])
+        # Central second moments: the same kind of edge sums, relative to the centroid.
+        x, y = (xy - self.centroids[cell_of]).T
+        xn, yn = x[succ], y[succ]
+        terms = np.column_stack([2.0 * (x * x + x * xn + xn * xn),
+                                 x * yn + 2.0 * (x * y + xn * yn) + xn * y,
+                                 2.0 * (y * y + y * yn + yn * yn)])
         second = np.add.reduceat((x * yn - xn * y)[:, None] * terms, starts) / 24.0
         self.second_moments = second[:, [0, 1, 1, 2]].reshape(nc, 2, 2)
 
