@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Voronoi
 
 from conftest import single_cell_mesh
 from oracles import (
@@ -15,8 +16,6 @@ from oracles import (
     random_simple_polygon,
     vertex_patch_per_cell,
 )
-from scipy.spatial import Voronoi
-
 from vemrcp.generators import (
     GenerationError,
     _merge_points,
@@ -132,8 +131,8 @@ class TestCellMoments:
                                        atol=1e-12 * np.abs(second).max())
 
     def test_l_shape_second_moments(self):
-        # Three unit squares with centres c_k, about the centroid c = (5/6, 5/6):
-        # I = sum_k (I_square + (c_k - c)(c_k - c)^T), I_square = I / 12.
+        # Three unit squares with centres c_k, each with central moments diag(1/12, 1/12):
+        # about the centroid c = (5/6, 5/6), I = sum_k (diag(1/12, 1/12) + (c_k - c)(c_k - c)^T).
         coords = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
         mesh = single_cell_mesh(coords)
         ixx, ixy = 3 / 12 + 6 / 9, -1 / 3

@@ -398,7 +398,6 @@ class TestFrameInvariance:
                 sb = evaluate_recovered_stress(field_b, ci, pts + shift)
                 np.testing.assert_allclose(sa, sb, atol=1e-8)
 
-
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
         family=st.sampled_from(GENERATED_FAMILIES),
