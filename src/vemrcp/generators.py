@@ -3,13 +3,14 @@
 Structured families (tri-s, quad-s, hex-s, conc-s) are fully deterministic
 and ignore the seed; unstructured ones (tri-u, quad-u, poly-u, conc-u) are
 deterministic for a fixed (family, subdivisions, seed) triple. Every
-generated mesh is validated before it is returned.
+generated mesh is validated before it is returned. The Poisson-disk
+sampling of tri-u is the one per-point Python loop left; hex-s clips its
+whole hexagon lattice at once, one array step per side of the square.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 
 import numpy as np
 from scipy.spatial import Delaunay, Voronoi, cKDTree
@@ -19,6 +20,7 @@ from .mesh import (
     MeshError,
     MeshFamily,
     PolygonalMesh,
+    cycle_successor,
     shoelace,
     validate_mesh,
 )
@@ -135,44 +137,43 @@ def _hex_structured(n: int, rng) -> tuple[np.ndarray, list]:
     angles = np.deg2rad(np.arange(0.0, 360.0, 60.0))
     hex_offsets = radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
-    polygons = []
     i_max = int(np.ceil(1.0 / (1.5 * radius))) + 1
     j_max = int(np.ceil(1.0 / row_h)) + 1
-    for i in range(-1, i_max + 1):
-        cx = 1.5 * radius * i
-        y_off = 0.5 * row_h if i % 2 else 0.0
-        for j in range(-1, j_max + 1):
-            cy = row_h * j + y_off + shift
-            poly = np.array([cx, cy]) + hex_offsets
-            clipped = _clip_to_unit_square(poly)
-            if clipped is None or len(clipped) < 3:
-                continue
-            polygons.append(clipped)
-    points, ids = _merge_points(np.concatenate(polygons))
-    return points, np.split(ids, np.cumsum([len(p) for p in polygons])[:-1])
+    i, j = np.meshgrid(np.arange(-1, i_max + 1), np.arange(-1, j_max + 1), indexing="ij")
+    cy = row_h * j + np.where(i % 2, 0.5 * row_h, 0.0) + shift
+    corners = np.stack([1.5 * radius * i, cy], axis=-1).reshape(-1, 1, 2) + hex_offsets
+    points, counts = _clip_to_unit_square(corners.reshape(-1, 2), np.full(len(corners), 6))
+    points, ids = _merge_points(points)
+    return points, np.split(ids, np.cumsum(counts[counts > 0])[:-1])
 
 
-def _clip_to_unit_square(poly: np.ndarray):
-    """Sutherland-Hodgman clip of a convex ccw polygon against [0,1]^2."""
-    pts = list(poly)
-    for axis, level, keep in ((0, 0.0, operator.ge), (0, 1.0, operator.le),
-                              (1, 0.0, operator.ge), (1, 1.0, operator.le)):
-        out = []
-        for cur, nxt in zip(pts, pts[1:] + pts[:1]):
-            cur_in = keep(cur[axis], level)
-            if cur_in:
-                out.append(cur)
-            if cur_in != keep(nxt[axis], level):
-                cut = cur + (level - cur[axis]) / (nxt[axis] - cur[axis]) * (nxt - cur)
-                cut[axis] = level
-                out.append(cut)
-        pts = out
-        if not pts:
-            return None
-    arr = np.array(pts)
-    if abs(shoelace(arr)[0]) < 1e-14:
-        return None
-    return arr
+def _clip_to_unit_square(points: np.ndarray, counts: np.ndarray):
+    """Sutherland-Hodgman clip of convex ccw polygons (runs of `counts` rows of `points`).
+
+    Returns the runs clipped to [0,1]^2 in the same form; a polygon left with
+    fewer than three vertices or an area below 1e-14 gets count 0.
+    """
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    for axis, level, keep in ((0, 0.0, np.greater_equal), (0, 1.0, np.less_equal),
+                              (1, 0.0, np.greater_equal), (1, 1.0, np.less_equal)):
+        succ = cycle_successor(offsets)
+        inside = keep(points[:, axis], level)
+        crossing = inside != inside[succ]
+        # Each vertex emits itself if inside, then the cut of its outgoing edge if that crosses.
+        first = np.concatenate([[0], np.cumsum(inside.astype(np.int64) + crossing)])
+        cur, nxt = points[crossing], points[succ[crossing]]
+        cut = cur + ((level - cur[:, axis]) / (nxt[:, axis] - cur[:, axis]))[:, None] * (nxt - cur)
+        cut[:, axis] = level
+        clipped = np.empty((first[-1], 2))
+        clipped[first[:-1][inside]] = points[inside]
+        clipped[(first[:-1] + inside)[crossing]] = cut
+        points, offsets = clipped, first[offsets]
+    counts = np.diff(offsets)
+    succ = cycle_successor(offsets)
+    x, y = points.T
+    area = 0.5 * np.add.reduceat(np.append(x * y[succ] - x[succ] * y, 0.0), offsets[:-1])
+    kept = (counts >= 3) & (np.abs(area) >= 1e-14)
+    return points[np.repeat(kept, counts)], np.where(kept, counts, 0)
 
 
 # ---------------------------------------------------------------------------

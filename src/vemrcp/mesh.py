@@ -99,10 +99,7 @@ class PolygonalMesh:
         self.indices = idx = np.concatenate(cells).astype(np.int64, copy=False)
         nc, nv = len(counts), len(vertices)
         cell_of = np.repeat(np.arange(nc), counts)
-        # Position of the next vertex of the same cell cycle.
-        succ = np.arange(1, len(idx) + 1)
-        nonempty = counts > 0
-        succ[self.offsets[1:][nonempty] - 1] = self.offsets[:-1][nonempty]
+        succ = cycle_successor(self.offsets)
 
         # All cell checks at once; the error names the first bad cell and its first failed check.
         out_of_range = (idx < 0) | (idx >= nv)
@@ -184,6 +181,14 @@ class PolygonalMesh:
 # ---------------------------------------------------------------------------
 # elementary polygon geometry
 # ---------------------------------------------------------------------------
+
+def cycle_successor(offsets: np.ndarray) -> np.ndarray:
+    """Position of the next vertex in the same cycle, per vertex of ragged (maybe empty) cycles."""
+    succ = np.arange(1, offsets[-1] + 1)
+    nonempty = offsets[1:] > offsets[:-1]
+    succ[offsets[1:][nonempty] - 1] = offsets[:-1][nonempty]
+    return succ
+
 
 def shoelace(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Area and area-weighted centroid of ccw polygons given as (..., n, 2) vertex cycles.

@@ -6,10 +6,13 @@ deliberately sharing no code with the package's element routines.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from vemrcp.generators import _merge_points
 from vemrcp.mesh import MeshError, shoelace
 
 
@@ -211,6 +214,62 @@ def random_points_in_cell(mesh, cell, rng, count):
         s = np.sqrt(r1)
         pts[k] = (1.0 - s) * a + s * (1.0 - r2) * b + s * r2 * c
     return pts
+
+
+# ---------------------------------------------------------------------------
+# hexagon clipping
+# ---------------------------------------------------------------------------
+
+def clip_to_unit_square_per_polygon(poly: np.ndarray):
+    """Sutherland-Hodgman clip of one convex ccw polygon against [0,1]^2; None if nothing is left.
+
+    The per-polygon clipper that `vemrcp.generators._clip_to_unit_square` replaced, kept as its
+    reference.
+    """
+    pts = list(poly)
+    for axis, level, keep in ((0, 0.0, operator.ge), (0, 1.0, operator.le),
+                              (1, 0.0, operator.ge), (1, 1.0, operator.le)):
+        out = []
+        for cur, nxt in zip(pts, pts[1:] + pts[:1]):
+            cur_in = keep(cur[axis], level)
+            if cur_in:
+                out.append(cur)
+            if cur_in != keep(nxt[axis], level):
+                cut = cur + (level - cur[axis]) / (nxt[axis] - cur[axis]) * (nxt - cur)
+                cut[axis] = level
+                out.append(cut)
+        pts = out
+        if not pts:
+            return None
+    arr = np.array(pts)
+    if abs(shoelace(arr)[0]) < 1e-14:
+        return None
+    return arr
+
+
+def hex_structured_per_polygon(n: int):
+    """The hex-s vertices and cells built one lattice hexagon at a time (reference build)."""
+    radius = 1.0 / (1.5 * n)
+    row_h = np.sqrt(3.0) * radius
+    shift = 0.25 * row_h
+    angles = np.deg2rad(np.arange(0.0, 360.0, 60.0))
+    hex_offsets = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+    polygons = []
+    i_max = int(np.ceil(1.0 / (1.5 * radius))) + 1
+    j_max = int(np.ceil(1.0 / row_h)) + 1
+    for i in range(-1, i_max + 1):
+        cx = 1.5 * radius * i
+        y_off = 0.5 * row_h if i % 2 else 0.0
+        for j in range(-1, j_max + 1):
+            cy = row_h * j + y_off + shift
+            poly = np.array([cx, cy]) + hex_offsets
+            clipped = clip_to_unit_square_per_polygon(poly)
+            if clipped is None or len(clipped) < 3:
+                continue
+            polygons.append(clipped)
+    points, ids = _merge_points(np.concatenate(polygons))
+    return points, np.split(ids, np.cumsum([len(p) for p in polygons])[:-1])
 
 
 # ---------------------------------------------------------------------------

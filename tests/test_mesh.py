@@ -11,13 +11,16 @@ from scipy.spatial import Voronoi
 
 from conftest import single_cell_mesh
 from oracles import (
+    clip_to_unit_square_per_polygon,
     ear_clip_per_cell,
+    hex_structured_per_polygon,
     is_simple_polygon,
     random_simple_polygon,
     vertex_patch_per_cell,
 )
 from vemrcp.generators import (
     GenerationError,
+    _clip_to_unit_square,
     _merge_points,
     _mirrored_voronoi,
     _ordered_regions,
@@ -30,6 +33,7 @@ from vemrcp.mesh import (
     MeshFormatError,
     MeshValidationError,
     PolygonalMesh,
+    cycle_successor,
     ear_clip,
     load_mesh,
     save_mesh,
@@ -338,6 +342,26 @@ class TestGenerators:
         np.testing.assert_array_equal(mesh.boundary_vertex_flags, boundary)
         np.testing.assert_array_equal(mesh.edges, list(users))
 
+    @pytest.mark.parametrize("n", [*range(1, 17), 23, 32, 64])
+    def test_hex_s_matches_per_polygon_build(self, n):
+        mesh = generate_mesh(MeshFamily.HEX_S, n)
+        vertices, cells = hex_structured_per_polygon(n)
+        np.testing.assert_array_equal(mesh.vertices, vertices)
+        assert len(mesh.cells) == len(cells)
+        assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, cells))
+
+    def test_stacked_clip_cases(self):
+        inside = np.array([(0.2, 0.2), (0.6, 0.2), (0.4, 0.7)])
+        outside = np.array([(1.2, 0.2), (1.6, 0.2), (1.6, 0.6), (1.2, 0.6)])
+        corner = np.array([(0.3, 0.0), (0.0, 0.3), (-0.3, 0.0), (0.0, -0.3)]) + [1e-3, 2e-3]
+        points, counts = _clip_to_unit_square(np.vstack([inside, outside, corner]),
+                                              np.array([3, 4, 4]))
+        np.testing.assert_array_equal(counts, [3, 0, 5])
+        np.testing.assert_array_equal(points[:3], inside)
+        np.testing.assert_array_equal(points[3:], clip_to_unit_square_per_polygon(corner))
+        assert any(np.array_equal(p, [0.0, 0.0]) for p in points[3:])
+        assert clip_to_unit_square_per_polygon(outside) is None
+
     def test_merge_points_keeps_first_of_each_cluster(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (1e-12, 0.0), (1.0, 1e-10), (2.0, 0.0), (1.0, 2e-9)])
         kept, ids = _merge_points(pts)
@@ -374,6 +398,12 @@ class TestGenerators:
                     if (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) < 0:
                         reflex += 1
             assert reflex > 0
+
+
+def test_cycle_successor_with_empty_cycle():
+    # cycles [0, 1, 2], [], [3, 4], []
+    np.testing.assert_array_equal(cycle_successor(np.array([0, 3, 3, 5, 5])), [1, 2, 0, 4, 3])
+    assert len(cycle_successor(np.array([0, 0]))) == 0
 
 
 class TestAverageEdgeLength:
