@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .material import LameMaterial, elastic_matrix
-from .mesh import MeshError, PolygonalMesh, shoelace, vertex_count_groups
+from .mesh import MeshError, PolygonalMesh, vertex_count_groups
 
 
 class SolveError(Exception):
@@ -31,10 +31,8 @@ class SolveError(Exception):
 
 
 class ElementMatrices(NamedTuple):
-    """Geometry and matrices of a group of k cells with n vertices each."""
+    """Matrices of a group of k cells with n vertices each."""
 
-    area: np.ndarray                  # (k,)
-    centroid: np.ndarray              # (k, 2)
     Pi_m: np.ndarray                  # (k, 3, 2n) strain projector
     Kc: np.ndarray                    # (k, 2n, 2n) consistency stiffness
     Ks: np.ndarray                    # (k, 2n, 2n) stabilization stiffness
@@ -62,11 +60,11 @@ def compute_B(pts: np.ndarray) -> np.ndarray:
     return B
 
 
-def element_matrices(
-    pts: np.ndarray, cells, C: np.ndarray, stabilization_scale: float = 1.0
-) -> ElementMatrices:
+def element_matrices(pts: np.ndarray, area: np.ndarray, centroid: np.ndarray, cells,
+                     C: np.ndarray, stabilization_scale: float = 1.0) -> ElementMatrices:
     """Projector and stiffness of k cells with n vertices each, `pts` (k, n, 2).
 
+    `area` (k,) and `centroid` (k, 2) are the mesh's stored cell moments.
     Kc = |E| Pi_m^T C Pi_m carries the constant-strain energy exactly. Ks
     projects dof space onto the span of the six vertex-sampled rigid and
     linear vector fields and penalizes the orthogonal complement with half the
@@ -74,7 +72,6 @@ def element_matrices(
     complement. `cells` names the cells in the rank-check error.
     """
     k, n, _ = pts.shape
-    area, centroid = shoelace(pts)
     Pi_m = compute_B(pts) / area[:, None, None]
     Kc = area[:, None, None] * np.swapaxes(Pi_m, 1, 2) @ C @ Pi_m
     # Columns: the rigid modes (1, 0), (0, 1), (-y, x), then (x, 0), (0, y), (y, x).
@@ -92,7 +89,7 @@ def element_matrices(
         raise MeshError(f"cell {cell}: degenerate geometry, linear modes are rank deficient")
     tau = 0.5 * np.trace(Kc, axis1=1, axis2=2) * stabilization_scale
     Ks = tau[:, None, None] * (np.eye(2 * n) - q @ np.swapaxes(q, 1, 2))
-    return ElementMatrices(area, centroid, Pi_m, Kc, Ks)
+    return ElementMatrices(Pi_m, Kc, Ks)
 
 
 @dataclass
@@ -133,7 +130,8 @@ def assemble_global(
     C = elastic_matrix(material)
     rows, cols, vals, groups = [], [], [], []
     for cells, idx in vertex_count_groups(mesh):
-        ops = element_matrices(mesh.vertices[idx], cells, C, stabilization_scale)
+        ops = element_matrices(mesh.vertices[idx], mesh.areas[cells], mesh.centroids[cells],
+                               cells, C, stabilization_scale)
         dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(len(cells), -1)
         m = dofs.shape[1]
         rows.append(np.repeat(dofs, m, axis=1).ravel())
@@ -146,8 +144,7 @@ def assemble_global(
     ).tocsr()
     f = np.zeros(ndof)
     if body_force is not None:
-        centroid = mesh.centroids
-        b = np.asarray(body_force(centroid[:, 0], centroid[:, 1]), dtype=float)
+        b = np.asarray(body_force(*mesh.centroids.T), dtype=float)
         b = np.broadcast_to(b, (mesh.num_cells, 2))
         for cells, dofs, _ in groups:
             n = dofs.shape[1] // 2

@@ -9,7 +9,7 @@ from conftest import single_cell_mesh
 from oracles import cst_solve
 from vemrcp.generators import generate_mesh
 from vemrcp.material import elastic_matrix
-from vemrcp.mesh import MeshFamily, shoelace
+from vemrcp.mesh import MeshFamily, PolygonalMesh, shoelace
 from vemrcp.study import linear_patch_case
 from vemrcp.vem import (
     ConstrainedSystem,
@@ -44,9 +44,8 @@ def random_polygon_mesh(rng, n=6):
 
 def cell_ops(mesh, mat, stabilization_scale=1.0) -> ElementMatrices:
     """The grouped kernel called on the one cell of a one-cell mesh."""
-    ops = element_matrices(
-        mesh.cell_coords(0)[None], [0], elastic_matrix(mat), stabilization_scale
-    )
+    ops = element_matrices(mesh.cell_coords(0)[None], mesh.areas[:1], mesh.centroids[:1], [0],
+                           elastic_matrix(mat), stabilization_scale)
     return ElementMatrices(*(a[0] for a in ops))
 
 
@@ -55,14 +54,14 @@ def cell_B(mesh):
 
 
 class TestComputeG:
-    """G = |E| I, so the kernel keeps only the area it divides B by."""
+    """G = |E| I, so the kernel needs only the area it divides B by: the mesh's stored area."""
 
     def test_unit_square(self, unit_square_mesh, mat):
-        assert cell_ops(unit_square_mesh, mat).area == pytest.approx(1.0, rel=1e-15)
+        assert unit_square_mesh.areas[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_half_area_cell(self, mat):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0, 1)])
-        assert cell_ops(mesh, mat).area == pytest.approx(0.5, rel=1e-15)
+        assert mesh.areas[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_matches_quadrature(self, rng, mat):
         from vemrcp.quadrature import cell_quadrature
@@ -70,7 +69,7 @@ class TestComputeG:
         mesh = random_polygon_mesh(rng)
         pts, w = cell_quadrature(mesh, 0)
         # constant-strain basis is the identity, so the gram matrix is area * I
-        assert cell_ops(mesh, mat).area == pytest.approx(w.sum(), abs=1e-13)
+        assert mesh.areas[0] == pytest.approx(w.sum(), abs=1e-13)
 
 
 class TestComputeB:
@@ -200,6 +199,13 @@ class TestAssemblyAndSolve:
         for u in (lambda x, y: (1, 0), lambda x, y: (0, 1), lambda x, y: (-y, x)):
             v = np.array([u(x, y) for x, y in mesh.vertices]).ravel()
             np.testing.assert_allclose(system.matrix @ v, 0.0, atol=1e-12)
+
+    def test_stiffness_unchanged_far_from_origin(self, mat):
+        mesh = generate_mesh(MeshFamily.QUAD_U, 8)
+        shifted = PolygonalMesh(mesh.vertices + [1e4, -1e4], mesh.cells, mesh.family)
+        K = assemble_global(mesh, mat).matrix.toarray()
+        K_shifted = assemble_global(shifted, mat).matrix.toarray()
+        assert np.max(np.abs(K_shifted - K)) <= 1e-10 * np.max(np.abs(K))
 
     def test_global_symmetry(self, mat):
         mesh = generate_mesh(MeshFamily.CONC_U, 3, seed=8)
