@@ -407,12 +407,12 @@ def load_mesh(path) -> PolygonalMesh:
 
 
 def save_mesh(mesh: PolygonalMesh, path) -> None:
-    """Write the text format produced by load_mesh (12+ significant digits)."""
+    """Write the text format read by load_mesh; 17 significant digits load back exactly."""
     path = Path(path)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_MAGIC}\n{mesh.num_vertices} {mesh.num_cells}\n")
         for x, y in mesh.vertices:
-            fh.write(f"{x:.15g} {y:.15g}\n")
+            fh.write(f"{x:.17g} {y:.17g}\n")
         fh.write("\n".join(cell_records(mesh)) + "\n")
 
 

@@ -628,13 +628,14 @@ def mutated_pmesh(draw) -> bytes:
 
 class TestMeshFile:
     def test_round_trip(self, tmp_path):
-        mesh = generate_mesh(MeshFamily.CONC_U, 3, seed=4)
-        path = tmp_path / "m.pmesh"
-        save_mesh(mesh, path)
-        loaded = load_mesh(path)
-        np.testing.assert_allclose(loaded.vertices, mesh.vertices)
-        assert all((a == b).all() for a, b in zip(loaded.cells, mesh.cells))
-        assert loaded.family is MeshFamily.EXTERNAL
+        for family in ALL_FAMILIES:
+            mesh = generate_mesh(family, 8, seed=4)
+            path = tmp_path / f"{family.value}.pmesh"
+            save_mesh(mesh, path)
+            loaded = load_mesh(path)
+            np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
+            assert all((a == b).all() for a, b in zip(loaded.cells, mesh.cells))
+            assert loaded.family is MeshFamily.EXTERNAL
 
     def test_single_cell_file(self, tmp_path):
         path = tmp_path / "square.pmesh"
