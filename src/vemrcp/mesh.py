@@ -49,12 +49,6 @@ class MeshFamily(Enum):
     EXTERNAL = "external"
 
 
-STRUCTURED_FAMILIES = (
-    MeshFamily.TRI_S,
-    MeshFamily.QUAD_S,
-    MeshFamily.HEX_S,
-    MeshFamily.CONC_S,
-)
 GENERATED_FAMILIES = tuple(f for f in MeshFamily if f is not MeshFamily.EXTERNAL)
 
 
