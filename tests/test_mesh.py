@@ -354,9 +354,10 @@ class TestGenerators:
         inside = np.array([(0.2, 0.2), (0.6, 0.2), (0.4, 0.7)])
         outside = np.array([(1.2, 0.2), (1.6, 0.2), (1.6, 0.6), (1.2, 0.6)])
         corner = np.array([(0.3, 0.0), (0.0, 0.3), (-0.3, 0.0), (0.0, -0.3)]) + [1e-3, 2e-3]
-        points, counts = _clip_to_unit_square(np.vstack([inside, outside, corner]),
-                                              np.array([3, 4, 4]))
-        np.testing.assert_array_equal(counts, [3, 0, 5])
+        sliver = np.array([(-0.5, 0.2), (0.0, 0.2), (0.0, 0.6)])   # meets the square in a segment
+        points, counts = _clip_to_unit_square(np.vstack([inside, outside, corner, sliver]),
+                                              np.array([3, 4, 4, 3]))
+        np.testing.assert_array_equal(counts, [3, 0, 5, 0])
         np.testing.assert_array_equal(points[:3], inside)
         np.testing.assert_array_equal(points[3:], clip_to_unit_square_per_polygon(corner))
         assert any(np.array_equal(p, [0.0, 0.0]) for p in points[3:])
