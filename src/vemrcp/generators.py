@@ -3,9 +3,8 @@
 Structured families (tri-s, quad-s, hex-s, conc-s) are fully deterministic
 and ignore the seed; unstructured ones (tri-u, quad-u, poly-u, conc-u) are
 deterministic for a fixed (family, subdivisions, seed) triple. Every
-generated mesh is validated before it is returned. The Poisson-disk
-sampling of tri-u is the one per-point Python loop left; hex-s clips its
-whole hexagon lattice at once, one array step per side of the square.
+generated mesh is validated before it is returned. hex-s clips its whole
+hexagon lattice at once, one array step per side of the square.
 """
 
 from __future__ import annotations

@@ -361,7 +361,6 @@ class TestGenerators:
         np.testing.assert_array_equal(points[:3], inside)
         np.testing.assert_array_equal(points[3:], clip_to_unit_square_per_polygon(corner))
         assert any(np.array_equal(p, [0.0, 0.0]) for p in points[3:])
-        assert clip_to_unit_square_per_polygon(outside) is None
 
     def test_merge_points_keeps_first_of_each_cluster(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (1e-12, 0.0), (1.0, 1e-10), (2.0, 0.0), (1.0, 2e-9)])
