@@ -216,39 +216,34 @@ def _conc_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _poisson_disk(n: int, rng) -> np.ndarray:
-    """Boundary-conforming Poisson-disk sample of the unit square, radius ~1/n."""
-    r = 1.0 / n
-    side = np.linspace(0.0, 1.0, n + 1)
-    pts = [np.array([x, 0.0]) for x in side]
-    pts += [np.array([x, 1.0]) for x in side]
-    pts += [np.array([0.0, y]) for y in side[1:-1]]
-    pts += [np.array([1.0, y]) for y in side[1:-1]]
+    """Boundary-conforming Poisson-disk sample of the unit square, radius ~1/n, by dart throwing."""
+    r, lo, hi = 1.0 / n, (1.0 - 1e-9) / n, (1.0 + 1e-9) / n
+    grid = _grid(n).reshape(n + 1, n + 1, 2)
+    pts = np.vstack([grid[0], grid[-1], grid[1:-1, 0], grid[1:-1, -1]])
 
-    cell = r / np.sqrt(2.0)
-    grid: dict = {}
-
-    def key(p):
-        return (int(p[0] / cell), int(p[1] / cell))
-
-    def far_enough(p):
-        kx, ky = key(p)
-        for dx in range(-2, 3):
-            for dy in range(-2, 3):
-                for idx in grid.get((kx + dx, ky + dy), ()):
-                    d = pts[idx] - p
-                    if d[0] * d[0] + d[1] * d[1] < r * r:
-                        return False
-        return True
-
-    for idx, p in enumerate(pts):
-        grid.setdefault(key(p), []).append(idx)
+    def close(d):                  # the sequential test, so the sample is the same bit for bit
+        return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] < r * r
 
     candidates = rng.uniform(0.0, 1.0, size=(30 * n * n, 2))
-    for cand in candidates:
-        if far_enough(cand):
-            grid.setdefault(key(cand), []).append(len(pts))
-            pts.append(cand)
-    return np.array(pts)
+    for chunk in np.array_split(candidates, min(60, 2 * n * n)):    # n^2 / 2 each from n = 6
+        tree = cKDTree(pts)
+        dist = tree.query(chunk)[0]
+        # Only a nearest distance within 1e-9 r of r can round either way: re-test those.
+        unsure = np.flatnonzero((dist >= lo) & (dist <= hi))
+        near = cKDTree(chunk[unsure]).sparse_distance_matrix(tree, hi, output_type="ndarray")
+        dist[unsure[near["i"][close(chunk[unsure][near["i"]] - pts[near["j"]])]]] = 0.0
+        chunk = chunk[dist >= lo]
+        pairs = cKDTree(chunk).query_pairs(hi, output_type="ndarray")        # i < j
+        i, j = pairs[close(chunk[pairs[:, 0]] - chunk[pairs[:, 1]])].T
+        # In candidate order: state 1 kept, -1 dropped by an earlier kept one, 0 open.
+        state = np.zeros(len(chunk), dtype=np.int8)
+        while not state.all():
+            kept_before, open_before = (np.bincount(j[state[i] == s], minlength=len(chunk)) > 0
+                                        for s in (1, 0))
+            state[(state == 0) & kept_before] = -1
+            state[(state == 0) & ~open_before] = 1
+        pts = np.vstack([pts, chunk[state == 1]])
+    return pts
 
 
 def _tri_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -266,16 +261,15 @@ def _tri_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
 def _poly_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
     """Voronoi tessellation of Lloyd-relaxed random seeds.
 
-    Seeds are mirrored across the four boundary lines before each Voronoi
-    construction, which makes the interior cells finite and clips them to the
-    square exactly.
+    Before each Voronoi construction the seeds near each side of the square are
+    mirrored across it (PolyMesher's reflection), which makes the real regions
+    finite and clips them to the square; see `_mirrored_voronoi`.
     """
     num = n * n
     seeds = rng.uniform(0.05, 0.95, size=(num, 2))
     for _ in range(30):
-        seeds = np.clip(_ordered_regions(_mirrored_voronoi(seeds), num)[2], 1e-9, 1.0 - 1e-9)
-    vor = _mirrored_voronoi(seeds)
-    offsets, ids, _ = _ordered_regions(vor, num)
+        seeds = np.clip(_mirrored_voronoi(seeds)[1][2], 1e-9, 1.0 - 1e-9)
+    vor, (offsets, ids, _) = _mirrored_voronoi(seeds)
     # Number the Voronoi vertices in order of first use.
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
@@ -283,34 +277,50 @@ def _poly_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
     return vor.vertices[ids[np.sort(first)]], np.split(rank[inverse], offsets[1:-1])
 
 
-def _mirrored_voronoi(seeds: np.ndarray) -> Voronoi:
-    left = seeds * [-1.0, 1.0]
-    right = seeds * [-1.0, 1.0] + [2.0, 0.0]
-    bottom = seeds * [1.0, -1.0]
-    top = seeds * [1.0, -1.0] + [0.0, 2.0]
-    return Voronoi(np.vstack([seeds, left, right, bottom, top]))
+def _mirrored_voronoi(seeds: np.ndarray):
+    """Voronoi diagram of the seeds and their mirror images within a band of each side.
+
+    Returns it with `_ordered_regions` of the seeds. With fewer mirrors a real region
+    can only grow, and those of the full mirror tile the square, so bounded real
+    regions inside the square are exactly the full mirror's. The band starts at
+    1.5 sqrt(1 / N) and doubles until that holds; past 0.5 all seeds are mirrored.
+    """
+    (x, y), fx, fy = seeds.T, seeds * [-1.0, 1.0], seeds * [1.0, -1.0]
+    band = 1.5 * np.sqrt(1.0 / len(seeds))
+    while True:
+        near = band if band <= 0.5 else np.inf
+        vor = Voronoi(np.vstack([seeds, fx[x < near], fx[x > 1.0 - near] + [2.0, 0.0],
+                                 fy[y < near], fy[y > 1.0 - near] + [0.0, 2.0]]))
+        regions = _ordered_regions(vor, len(seeds), certify=band <= 0.5)
+        if regions is not None:
+            return vor, regions
+        band *= 2.0
 
 
-def _ordered_regions(vor: Voronoi, num: int):
+def _ordered_regions(vor: Voronoi, num: int, certify: bool = False):
     """The regions of the first `num` input points as one ragged pair and their centroids.
 
-    Returns offsets (num + 1,), Voronoi vertex ids with each region's cycle
-    sorted by angle about its vertex mean (counterclockwise), and the
-    (num, 2) region centroids; the regions are sorted one vertex-count group
-    at a time.
+    Returns offsets (num + 1,), Voronoi vertex ids with each region's cycle sorted by angle
+    about its vertex mean (counterclockwise), and the (num, 2) region centroids, one
+    vertex-count group at a time. An unbounded or degenerate region raises GenerationError,
+    or with `certify` returns None, as does a vertex more than 1e-9 outside [0,1]^2.
     """
-    regions = [vor.regions[r] for r in vor.point_region[:num]]
+    regions = list(map(vor.regions.__getitem__, vor.point_region[:num]))
     counts = np.fromiter(map(len, regions), dtype=np.int64, count=num)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64, count=offsets[-1])
     bad = np.union1d(np.flatnonzero(counts < 3), np.repeat(np.arange(num), counts)[ids < 0])
     if len(bad):
+        if certify:
+            return None
         raise GenerationError(f"poly-u: unbounded or degenerate Voronoi region for seed {bad[0]}")
     centroids = np.empty((num, 2))
     for m in np.unique(counts):
         cells = np.flatnonzero(counts == m)
         pos = offsets[cells, None] + np.arange(m)
         coords = vor.vertices[ids[pos]]
+        if certify and not ((coords >= -1e-9) & (coords <= 1.0 + 1e-9)).all():
+            return None
         center = coords.mean(axis=1, keepdims=True)
         ang = np.arctan2(coords[..., 1] - center[..., 1], coords[..., 0] - center[..., 0])
         order = np.argsort(ang, axis=1)

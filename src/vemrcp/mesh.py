@@ -367,7 +367,7 @@ def load_mesh(path) -> PolygonalMesh:
         except ValueError as exc:
             raise MeshFormatError(f"{path}: line {ln}: bad coordinate") from exc
 
-    cells = []
+    counts, flat = np.zeros(nc, dtype=np.int64), []
     for k in range(nc):
         ln, parts = tokens[2 + nv + k]
         try:
@@ -384,15 +384,20 @@ def load_mesh(path) -> PolygonalMesh:
             raise MeshFormatError(
                 f"{path}: line {ln}: cell {k} references vertex {bad[0]} out of range"
             )
-        arr = np.asarray(idx, dtype=np.int64)
-        # Degenerate or non-finite cells are rejected by the mesh constructor below.
-        with np.errstate(all="ignore"):
-            clockwise = shoelace(vertices[arr])[0] < 0.0
-        if clockwise:
-            logger.warning("%s: cell %d was clockwise; reversed to counterclockwise", path, k)
-            arr = arr[::-1].copy()
-        cells.append(arr)
-
+        counts[k] = count
+        flat += idx
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    flat, pos = np.asarray(flat, dtype=np.int64), np.arange(offsets[-1])
+    start, end = np.repeat(offsets[:-1], counts), np.repeat(offsets[1:], counts)
+    succ = cycle_successor(offsets)
+    with np.errstate(all="ignore"):                  # the constructor rejects degenerate cells
+        x, y = (vertices[flat] - vertices[flat[start]]).T    # cell-local coordinates
+        area = np.add.reduceat(np.append(x * y[succ] - x[succ] * y, 0.0), offsets[:-1])
+    clockwise = (area < 0.0) & (counts > 0)
+    for k in np.flatnonzero(clockwise):
+        logger.warning("%s: cell %d was clockwise; reversed to counterclockwise", path, k)
+    flat = flat[np.where(np.repeat(clockwise, counts), start + end - 1 - pos, pos)]
+    cells = np.split(flat, offsets[1:-1])[:nc]
     mesh = PolygonalMesh(vertices, cells, MeshFamily.EXTERNAL)
     report = validate_mesh(mesh)
     if not report.ok:

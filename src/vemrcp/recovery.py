@@ -216,8 +216,8 @@ def solve_patches(H: np.ndarray, g: np.ndarray):
     A patch fails when its condition number exceeds 1e12 or its solve leaves
     a residual above 1e-12 |g|; its betas are then not to be used.
     """
-    cond = np.linalg.cond(H)
-    failed = ~(np.isfinite(cond) & (cond <= 1e12))
+    lam = np.linalg.eigvalsh(H)          # H is a symmetric Gram matrix: cond = lam_max / lam_min
+    failed = ~(np.isfinite(lam).all(axis=1) & (lam[:, 0] > 0) & (lam[:, -1] <= 1e12 * lam[:, 0]))
     betas = np.zeros(g.shape)
     betas[~failed] = np.linalg.solve(H[~failed], g[~failed, :, None])[..., 0]
     residual = np.linalg.norm(np.einsum("pab,pb->pa", H, betas) - g, axis=1)

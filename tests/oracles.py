@@ -217,7 +217,7 @@ def random_points_in_cell(mesh, cell, rng, count):
 
 
 # ---------------------------------------------------------------------------
-# hexagon clipping
+# generators
 # ---------------------------------------------------------------------------
 
 def clip_to_unit_square_per_polygon(poly: np.ndarray):
@@ -270,6 +270,46 @@ def hex_structured_per_polygon(n: int):
             polygons.append(clipped)
     points, ids = _merge_points(np.concatenate(polygons))
     return points, np.split(ids, np.cumsum([len(p) for p in polygons])[:-1])
+
+
+def poisson_disk_per_candidate(n: int, rng) -> np.ndarray:
+    """Dart throwing one candidate at a time against a dict grid of cells of side r / sqrt(2).
+
+    The sequential sampler that `vemrcp.generators._poisson_disk` replaced, kept as its
+    reference.
+    """
+    r = 1.0 / n
+    side = np.linspace(0.0, 1.0, n + 1)
+    pts = [np.array([x, 0.0]) for x in side]
+    pts += [np.array([x, 1.0]) for x in side]
+    pts += [np.array([0.0, y]) for y in side[1:-1]]
+    pts += [np.array([1.0, y]) for y in side[1:-1]]
+
+    cell = r / np.sqrt(2.0)
+    grid: dict = {}
+
+    def key(p):
+        return (int(p[0] / cell), int(p[1] / cell))
+
+    def far_enough(p):
+        kx, ky = key(p)
+        for dx in range(-2, 3):
+            for dy in range(-2, 3):
+                for idx in grid.get((kx + dx, ky + dy), ()):
+                    d = pts[idx] - p
+                    if d[0] * d[0] + d[1] * d[1] < r * r:
+                        return False
+        return True
+
+    for idx, p in enumerate(pts):
+        grid.setdefault(key(p), []).append(idx)
+
+    candidates = rng.uniform(0.0, 1.0, size=(30 * n * n, 2))
+    for cand in candidates:
+        if far_enough(cand):
+            grid.setdefault(key(cand), []).append(len(pts))
+            pts.append(cand)
+    return np.array(pts)
 
 
 # ---------------------------------------------------------------------------

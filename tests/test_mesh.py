@@ -1,6 +1,7 @@
 """Geometry, generator, patch, validation, and file-format tests."""
 
 import logging
+import types
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
     ear_clip_per_cell,
     hex_structured_per_polygon,
     is_simple_polygon,
+    poisson_disk_per_candidate,
     random_simple_polygon,
     vertex_patch_per_cell,
 )
@@ -24,6 +26,7 @@ from vemrcp.generators import (
     _merge_points,
     _mirrored_voronoi,
     _ordered_regions,
+    _poisson_disk,
     generate_mesh,
 )
 from vemrcp.mesh import (
@@ -268,7 +271,7 @@ class TestTriangulation:
 class TestGenerators:
     def test_ordered_regions_match_per_region_loop(self):
         seeds = np.random.default_rng(3).uniform(0.05, 0.95, size=(40, 2))
-        vor = _mirrored_voronoi(seeds)
+        vor = _mirrored_voronoi(seeds)[0]
         offsets, ids, centroids = _ordered_regions(vor, len(seeds))
         for k in range(len(seeds)):
             region = np.array(vor.regions[vor.point_region[k]])
@@ -282,6 +285,52 @@ class TestGenerators:
         vor = Voronoi(np.random.default_rng(3).uniform(size=(12, 2)))
         with pytest.raises(GenerationError, match="unbounded or degenerate Voronoi region"):
             _ordered_regions(vor, 12)
+        assert _ordered_regions(vor, 12, certify=True) is None
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_certified_regions_match_full_mirror(self, n):
+        # Unrelaxed seeds, where the seeds mirrored from the first band alone give wrong regions.
+        def mirrored(seeds, band):
+            x, y = seeds.T
+            return Voronoi(np.vstack([seeds, seeds[x < band] * [-1.0, 1.0],
+                                      seeds[x > 1.0 - band] * [-1.0, 1.0] + [2.0, 0.0],
+                                      seeds[y < band] * [1.0, -1.0],
+                                      seeds[y > 1.0 - band] * [1.0, -1.0] + [0.0, 2.0]]))
+
+        def first_use(ids):
+            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            return np.argsort(np.argsort(first))[inverse]
+
+        band_alone_fails = []
+        for seed in range(3):
+            seeds = np.random.default_rng(seed).uniform(0.05, 0.95, size=(n * n, 2))
+            _, (offsets, ids, centroids) = _mirrored_voronoi(seeds)
+            ref_offsets, ref_ids, ref_centroids = _ordered_regions(mirrored(seeds, 1.0), n * n)
+            np.testing.assert_array_equal(offsets, ref_offsets)
+            np.testing.assert_array_equal(first_use(ids), first_use(ref_ids))
+            np.testing.assert_allclose(centroids, ref_centroids, rtol=0.0, atol=1e-12)
+            band_alone = mirrored(seeds, 1.5 / n)
+            band_alone_fails.append(_ordered_regions(band_alone, n * n, certify=True) is None)
+        assert any(band_alone_fails)
+
+    @pytest.mark.parametrize("n", [*range(1, 17), 23, 32])
+    def test_poisson_disk_matches_sequential_darts(self, n):
+        for seed in range(5 if n < 32 else 1):
+            darts = _poisson_disk(n, np.random.default_rng([seed, n]))
+            np.testing.assert_array_equal(darts, poisson_disk_per_candidate(
+                n, np.random.default_rng([seed, n])))
+
+    def test_poisson_disk_breaks_exact_ties_like_sequential_darts(self):
+        # Candidates on the r = 1/4 lattice and one ulp off it: their distances to the boundary
+        # points and to each other round either side of r, inside and across chunks.
+        rng = np.random.default_rng(5)
+        lattice = np.stack(np.meshgrid(np.arange(1, 4), np.arange(1, 4)), axis=-1).reshape(-1, 2)
+        lattice = lattice / 4.0
+        near = [lattice, np.nextafter(lattice, 0.0), np.nextafter(lattice, 1.0),
+                np.nextafter(lattice, [[0.0, 1.0]]), np.nextafter(lattice, [[1.0, 0.0]])]
+        darts = np.vstack([rng.permutation(np.vstack(near)), rng.uniform(size=(435, 2))])
+        fixed = types.SimpleNamespace(uniform=lambda low, high, size: darts.reshape(size))
+        np.testing.assert_array_equal(_poisson_disk(4, fixed), poisson_disk_per_candidate(4, fixed))
 
     def test_quad_s_n2(self):
         mesh = generate_mesh(MeshFamily.QUAD_S, 2, seed=0)
@@ -658,6 +707,24 @@ class TestMeshFile:
             mesh = load_mesh(path)
         assert cell_area(mesh, 0) == pytest.approx(1.0)
         assert any("counterclockwise" in r.message for r in caplog.records)
+
+    def test_mixed_orientation_cells_reversed_one_by_one(self, tmp_path, caplog):
+        mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=1)
+        flip = np.random.default_rng(0).random(mesh.num_cells) < 0.5
+        records = [f"{len(c)} " + " ".join(map(str, c[::-1] if f else c))
+                   for c, f in zip(mesh.cells, flip)]
+        path = tmp_path / "mixed.pmesh"
+        path.write_text(f"pmesh 1\n{mesh.num_vertices} {mesh.num_cells}\n"
+                        + "".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist())
+                        + "\n".join(records) + "\n")
+        with caplog.at_level(logging.WARNING):
+            loaded = load_mesh(path)
+        np.testing.assert_array_equal(loaded.offsets, mesh.offsets)
+        np.testing.assert_array_equal(loaded.indices, mesh.indices)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: cell {k} was clockwise; reversed to counterclockwise"
+            for k in np.flatnonzero(flip)
+        ]
 
     def test_vertex_index_out_of_range(self, tmp_path):
         path = tmp_path / "bad.pmesh"
