@@ -31,6 +31,9 @@ class GenerationError(MeshError):
 
 _FAMILY_CODE = {fam: k for k, fam in enumerate(GENERATED_FAMILIES)}
 
+# What every family builder returns: vertices (nv, 2) and the ragged cell pair offsets, indices.
+MeshArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def generate_mesh(family: MeshFamily, subdivisions: int, seed: int = 0) -> PolygonalMesh:
     """Build a mesh of the requested family with ~`subdivisions` cells per side."""
@@ -53,8 +56,7 @@ def generate_mesh(family: MeshFamily, subdivisions: int, seed: int = 0) -> Polyg
         MeshFamily.POLY_U: _poly_unstructured,
         MeshFamily.CONC_U: _conc_unstructured,
     }[family]
-    vertices, cells = builder(subdivisions, rng)
-    mesh = PolygonalMesh(vertices, cells, family)
+    mesh = PolygonalMesh.from_ragged(*builder(subdivisions, rng), family)
     report = validate_mesh(mesh)
     if not report.ok:
         raise GenerationError(
@@ -86,6 +88,11 @@ def _grid(n: int) -> np.ndarray:
     return np.column_stack([xv.ravel(), yv.ravel()])
 
 
+def _rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ragged pair (offsets, indices) of a (k, m) array of cells with m vertices each."""
+    return np.arange(len(cells) + 1) * cells.shape[1], cells.ravel()
+
+
 def _squares(n: int):
     """Corner ids a, b, c, d (ccw from bottom left) of the grid squares, row by row."""
     k = np.arange(n * n)
@@ -93,17 +100,17 @@ def _squares(n: int):
     return a, a + 1, a + n + 2, a + n + 1
 
 
-def _quad_structured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    return _grid(n), np.stack(_squares(n), axis=1)
+def _quad_structured(n: int, rng) -> MeshArrays:
+    return _grid(n), *_rows(np.stack(_squares(n), axis=1))
 
 
-def _tri_structured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def _tri_structured(n: int, rng) -> MeshArrays:
     # every square split along the same (bottom-left to top-right) diagonal
     a, b, c, d = _squares(n)
-    return _grid(n), np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return _grid(n), *_rows(np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3))
 
 
-def _conc_structured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def _conc_structured(n: int, rng) -> MeshArrays:
     """Each square split by a bent diagonal into a convex and a dart-shaped quad.
 
     The mid vertex of the diagonal is pushed off-center, alternating sides in
@@ -120,10 +127,10 @@ def _conc_structured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     m = len(verts) + np.arange(n * n)
     # the half the mid vertex leans into becomes the dart
     cells = np.stack([a, b, c, m, a, m, c, d], axis=1).reshape(-1, 4)
-    return np.vstack([verts, mid]), cells
+    return np.vstack([verts, mid]), *_rows(cells)
 
 
-def _hex_structured(n: int, rng) -> tuple[np.ndarray, list]:
+def _hex_structured(n: int, rng) -> MeshArrays:
     """Regular flat-top hexagon tiling clipped to the square.
 
     The lattice is shifted a quarter row upward so that no hexagon vertex or
@@ -143,7 +150,7 @@ def _hex_structured(n: int, rng) -> tuple[np.ndarray, list]:
     corners = np.stack([1.5 * radius * i, cy], axis=-1).reshape(-1, 1, 2) + hex_offsets
     points, counts = _clip_to_unit_square(corners.reshape(-1, 2), np.full(len(corners), 6))
     points, ids = _merge_points(points)
-    return points, np.split(ids, np.cumsum(counts[counts > 0])[:-1])
+    return points, np.concatenate([[0], np.cumsum(counts[counts > 0])]), ids
 
 
 def _clip_to_unit_square(points: np.ndarray, counts: np.ndarray):
@@ -189,13 +196,11 @@ def _jittered_grid(n: int, rng) -> np.ndarray:
     return verts
 
 
-def _quad_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    verts = _jittered_grid(n, rng)
-    _, cells = _quad_structured(n, rng)
-    return verts, cells
+def _quad_unstructured(n: int, rng) -> MeshArrays:
+    return _jittered_grid(n, rng), *_quad_structured(n, rng)[1:]
 
 
-def _conc_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def _conc_unstructured(n: int, rng) -> MeshArrays:
     """Each jittered quad split into two concave hexagons by a zig-zag cut."""
     verts = _jittered_grid(n, rng)
     ia, ib, ic, id_ = _squares(n)
@@ -212,7 +217,7 @@ def _conc_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     points, ids = _merge_points(np.vstack([verts, np.stack([z1, z2, p, q], axis=1).reshape(-1, 2)]))
     z1, z2, ip, iq = ids[len(verts):].reshape(-1, 4).T
     cells = np.stack([ia, ip, z1, z2, iq, id_, ip, ib, ic, iq, z2, z1], axis=1)
-    return points, cells.reshape(-1, 6)
+    return points, *_rows(cells.reshape(-1, 6))
 
 
 def _poisson_disk(n: int, rng) -> np.ndarray:
@@ -246,7 +251,7 @@ def _poisson_disk(n: int, rng) -> np.ndarray:
     return pts
 
 
-def _tri_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def _tri_unstructured(n: int, rng) -> MeshArrays:
     pts = _poisson_disk(n, rng)
     simplices = Delaunay(pts).simplices
     area = shoelace(pts[simplices])[0]
@@ -255,10 +260,10 @@ def _tri_unstructured(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
         raise GenerationError(
             f"tri-u: degenerate Delaunay triangle {simplices[np.argmax(degenerate)]}"
         )
-    return pts, np.where(area[:, None] > 0, simplices, simplices[:, ::-1])
+    return pts, *_rows(np.where(area[:, None] > 0, simplices, simplices[:, ::-1]))
 
 
-def _poly_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
+def _poly_unstructured(n: int, rng) -> MeshArrays:
     """Voronoi tessellation of Lloyd-relaxed random seeds.
 
     Before each Voronoi construction the seeds near each side of the square are
@@ -274,7 +279,7 @@ def _poly_unstructured(n: int, rng) -> tuple[np.ndarray, list]:
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
-    return vor.vertices[ids[np.sort(first)]], np.split(rank[inverse], offsets[1:-1])
+    return vor.vertices[ids[np.sort(first)]], offsets, rank[inverse]
 
 
 def _mirrored_voronoi(seeds: np.ndarray):

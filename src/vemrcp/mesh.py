@@ -77,20 +77,39 @@ class PolygonalMesh:
     """
 
     def __init__(self, vertices: np.ndarray, cells, family: MeshFamily):
+        counts = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        indices = np.concatenate(cells) if len(cells) else np.empty(0, dtype=np.int64)
+        self._build(vertices, np.concatenate([[0], np.cumsum(counts)]), indices, family)
+
+    @classmethod
+    def from_ragged(cls, vertices: np.ndarray, offsets: np.ndarray, indices: np.ndarray,
+                    family: MeshFamily) -> PolygonalMesh:
+        """Build a mesh from cells already stored as the ragged pair `offsets`, `indices`.
+
+        The arrays are kept, not copied, where their dtypes allow, and made read-only.
+        """
+        mesh = cls.__new__(cls)
+        mesh._build(vertices, offsets, indices, family)
+        return mesh
+
+    def _build(self, vertices, offsets, indices, family: MeshFamily) -> None:
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         if not np.all(np.isfinite(vertices)):
             raise MeshError("non-finite vertex coordinates")
-        if len(cells) == 0:
+        offsets = np.asarray(offsets, dtype=np.int64)
+        idx = np.asarray(indices).astype(np.int64, copy=False)
+        if (offsets.ndim != 1 or idx.ndim != 1 or len(offsets) == 0 or offsets[0] != 0
+                or offsets[-1] != len(idx) or np.any(np.diff(offsets) < 0)):
+            raise MeshError("offsets must rise from 0 to the length of the 1-D indices")
+        if len(offsets) == 1:
             raise MeshError("mesh has no cells")
         if len(vertices) == 0:
             raise MeshError("mesh has no vertices")
-        self.vertices = vertices
+        self.vertices, self.offsets, self.indices = vertices, offsets, idx
         self.family = family
-        counts = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-        self.offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.indices = idx = np.concatenate(cells).astype(np.int64, copy=False)
+        counts = np.diff(offsets)
         nc, nv = len(counts), len(vertices)
         cell_of = np.repeat(np.arange(nc), counts)
         succ = cycle_successor(self.offsets)
@@ -397,8 +416,7 @@ def load_mesh(path) -> PolygonalMesh:
     for k in np.flatnonzero(clockwise):
         logger.warning("%s: cell %d was clockwise; reversed to counterclockwise", path, k)
     flat = flat[np.where(np.repeat(clockwise, counts), start + end - 1 - pos, pos)]
-    cells = np.split(flat, offsets[1:-1])[:nc]
-    mesh = PolygonalMesh(vertices, cells, MeshFamily.EXTERNAL)
+    mesh = PolygonalMesh.from_ragged(vertices, offsets, flat, MeshFamily.EXTERNAL)
     report = validate_mesh(mesh)
     if not report.ok:
         raise MeshValidationError(f"{path}: {report.first_error()}")

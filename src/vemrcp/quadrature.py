@@ -1,8 +1,11 @@
 """Degree-5 quadrature on polygonal cells via ear-clip triangulation.
 
 The first rule asked of a mesh fills the rules of all its cells, one stacked
-ear clip per vertex-count group, and caches them on the mesh by cell id, so
-repeated integrations (error norms of several methods) reuse them.
+ear clip per vertex-count group. Each group's points and weights become two
+flat read-only arrays in cell-major order, and a cell's rule is a pair of
+slice views into them, cached on the mesh by cell id, so repeated
+integrations (error norms of several methods) reuse them. A fill that fails
+caches nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndar
     """Composite rule over the ear-clip triangulation of a cell; a miss fills every cell."""
     cache = mesh._quadrature_cache
     if cell not in cache:
+        rules = {}
         for cells, idx in vertex_count_groups(mesh):
             coords = mesh.vertices[idx]                                  # (k, n, 2)
             local, emitted = ear_clip(coords, cells)
@@ -43,8 +47,13 @@ def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndar
             e1, e2 = tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :]
             area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
             pts, w = TRI7_BARY @ tris, area[..., None] * TRI7_WEIGHTS
-            for ci, keep, p, wk in zip(cells.tolist(), emitted, pts, w):
-                cache[ci] = p[keep].reshape(-1, 2), wk[keep].ravel()
+            pts, w = pts[emitted].reshape(-1, 2), w[emitted].ravel()    # emitted triangles, cell-major
+            pts.setflags(write=False)
+            w.setflags(write=False)
+            bounds = np.concatenate([[0], np.cumsum(7 * emitted.sum(axis=1))]).tolist()
+            for ci, a, b in zip(cells.tolist(), bounds[:-1], bounds[1:]):
+                rules[ci] = pts[a:b], w[a:b]
+        cache.update(rules)
     return cache[cell]
 
 

@@ -13,7 +13,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from vemrcp.generators import _merge_points
-from vemrcp.mesh import MeshError, shoelace
+from vemrcp.mesh import MeshError, ear_clip, shoelace, vertex_count_groups
+from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 
 
 def cst_element(coords: np.ndarray, C: np.ndarray):
@@ -214,6 +215,25 @@ def random_points_in_cell(mesh, cell, rng, count):
         s = np.sqrt(r1)
         pts[k] = (1.0 - s) * a + s * (1.0 - r2) * b + s * r2 * c
     return pts
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+
+def quadrature_rules_per_cell(mesh) -> dict:
+    """Every cell's composite degree-5 rule, copied out of the stacked ear clip one cell at a time."""
+    rules = {}
+    for cells, idx in vertex_count_groups(mesh):
+        coords = mesh.vertices[idx]
+        local, emitted = ear_clip(coords, cells)
+        tris = coords[np.arange(len(cells))[:, None, None], local]
+        e1, e2 = tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :]
+        area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+        pts, w = TRI7_BARY @ tris, area[..., None] * TRI7_WEIGHTS
+        for ci, keep, p, wk in zip(cells.tolist(), emitted, pts, w):
+            rules[ci] = p[keep].reshape(-1, 2), wk[keep].ravel()
+    return rules
 
 
 # ---------------------------------------------------------------------------

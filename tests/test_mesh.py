@@ -577,6 +577,28 @@ class TestConstructorChecks:
         with pytest.raises(MeshError, match="^non-finite vertex coordinates$"):
             PolygonalMesh(verts, [[0, 1, 2, 3]], MeshFamily.EXTERNAL)
 
+    def test_from_ragged_matches_cell_list(self):
+        verts = np.array([*self.SQUARE, (2, 0), (2, 1)], dtype=float)
+        by_list = PolygonalMesh(verts, [[0, 1, 2, 3], [1, 4, 5, 2]], MeshFamily.EXTERNAL)
+        ragged = PolygonalMesh.from_ragged(verts, [0, 4, 8], [0, 1, 2, 3, 1, 4, 5, 2],
+                                           MeshFamily.EXTERNAL)
+        for name in ("offsets", "indices", "edge_neighbors", "edges", "edge_uses",
+                     "vertex_cell_ids", "areas", "centroids", "second_moments"):
+            a, b = getattr(by_list, name), getattr(ragged, name)
+            assert np.array_equal(a, b) and a.dtype == b.dtype, name
+        assert all(map(np.array_equal, by_list.cells, ragged.cells))
+
+    @pytest.mark.parametrize(
+        "offsets, indices",
+        [([1, 4], [0, 1, 2, 3]), ([0, 3], [0, 1, 2, 3]), ([0, 3, 2, 4], [0, 1, 2, 3]),
+         ([], []), ([0, 4], [[0, 1], [2, 3]])],
+        ids=["late-start", "short-end", "falling", "empty", "2-d-indices"],
+    )
+    def test_from_ragged_rejects_bad_offsets(self, offsets, indices):
+        with pytest.raises(MeshError, match="^offsets must rise from 0"):
+            PolygonalMesh.from_ragged(np.array(self.SQUARE, dtype=float), offsets, indices,
+                                      MeshFamily.EXTERNAL)
+
     def test_topology_arrays_are_read_only(self):
         mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=0)
         for arr in (mesh.vertices, mesh.offsets, mesh.indices, mesh.cells[0],

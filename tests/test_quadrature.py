@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import quadrature_rules_per_cell
 from vemrcp.generators import generate_mesh
-from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, shoelace
+from vemrcp.mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, shoelace
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS, cell_quadrature, polygon_quadrature
+
+
+def assert_rules_match_oracle(mesh):
+    expected = quadrature_rules_per_cell(mesh)
+    for ci in range(mesh.num_cells):
+        for got, want in zip(cell_quadrature(mesh, ci), expected[ci]):
+            assert np.array_equal(got, want), f"cell {ci}"
+            assert got.dtype == want.dtype and got.flags.c_contiguous
 
 
 class TestTriangleRule:
@@ -56,6 +65,34 @@ class TestPolygonQuadrature:
         b = cell_quadrature(unit_square_mesh, 0)
         assert a[0] is b[0] and a[1] is b[1]
 
+    @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+    def test_rules_match_per_cell_oracle(self, family):
+        for n in [*range(1, 17), 32]:
+            for seed in range(3):
+                assert_rules_match_oracle(generate_mesh(family, n, seed=seed))
+
+    def test_rules_match_oracle_when_a_collinear_vertex_emits_no_triangle(self):
+        # Cells 1 and 2 form the five-vertex group; cell 2 is a square with a vertex
+        # in the middle of its bottom side, so one of its three ear-clip steps is empty.
+        triangle = np.array([(0, 0), (1, 0), (0, 1)], dtype=float)
+        pentagon = np.array([(0, 0), (2, 0), (3, 1.5), (1, 3), (-1, 1.5)]) + 10.0
+        split_square = np.array([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)], dtype=float) + 20.0
+        quad = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float) + 30.0
+        mesh = PolygonalMesh(
+            np.concatenate([triangle, pentagon, split_square, quad]),
+            [np.arange(3), np.arange(3, 8), np.arange(8, 13), np.arange(13, 17)],
+            MeshFamily.EXTERNAL,
+        )
+        assert_rules_match_oracle(mesh)
+        assert [len(cell_quadrature(mesh, ci)[1]) for ci in range(4)] == [7, 21, 14, 14]
+
+    def test_rules_are_read_only(self, unit_square_mesh):
+        pts, w = cell_quadrature(unit_square_mesh, 0)
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            w[0] = 0.5
+
     def test_clip_failure_names_the_mesh_cell(self):
         # Cell 2 is a non-simple pentagon, the second cell of the five-vertex group.
         triangle = np.array([(0, 0), (1, 0), (0, 1)], dtype=float) + 10.0
@@ -66,5 +103,8 @@ class TestPolygonQuadrature:
             [np.arange(3), np.arange(3, 8), np.arange(8, 13)],
             MeshFamily.EXTERNAL,
         )
-        with pytest.raises(MeshError, match="^cell 2: ear clipping failed"):
-            cell_quadrature(mesh, 0)
+        # A failed fill caches nothing, so asking again fails again.
+        for _ in range(2):
+            with pytest.raises(MeshError, match="^cell 2: ear clipping failed"):
+                cell_quadrature(mesh, 0)
+        assert mesh._quadrature_cache == {}
