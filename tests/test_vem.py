@@ -9,7 +9,7 @@ from conftest import single_cell_mesh
 from oracles import cst_solve
 from vemrcp.generators import generate_mesh
 from vemrcp.material import elastic_matrix
-from vemrcp.mesh import MeshFamily, PolygonalMesh, shoelace
+from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, shoelace
 from vemrcp.study import linear_patch_case
 from vemrcp.vem import (
     ConstrainedSystem,
@@ -163,6 +163,25 @@ class TestStiffness:
         ops = cell_ops(mesh, mat)
         K = ops.Kc + ops.Ks
         assert np.max(np.abs(K - K.T)) <= 1e-13 * np.max(np.abs(K))
+
+
+class TestRankCheck:
+    """A cell too flat to carry the linear fields is rejected by name; a thin one is not."""
+
+    @staticmethod
+    def square_and_sliver(height):
+        # Cell 1 is a ccw triangle hanging below the square's bottom edge.
+        vertices = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, -height)], dtype=float)
+        return PolygonalMesh(vertices, [np.arange(4), np.array([0, 4, 1])], MeshFamily.EXTERNAL)
+
+    def test_flat_sliver_raises(self, mat):
+        with pytest.raises(MeshError) as info:
+            assemble_global(self.square_and_sliver(1e-14), mat)
+        assert str(info.value) == "cell 1: degenerate geometry, linear modes are rank deficient"
+
+    def test_thin_sliver_assembles(self, mat):
+        K = assemble_global(self.square_and_sliver(1e-6), mat).matrix
+        assert np.isfinite(K.data).all()
 
 
 class TestLoadVector:
