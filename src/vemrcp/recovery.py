@@ -271,8 +271,8 @@ def evaluate_recovered_stress(field: RecoveredStressField, cell, points) -> np.n
     cell = np.asarray(cell)
     center = field.centers[cell]
     local = (pts - center) / field.scales[cell][..., None]
-    # coef[..., a, :] = MODES[a] @ beta: the stress coefficients of 1, xi and eta.
-    coef = np.einsum("aik,...k->...ai", MODES, field.betas[cell])
-    out = coef[..., 0, :] + np.einsum("...a,...ai->...i", local, coef[..., 1:, :])
+    # coef[c, a] = MODES[a] @ beta_c: the stress coefficients of 1, xi and eta, once per cell.
+    coef = np.einsum("aik,ck->cai", MODES, field.betas)[cell]
+    out = coef[..., 0, :] + local[..., :1] * coef[..., 1, :] + local[..., 1:] * coef[..., 2, :]
     out[..., :2] -= field.loads[cell] * (pts - center)
     return out

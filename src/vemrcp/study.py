@@ -75,7 +75,7 @@ def energy_error_norm(
     pts = np.concatenate([p for p, _ in rules])
     w = np.concatenate([w for _, w in rules])
     d = case.stress(pts[:, 0], pts[:, 1]) - stress_provider(cells, pts)
-    return float(np.einsum("m,mi,ij,mj->", w, d, compliance_matrix(material), d))
+    return float(w @ np.einsum("mi,mi->m", d @ compliance_matrix(material), d))
 
 
 @dataclass

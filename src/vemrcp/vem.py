@@ -60,35 +60,55 @@ def compute_B(pts: np.ndarray) -> np.ndarray:
     return B
 
 
-def element_matrices(pts: np.ndarray, area: np.ndarray, centroid: np.ndarray, cells,
-                     C: np.ndarray, stabilization_scale: float = 1.0) -> ElementMatrices:
-    """Projector and stiffness of k cells with n vertices each, `pts` (k, n, 2).
+def linear_complement(pts: np.ndarray, cells) -> np.ndarray:
+    """I - P_s for k cells with n vertices each, `pts` (k, n, 2); the result is (k, n, n).
 
-    `area` (k,) and `centroid` (k, 2) are the mesh's stored cell moments.
-    Kc = |E| Pi_m^T C Pi_m carries the constant-strain energy exactly. Ks
-    projects dof space onto the span of the six vertex-sampled rigid and
-    linear vector fields and penalizes the orthogonal complement with half the
-    trace of Kc; it vanishes on linear fields, and on triangles, which have no
-    complement. `cells` names the cells in the rank-check error.
+    P_s is the orthogonal projector onto span{1, x, y} sampled at the vertices.
+    The vertices are centred on their mean twice (the second pass removes the
+    rounding left in the first mean), so 1/sqrt(n), q1 = x / r1 and q2, the
+    part of y orthogonal to q1 scaled by its norm r2, form an orthonormal
+    basis. A cell is rank deficient when min(sqrt(n), r1, r2) is at most 1e-12
+    times their max, or not finite; `cells` names the cells in that error.
     """
     k, n, _ = pts.shape
-    Pi_m = compute_B(pts) / area[:, None, None]
-    Kc = area[:, None, None] * np.swapaxes(Pi_m, 1, 2) @ C @ Pi_m
-    # Columns: the rigid modes (1, 0), (0, 1), (-y, x), then (x, 0), (0, y), (y, x).
-    xh, yh = np.moveaxis(pts - centroid[:, None, :], -1, 0)
-    one, zero = np.ones_like(xh), np.zeros_like(xh)
-    L = np.stack([
-        np.stack([one, zero, -yh, xh, zero, yh], axis=-1),
-        np.stack([zero, one, xh, zero, yh, xh], axis=-1),
-    ], axis=2).reshape(k, 2 * n, 6)
-    q, r = np.linalg.qr(L)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    deficient = diag.min(axis=1) <= 1e-12 * diag.max(axis=1)
+    # Non-finite or collinear vertices give a NaN or zero in the diagonal checked below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, y = (v - v.mean(axis=1, keepdims=True) for v in np.moveaxis(pts, -1, 0))
+        x, y = (v - v.mean(axis=1, keepdims=True) for v in (x, y))
+        r1 = np.sqrt(np.einsum("ki,ki->k", x, x))
+        q1 = x / r1[:, None]
+        y -= np.einsum("ki,ki->k", q1, y)[:, None] * q1
+        r2 = np.sqrt(np.einsum("ki,ki->k", y, y))
+        q2 = y / r2[:, None]
+    diag = np.stack([np.full(k, np.sqrt(n)), r1, r2], axis=1)
+    deficient = ~(diag.min(axis=1) > 1e-12 * diag.max(axis=1))
     if deficient.any():
         cell = np.asarray(cells)[np.argmax(deficient)]
         raise MeshError(f"cell {cell}: degenerate geometry, linear modes are rank deficient")
+    out = np.eye(n) - 1.0 / n - q1[:, :, None] * q1[:, None, :]
+    out -= q2[:, :, None] * q2[:, None, :]
+    return out
+
+
+def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray,
+                     stabilization_scale: float = 1.0) -> ElementMatrices:
+    """Projector and stiffness of k cells with n vertices each, `pts` (k, n, 2).
+
+    `area` (k,) is the mesh's stored cell area.
+    Kc = |E| Pi_m^T C Pi_m carries the constant-strain energy exactly. The six
+    vertex-sampled linear vector fields are span{1, x, y} in each displacement
+    component, so Ks = tau (I - P_s) (x) I_2 in the interleaved dof order, with
+    P_s the per-component projector of `linear_complement` and tau half the
+    trace of Kc. Ks vanishes on linear fields, and on triangles, which have no
+    complement. `cells` names the cells in the rank-check error.
+    """
+    Pi_m = compute_B(pts) / area[:, None, None]
+    Kc = area[:, None, None] * np.swapaxes(Pi_m, 1, 2) @ C @ Pi_m
     tau = 0.5 * np.trace(Kc, axis1=1, axis2=2) * stabilization_scale
-    Ks = tau[:, None, None] * (np.eye(2 * n) - q @ np.swapaxes(q, 1, 2))
+    S = tau[:, None, None] * linear_complement(pts, cells)
+    Ks = np.zeros_like(Kc)
+    Ks[:, 0::2, 0::2] = S
+    Ks[:, 1::2, 1::2] = S
     return ElementMatrices(Pi_m, Kc, Ks)
 
 
@@ -130,8 +150,8 @@ def assemble_global(
     C = elastic_matrix(material)
     rows, cols, vals, groups = [], [], [], []
     for cells, idx in vertex_count_groups(mesh):
-        ops = element_matrices(mesh.vertices[idx], mesh.areas[cells], mesh.centroids[cells],
-                               cells, C, stabilization_scale)
+        ops = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C,
+                               stabilization_scale)
         dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(len(cells), -1)
         m = dofs.shape[1]
         rows.append(np.repeat(dofs, m, axis=1).ravel())

@@ -345,3 +345,37 @@ def vertex_patch_per_cell(mesh, cell) -> np.ndarray:
     return np.unique(
         np.concatenate([mesh.vertex_cell_ids[around[v]:around[v + 1]] for v in mesh.cells[cell]])
     )
+
+
+# ---------------------------------------------------------------------------
+# VEM stabilisation
+# ---------------------------------------------------------------------------
+
+def stabilization_complement_qr(pts: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """I - q q^T from one QR of the six vertex-sampled linear vector fields, (k, 2n, 2n).
+
+    The 2n x 6 mode matrix and QR that `vemrcp.vem.linear_complement` replaced,
+    kept as its reference; dofs are interleaved (u1, v1, ..., un, vn).
+    """
+    k, n, _ = pts.shape
+    # Columns: the rigid modes (1, 0), (0, 1), (-y, x), then (x, 0), (0, y), (y, x).
+    xh, yh = np.moveaxis(pts - centroid[:, None, :], -1, 0)
+    one, zero = np.ones_like(xh), np.zeros_like(xh)
+    L = np.stack([
+        np.stack([one, zero, -yh, xh, zero, yh], axis=-1),
+        np.stack([zero, one, xh, zero, yh, xh], axis=-1),
+    ], axis=2).reshape(k, 2 * n, 6)
+    q, _ = np.linalg.qr(L)
+    return np.eye(2 * n) - q @ np.swapaxes(q, 1, 2)
+
+
+def linear_complement_longdouble(pts: np.ndarray) -> np.ndarray:
+    """I - P_s onto span{1, x, y} at the vertices, by Gram-Schmidt in np.longdouble, (k, n, n)."""
+    k, n, _ = pts.shape
+    c = pts.astype(np.longdouble)
+    c = c - c.mean(axis=1, keepdims=True)
+    q1 = c[..., 0] / np.sqrt((c[..., 0] ** 2).sum(axis=1, keepdims=True))
+    y = c[..., 1] - (q1 * c[..., 1]).sum(axis=1, keepdims=True) * q1
+    q2 = y / np.sqrt((y ** 2).sum(axis=1, keepdims=True))
+    outer = q1[:, :, None] * q1[:, None, :] + q2[:, :, None] * q2[:, None, :]
+    return np.eye(n, dtype=np.longdouble) - np.longdouble(1) / n - outer

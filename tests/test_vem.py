@@ -3,13 +3,27 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import MatrixRankWarning
 
 from conftest import single_cell_mesh
-from oracles import cst_solve
+from oracles import (
+    cst_solve,
+    linear_complement_longdouble,
+    random_simple_polygon,
+    stabilization_complement_qr,
+)
 from vemrcp.generators import generate_mesh
-from vemrcp.material import elastic_matrix
-from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, shoelace
+from vemrcp.material import LameMaterial, elastic_matrix
+from vemrcp.mesh import (
+    GENERATED_FAMILIES,
+    MeshError,
+    MeshFamily,
+    PolygonalMesh,
+    shoelace,
+    vertex_count_groups,
+)
 from vemrcp.study import linear_patch_case
 from vemrcp.vem import (
     ConstrainedSystem,
@@ -20,6 +34,7 @@ from vemrcp.vem import (
     compute_B,
     element_matrices,
     element_stresses,
+    linear_complement,
     solve_dirichlet_problem,
     solve_system,
 )
@@ -44,8 +59,8 @@ def random_polygon_mesh(rng, n=6):
 
 def cell_ops(mesh, mat, stabilization_scale=1.0) -> ElementMatrices:
     """The grouped kernel called on the one cell of a one-cell mesh."""
-    ops = element_matrices(mesh.cell_coords(0)[None], mesh.areas[:1], mesh.centroids[:1], [0],
-                           elastic_matrix(mat), stabilization_scale)
+    ops = element_matrices(mesh.cell_coords(0)[None], mesh.areas[:1], [0], elastic_matrix(mat),
+                           stabilization_scale)
     return ElementMatrices(*(a[0] for a in ops))
 
 
@@ -163,6 +178,80 @@ class TestStiffness:
         ops = cell_ops(mesh, mat)
         K = ops.Kc + ops.Ks
         assert np.max(np.abs(K - K.T)) <= 1e-13 * np.max(np.abs(K))
+
+
+def assert_ks_matches_qr(pts, area, centroid, cells, C):
+    """Ks of the stack is the former QR projector's to 1e-13 of each cell's tau."""
+    ops = element_matrices(pts, area, cells, C)
+    tau = 0.5 * np.trace(ops.Kc, axis1=1, axis2=2)
+    expected = tau[:, None, None] * stabilization_complement_qr(pts, centroid)
+    err = np.abs(ops.Ks - expected).max(axis=(1, 2))
+    assert (err <= 1e-13 * tau).all(), (err / tau).max()
+
+
+class TestStabilization:
+    """The closed-form per-component projector against the six-column QR it replaced."""
+
+    @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+    def test_matches_qr_projector_on_every_family(self, family, mat):
+        mesh = generate_mesh(family, 8, seed=0)
+        for cells, idx in vertex_count_groups(mesh):
+            assert_ks_matches_qr(mesh.vertices[idx], mesh.areas[cells], mesh.centroids[cells],
+                                 cells, elastic_matrix(mat))
+
+    def test_matches_qr_projector_on_random_polygons(self, mat, rng):
+        polygons = [random_simple_polygon(rng) for _ in range(500)]
+        for n in {len(p) for p in polygons}:
+            pts = np.stack([p for p in polygons if len(p) == n])
+            area, centroid = shoelace(pts)
+            assert_ks_matches_qr(pts, area, centroid, np.arange(len(pts)), elastic_matrix(mat))
+
+    def test_closed_form_matches_longdouble_reference(self):
+        mesh = generate_mesh(MeshFamily.QUAD_U, 64, seed=0)
+        for cells, idx in vertex_count_groups(mesh):
+            pts = mesh.vertices[idx]
+            err = np.abs(linear_complement(pts, cells) - linear_complement_longdouble(pts)).max()
+            assert err <= 1e-15
+
+
+@st.composite
+def star_shaped_cells(draw):
+    """A ccw cell of 3-10 vertices, star-shaped about its centre and concave when radii vary.
+
+    Every angular gap is below pi, so each edge stays inside its own sector: the
+    cycle is simple and counterclockwise.
+    """
+    n = draw(st.integers(3, 10))
+    gaps = np.array(draw(st.lists(st.floats(1.0, 1.8), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    angles = draw(st.floats(0.0, 2.0 * np.pi)) + 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    centre = np.array(draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))))
+    return centre + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+class TestStabilizationProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(pts=star_shaped_cells())
+    def test_kernel_and_spectrum(self, pts):
+        n = len(pts)
+        ops = cell_ops(single_cell_mesh(pts), LameMaterial(1.0, 1.0))
+        K = ops.Kc + ops.Ks
+        tau = 0.5 * np.trace(ops.Kc)
+        x, y = pts.T
+        one, zero = np.ones(n), np.zeros(n)
+
+        def dofs(u, v):
+            return np.column_stack([u, v]).ravel()
+
+        for v in (dofs(one, zero), dofs(zero, one), dofs(-y, x)):
+            assert np.abs(K @ v).max() <= 1e-12 * np.abs(K).max() * np.abs(v).max()
+        for u, v in ((one, zero), (zero, one), (x, zero), (y, zero), (zero, x), (zero, y)):
+            w = dofs(u, v)
+            assert np.abs(ops.Ks @ w).max() <= 1e-12 * tau * np.abs(w).max()
+        # Ks is tau times an orthogonal projector of rank 2n - 6: eigenvalues 0 and tau only.
+        ev = np.linalg.eigvalsh(ops.Ks) / tau
+        assert np.minimum(np.abs(ev), np.abs(ev - 1.0)).max() <= 1e-12
+        assert np.count_nonzero(ev > 0.5) == 2 * n - 6
 
 
 class TestRankCheck:

@@ -8,7 +8,7 @@ from vemrcp.cases import CASE_IDS, manufactured_case
 from vemrcp.generators import GenerationError, generate_mesh
 from vemrcp.material import compliance_matrix, elastic_matrix
 from vemrcp.mesh import MeshFamily, PolygonalMesh
-from vemrcp.quadrature import polygon_quadrature
+from vemrcp.quadrature import cell_quadrature, polygon_quadrature
 from vemrcp.recovery import evaluate_recovered_stress
 from vemrcp.study import (
     ConvergenceRecord,
@@ -116,6 +116,21 @@ class TestEnergyErrorNorm:
             assert got == pytest.approx(expected, rel=1e-12), name
             if name in errors:
                 assert errors[name] == got
+
+    @pytest.mark.parametrize(
+        "family", [MeshFamily.CONC_U, MeshFamily.POLY_U, MeshFamily.HEX_S], ids=lambda f: f.value
+    )
+    def test_matches_sum_over_each_cells_rule(self, family, mat):
+        mesh = generate_mesh(family, 8, seed=0)
+        case = manufactured_case("b", mat)
+        result, errors = run_level(mesh, mat, case, methods=("vem",))
+        Cinv = compliance_matrix(mat)
+        expected = 0.0
+        for ci in range(mesh.num_cells):
+            pts, w = cell_quadrature(mesh, ci)
+            d = case.stress(pts[:, 0], pts[:, 1]) - result.cell_stresses[ci]
+            expected += sum(wq * dq @ Cinv @ dq for wq, dq in zip(w, d))
+        assert errors["vem"] == pytest.approx(expected, rel=1e-13)
 
     def test_quad_refinement_ratio_near_four(self, mat):
         case = manufactured_case("a", mat)
