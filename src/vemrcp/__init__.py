@@ -13,7 +13,7 @@ from .mesh import (
     save_mesh,
     validate_mesh,
 )
-from .quadrature import cell_quadrature, polygon_quadrature
+from .quadrature import cell_quadrature
 from .recovery import (
     RecoveredStressField,
     RecoveryConditioningError,

@@ -20,7 +20,7 @@ from .mesh import (
     MeshFamily,
     PolygonalMesh,
     cycle_successor,
-    shoelace,
+    polygon_moments,
     validate_mesh,
 )
 
@@ -56,12 +56,10 @@ def generate_mesh(family: MeshFamily, subdivisions: int, seed: int = 0) -> Polyg
         MeshFamily.POLY_U: _poly_unstructured,
         MeshFamily.CONC_U: _conc_unstructured,
     }[family]
-    mesh = PolygonalMesh.from_ragged(*builder(subdivisions, rng), family)
-    report = validate_mesh(mesh)
-    if not report.ok:
-        raise GenerationError(
-            f"{family.value} (n={subdivisions}, seed={seed}): {report.first_error()}"
-        )
+    mesh = PolygonalMesh(*builder(subdivisions, rng), family)
+    errors = validate_mesh(mesh)
+    if errors:
+        raise GenerationError(f"{family.value} (n={subdivisions}, seed={seed}): {errors[0]}")
     return mesh
 
 
@@ -175,10 +173,7 @@ def _clip_to_unit_square(points: np.ndarray, counts: np.ndarray):
         clipped[(first[:-1] + inside)[crossing]] = cut
         points, offsets = clipped, first[offsets]
     counts = np.diff(offsets)
-    succ = cycle_successor(offsets)
-    x, y = points.T
-    area = 0.5 * np.add.reduceat(np.append(x * y[succ] - x[succ] * y, 0.0), offsets[:-1])
-    kept = (counts >= 3) & (np.abs(area) >= 1e-14)
+    kept = (counts >= 3) & (np.abs(polygon_moments(points, offsets)[0]) >= 1e-14)
     return points[np.repeat(kept, counts)], np.where(kept, counts, 0)
 
 
@@ -254,7 +249,7 @@ def _poisson_disk(n: int, rng) -> np.ndarray:
 def _tri_unstructured(n: int, rng) -> MeshArrays:
     pts = _poisson_disk(n, rng)
     simplices = Delaunay(pts).simplices
-    area = shoelace(pts[simplices])[0]
+    area = polygon_moments(pts[simplices].reshape(-1, 2), 3 * np.arange(len(simplices) + 1))[0]
     degenerate = np.abs(area) < 1e-14
     if degenerate.any():
         raise GenerationError(
@@ -306,9 +301,10 @@ def _ordered_regions(vor: Voronoi, num: int, certify: bool = False):
     """The regions of the first `num` input points as one ragged pair and their centroids.
 
     Returns offsets (num + 1,), Voronoi vertex ids with each region's cycle sorted by angle
-    about its vertex mean (counterclockwise), and the (num, 2) region centroids, one
-    vertex-count group at a time. An unbounded or degenerate region raises GenerationError,
-    or with `certify` returns None, as does a vertex more than 1e-9 outside [0,1]^2.
+    about its vertex mean (counterclockwise), one vertex-count group at a time, and the
+    (num, 2) region centroids from `polygon_moments`. An unbounded or degenerate region
+    raises GenerationError, or with `certify` returns None, as does a vertex more than 1e-9
+    outside [0,1]^2.
     """
     regions = list(map(vor.regions.__getitem__, vor.point_region[:num]))
     counts = np.fromiter(map(len, regions), dtype=np.int64, count=num)
@@ -319,7 +315,6 @@ def _ordered_regions(vor: Voronoi, num: int, certify: bool = False):
         if certify:
             return None
         raise GenerationError(f"poly-u: unbounded or degenerate Voronoi region for seed {bad[0]}")
-    centroids = np.empty((num, 2))
     for m in np.unique(counts):
         cells = np.flatnonzero(counts == m)
         pos = offsets[cells, None] + np.arange(m)
@@ -330,5 +325,4 @@ def _ordered_regions(vor: Voronoi, num: int, certify: bool = False):
         ang = np.arctan2(coords[..., 1] - center[..., 1], coords[..., 0] - center[..., 0])
         order = np.argsort(ang, axis=1)
         ids[pos] = np.take_along_axis(ids[pos], order, axis=1)
-        centroids[cells] = shoelace(np.take_along_axis(coords, order[..., None], axis=1))[1]
-    return offsets, ids, centroids
+    return offsets, ids, polygon_moments(vor.vertices[ids], offsets)[1]

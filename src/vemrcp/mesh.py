@@ -3,12 +3,14 @@
 Vertices are rows of an (nv, 2) float array. The cells are one ragged pair of
 index arrays, as in PolyMesher: cell ci is the counterclockwise vertex cycle
 indices[offsets[ci]:offsets[ci + 1]], and the cell edge from its k-th vertex
-to the next has the global id offsets[ci] + k. The vertex-to-cell map is a
-second such pair: the cells around vertex v, in cell order, are
-vertex_cell_ids[vertex_offsets[v]:vertex_offsets[v + 1]]. All derived
-topology (edge incidence, neighbours, boundary flags, the vertex-to-cell map)
-and the cell moments of degree <= 2 (area, centroid, central second moments,
-in closed form from the vertices) are built once at construction. Only the
+to the next has the global id offsets[ci] + k. The mesh is built from that
+pair alone. The vertex-to-cell map is a second such pair: the cells around
+vertex v, in cell order, are vertex_cell_ids[vertex_offsets[v]:vertex_offsets[v + 1]].
+All derived topology (edge incidence, neighbours, boundary flags, the
+vertex-to-cell map) and the cell moments of degree <= 2 (area, centroid,
+central second moments, in closed form from the vertices) are built once at
+construction. Areas and centroids of ragged cycles come from one kernel,
+`polygon_moments`, which the generators and `load_mesh` use too. Only the
 per-cell quadrature rules are cached lazily on the instance, so a mesh is not
 safe to share between threads without a lock.
 """
@@ -16,7 +18,6 @@ safe to share between threads without a lock.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -63,36 +64,22 @@ _CELL_CHECKS = (
 class PolygonalMesh:
     """Conforming polygonal tessellation with counterclockwise cells.
 
-    `cells` is a sequence of vertex-index sequences; it is stored as the
-    ragged pair `offsets`, `indices`, and the vertex-to-cell map as the pair
-    `vertex_offsets`, `vertex_cell_ids` (see the module docstring);
-    `cells[ci]` is a read-only view. Per global edge id, `edge_ends` is the
-    end vertex and `edge_neighbors` the cell across (-1 on the boundary or
-    on an edge of more than two cells). Per unique edge, in order of first
-    appearance, `edges` holds the (lo, hi) vertex pair and `edge_uses` how
-    many cell edges run lo -> hi and hi -> lo. Boundary vertex flags are
-    always recomputed from edge incidence, never taken on trust from a file
-    or generator. Per cell, `areas`, `centroids` and `second_moments` (the
-    2x2 integral of (x - c)(x - c)^T about the centroid c) are exact.
+    The cells are the ragged pair `offsets` (ncells + 1, rising from 0) and
+    `indices`, and the vertex-to-cell map the pair `vertex_offsets`,
+    `vertex_cell_ids` (see the module docstring). The given arrays are kept,
+    not copied, where their dtypes allow, and made read-only. Per global edge
+    id, `edge_ends` is the end vertex and `edge_neighbors` the cell across
+    (-1 on the boundary or on an edge of more than two cells). Per unique
+    edge, in order of first appearance, `edges` holds the (lo, hi) vertex pair
+    and `edge_uses` how many cell edges run lo -> hi and hi -> lo. Boundary
+    vertex flags are always recomputed from edge incidence, never taken on
+    trust from a file or generator. Per cell, `areas`, `centroids` and
+    `second_moments` (the 2x2 integral of (x - c)(x - c)^T about the centroid
+    c) are exact. A bad cell raises MeshError naming the first one.
     """
 
-    def __init__(self, vertices: np.ndarray, cells, family: MeshFamily):
-        counts = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-        indices = np.concatenate(cells) if len(cells) else np.empty(0, dtype=np.int64)
-        self._build(vertices, np.concatenate([[0], np.cumsum(counts)]), indices, family)
-
-    @classmethod
-    def from_ragged(cls, vertices: np.ndarray, offsets: np.ndarray, indices: np.ndarray,
-                    family: MeshFamily) -> PolygonalMesh:
-        """Build a mesh from cells already stored as the ragged pair `offsets`, `indices`.
-
-        The arrays are kept, not copied, where their dtypes allow, and made read-only.
-        """
-        mesh = cls.__new__(cls)
-        mesh._build(vertices, offsets, indices, family)
-        return mesh
-
-    def _build(self, vertices, offsets, indices, family: MeshFamily) -> None:
+    def __init__(self, vertices: np.ndarray, offsets: np.ndarray, indices: np.ndarray,
+                 family: MeshFamily):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
@@ -118,11 +105,8 @@ class PolygonalMesh:
         out_of_range = (idx < 0) | (idx >= nv)
         order = np.lexsort((idx, cell_of))
         same = (np.diff(idx[order]) == 0) & (np.diff(cell_of[order]) == 0)
-        # Moments are edge sums on coordinates local to each cell, so a far origin costs no digits.
         xy = vertices[np.where(out_of_range, 0, idx)]
-        local = xy - xy[self.offsets[cell_of]]
-        cross = local[:, 0] * local[succ, 1] - local[succ, 0] * local[:, 1]
-        area = 0.5 * np.add.reduceat(np.append(cross, 0.0), self.offsets[:-1])
+        area, centroids = polygon_moments(xy, offsets)
         failed = np.zeros((len(_CELL_CHECKS), nc), dtype=bool)
         failed[0] = counts < 3
         failed[1, cell_of[order][1:][same]] = True
@@ -131,10 +115,9 @@ class PolygonalMesh:
         if failed.any():
             ci = int(np.argmax(failed.any(axis=0)))
             raise MeshError(f"cell {ci} {_CELL_CHECKS[np.argmax(failed[:, ci])]}")
-        starts = self.offsets[:-1]
-        moment = np.add.reduceat((local + local[succ]) * cross[:, None], starts)
-        self.areas, self.centroids = area, xy[starts] + moment / (6.0 * area[:, None])
-        # Central second moments: the same kind of edge sums, relative to the centroid.
+        self.areas, self.centroids = area, centroids
+        starts = offsets[:-1]
+        # Central second moments: edge sums like those of the area, relative to the centroid.
         x, y = (xy - self.centroids[cell_of]).T
         xn, yn = x[succ], y[succ]
         terms = np.column_stack([2.0 * (x * x + x * xn + xn * xn),
@@ -172,8 +155,6 @@ class PolygonalMesh:
                     self.vertex_offsets, self.vertex_cell_ids, self.areas,
                     self.centroids, self.second_moments):
             arr.setflags(write=False)
-        bounds = self.offsets.tolist()
-        self.cells = [idx[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         self._quadrature_cache: dict = {}
 
     @property
@@ -183,9 +164,6 @@ class PolygonalMesh:
     @property
     def num_cells(self) -> int:
         return len(self.offsets) - 1
-
-    def cell_coords(self, cell: int) -> np.ndarray:
-        return self.vertices[self.cells[cell]]
 
     def boundary_vertices(self) -> np.ndarray:
         return np.nonzero(self.boundary_vertex_flags)[0]
@@ -203,19 +181,28 @@ def cycle_successor(offsets: np.ndarray) -> np.ndarray:
     return succ
 
 
-def shoelace(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Area and area-weighted centroid of ccw polygons given as (..., n, 2) vertex cycles.
+def polygon_moments(xy: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed area (k,) and centroid (k, 2) of k ragged vertex cycles.
 
-    Valid for concave simple polygons; a stack of k cells with n vertices each
-    gives areas (k,) and centroids (k, 2).
+    Cycle c has the corners xy[offsets[c]:offsets[c + 1]], counterclockwise for
+    a positive area; cycles may be empty or concave. The edge sums run on
+    coordinates local to each cycle's first corner, so a far origin costs no
+    digits. An empty cycle has area 0; a cycle of area 0 gets a non-finite
+    centroid, without a warning.
     """
-    x, y = points[..., 0], points[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
-    cross = x * yn - xn * y
-    area = 0.5 * cross.sum(axis=-1)
-    cx = ((x + xn) * cross).sum(axis=-1) / (6.0 * area)
-    cy = ((y + yn) * cross).sum(axis=-1) / (6.0 * area)
-    return area, np.stack([cx, cy], axis=-1)
+    counts = np.diff(offsets)
+    nonempty = counts > 0
+    first = offsets[:-1][nonempty]
+    origin = np.zeros((len(counts), 2))
+    origin[nonempty] = xy[first]
+    local = xy - np.repeat(origin, counts, axis=0)
+    succ = cycle_successor(offsets)
+    cross = local[:, 0] * local[succ, 1] - local[succ, 0] * local[:, 1]
+    area, moment = np.zeros(len(counts)), np.zeros((len(counts), 2))
+    area[nonempty] = 0.5 * np.add.reduceat(np.append(cross, 0.0), first)
+    moment[nonempty] = np.add.reduceat((local + local[succ]) * cross[:, None], first)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return area, origin + moment / (6.0 * area[:, None])
 
 
 def vertex_count_groups(mesh: PolygonalMesh) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -294,17 +281,8 @@ def ear_clip(points: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    errors: list[str]
-
-    def first_error(self) -> str:
-        return self.errors[0] if self.errors else ""
-
-
-def validate_mesh(mesh: PolygonalMesh) -> ValidationReport:
-    """Check the structural mesh invariants and report the violations found.
+def validate_mesh(mesh: PolygonalMesh) -> list[str]:
+    """Check the structural mesh invariants; return the violations found, empty if none.
 
     For generated families the cells must tile the unit square; externally
     loaded meshes are checked topologically (edge incidence, orientation
@@ -333,7 +311,7 @@ def validate_mesh(mesh: PolygonalMesh) -> ValidationReport:
     if mesh.family is not MeshFamily.EXTERNAL and abs(area_sum - 1.0) > 1e-10:
         errors.append(f"cell areas sum to {area_sum!r}, expected 1.0")
 
-    return ValidationReport(ok=not errors, errors=errors)
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +386,15 @@ def load_mesh(path) -> PolygonalMesh:
     offsets = np.concatenate([[0], np.cumsum(counts)])
     flat, pos = np.asarray(flat, dtype=np.int64), np.arange(offsets[-1])
     start, end = np.repeat(offsets[:-1], counts), np.repeat(offsets[1:], counts)
-    succ = cycle_successor(offsets)
-    with np.errstate(all="ignore"):                  # the constructor rejects degenerate cells
-        x, y = (vertices[flat] - vertices[flat[start]]).T    # cell-local coordinates
-        area = np.add.reduceat(np.append(x * y[succ] - x[succ] * y, 0.0), offsets[:-1])
-    clockwise = (area < 0.0) & (counts > 0)
+    with np.errstate(all="ignore"):           # non-finite vertices: the constructor raises
+        clockwise = polygon_moments(vertices[flat], offsets)[0] < 0.0
     for k in np.flatnonzero(clockwise):
         logger.warning("%s: cell %d was clockwise; reversed to counterclockwise", path, k)
     flat = flat[np.where(np.repeat(clockwise, counts), start + end - 1 - pos, pos)]
-    mesh = PolygonalMesh.from_ragged(vertices, offsets, flat, MeshFamily.EXTERNAL)
-    report = validate_mesh(mesh)
-    if not report.ok:
-        raise MeshValidationError(f"{path}: {report.first_error()}")
+    mesh = PolygonalMesh(vertices, offsets, flat, MeshFamily.EXTERNAL)
+    errors = validate_mesh(mesh)
+    if errors:
+        raise MeshValidationError(f"{path}: {errors[0]}")
     return mesh
 
 

@@ -56,8 +56,3 @@ def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndar
         cache.update(rules)
     return cache[cell]
 
-
-def polygon_quadrature(mesh: PolygonalMesh, cell: int, integrand) -> float:
-    """Integrate integrand(x, y) over a cell; x and y arrive as arrays."""
-    pts, w = cell_quadrature(mesh, cell)
-    return float(np.dot(w, np.asarray(integrand(pts[:, 0], pts[:, 1]), dtype=float)))

@@ -67,11 +67,12 @@ def linear_complement(pts: np.ndarray, cells) -> np.ndarray:
     The vertices are centred on their mean twice (the second pass removes the
     rounding left in the first mean), so 1/sqrt(n), q1 = x / r1 and q2, the
     part of y orthogonal to q1 scaled by its norm r2, form an orthonormal
-    basis. A cell is rank deficient when min(sqrt(n), r1, r2) is at most 1e-12
-    times their max, or not finite; `cells` names the cells in that error.
+    basis. A cell is rank deficient when min(r1, r2) is at most 1e-12 times
+    max(r1, r2), or either is not finite; both are lengths, so the test does
+    not depend on the mesh's scale. `cells` names the cells in that error.
     """
-    k, n, _ = pts.shape
-    # Non-finite or collinear vertices give a NaN or zero in the diagonal checked below.
+    n = pts.shape[1]
+    # Non-finite or collinear vertices give a NaN or zero in r1 or r2, checked below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x, y = (v - v.mean(axis=1, keepdims=True) for v in np.moveaxis(pts, -1, 0))
         x, y = (v - v.mean(axis=1, keepdims=True) for v in (x, y))
@@ -80,8 +81,8 @@ def linear_complement(pts: np.ndarray, cells) -> np.ndarray:
         y -= np.einsum("ki,ki->k", q1, y)[:, None] * q1
         r2 = np.sqrt(np.einsum("ki,ki->k", y, y))
         q2 = y / r2[:, None]
-    diag = np.stack([np.full(k, np.sqrt(n)), r1, r2], axis=1)
-    deficient = ~(diag.min(axis=1) > 1e-12 * diag.max(axis=1))
+    # The comparison is False whenever r1 or r2 is NaN or infinite.
+    deficient = ~(np.minimum(r1, r2) > 1e-12 * np.maximum(r1, r2))
     if deficient.any():
         cell = np.asarray(cells)[np.argmax(deficient)]
         raise MeshError(f"cell {cell}: degenerate geometry, linear modes are rank deficient")
@@ -90,8 +91,7 @@ def linear_complement(pts: np.ndarray, cells) -> np.ndarray:
     return out
 
 
-def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray,
-                     stabilization_scale: float = 1.0) -> ElementMatrices:
+def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray) -> ElementMatrices:
     """Projector and stiffness of k cells with n vertices each, `pts` (k, n, 2).
 
     `area` (k,) is the mesh's stored cell area.
@@ -104,7 +104,7 @@ def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray,
     """
     Pi_m = compute_B(pts) / area[:, None, None]
     Kc = area[:, None, None] * np.swapaxes(Pi_m, 1, 2) @ C @ Pi_m
-    tau = 0.5 * np.trace(Kc, axis1=1, axis2=2) * stabilization_scale
+    tau = 0.5 * np.trace(Kc, axis1=1, axis2=2)
     S = tau[:, None, None] * linear_complement(pts, cells)
     Ks = np.zeros_like(Kc)
     Ks[:, 0::2, 0::2] = S
@@ -133,12 +133,7 @@ class ConstrainedSystem:
     ndof: int
 
 
-def assemble_global(
-    mesh: PolygonalMesh,
-    material: LameMaterial,
-    body_force=None,
-    stabilization_scale: float = 1.0,
-) -> GlobalSystem:
+def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None) -> GlobalSystem:
     """Assemble stiffness and load one vertex-count group at a time.
 
     `body_force` is None or a vectorized callable b(x, y) -> (m, 2); a
@@ -150,8 +145,7 @@ def assemble_global(
     C = elastic_matrix(material)
     rows, cols, vals, groups = [], [], [], []
     for cells, idx in vertex_count_groups(mesh):
-        ops = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C,
-                               stabilization_scale)
+        ops = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
         dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(len(cells), -1)
         m = dofs.shape[1]
         rows.append(np.repeat(dofs, m, axis=1).ravel())
@@ -233,7 +227,6 @@ def solve_dirichlet_problem(
     material: LameMaterial,
     body_force,
     boundary_displacement,
-    stabilization_scale: float = 1.0,
 ) -> tuple[np.ndarray, GlobalSystem]:
     """Assemble, constrain every boundary vertex, and solve.
 
@@ -242,7 +235,7 @@ def solve_dirichlet_problem(
     vectorized callable u(x, y) -> (m, 2) too, called once at all boundary
     vertices.
     """
-    system = assemble_global(mesh, material, body_force, stabilization_scale)
+    system = assemble_global(mesh, material, body_force)
     boundary = mesh.boundary_vertices()
     x, y = mesh.vertices[boundary].T
     values = np.asarray(boundary_displacement(x, y), dtype=float).reshape(-1, 2)

@@ -13,8 +13,50 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from vemrcp.generators import _merge_points
-from vemrcp.mesh import MeshError, ear_clip, shoelace, vertex_count_groups
+from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, ear_clip, vertex_count_groups
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
+
+
+# ---------------------------------------------------------------------------
+# cells one at a time
+# ---------------------------------------------------------------------------
+
+def mesh_from_cells(vertices, cells, family=MeshFamily.EXTERNAL) -> PolygonalMesh:
+    """A mesh from a list of vertex-index sequences, one per cell."""
+    offsets = np.concatenate([[0], np.cumsum([len(c) for c in cells])])
+    return PolygonalMesh(vertices, offsets, np.concatenate(cells), family)
+
+
+def mesh_cells(mesh) -> list[np.ndarray]:
+    """The vertex-index cycle of every cell, as a list of views."""
+    bounds = mesh.offsets.tolist()
+    return [mesh.indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def cell_ids(mesh, cell) -> np.ndarray:
+    """The vertex indices of one cell, counterclockwise."""
+    return mesh.indices[mesh.offsets[cell]:mesh.offsets[cell + 1]]
+
+
+def cell_coords(mesh, cell) -> np.ndarray:
+    """The (n, 2) vertex coordinates of one cell, counterclockwise."""
+    return mesh.vertices[cell_ids(mesh, cell)]
+
+
+def shoelace(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Area and area-weighted centroid of ccw polygons given as (..., n, 2) vertex cycles.
+
+    Valid for concave simple polygons; a stack of k cells with n vertices each
+    gives areas (k,) and centroids (k, 2). The edge sums run on absolute
+    coordinates; this is the reference for `vemrcp.mesh.polygon_moments`.
+    """
+    x, y = points[..., 0], points[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cross = x * yn - xn * y
+    area = 0.5 * cross.sum(axis=-1)
+    cx = ((x + xn) * cross).sum(axis=-1) / (6.0 * area)
+    cy = ((y + yn) * cross).sum(axis=-1) / (6.0 * area)
+    return area, np.stack([cx, cy], axis=-1)
 
 
 def cst_element(coords: np.ndarray, C: np.ndarray):
@@ -204,7 +246,7 @@ def ear_clip_per_cell(points: np.ndarray) -> list[tuple[int, int, int]]:
 
 def random_points_in_cell(mesh, cell, rng, count):
     """Uniform interior samples via the cell's ear-clip triangulation."""
-    coords = mesh.cell_coords(cell)
+    coords = cell_coords(mesh, cell)
     tris = [coords[list(t)] for t in ear_clip_per_cell(coords)]
     areas = np.array([abs(shoelace(t)[0]) for t in tris])
     choice = rng.choice(len(tris), size=count, p=areas / areas.sum())
@@ -342,9 +384,9 @@ def vertex_patch_per_cell(mesh, cell) -> np.ndarray:
     The per-cell loop that `vemrcp.recovery.build_patch` replaced, kept as its reference.
     """
     around = mesh.vertex_offsets
-    return np.unique(
-        np.concatenate([mesh.vertex_cell_ids[around[v]:around[v + 1]] for v in mesh.cells[cell]])
-    )
+    return np.unique(np.concatenate(
+        [mesh.vertex_cell_ids[around[v]:around[v + 1]] for v in cell_ids(mesh, cell)]
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import cst_solve, fd_strain, fd_stress_divergence, random_points_in_cell
+from oracles import cst_solve, fd_strain, fd_stress_divergence, mesh_cells, random_points_in_cell
 from vemrcp.cases import CASE_IDS, manufactured_case
 from vemrcp.cli import StudyConfig, run
 from vemrcp.generators import generate_mesh
@@ -105,7 +105,7 @@ class TestCriterion2CstOracle:
             }
             u_ref, stress_ref = cst_solve(
                 mesh.vertices,
-                [list(map(int, c)) for c in mesh.cells],
+                [list(map(int, c)) for c in mesh_cells(mesh)],
                 elastic_matrix(MATERIAL),
                 case.body_force,
                 boundary,

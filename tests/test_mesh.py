@@ -12,12 +12,16 @@ from scipy.spatial import Voronoi
 
 from conftest import single_cell_mesh
 from oracles import (
+    cell_coords,
     clip_to_unit_square_per_polygon,
     ear_clip_per_cell,
     hex_structured_per_polygon,
     is_simple_polygon,
+    mesh_cells,
+    mesh_from_cells,
     poisson_disk_per_candidate,
     random_simple_polygon,
+    shoelace,
     vertex_patch_per_cell,
 )
 from vemrcp.generators import (
@@ -39,8 +43,8 @@ from vemrcp.mesh import (
     cycle_successor,
     ear_clip,
     load_mesh,
+    polygon_moments,
     save_mesh,
-    shoelace,
     validate_mesh,
     vertex_count_groups,
 )
@@ -51,12 +55,19 @@ from vemrcp.vem import compute_B
 ALL_FAMILIES = list(GENERATED_FAMILIES)
 
 
+def cell_moments(mesh, ci):
+    """Signed area and centroid of one cell from the package's ragged-cycle kernel."""
+    pts = cell_coords(mesh, ci)
+    area, centroid = polygon_moments(pts, np.array([0, len(pts)]))
+    return area[0], centroid[0]
+
+
 def cell_area(mesh, ci):
-    return shoelace(mesh.cell_coords(ci))[0]
+    return cell_moments(mesh, ci)[0]
 
 
 def cell_centroid(mesh, ci):
-    return shoelace(mesh.cell_coords(ci))[1]
+    return cell_moments(mesh, ci)[1]
 
 
 def clip_one(coords):
@@ -68,7 +79,7 @@ def clip_one(coords):
 def vertex_normals(mesh, ci):
     """Per-vertex weights of compute_B: half the sum of the scaled outward
     normals of the two edges that meet at each vertex, as (n, 2)."""
-    B = compute_B(mesh.cell_coords(ci)[None])[0]
+    B = compute_B(cell_coords(mesh, ci)[None])[0]
     return np.column_stack([B[0, 0::2], B[1, 1::2]])
 
 
@@ -115,6 +126,36 @@ class TestPolygonGeometry:
         np.testing.assert_allclose(cell_centroid(mesh, 0), [5 / 12, 5 / 12])
 
 
+class TestPolygonMoments:
+    """The ragged-cycle kernel against the absolute-coordinate shoelace reference."""
+
+    def test_matches_shoelace_reference(self, rng):
+        polygons = [random_simple_polygon(rng) for _ in range(500)]
+        offsets = np.concatenate([[0], np.cumsum([len(p) for p in polygons])])
+        area, centroid = polygon_moments(np.concatenate(polygons), offsets)
+        ref = [shoelace(p) for p in polygons]
+        np.testing.assert_allclose(area, [a for a, _ in ref], rtol=1e-12)
+        np.testing.assert_allclose(centroid, [c for _, c in ref], rtol=0, atol=1e-13)
+
+    def test_empty_and_zero_area_cycles(self):
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        flat = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+        # cycles: empty, square, empty, one point, two points, flat, clockwise square, empty
+        xy = np.array([*square, (3.0, 3.0), (0.0, 0.0), (1.0, 0.0), *flat, *square[::-1]])
+        offsets = np.array([0, 0, 4, 4, 5, 7, 10, 14, 14])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            area, centroid = polygon_moments(xy, offsets)
+        np.testing.assert_array_equal(area, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+        np.testing.assert_array_equal(centroid[[1, 6]], [[0.5, 0.5], [0.5, 0.5]])
+        assert not np.isfinite(centroid[[0, 2, 3, 4, 5, 7]]).any()
+
+    def test_no_corners(self):
+        area, centroid = polygon_moments(np.empty((0, 2)), np.array([0, 0, 0]))
+        np.testing.assert_array_equal(area, [0.0, 0.0])
+        assert centroid.shape == (2, 2)
+
+
 class TestCellMoments:
     """The closed-form moments stored at construction."""
 
@@ -149,7 +190,8 @@ class TestCellMoments:
     def test_far_origin_costs_no_digits(self):
         mesh = generate_mesh(MeshFamily.QUAD_U, 8, seed=0)
         shift = np.array([1e4, -1e4])
-        far = PolygonalMesh(mesh.vertices + shift, mesh.cells, MeshFamily.EXTERNAL)
+        far = PolygonalMesh(mesh.vertices + shift, mesh.offsets, mesh.indices,
+                            MeshFamily.EXTERNAL)
         np.testing.assert_allclose(far.areas, mesh.areas, rtol=1e-9)
         np.testing.assert_allclose(far.centroids - shift, mesh.centroids, rtol=0, atol=1e-10)
         np.testing.assert_allclose(far.second_moments, mesh.second_moments, rtol=0,
@@ -183,7 +225,7 @@ class TestOutwardNormal:
     def test_points_away_from_centroid_on_convex_cells(self, rng):
         mesh = generate_mesh(MeshFamily.HEX_S, 3)
         for ci in range(mesh.num_cells):
-            pts = mesh.cell_coords(ci)
+            pts = cell_coords(mesh, ci)
             center = cell_centroid(mesh, ci)
             for w, p in zip(vertex_normals(mesh, ci), pts):
                 assert np.dot(w, p - center) > 0.0
@@ -199,10 +241,10 @@ class TestOutwardNormal:
 class TestTriangulation:
     def test_triangle_is_itself(self):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0, 1)])
-        assert clip_one(mesh.cell_coords(0)) == [(0, 1, 2)]
+        assert clip_one(cell_coords(mesh, 0)) == [(0, 1, 2)]
 
     def test_convex_quad_two_triangles(self, unit_square_mesh):
-        tris = clip_one(unit_square_mesh.cell_coords(0))
+        tris = clip_one(cell_coords(unit_square_mesh, 0))
         assert len(tris) == 2
         total = sum(
             abs(shoelace(unit_square_mesh.vertices[list(t)])[0]) for t in tris
@@ -214,7 +256,7 @@ class TestTriangulation:
             [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
         )
         mesh = single_cell_mesh(coords / 4.0)
-        tris = clip_one(mesh.cell_coords(0))
+        tris = clip_one(cell_coords(mesh, 0))
         total = sum(shoelace(mesh.vertices[list(t)])[0] for t in tris)
         assert total == pytest.approx(cell_area(mesh, 0), rel=1e-12)
 
@@ -223,7 +265,7 @@ class TestTriangulation:
             coords = random_simple_polygon(rng)
             mesh = single_cell_mesh(coords)
             total = sum(
-                shoelace(mesh.vertices[list(t)])[0] for t in clip_one(mesh.cell_coords(0))
+                shoelace(mesh.vertices[list(t)])[0] for t in clip_one(cell_coords(mesh, 0))
             )
             assert total == pytest.approx(cell_area(mesh, 0), rel=1e-12)
 
@@ -279,7 +321,8 @@ class TestGenerators:
             center = coords.mean(axis=0)
             order = np.argsort(np.arctan2(coords[:, 1] - center[1], coords[:, 0] - center[0]))
             np.testing.assert_array_equal(ids[offsets[k]:offsets[k + 1]], region[order])
-            np.testing.assert_array_equal(centroids[k], shoelace(coords[order])[1])
+            np.testing.assert_array_equal(centroids[k],
+                                          polygon_moments(coords[order], np.array([0, len(region)]))[1][0])
 
     def test_unbounded_region_named(self):
         vor = Voronoi(np.random.default_rng(3).uniform(size=(12, 2)))
@@ -339,7 +382,7 @@ class TestGenerators:
         for ci in range(4):
             assert cell_area(mesh, ci) == pytest.approx(0.25)
             sides = np.linalg.norm(
-                np.roll(mesh.cell_coords(ci), -1, axis=0) - mesh.cell_coords(ci), axis=1
+                np.roll(cell_coords(mesh, ci), -1, axis=0) - cell_coords(mesh, ci), axis=1
             )
             np.testing.assert_allclose(sides, 0.5)
 
@@ -351,8 +394,8 @@ class TestGenerators:
 
     def test_poly_u_n4_seed42(self):
         mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=42)
-        report = validate_mesh(mesh)
-        assert report.ok, report.errors
+        errors = validate_mesh(mesh)
+        assert not errors, errors
         total = sum(cell_area(mesh, ci) for ci in range(mesh.num_cells))
         assert total == pytest.approx(1.0, abs=1e-10)
         interior = mesh.edge_uses.sum(axis=1) == 2
@@ -362,8 +405,8 @@ class TestGenerators:
     def test_all_families_validate(self, family):
         for n, seed in ((1, 0), (3, 0), (6, 7)):
             mesh = generate_mesh(family, n, seed)
-            report = validate_mesh(mesh)
-            assert report.ok, (family, n, report.errors)
+            errors = validate_mesh(mesh)
+            assert not errors, (family, n, errors)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_area_and_euler(self, family):
@@ -377,7 +420,7 @@ class TestGenerators:
     def test_incidence_matches_edge_dict(self, family):
         mesh = generate_mesh(family, 8, seed=1)
         users = {}                                   # (lo, hi) -> [(cell, global edge id)]
-        for ci, cell in enumerate(mesh.cells):
+        for ci, cell in enumerate(mesh_cells(mesh)):
             for k, (i, j) in enumerate(zip(cell.tolist(), np.roll(cell, -1).tolist())):
                 users.setdefault((min(i, j), max(i, j)), []).append((ci, mesh.offsets[ci] + k))
         neighbors = np.full(len(mesh.indices), -1)
@@ -396,8 +439,8 @@ class TestGenerators:
         mesh = generate_mesh(MeshFamily.HEX_S, n)
         vertices, cells = hex_structured_per_polygon(n)
         np.testing.assert_array_equal(mesh.vertices, vertices)
-        assert len(mesh.cells) == len(cells)
-        assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, cells))
+        assert len(mesh_cells(mesh)) == len(cells)
+        assert all(np.array_equal(a, b) for a, b in zip(mesh_cells(mesh), cells))
 
     def test_stacked_clip_cases(self):
         inside = np.array([(0.2, 0.2), (0.6, 0.2), (0.4, 0.7)])
@@ -421,7 +464,7 @@ class TestGenerators:
         a = generate_mesh(MeshFamily.POLY_U, 3, seed=11)
         b = generate_mesh(MeshFamily.POLY_U, 3, seed=11)
         np.testing.assert_array_equal(a.vertices, b.vertices)
-        assert all((x == y).all() for x, y in zip(a.cells, b.cells))
+        assert all((x == y).all() for x, y in zip(mesh_cells(a), mesh_cells(b)))
 
     def test_structured_families_ignore_seed(self):
         for fam in (MeshFamily.TRI_S, MeshFamily.QUAD_S, MeshFamily.HEX_S, MeshFamily.CONC_S):
@@ -440,7 +483,7 @@ class TestGenerators:
             mesh = generate_mesh(fam, 3, seed=2)
             reflex = 0
             for ci in range(mesh.num_cells):
-                pts = mesh.cell_coords(ci)
+                pts = cell_coords(mesh, ci)
                 k = len(pts)
                 for v in range(k):
                     a, b, c = pts[v - 1], pts[v], pts[(v + 1) % k]
@@ -487,10 +530,11 @@ class TestPatches:
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
         central = 4  # middle cell of the 3x3 grid
         patch = build_patch(mesh, [central], "rcp1")
+        cells = mesh_cells(mesh)
         brute = {
             ci
             for ci in range(mesh.num_cells)
-            if set(map(int, mesh.cells[ci])) & set(map(int, mesh.cells[central]))
+            if set(map(int, cells[ci])) & set(map(int, cells[central]))
         }
         assert patch.owner.tolist() == [0] * len(patch.member_cells)
         assert set(patch.member_cells.tolist()) == brute
@@ -499,10 +543,11 @@ class TestPatches:
     def test_corner_patch1_keeps_kind_and_holds_touching_cells(self):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
         patch = build_patch(mesh, [0], "rcp1")
+        cells = mesh_cells(mesh)
         brute = {
             ci
             for ci in range(mesh.num_cells)
-            if set(map(int, mesh.cells[ci])) & set(map(int, mesh.cells[0]))
+            if set(map(int, cells[ci])) & set(map(int, cells[0]))
         }
         assert patch.owner.tolist() == [0] * len(patch.member_cells)
         assert set(patch.member_cells.tolist()) == brute
@@ -512,7 +557,7 @@ class TestPatches:
     def test_edge_and_vertex_neighbours_agree(self, family):
         mesh = generate_mesh(family, 8, seed=0)
         members = patch_member_sets(mesh, np.arange(mesh.num_cells))
-        vertex_sets = [set(cell.tolist()) for cell in mesh.cells]
+        vertex_sets = [set(cell.tolist()) for cell in mesh_cells(mesh)]
         for ci in range(mesh.num_cells):
             across = mesh.edge_neighbors[mesh.offsets[ci]:mesh.offsets[ci + 1]]
             assert set(across[across >= 0].tolist()) <= members[ci]
@@ -569,24 +614,13 @@ class TestConstructorChecks:
     )
     def test_first_bad_cell_named(self, cells, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
-            PolygonalMesh(np.array(self.SQUARE, dtype=float), cells, MeshFamily.EXTERNAL)
+            mesh_from_cells(np.array(self.SQUARE, dtype=float), cells, MeshFamily.EXTERNAL)
 
     def test_non_finite_vertex_rejected(self):
         verts = np.array(self.SQUARE, dtype=float)
         verts[2, 1] = np.nan
         with pytest.raises(MeshError, match="^non-finite vertex coordinates$"):
-            PolygonalMesh(verts, [[0, 1, 2, 3]], MeshFamily.EXTERNAL)
-
-    def test_from_ragged_matches_cell_list(self):
-        verts = np.array([*self.SQUARE, (2, 0), (2, 1)], dtype=float)
-        by_list = PolygonalMesh(verts, [[0, 1, 2, 3], [1, 4, 5, 2]], MeshFamily.EXTERNAL)
-        ragged = PolygonalMesh.from_ragged(verts, [0, 4, 8], [0, 1, 2, 3, 1, 4, 5, 2],
-                                           MeshFamily.EXTERNAL)
-        for name in ("offsets", "indices", "edge_neighbors", "edges", "edge_uses",
-                     "vertex_cell_ids", "areas", "centroids", "second_moments"):
-            a, b = getattr(by_list, name), getattr(ragged, name)
-            assert np.array_equal(a, b) and a.dtype == b.dtype, name
-        assert all(map(np.array_equal, by_list.cells, ragged.cells))
+            mesh_from_cells(verts, [[0, 1, 2, 3]], MeshFamily.EXTERNAL)
 
     @pytest.mark.parametrize(
         "offsets, indices",
@@ -596,12 +630,11 @@ class TestConstructorChecks:
     )
     def test_from_ragged_rejects_bad_offsets(self, offsets, indices):
         with pytest.raises(MeshError, match="^offsets must rise from 0"):
-            PolygonalMesh.from_ragged(np.array(self.SQUARE, dtype=float), offsets, indices,
-                                      MeshFamily.EXTERNAL)
+            PolygonalMesh(np.array(self.SQUARE, dtype=float), offsets, indices, MeshFamily.EXTERNAL)
 
     def test_topology_arrays_are_read_only(self):
         mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=0)
-        for arr in (mesh.vertices, mesh.offsets, mesh.indices, mesh.cells[0],
+        for arr in (mesh.vertices, mesh.offsets, mesh.indices,
                     mesh.vertex_offsets, mesh.vertex_cell_ids):
             assert not arr.flags.writeable
 
@@ -611,39 +644,39 @@ class TestValidation:
         verts = np.array(
             [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (1, 1), (0, 1)], dtype=float
         )
-        mesh = PolygonalMesh(verts, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.QUAD_S)
-        report = validate_mesh(mesh)
-        assert not report.ok
-        assert any("areas sum" in e or "Euler" in e for e in report.errors)
+        mesh = mesh_from_cells(verts, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.QUAD_S)
+        errors = validate_mesh(mesh)
+        assert errors
+        assert any("areas sum" in e or "Euler" in e for e in errors)
 
     def test_overlapping_external_cells_fail_topologically(self):
         verts = np.array(
             [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (1, 1), (0, 1)], dtype=float
         )
-        mesh = PolygonalMesh(verts, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.EXTERNAL)
-        assert not validate_mesh(mesh).ok
+        mesh = mesh_from_cells(verts, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.EXTERNAL)
+        assert validate_mesh(mesh)
 
     def test_dangling_edge_fails(self):
         verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
-        mesh = PolygonalMesh(
+        mesh = mesh_from_cells(
             verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL
         )
-        report = validate_mesh(mesh)
-        assert not report.ok
-        assert any("shared by 3" in e or "same direction" in e for e in report.errors)
+        errors = validate_mesh(mesh)
+        assert errors
+        assert any("shared by 3" in e or "same direction" in e for e in errors)
 
     def test_edge_of_three_cells_has_no_neighbour(self):
         verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
-        mesh = PolygonalMesh(verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
+        mesh = mesh_from_cells(verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
         # global edge ids of (0, 1) in the three cells: 0, 3 + 2 and 6 + 0
         np.testing.assert_array_equal(mesh.edge_neighbors[[0, 5, 6]], -1)
-        assert "edge (0,1): shared by 3 cells" in validate_mesh(mesh).errors
+        assert "edge (0,1): shared by 3 cells" in validate_mesh(mesh)
 
     def test_self_intersecting_cell_reported(self):
         # ccw by signed area, but the last two edges cross the bottom edge
         pts = np.array([(0, 0), (3, 0), (3, 3), (0, 3), (2, -1)], dtype=float) / 3.0
-        report = validate_mesh(single_cell_mesh(pts))
-        assert report.errors[0] == "cell 0: self-intersecting boundary"
+        errors = validate_mesh(single_cell_mesh(pts))
+        assert errors[0] == "cell 0: self-intersecting boundary"
 
     def test_simplicity_matches_pairwise_reference(self, rng):
         # random vertex cycles, many of them self-intersecting, oriented ccw
@@ -651,20 +684,20 @@ class TestValidation:
             pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(4, 9)), 2))
             if shoelace(pts)[0] < 0.0:
                 pts = pts[::-1]
-            errors = validate_mesh(single_cell_mesh(pts)).errors
+            errors = validate_mesh(single_cell_mesh(pts))
             flagged = "cell 0: self-intersecting boundary" in errors
             assert flagged == (not is_simple_polygon(pts))
 
     def test_same_direction_edge_reported(self):
         verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], dtype=float)
-        mesh = PolygonalMesh(verts, [[0, 1, 2], [0, 1, 3]], MeshFamily.EXTERNAL)
-        report = validate_mesh(mesh)
-        assert "edge (0,1): traversed twice in the same direction" in report.errors
+        mesh = mesh_from_cells(verts, [[0, 1, 2], [0, 1, 3]], MeshFamily.EXTERNAL)
+        errors = validate_mesh(mesh)
+        assert "edge (0,1): traversed twice in the same direction" in errors
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_generator_round_trip(self, family):
         mesh = generate_mesh(family, 5, seed=13)
-        assert validate_mesh(mesh).ok
+        assert not validate_mesh(mesh)
 
 
 _PMESH = "pmesh 1\n4 2\n0 0\n1 0\n1 1\n0 1\n3 0 1 2\n3 0 2 3\n"
@@ -705,7 +738,7 @@ class TestMeshFile:
             save_mesh(mesh, path)
             loaded = load_mesh(path)
             np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
-            assert all((a == b).all() for a, b in zip(loaded.cells, mesh.cells))
+            assert all((a == b).all() for a, b in zip(mesh_cells(loaded), mesh_cells(mesh)))
             assert loaded.family is MeshFamily.EXTERNAL
 
     def test_single_cell_file(self, tmp_path):
@@ -734,7 +767,7 @@ class TestMeshFile:
         mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=1)
         flip = np.random.default_rng(0).random(mesh.num_cells) < 0.5
         records = [f"{len(c)} " + " ".join(map(str, c[::-1] if f else c))
-                   for c, f in zip(mesh.cells, flip)]
+                   for c, f in zip(mesh_cells(mesh), flip)]
         path = tmp_path / "mixed.pmesh"
         path.write_text(f"pmesh 1\n{mesh.num_vertices} {mesh.num_cells}\n"
                         + "".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist())

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import quadrature_rules_per_cell
+from oracles import cell_coords, mesh_from_cells, quadrature_rules_per_cell, shoelace
 from vemrcp.generators import generate_mesh
-from vemrcp.mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, shoelace
-from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS, cell_quadrature, polygon_quadrature
+from vemrcp.mesh import GENERATED_FAMILIES, MeshError, MeshFamily
+from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS, cell_quadrature
 
 
 def assert_rules_match_oracle(mesh):
@@ -40,24 +40,26 @@ class TestPolygonQuadrature:
             mesh = generate_mesh(fam, 3, seed=1)
             for ci in range(mesh.num_cells):
                 pts, w = cell_quadrature(mesh, ci)
-                area = shoelace(mesh.cell_coords(ci))[0]
+                area = shoelace(cell_coords(mesh, ci))[0]
                 assert w.sum() == pytest.approx(area, abs=1e-13)
 
     def test_x2y2_over_unit_square(self, unit_square_mesh):
-        val = polygon_quadrature(unit_square_mesh, 0, lambda x, y: x**2 * y**2)
+        pts, w = cell_quadrature(unit_square_mesh, 0)
+        val = w @ (pts[:, 0]**2 * pts[:, 1]**2)
         assert val == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_sine_product_single_cell_and_refined(self, unit_square_mesh):
         exact = 4.0 / np.pi**2
-        coarse = polygon_quadrature(
-            unit_square_mesh, 0, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-        )
+
+        def f(x, y):
+            return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+        pts, w = cell_quadrature(unit_square_mesh, 0)
+        coarse = w @ f(pts[:, 0], pts[:, 1])
         assert abs(coarse - exact) < 5e-3  # one cell: only rule-level accuracy
         mesh = generate_mesh(MeshFamily.QUAD_S, 8)
-        refined = sum(
-            polygon_quadrature(mesh, ci, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-            for ci in range(mesh.num_cells)
-        )
+        rules = [cell_quadrature(mesh, ci) for ci in range(mesh.num_cells)]
+        refined = sum(w @ f(pts[:, 0], pts[:, 1]) for pts, w in rules)
         assert refined == pytest.approx(exact, abs=1e-6)
 
     def test_cache_returns_same_arrays(self, unit_square_mesh):
@@ -78,7 +80,7 @@ class TestPolygonQuadrature:
         pentagon = np.array([(0, 0), (2, 0), (3, 1.5), (1, 3), (-1, 1.5)]) + 10.0
         split_square = np.array([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)], dtype=float) + 20.0
         quad = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float) + 30.0
-        mesh = PolygonalMesh(
+        mesh = mesh_from_cells(
             np.concatenate([triangle, pentagon, split_square, quad]),
             [np.arange(3), np.arange(3, 8), np.arange(8, 13), np.arange(13, 17)],
             MeshFamily.EXTERNAL,
@@ -98,7 +100,7 @@ class TestPolygonQuadrature:
         triangle = np.array([(0, 0), (1, 0), (0, 1)], dtype=float) + 10.0
         pentagon = np.array([(0, 0), (2, 0), (3, 1.5), (1, 3), (-1, 1.5)]) + 20.0
         crossed = np.array([(0, 4), (2, 4), (0, 0), (5, 1), (0, 3)], dtype=float)
-        mesh = PolygonalMesh(
+        mesh = mesh_from_cells(
             np.concatenate([triangle, pentagon, crossed]),
             [np.arange(3), np.arange(3, 8), np.arange(8, 13)],
             MeshFamily.EXTERNAL,

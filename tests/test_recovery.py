@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import single_cell_mesh
 from oracles import (
+    cell_coords,
     ear_clip_per_cell,
     fd_stress_divergence,
+    mesh_cells,
     random_points_in_cell,
+    shoelace,
     vertex_patch_per_cell,
 )
 from vemrcp.cases import manufactured_case
 from vemrcp.generators import generate_mesh
 from vemrcp.material import LameMaterial, compliance_matrix
-from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, shoelace
+from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import (
     RECOVERY_KINDS,
@@ -123,7 +126,7 @@ class TestParticularSolution:
         u = np.zeros(2 * mesh.num_vertices)
         field = particular_only(recover_field(mesh, mat, u, case.body_force, "rcp0"))
         for ci in range(mesh.num_cells):
-            c = shoelace(mesh.cell_coords(ci))[1]
+            c = shoelace(cell_coords(mesh, ci))[1]
             # a single-cell patch samples the load at the cell centroid
             np.testing.assert_allclose(field.centers[ci], c, atol=1e-14)
             np.testing.assert_allclose(field.loads[ci], case.body_force(*field.centers[ci]))
@@ -172,7 +175,7 @@ class TestPatchSystem:
             H_ref = np.zeros((7, 7))
             load_ref = np.zeros(7)
             for ci in vertex_patch_per_cell(mesh, 1):
-                coords = mesh.cell_coords(ci)
+                coords = cell_coords(mesh, ci)
                 for tri in ear_clip_per_cell(coords):
                     corners = coords[list(tri)]
                     H_ref += _refined_triangle_integral(corners, h_integrand, depth=2)
@@ -374,6 +377,27 @@ class TestEvaluateRecovered:
                 )
                 np.testing.assert_allclose(div + field.loads[ci], 0.0, atol=1e-8)
 
+    @settings(derandomize=True, deadline=None)
+    @given(
+        family=st.sampled_from([MeshFamily.TRI_U, MeshFamily.QUAD_U, MeshFamily.POLY_U,
+                                MeshFamily.CONC_U]),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equilibrium_on_random_unstructured_meshes(self, family, n, seed):
+        mat = LameMaterial(1.0, 1.0)
+        mesh = generate_mesh(family, n, seed)
+        case = manufactured_case("b", mat)
+        u, _ = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+        cells = np.arange(mesh.num_cells)
+        for kind in RECOVERY_KINDS:
+            field = recover_field(mesh, mat, u, case.body_force, kind)
+            div = fd_stress_divergence(
+                lambda x, y: evaluate_recovered_stress(field, cells, np.stack([x, y], axis=-1)),
+                *mesh.centroids.T, h=1e-4,
+            )
+            assert np.abs(div + field.loads).max() <= 1e-8, kind
+
 
 class TestFrameInvariance:
     def test_translation_by_hundred(self, mat, rng):
@@ -381,7 +405,8 @@ class TestFrameInvariance:
         case = manufactured_case("b", mat)
         base = generate_mesh(MeshFamily.QUAD_U, 3, seed=9)
         shift = np.array([100.0, 100.0])
-        shifted = PolygonalMesh(base.vertices + shift, base.cells, MeshFamily.EXTERNAL)
+        shifted = PolygonalMesh(base.vertices + shift, base.offsets, base.indices,
+                                MeshFamily.EXTERNAL)
 
         def shifted_fn(fn):
             return None if fn is None else lambda x, y: fn(x - shift[0], y - shift[1])
@@ -409,7 +434,8 @@ class TestFrameInvariance:
         # x -> scale x + shift with the same vertex displacements divides every strain by scale.
         mat = LameMaterial(1.0, 1.0)
         mesh = generate_mesh(family, 4, seed=0)
-        moved = PolygonalMesh(scale * mesh.vertices + shift, mesh.cells, mesh.family)
+        moved = PolygonalMesh(scale * mesh.vertices + shift, mesh.offsets, mesh.indices,
+                              mesh.family)
         u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
         cells = np.arange(mesh.num_cells)
         before = evaluate_recovered_stress(recover_field(mesh, mat, u, None, kind), cells,
@@ -427,18 +453,19 @@ class TestOuterEdges:
     def test_matches_brute_force_edge_map(self, family):
         mesh = generate_mesh(family, 8, seed=0)
         edge_map = {}                                   # (lo, hi) -> cells using the edge
-        for ci, cell in enumerate(mesh.cells):
+        cells = mesh_cells(mesh)
+        for ci, cell in enumerate(cells):
             for i, j in zip(cell.tolist(), np.roll(cell, -1).tolist()):
                 edge_map.setdefault((min(i, j), max(i, j)), []).append(ci)
         owner, member = build_patch(mesh, np.arange(mesh.num_cells), "rcp1")
         patch, edge, outer = patch_edges(mesh, owner, member)
         patch, edge = patch[outer], edge[outer]
-        first = np.cumsum([0] + [len(c) for c in mesh.cells[:-1]])
+        first = np.cumsum([0] + [len(c) for c in cells[:-1]])
         expected = set()
         for k in range(mesh.num_cells):
             members = vertex_patch_per_cell(mesh, k).tolist()
             for ci in members:
-                cell = mesh.cells[ci]
+                cell = cells[ci]
                 for e in range(len(cell)):
                     i, j = sorted((int(cell[e]), int(cell[(e + 1) % len(cell)])))
                     users = edge_map[(i, j)]
