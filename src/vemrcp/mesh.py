@@ -58,6 +58,7 @@ _CELL_CHECKS = (
     "repeats a vertex",
     "references a vertex out of range",
     "is not counterclockwise",
+    "has moments that overflow",
 )
 
 
@@ -106,24 +107,29 @@ class PolygonalMesh:
         order = np.lexsort((idx, cell_of))
         same = (np.diff(idx[order]) == 0) & (np.diff(cell_of[order]) == 0)
         xy = vertices[np.where(out_of_range, 0, idx)]
-        area, centroids = polygon_moments(xy, offsets)
+        nonempty = counts > 0
+        # Finite coordinates can still overflow the edge sums; the last check catches that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            area, centroids = polygon_moments(xy, offsets)
+            # Central second moments: edge sums like those of the area, relative to the centroid.
+            x, y = (xy - centroids[cell_of]).T
+            xn, yn = x[succ], y[succ]
+            terms = np.column_stack([2.0 * (x * x + x * xn + xn * xn),
+                                     x * yn + 2.0 * (x * y + xn * yn) + xn * y,
+                                     2.0 * (y * y + y * yn + yn * yn)])
+            second = np.zeros((nc, 3))
+            second[nonempty] = np.add.reduceat((x * yn - xn * y)[:, None] * terms,
+                                               offsets[:-1][nonempty]) / 24.0
         failed = np.zeros((len(_CELL_CHECKS), nc), dtype=bool)
         failed[0] = counts < 3
         failed[1, cell_of[order][1:][same]] = True
         failed[2, cell_of[out_of_range]] = True
         failed[3] = area <= 0.0
+        failed[4] = ~np.isfinite(np.column_stack([area, centroids, second])).all(axis=1)
         if failed.any():
             ci = int(np.argmax(failed.any(axis=0)))
             raise MeshError(f"cell {ci} {_CELL_CHECKS[np.argmax(failed[:, ci])]}")
         self.areas, self.centroids = area, centroids
-        starts = offsets[:-1]
-        # Central second moments: edge sums like those of the area, relative to the centroid.
-        x, y = (xy - self.centroids[cell_of]).T
-        xn, yn = x[succ], y[succ]
-        terms = np.column_stack([2.0 * (x * x + x * xn + xn * xn),
-                                 x * yn + 2.0 * (x * y + xn * yn) + xn * y,
-                                 2.0 * (y * y + y * yn + yn * yn)])
-        second = np.add.reduceat((x * yn - xn * y)[:, None] * terms, starts) / 24.0
         self.second_moments = second[:, [0, 1, 1, 2]].reshape(nc, 2, 2)
 
         # Edge incidence: one unique pass over the sorted (lo, hi) key of every cell edge.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -14,7 +15,6 @@ from .material import LameMaterial, compliance_matrix, elastic_matrix
 from .mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh
 from .quadrature import cell_quadrature
 from .recovery import (
-    RecoveredStressField,
     RecoveryConditioningError,
     evaluate_recovered_stress,
     recover_field,
@@ -38,44 +38,32 @@ class ConvergenceRecord:
     wall_time: float
 
 
-def exact_stress_provider(case: ManufacturedCase):
-    def provider(cells: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return case.stress(points[:, 0], points[:, 1])
-    return provider
-
-
-def vem_stress_provider(cell_stresses: np.ndarray):
-    def provider(cells: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return cell_stresses[cells]
-    return provider
-
-
-def recovered_stress_provider(recovered: RecoveredStressField):
-    def provider(cells: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return evaluate_recovered_stress(recovered, cells, points)
-    return provider
-
-
 def energy_error_norm(
     mesh: PolygonalMesh,
     material: LameMaterial,
     case: ManufacturedCase,
-    stress_provider,
-) -> float:
-    """Complementary-energy norm (squared form) of the stress mismatch.
+    stresses: dict,
+) -> dict:
+    """Complementary-energy norms (squared form) of several stress mismatches.
 
-    One pass over the stacked quadrature points of all cells: the exact
-    stress and stress_provider(cells, points) are each called once, with
-    `cells` an int array naming the cell of each of the (m, 2) points; the
-    provider returns their (m, 3) stresses.
+    `stresses` maps a name to a callable stress(cells, points) -> (m, 3),
+    where `cells` is an int array naming the cell of each of the (m, 2)
+    points. The cell rules are stacked, and the exact stress and the
+    compliance matrix formed, once for all fields; each field is then called
+    once on the stack. Returns a dict of the same names mapped to the norms.
     """
     nc = mesh.num_cells
     rules = [cell_quadrature(mesh, ci) for ci in range(nc)]
     cells = np.repeat(np.arange(nc), [len(w) for _, w in rules])
     pts = np.concatenate([p for p, _ in rules])
     w = np.concatenate([w for _, w in rules])
-    d = case.stress(pts[:, 0], pts[:, 1]) - stress_provider(cells, pts)
-    return float(w @ np.einsum("mi,mi->m", d @ compliance_matrix(material), d))
+    exact = case.stress(pts[:, 0], pts[:, 1])
+    Cinv = compliance_matrix(material)
+    norms = {}
+    for name, stress in stresses.items():
+        d = exact - stress(cells, pts)
+        norms[name] = float(w @ np.einsum("mi,mi->m", d @ Cinv, d))
+    return norms
 
 
 @dataclass
@@ -99,15 +87,15 @@ def run_level(
     u, system = solve_dirichlet_problem(mesh, material, case.body_force, case.displacement)
     stresses = element_stresses(mesh, system, material, u)
     result = LevelResult(mesh=mesh, case=case, displacement=u, cell_stresses=stresses)
-    errors = {}
+    fields = {}
     for method in methods:
         if method == "vem":
-            provider = vem_stress_provider(stresses)
+            fields[method] = lambda cells, points: stresses[cells]
         else:
             recovered = recover_field(mesh, material, u, case.body_force, method)
             result.recovered[method] = recovered
-            provider = recovered_stress_provider(recovered)
-        errors[method] = energy_error_norm(mesh, material, case, provider)
+            fields[method] = partial(evaluate_recovered_stress, recovered)
+    errors = energy_error_norm(mesh, material, case, fields)
     return result, errors
 
 
@@ -177,6 +165,9 @@ def observed_rate(records: list[ConvergenceRecord], method: str) -> float:
 # ---------------------------------------------------------------------------
 
 PATCH_TEST_COEFFS = (0.3, 1.2, -0.7, -0.4, 0.5, 0.9)
+# Pass bounds of the patch test: relative interior displacement error, squared error norms.
+PATCH_TEST_DISPLACEMENT_TOL = 1e-10
+PATCH_TEST_ENERGY_TOL = 1e-18
 
 
 def linear_patch_case(material: LameMaterial) -> ManufacturedCase:
@@ -212,9 +203,9 @@ class PatchTestResult:
     displacement_error: float
     errors: dict
 
-    def passed(self, disp_tol: float = 1e-10, energy_tol: float = 1e-18) -> bool:
-        return self.displacement_error <= disp_tol and all(
-            e <= energy_tol for e in self.errors.values()
+    def passed(self) -> bool:
+        return self.displacement_error <= PATCH_TEST_DISPLACEMENT_TOL and all(
+            e <= PATCH_TEST_ENERGY_TOL for e in self.errors.values()
         )
 
 

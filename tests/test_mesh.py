@@ -604,13 +604,14 @@ class TestConstructorChecks:
         "cells, message",
         [
             ([[0, 1, 2, 3], [0, 1]], "cell 1 has fewer than 3 vertices"),
+            ([[0, 1, 2, 3], []], "cell 1 has fewer than 3 vertices"),
             ([[0, 1, 2, 3], [0, 1, 1, 2]], "cell 1 repeats a vertex"),
             ([[0, 1, 2, 3], [0, 1, 4]], "cell 1 references a vertex out of range"),
             ([[0, 1, 2, 3], [0, -1, 2]], "cell 1 references a vertex out of range"),
             ([[0, 1, 2, 3], [0, 2, 1]], "cell 1 is not counterclockwise"),
             ([[0, 1, 2, 3], [0, 2, 1], [0, 1, 1, 2], [0, 1]], "cell 1 is not counterclockwise"),
         ],
-        ids=["short", "repeat", "high", "negative", "clockwise", "first-of-several"],
+        ids=["short", "empty", "repeat", "high", "negative", "clockwise", "first-of-several"],
     )
     def test_first_bad_cell_named(self, cells, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
@@ -621,6 +622,22 @@ class TestConstructorChecks:
         verts[2, 1] = np.nan
         with pytest.raises(MeshError, match="^non-finite vertex coordinates$"):
             mesh_from_cells(verts, [[0, 1, 2, 3]], MeshFamily.EXTERNAL)
+
+    @pytest.mark.parametrize(
+        "scale, cells, message",
+        [(1e200, [[0, 1, 2, 3]], "cell 0 has moments that overflow"),
+         (1e78, [[0, 1, 2, 3]], "cell 0 has moments that overflow"),
+         (1e200, [[0, 1, 2, 3], [4, 5, 6, 7]], "cell 1 has moments that overflow")],
+        ids=["area", "second-moments", "second-cell"],
+    )
+    def test_overflowing_moments_rejected(self, scale, cells, message):
+        # The last cell is the square scaled by `scale`; the first of two is the unit square.
+        square = np.array(self.SQUARE, dtype=float)
+        verts = square * scale if len(cells) == 1 else np.vstack([square, square * scale])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=f"^{message}$"):
+                mesh_from_cells(verts, cells, MeshFamily.EXTERNAL)
 
     @pytest.mark.parametrize(
         "offsets, indices",

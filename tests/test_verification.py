@@ -1,5 +1,7 @@
 """Manufactured-case consistency, error-norm, and study-orchestration tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,14 @@ from vemrcp.mesh import MeshFamily
 from vemrcp.quadrature import cell_quadrature
 from vemrcp.recovery import evaluate_recovered_stress
 from vemrcp.study import (
+    METHODS,
     ConvergenceRecord,
     energy_error_norm,
-    exact_stress_provider,
     linear_patch_case,
     observed_rate,
-    recovered_stress_provider,
     run_convergence_study,
     run_level,
     run_patch_test,
-    vem_stress_provider,
 )
 
 
@@ -75,8 +75,10 @@ class TestEnergyErrorNorm:
         for family in (MeshFamily.HEX_S, MeshFamily.CONC_S):
             mesh = generate_mesh(family, 3, seed=1)
             case = manufactured_case("a", mat)
-            err = energy_error_norm(mesh, mat, case, exact_stress_provider(case))
-            assert err == pytest.approx(0.0, abs=1e-12)
+            exact = {"exact": lambda cells, pts: case.stress(pts[:, 0], pts[:, 1])}
+            err = energy_error_norm(mesh, mat, case, exact)
+            assert err.keys() == {"exact"}
+            assert err["exact"] == pytest.approx(0.0, abs=1e-12)
 
     def test_patch_test_error_below_1e18(self, mat):
         mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=2)
@@ -92,18 +94,17 @@ class TestEnergyErrorNorm:
         case = manufactured_case("b", mat)
         result, errors = run_level(mesh, mat, case, methods=("vem", "rcp1"))
         rcp1 = result.recovered["rcp1"]
-        per_cell = {
-            "vem": lambda ci, pts: result.cell_stresses[ci],
-            "rcp1": lambda ci, pts: evaluate_recovered_stress(rcp1, ci, pts),
-            "exact": lambda ci, pts: case.stress(pts[:, 0], pts[:, 1]),
+        # Each field takes one cell id or an array of them, so the same callables
+        # serve the one-pass norm and the per-cell reference below.
+        stresses = {
+            "vem": lambda cells, pts: result.cell_stresses[cells],
+            "rcp1": lambda cells, pts: evaluate_recovered_stress(rcp1, cells, pts),
+            "exact": lambda cells, pts: case.stress(pts[:, 0], pts[:, 1]),
         }
-        providers = {
-            "vem": vem_stress_provider(result.cell_stresses),
-            "rcp1": recovered_stress_provider(rcp1),
-            "exact": exact_stress_provider(case),
-        }
+        one_pass = energy_error_norm(mesh, mat, case, stresses)
+        assert one_pass.keys() == stresses.keys()
         Cinv = compliance_matrix(mat)
-        for name, stress_of in per_cell.items():
+        for name, stress_of in stresses.items():
             def integrand(x, y, ci):
                 d = case.stress(x, y) - stress_of(ci, np.stack([x, y], axis=-1))
                 return np.einsum("mi,ij,mj->m", d, Cinv, d)
@@ -112,10 +113,32 @@ class TestEnergyErrorNorm:
             for ci in range(mesh.num_cells):
                 pts, w = cell_quadrature(mesh, ci)
                 expected += w @ integrand(pts[:, 0], pts[:, 1], ci)
-            got = energy_error_norm(mesh, mat, case, providers[name])
+            got = one_pass[name]
             assert got == pytest.approx(expected, rel=1e-12), name
             if name in errors:
                 assert errors[name] == got
+
+    @pytest.mark.parametrize(
+        "family", [MeshFamily.HEX_S, MeshFamily.CONC_U], ids=lambda f: f.value
+    )
+    def test_one_exact_stress_call_per_level(self, family, mat):
+        mesh = generate_mesh(family, 4, seed=0)
+        case = manufactured_case("b", mat)
+        calls = []
+
+        def stress(x, y):
+            calls.append(len(x))
+            return case.stress(x, y)
+
+        _, errors = run_level(mesh, mat, dataclasses.replace(case, stress=stress))
+        assert len(calls) == 1
+        _, pair = run_level(mesh, mat, case, methods=("rcp1", "vem"))
+        assert list(pair) == ["rcp1", "vem"]
+        for method in ("vem", "rcp1"):
+            assert errors[method] == pair[method]
+        for method in METHODS:
+            _, single = run_level(mesh, mat, case, methods=(method,))
+            assert errors[method] == single[method]
 
     @pytest.mark.parametrize(
         "family", [MeshFamily.CONC_U, MeshFamily.POLY_U, MeshFamily.HEX_S], ids=lambda f: f.value
