@@ -13,8 +13,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from vemrcp.generators import _merge_points
+from vemrcp.material import elastic_matrix
 from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, ear_clip, vertex_count_groups
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
+from vemrcp.vem import element_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,7 @@ def vertex_patch_per_cell(mesh, cell) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# VEM stabilisation
+# VEM stabilisation and assembly
 # ---------------------------------------------------------------------------
 
 def stabilization_complement_qr(pts: np.ndarray, centroid: np.ndarray) -> np.ndarray:
@@ -421,3 +423,25 @@ def linear_complement_longdouble(pts: np.ndarray) -> np.ndarray:
     q2 = y / np.sqrt((y ** 2).sum(axis=1, keepdims=True))
     outer = q1[:, :, None] * q1[:, None, :] + q2[:, :, None] * q2[:, None, :]
     return np.eye(n, dtype=np.longdouble) - np.longdouble(1) / n - outer
+
+
+def assemble_triplets(mesh, material) -> sp.csr_matrix:
+    """Global stiffness summed from dof-level (row, col, value) triplets through a COO matrix.
+
+    The assembly that `vemrcp.vem.assemble_global` replaced with 2 x 2 vertex
+    blocks, kept as its reference.
+    """
+    ndof = 2 * mesh.num_vertices
+    C = elastic_matrix(material)
+    rows, cols, vals = [], [], []
+    for cells, idx in vertex_count_groups(mesh):
+        ops = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
+        dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(len(cells), -1)
+        m = dofs.shape[1]
+        rows.append(np.repeat(dofs, m, axis=1).ravel())
+        cols.append(np.tile(dofs, m).ravel())
+        vals.append((ops.Kc + ops.Ks).ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(ndof, ndof),
+    ).tocsr()

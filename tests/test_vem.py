@@ -9,6 +9,7 @@ from scipy.sparse.linalg import MatrixRankWarning
 
 from conftest import single_cell_mesh
 from oracles import (
+    assemble_triplets,
     cell_coords,
     cst_solve,
     linear_complement_longdouble,
@@ -412,6 +413,33 @@ class TestGroupedAssembly:
             expected.append(C @ (B / shoelace(cell_coords(mesh, ci))[0]) @ u_cell)
         got = element_stresses(mesh, assemble_global(mesh, mat), mat, u)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+
+class TestBlockAssembly:
+    """The 2 x 2 vertex-block assembly gives the dof-level triplet sum's CSR matrix."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+    def test_matches_triplet_assembly(self, family, n):
+        mat = LameMaterial(2.0, 0.5)  # lambda != mu: off-diagonal 2 x 2 blocks are not symmetric
+        mesh = generate_mesh(family, n)
+        K = assemble_global(mesh, mat).matrix
+        ref = assemble_triplets(mesh, mat)
+        assert K.format == "csr" and K.shape == ref.shape
+        assert K.has_canonical_format
+        np.testing.assert_array_equal(K.indptr, ref.indptr)
+        np.testing.assert_array_equal(K.indices, ref.indices)
+        np.testing.assert_allclose(K.data, ref.data, rtol=0, atol=1e-15 * np.abs(ref.data).max())
+
+    def test_unreferenced_vertex_keeps_empty_rows(self, mat):
+        vertices = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], dtype=float)
+        mesh = PolygonalMesh(vertices, [0, 4], [0, 1, 2, 3], MeshFamily.EXTERNAL)
+        K = assemble_global(mesh, mat).matrix
+        assert K.shape == (10, 10)
+        assert K.indptr[8] == K.indptr[10] == K.nnz == 64
+        ops = cell_ops(mesh, mat)
+        np.testing.assert_allclose(K.toarray()[:8, :8], ops.Kc + ops.Ks, rtol=0, atol=1e-15)
 
 
 class TestPatchTestProperty:
