@@ -225,7 +225,7 @@ def _poisson_disk(n: int, rng) -> np.ndarray:
         return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] < r * r
 
     candidates = rng.uniform(0.0, 1.0, size=(30 * n * n, 2))
-    for chunk in np.array_split(candidates, min(60, 2 * n * n)):    # n^2 / 2 each from n = 6
+    for chunk in np.array_split(candidates, min(16, 2 * n * n)):    # 15 n^2 / 8 each from n = 3
         tree = cKDTree(pts)
         dist = tree.query(chunk)[0]
         # Only a nearest distance within 1e-9 r of r can round either way: re-test those.

@@ -10,7 +10,8 @@ so the projector is Pi_m = B / |E|.
 Every kernel works on all cells of one vertex count n at once: cells are
 grouped by n (`vertex_count_groups`) and a group of k cells is a stack of
 (k, n, 2) vertex coordinates, (k, 3, 2n) projectors and (k, 2n, 2n)
-stiffness matrices.
+stiffness matrices. The global stiffness is summed in 2 x 2 vertex blocks,
+one per vertex pair of a cell, then expanded to dof-level CSR.
 """
 
 from __future__ import annotations
@@ -136,26 +137,36 @@ class ConstrainedSystem:
 def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None) -> GlobalSystem:
     """Assemble stiffness and load one vertex-count group at a time.
 
+    Each vertex pair (i, j) of a cell adds its 2 x 2 block of Kc + Ks under
+    the key i * nv + j. One sort of the keys gives the block pattern, one
+    bincount per block entry sums the blocks, and the block matrix is
+    expanded to the canonical ndof x ndof CSR; vertices in no cell keep
+    empty rows.
+
     `body_force` is None or a vectorized callable b(x, y) -> (m, 2); a
     constant (2,) result is broadcast. It is called once, at all cell
     centroids, and each cell's b |E| is spread evenly over its vertices. The
     projectors are kept on the system for the stress evaluation.
     """
-    ndof = 2 * mesh.num_vertices
+    nv = mesh.num_vertices
+    ndof = 2 * nv
     C = elastic_matrix(material)
-    rows, cols, vals, groups = [], [], [], []
+    keys, blocks, groups = [], [], []
     for cells, idx in vertex_count_groups(mesh):
-        ops = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
-        dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(len(cells), -1)
-        m = dofs.shape[1]
-        rows.append(np.repeat(dofs, m, axis=1).ravel())
-        cols.append(np.tile(dofs, m).ravel())
-        vals.append((ops.Kc + ops.Ks).ravel())
-        groups.append((cells, dofs, ops.Pi_m))
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
-    ).tocsr()
+        k, n = idx.shape
+        Pi_m, Kc, Ks = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
+        Kc += Ks
+        del Ks                        # hold one (k, 2n, 2n) stack while Kc is reordered
+        # Row 2a + b holds entry (a, b) of the 2 x 2 block of each vertex pair (i, j) of a cell.
+        blocks.append(Kc.reshape(k, n, 2, n, 2).transpose(2, 4, 0, 1, 3).reshape(4, -1))
+        keys.append((idx[:, :, None] * nv + idx[:, None, :]).ravel())
+        groups.append((cells, np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(k, -1), Pi_m))
+    del Kc                            # the last group's, before the sort
+    pattern, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    blocks = np.concatenate(blocks, axis=1)   # frees the per-group list before the sums
+    blocks = np.stack([np.bincount(inverse, row, len(pattern)) for row in blocks], axis=-1)
+    indptr = np.searchsorted(pattern, nv * np.arange(nv + 1))
+    K = sp.bsr_matrix((blocks.reshape(-1, 2, 2), pattern % nv, indptr), shape=(ndof, ndof)).tocsr()
     f = np.zeros(ndof)
     if body_force is not None:
         b = np.asarray(body_force(*mesh.centroids.T), dtype=float)
@@ -184,10 +195,10 @@ def apply_dirichlet(system: GlobalSystem, vertices, values) -> ConstrainedSystem
     prescribed[dofs] = values
     fixed = np.nonzero(fixed_mask)[0]
     free = np.nonzero(~fixed_mask)[0]
-    K = system.matrix
-    rhs = system.rhs[free] - K[free][:, fixed] @ prescribed[fixed]
+    free_rows = system.matrix[free]
+    rhs = system.rhs[free] - free_rows[:, fixed] @ prescribed[fixed]
     return ConstrainedSystem(
-        matrix=K[free][:, free].tocsr(),
+        matrix=free_rows[:, free].tocsr(),
         rhs=rhs,
         free=free,
         fixed=fixed,
