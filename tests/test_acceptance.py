@@ -21,7 +21,9 @@ changes no pair's rate ordering. An rcp1 that used the single-cell patch would
 tie rcp0 on every pair and fail here; a per-level `rcp1 <= rcp0` count passes it.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,8 @@ MATERIAL = LameMaterial(1.0, 1.0)
 GRID_TESTS = CASE_IDS                  # a, b, c
 GRID_LEVELS = 3                        # n = 8, 16, 32
 SEED = 0
+# E_* (float.hex) and fallback cells of every grid level, as the current code computes them.
+GRID_ERRORS = Path(__file__).parent / "data" / "grid_errors.json"
 
 
 def report(num, name, ok, detail=""):
@@ -53,18 +57,38 @@ def report(num, name, ok, detail=""):
     print(line)
 
 
-@pytest.fixture(scope="module")
-def grid():
-    """The 3-test x 8-family x 3-level study grid used by criteria 4 and 5."""
+def run_grid():
+    """Run the 3-test x 8-family x 3-level study grid.
+
+    Returns the records per (test, family), the wall time, and the pinned
+    form of every level: one row with its E_* as float.hex strings and the
+    fallback cells of each recovery kind.
+    """
     t0 = time.perf_counter()
-    records = {}
+    records, rows = {}, []
+
+    def pin(record, result):
+        rows.append({
+            "case": record.test,
+            "family": record.family.value,
+            "n": record.subdivisions,
+            **{f"E_{m}": float.hex(e) for m, e in record.errors.items()},
+            "fallback_cells": {m: list(f.fallback_cells) for m, f in result.recovered.items()},
+        })
+
     for test in GRID_TESTS:
         for family in GENERATED_FAMILIES:
             records[(test, family)] = run_convergence_study(
-                test, family, GRID_LEVELS, MATERIAL, seed=SEED, base_subdivisions=8
+                test, family, GRID_LEVELS, MATERIAL, seed=SEED, base_subdivisions=8,
+                on_level=pin,
             )
-    elapsed = time.perf_counter() - t0
-    return records, elapsed
+    return records, time.perf_counter() - t0, rows
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """The grid used by criteria 4 and 5 and the pinned-grid check."""
+    return run_grid()
 
 
 class TestCriterion1PatchTest:
@@ -146,7 +170,7 @@ class TestCriterion3ConvergenceRates:
 
 class TestCriterion4RcpFavourability:
     def test_rcp1_never_worse_than_vem(self, grid):
-        records, elapsed = grid
+        records, elapsed, _ = grid
         violations = []
         combos = 0
         for (test, family), recs in records.items():
@@ -165,7 +189,7 @@ class TestCriterion4RcpFavourability:
         assert elapsed < 1800.0
 
     def test_rcp1_beats_rcp0_on_ninety_percent(self, grid):
-        records, _ = grid
+        records, _, _ = grid
         slower = []
         level_wins = 0
         for (test, family), recs in records.items():
@@ -194,7 +218,7 @@ class TestCriterion4RcpFavourability:
 
 class TestCriterion5HexImprovement:
     def test_hex_ratio_and_triangle_neutrality(self, grid):
-        records, _ = grid
+        records, _, _ = grid
         hex_ratios = [
             r.errors["rcp0"] / r.errors["vem"] for r in records[("a", MeshFamily.HEX_S)]
         ]
@@ -212,6 +236,25 @@ class TestCriterion5HexImprovement:
             assert r <= 0.9
         for r in tri_ratios:
             assert 0.6 <= r <= 1.05
+
+
+class TestPinnedGrid:
+    def test_errors_and_fallbacks_match_recorded_grid(self, grid):
+        # A change that moves E_* on purpose re-records the file with
+        # `python tests/record_grid_errors.py` and lists old and new values.
+        _, _, rows = grid
+        pinned = json.loads(GRID_ERRORS.read_text())
+
+        def key(row):
+            return row["case"], row["family"], row["n"]
+
+        assert [key(r) for r in rows] == [key(r) for r in pinned]
+        for got, want in zip(rows, pinned):
+            for m in ("vem", "rcp0", "rcp1"):
+                np.testing.assert_allclose(float.fromhex(got[f"E_{m}"]),
+                                           float.fromhex(want[f"E_{m}"]), rtol=1e-11,
+                                           err_msg=f"{key(got)} E_{m}")
+            assert got["fallback_cells"] == want["fallback_cells"], key(got)
 
 
 class TestCriterion6Equilibrium:
