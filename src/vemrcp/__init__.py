@@ -20,7 +20,6 @@ from .recovery import (
     build_patch,
     evaluate_recovered_stress,
     recover_field,
-    stress_modes_at,
 )
 from .study import (
     METHODS,

@@ -6,13 +6,13 @@ indices[offsets[ci]:offsets[ci + 1]], and the cell edge from its k-th vertex
 to the next has the global id offsets[ci] + k. The mesh is built from that
 pair alone. The vertex-to-cell map is a second such pair: the cells around
 vertex v, in cell order, are vertex_cell_ids[vertex_offsets[v]:vertex_offsets[v + 1]].
-All derived topology (edge incidence, neighbours, boundary flags, the
-vertex-to-cell map) and the cell moments of degree <= 2 (area, centroid,
-central second moments, in closed form from the vertices) are built once at
-construction. Areas and centroids of ragged cycles come from one kernel,
-`polygon_moments`, which the generators and `load_mesh` use too. Only the
-per-cell quadrature rules are cached lazily on the instance, so a mesh is not
-safe to share between threads without a lock.
+All derived topology (edge incidence, boundary flags, the vertex-to-cell
+map) and the cell moments of degree <= 2 (area, centroid, central second
+moments, in closed form from the vertices) are built once at construction.
+Areas and centroids of ragged cycles come from one kernel, `polygon_moments`,
+which the generators and `load_mesh` use too. Only the per-cell quadrature
+rules are cached lazily on the instance, so a mesh is not safe to share
+between threads without a lock.
 """
 
 from __future__ import annotations
@@ -69,14 +69,13 @@ class PolygonalMesh:
     `indices`, and the vertex-to-cell map the pair `vertex_offsets`,
     `vertex_cell_ids` (see the module docstring). The given arrays are kept,
     not copied, where their dtypes allow, and made read-only. Per global edge
-    id, `edge_ends` is the end vertex and `edge_neighbors` the cell across
-    (-1 on the boundary or on an edge of more than two cells). Per unique
-    edge, in order of first appearance, `edges` holds the (lo, hi) vertex pair
-    and `edge_uses` how many cell edges run lo -> hi and hi -> lo. Boundary
-    vertex flags are always recomputed from edge incidence, never taken on
-    trust from a file or generator. Per cell, `areas`, `centroids` and
-    `second_moments` (the 2x2 integral of (x - c)(x - c)^T about the centroid
-    c) are exact. A bad cell raises MeshError naming the first one.
+    id, `edge_ends` is the end vertex. Per unique edge, in order of first
+    appearance, `edges` holds the (lo, hi) vertex pair and `edge_uses` how
+    many cell edges run lo -> hi and hi -> lo. Boundary vertex flags are
+    always recomputed from edge incidence, never taken on trust from a file
+    or generator. Per cell, `areas`, `centroids` and `second_moments` (the
+    2x2 integral of (x - c)(x - c)^T about the centroid c) are exact. A bad
+    cell raises MeshError naming the first one.
     """
 
     def __init__(self, vertices: np.ndarray, offsets: np.ndarray, indices: np.ndarray,
@@ -138,11 +137,6 @@ class PolygonalMesh:
         _, first, edge_of, users = np.unique(
             lo * nv + hi, return_index=True, return_inverse=True, return_counts=True
         )
-        by_edge = np.argsort(edge_of, kind="stable")
-        pair = (np.cumsum(users) - users)[users == 2]
-        e0, e1 = by_edge[pair], by_edge[pair + 1]
-        self.edge_neighbors = np.full(len(idx), -1, dtype=np.int64)
-        self.edge_neighbors[e0], self.edge_neighbors[e1] = cell_of[e1], cell_of[e0]
         on_boundary = users[edge_of] == 1
         self.boundary_vertex_flags = np.zeros(nv, dtype=bool)
         self.boundary_vertex_flags[idx[on_boundary]] = True
@@ -156,10 +150,9 @@ class PolygonalMesh:
 
         self.vertex_offsets = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=nv))])
         self.vertex_cell_ids = cell_of[np.argsort(idx, kind="stable")]
-        for arr in (self.vertices, self.offsets, idx, ends, self.edge_neighbors,
-                    self.boundary_vertex_flags, self.edges, self.edge_uses,
-                    self.vertex_offsets, self.vertex_cell_ids, self.areas,
-                    self.centroids, self.second_moments):
+        for arr in (self.vertices, self.offsets, idx, ends, self.boundary_vertex_flags,
+                    self.edges, self.edge_uses, self.vertex_offsets, self.vertex_cell_ids,
+                    self.areas, self.centroids, self.second_moments):
             arr.setflags(write=False)
         self._quadrature_cache: dict = {}
 

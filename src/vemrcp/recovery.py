@@ -9,14 +9,16 @@ the outer patch boundary: exactly the data a virtual element solution
 provides.
 
 Modes are expressed in patch-local coordinates (xi, eta), shifted to the
-area-weighted patch centroid and scaled by the diagonal of the patch's
-bounding box, to keep the 7x7 systems uniformly conditioned. There the mode matrix is
+area-weighted patch centroid and scaled by the square root of the patch area,
+to keep the 7x7 systems uniformly conditioned. There the mode matrix is
 P = MODES[0] + xi MODES[1] + eta MODES[2], so the moments of (1, xi, eta)
 over a patch give the compliance matrix H and the particular-stress work
 exactly. They are summed by the parallel-axis identity from the closed-form
 area, centroid and central second moments that the mesh stores per cell, so
-recovery needs no quadrature and no triangulation. The boundary work uses two
-Gauss points per outer edge, and all patches of a mesh are solved as one stack.
+recovery needs no quadrature and no triangulation. The boundary work is
+summed the same way from each cell's own work, taken once with two Gauss
+points per cell edge: the work on an edge between two cells of a patch
+cancels. All patches of a mesh are solved as one stack.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
@@ -62,7 +64,7 @@ class RecoveredStressField:
     mesh: PolygonalMesh
     kind: str
     centers: np.ndarray               # (ncells, 2) patch centre, also the load sample point
-    scales: np.ndarray                # (ncells,) patch bounding-box diagonal
+    scales: np.ndarray                # (ncells,) square root of the patch area
     betas: np.ndarray                 # (ncells, 7) mode coefficients
     loads: np.ndarray                 # (ncells, 2) body force sampled at the centre
     fallback_cells: tuple = ()
@@ -83,12 +85,6 @@ class PatchSystems(NamedTuple):
     loads: np.ndarray                 # (npatch, 2)
     H: np.ndarray                     # (npatch, 7, 7)
     g: np.ndarray                     # (npatch, 7)
-
-
-def stress_modes_at(center, scale: float, points) -> np.ndarray:
-    """Evaluate the 3x7 mode matrix at one point or a stack of points."""
-    local = (np.asarray(points, dtype=float) - center) / scale
-    return MODES[0] + local[..., 0, None, None] * MODES[1] + local[..., 1, None, None] * MODES[2]
 
 
 def _sum_by(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -123,21 +119,6 @@ def build_patch(mesh: PolygonalMesh, cells, kind: str) -> Patches:
     return Patches(owner, member)
 
 
-def patch_edges(mesh: PolygonalMesh, owner: np.ndarray, member: np.ndarray):
-    """Edges of the member cells of patches given as (patch, member cell) pairs.
-
-    Returns (patch, global edge id, outer flag) arrays (see
-    `PolygonalMesh.edge_neighbors`), ordered by pair and then by local edge.
-    An edge is outer when the cell across it is the domain exterior or not a
-    member of the same patch; its outward normal (w.r.t. the member cell)
-    then points out of the patch.
-    """
-    pair, edge = _ragged_ranges(mesh.offsets[member], np.diff(mesh.offsets)[member])
-    patch, nb, nc = owner[pair], mesh.edge_neighbors[edge], mesh.num_cells
-    outer = (nb < 0) | ~np.isin(patch * nc + nb, owner * nc + member)
-    return patch, edge, outer
-
-
 def patch_systems(
     mesh: PolygonalMesh,
     material: LameMaterial,
@@ -156,19 +137,15 @@ def patch_systems(
     owner, member = patches
     npatch = int(owner[-1]) + 1
     area, centroid, second = mesh.areas, mesh.centroids, mesh.second_moments
-
-    # The edges of a patch are contiguous; their start vertices are its member vertices.
-    edge_owner, edge, outer = patch_edges(mesh, owner, member)
-    pts = mesh.vertices[mesh.indices[edge]]
-    start = np.searchsorted(edge_owner, np.arange(npatch))
-    box = np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)
-    scales = np.hypot(box[:, 0], box[:, 1])
+    patch_area = np.bincount(owner, area[member], minlength=npatch)
     centers = _sum_by(owner, area[member, None] * centroid[member], npatch)
-    centers /= np.bincount(owner, area[member], minlength=npatch)[:, None]
+    centers /= patch_area[:, None]
+    scales = np.sqrt(patch_area)
 
     # Moments of (1, xi, eta) by the parallel-axis identity.
     s = scales[owner, None]
-    phi = np.column_stack([np.ones(len(member)), (centroid[member] - centers[owner]) / s])
+    shift = centroid[member] - centers[owner]
+    phi = np.column_stack([np.ones(len(member)), shift / s])
     cell_m = area[member, None, None] * phi[:, :, None] * phi[:, None, :]
     cell_m[:, 1:, 1:] += second[member] / (s * s)[:, :, None]
     M = _sum_by(owner, cell_m, npatch)
@@ -176,27 +153,32 @@ def patch_systems(
     Cinv = compliance_matrix(material)
     H = np.einsum("pab,abkl->pkl", M, np.einsum("aik,ij,bjl->abkl", MODES, Cinv, MODES))
 
-    # Work of each mode's traction on the displacement trace: S[p, a] sums
-    # phi_a * (weight * traction pair) over the Gauss points of the outer edges.
-    edge_owner, outer = edge_owner[outer], edge[outer]
-    ia, ib = mesh.indices[outer], mesh.edge_ends[outer]
-    a = mesh.vertices[ia]
-    t = mesh.vertices[ib] - a
-    S = np.zeros((npatch, 3, 3))
+    # Work of each mode's traction on the displacement trace over the boundary
+    # of every cell: W[c, 0] sums the weighted traction pairs at the Gauss
+    # points and W[c, 1:] their first moments about the centroid of c.
+    a = mesh.vertices[mesh.indices]
+    t = mesh.vertices[mesh.edge_ends] - a
+    edge_cell = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.offsets))
+    work = np.zeros((len(a), 3, 3))
     for gp in _GAUSS2:
         x = a + gp * t
         if callable(displacement):
             u = np.asarray(displacement(x[:, 0], x[:, 1]), dtype=float)
         else:
             uv = np.asarray(displacement, dtype=float).reshape(-1, 2)
-            u = (1.0 - gp) * uv[ia] + gp * uv[ib]
+            u = (1.0 - gp) * uv[mesh.indices] + gp * uv[mesh.edge_ends]
         # Gauss weight |e|/2 times the unit outer normal is (t_y, -t_x) / 2.
         pair = 0.5 * np.column_stack(
             [t[:, 1] * u[:, 0], -t[:, 0] * u[:, 1], t[:, 1] * u[:, 1] - t[:, 0] * u[:, 0]]
         )
-        local = (x - centers[edge_owner]) / scales[edge_owner, None]
-        for d, factor in enumerate((1.0, local[:, 0, None], local[:, 1, None])):
-            S[:, d] += _sum_by(edge_owner, factor * pair, npatch)
+        arm = np.column_stack([np.ones(len(x)), x - centroid[edge_cell]])
+        work += arm[:, :, None] * pair[:, None, :]
+    W = _sum_by(edge_cell, work, mesh.num_cells)[member]
+    # A patch's work is its members' sum: on an edge between two members both
+    # sides see one trace at the same Gauss points with opposite normals, so
+    # they cancel. The moments move to the patch frame as those of M do.
+    W[:, 1:] = (W[:, 1:] + shift[:, :, None] * W[:, :1]) / s[:, :, None]
+    S = _sum_by(owner, W, npatch)
 
     # Particular stress (-bx (x - cx), -by (y - cy), 0) = xi V[1] + eta V[2].
     loads = np.zeros((npatch, 2))

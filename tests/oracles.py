@@ -13,9 +13,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from vemrcp.generators import _merge_points
-from vemrcp.material import elastic_matrix
+from vemrcp.material import compliance_matrix, elastic_matrix
 from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, ear_clip, vertex_count_groups
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
+from vemrcp.recovery import _GAUSS2, MODES, PatchSystems, _ragged_ranges, _sum_by
 from vemrcp.vem import element_matrices
 
 
@@ -389,6 +390,93 @@ def vertex_patch_per_cell(mesh, cell) -> np.ndarray:
     return np.unique(np.concatenate(
         [mesh.vertex_cell_ids[around[v]:around[v + 1]] for v in cell_ids(mesh, cell)]
     ))
+
+
+def stress_modes_at(center, scale: float, points) -> np.ndarray:
+    """Evaluate the 3x7 mode matrix at one point or a stack of points."""
+    local = (np.asarray(points, dtype=float) - center) / scale
+    return MODES[0] + local[..., 0, None, None] * MODES[1] + local[..., 1, None, None] * MODES[2]
+
+
+def edge_neighbors(mesh) -> np.ndarray:
+    """Per global edge id, the cell across it; -1 on the boundary or on an edge of more than two cells."""
+    idx, ends = mesh.indices, mesh.edge_ends
+    key = np.minimum(idx, ends) * mesh.num_vertices + np.maximum(idx, ends)
+    _, edge_of, users = np.unique(key, return_inverse=True, return_counts=True)
+    by_edge = np.argsort(edge_of, kind="stable")
+    pair = (np.cumsum(users) - users)[users == 2]
+    e0, e1 = by_edge[pair], by_edge[pair + 1]
+    cell_of = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.offsets))
+    neighbors = np.full(len(idx), -1, dtype=np.int64)
+    neighbors[e0], neighbors[e1] = cell_of[e1], cell_of[e0]
+    return neighbors
+
+
+def patch_edges(mesh, owner: np.ndarray, member: np.ndarray):
+    """Edges of the member cells of patches given as (patch, member cell) pairs.
+
+    Returns (patch, global edge id, outer flag) arrays, ordered by pair and
+    then by local edge. An edge is outer when the cell across it is the domain
+    exterior or not a member of the same patch; its outward normal (w.r.t. the
+    member cell) then points out of the patch.
+    """
+    pair, edge = _ragged_ranges(mesh.offsets[member], np.diff(mesh.offsets)[member])
+    patch, nb, nc = owner[pair], edge_neighbors(mesh)[edge], mesh.num_cells
+    outer = (nb < 0) | ~np.isin(patch * nc + nb, owner * nc + member)
+    return patch, edge, outer
+
+
+def patch_systems_outer_edges(mesh, material, patches, displacement, body_force) -> PatchSystems:
+    """The patch systems of `vemrcp.recovery.patch_systems`, with the boundary work taken
+    over each patch's outer edges.
+
+    The outer-edge pass that the per-cell work sums replaced, kept as their
+    reference; frames, moments and the particular stress are built as there.
+    """
+    owner, member = patches
+    npatch = int(owner[-1]) + 1
+    area, centroid, second = mesh.areas, mesh.centroids, mesh.second_moments
+    patch_area = np.bincount(owner, area[member], minlength=npatch)
+    centers = _sum_by(owner, area[member, None] * centroid[member], npatch)
+    centers /= patch_area[:, None]
+    scales = np.sqrt(patch_area)
+
+    s = scales[owner, None]
+    phi = np.column_stack([np.ones(len(member)), (centroid[member] - centers[owner]) / s])
+    cell_m = area[member, None, None] * phi[:, :, None] * phi[:, None, :]
+    cell_m[:, 1:, 1:] += second[member] / (s * s)[:, :, None]
+    M = _sum_by(owner, cell_m, npatch)
+    Cinv = compliance_matrix(material)
+    H = np.einsum("pab,abkl->pkl", M, np.einsum("aik,ij,bjl->abkl", MODES, Cinv, MODES))
+
+    edge_owner, edge, outer = patch_edges(mesh, owner, member)
+    edge_owner, outer = edge_owner[outer], edge[outer]
+    ia, ib = mesh.indices[outer], mesh.edge_ends[outer]
+    a = mesh.vertices[ia]
+    t = mesh.vertices[ib] - a
+    S = np.zeros((npatch, 3, 3))
+    for gp in _GAUSS2:
+        x = a + gp * t
+        if callable(displacement):
+            u = np.asarray(displacement(x[:, 0], x[:, 1]), dtype=float)
+        else:
+            uv = np.asarray(displacement, dtype=float).reshape(-1, 2)
+            u = (1.0 - gp) * uv[ia] + gp * uv[ib]
+        pair = 0.5 * np.column_stack(
+            [t[:, 1] * u[:, 0], -t[:, 0] * u[:, 1], t[:, 1] * u[:, 1] - t[:, 0] * u[:, 0]]
+        )
+        local = (x - centers[edge_owner]) / scales[edge_owner, None]
+        for d, factor in enumerate((1.0, local[:, 0, None], local[:, 1, None])):
+            S[:, d] += _sum_by(edge_owner, factor * pair, npatch)
+
+    loads = np.zeros((npatch, 2))
+    if body_force is not None:
+        loads[:] = body_force(centers[:, 0], centers[:, 1])
+    V = np.zeros((npatch, 3, 3))
+    V[:, 1, 0] = -loads[:, 0] * scales
+    V[:, 2, 1] = -loads[:, 1] * scales
+    g = np.einsum("aik,pai->pk", MODES, S - (M @ V) @ Cinv)
+    return PatchSystems(centers, scales, loads, H, g)
 
 
 # ---------------------------------------------------------------------------

@@ -423,14 +423,9 @@ class TestGenerators:
         for ci, cell in enumerate(mesh_cells(mesh)):
             for k, (i, j) in enumerate(zip(cell.tolist(), np.roll(cell, -1).tolist())):
                 users.setdefault((min(i, j), max(i, j)), []).append((ci, mesh.offsets[ci] + k))
-        neighbors = np.full(len(mesh.indices), -1)
         boundary = np.zeros(mesh.num_vertices, dtype=bool)
         for (i, j), used in users.items():
-            if len(used) == 2:
-                (c0, e0), (c1, e1) = used
-                neighbors[e0], neighbors[e1] = c1, c0
             boundary[[i, j]] |= len(used) == 1
-        np.testing.assert_array_equal(mesh.edge_neighbors, neighbors)
         np.testing.assert_array_equal(mesh.boundary_vertex_flags, boundary)
         np.testing.assert_array_equal(mesh.edges, list(users))
 
@@ -559,8 +554,6 @@ class TestPatches:
         members = patch_member_sets(mesh, np.arange(mesh.num_cells))
         vertex_sets = [set(cell.tolist()) for cell in mesh_cells(mesh)]
         for ci in range(mesh.num_cells):
-            across = mesh.edge_neighbors[mesh.offsets[ci]:mesh.offsets[ci + 1]]
-            assert set(across[across >= 0].tolist()) <= members[ci]
             assert all(ci in members[cj] for cj in members[ci])
             brute = {cj for cj, vs in enumerate(vertex_sets) if vs & vertex_sets[ci]}
             assert members[ci] == brute
@@ -685,8 +678,6 @@ class TestValidation:
     def test_edge_of_three_cells_has_no_neighbour(self):
         verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
         mesh = mesh_from_cells(verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
-        # global edge ids of (0, 1) in the three cells: 0, 3 + 2 and 6 + 0
-        np.testing.assert_array_equal(mesh.edge_neighbors[[0, 5, 6]], -1)
         assert "edge (0,1): shared by 3 cells" in validate_mesh(mesh)
 
     def test_self_intersecting_cell_reported(self):

@@ -13,8 +13,11 @@ from oracles import (
     ear_clip_per_cell,
     fd_stress_divergence,
     mesh_cells,
+    patch_edges,
+    patch_systems_outer_edges,
     random_points_in_cell,
     shoelace,
+    stress_modes_at,
     vertex_patch_per_cell,
 )
 from vemrcp.cases import manufactured_case
@@ -28,11 +31,9 @@ from vemrcp.recovery import (
     RecoveryConditioningError,
     build_patch,
     evaluate_recovered_stress,
-    patch_edges,
     patch_systems,
     recover_field,
     solve_patches,
-    stress_modes_at,
 )
 from vemrcp.study import linear_patch_case
 from vemrcp.vem import element_stresses, solve_dirichlet_problem
@@ -444,6 +445,31 @@ class TestFrameInvariance:
                                           moved.centroids)
         np.testing.assert_allclose(scale * after, before, rtol=0,
                                    atol=1e-9 * np.abs(before).max())
+
+
+class TestBoundaryWork:
+    @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+    def test_member_sums_match_outer_edge_oracle(self, family, mat):
+        # Per-cell work summed over the members against work over each patch's outer edges.
+        mesh = generate_mesh(family, 8, seed=0)
+        case = manufactured_case("b", mat)
+        u, _ = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+        bending, _ = bending_case(mat)
+        cells = np.arange(mesh.num_cells)
+        for kind in RECOVERY_KINDS:
+            for request in (cells, cells[::-3]):
+                patches = build_patch(mesh, request, kind)
+                for displacement, body_force in ((u, case.body_force), (bending, None)):
+                    got = patch_systems(mesh, mat, patches, displacement, body_force)
+                    want = patch_systems_outer_edges(mesh, mat, patches, displacement,
+                                                     body_force)
+                    for name in ("centers", "scales", "loads"):
+                        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                    for name in ("H", "g"):
+                        # Relative to each patch's largest entry: some entries cancel to rounding.
+                        a, b = (getattr(s, name).reshape(len(request), -1) for s in (got, want))
+                        err = np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)
+                        assert err.max() <= 1e-12, (kind, name, err.max())
 
 
 class TestOuterEdges:
