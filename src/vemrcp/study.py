@@ -84,8 +84,8 @@ def run_level(
     methods=METHODS,
 ) -> tuple[LevelResult, dict]:
     """Solve one mesh and compute the requested error norms."""
-    u, system = solve_dirichlet_problem(mesh, material, case.body_force, case.displacement)
-    stresses = element_stresses(mesh, system, material, u)
+    u = solve_dirichlet_problem(mesh, material, case.body_force, case.displacement)
+    stresses = element_stresses(mesh, material, u)
     result = LevelResult(mesh=mesh, case=case, displacement=u, cell_stresses=stresses)
     fields = {}
     for method in methods:

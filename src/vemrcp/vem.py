@@ -12,11 +12,15 @@ grouped by n (`vertex_count_groups`) and a group of k cells is a stack of
 (k, n, 2) vertex coordinates, (k, 3, 2n) projectors and (k, 2n, 2n)
 stiffness matrices. The global stiffness is summed in 2 x 2 vertex blocks,
 one per vertex pair of a cell, then expanded to dof-level CSR.
+
+The displacement is all the solve hands on: the element stress C Pi_m u is
+computed from the mesh, the material and u alone, and the Dirichlet data
+travels as one full-length `prescribed` vector that is zero at the free dofs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -117,11 +121,6 @@ def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray) ->
 class GlobalSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    groups: list = field(repr=False)  # (cell ids (k,), dofs (k, 2n), Pi_m (k, 3, 2n)) per n
-
-    @property
-    def ndof(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -129,9 +128,7 @@ class ConstrainedSystem:
     matrix: sp.csr_matrix        # restricted to the free dofs
     rhs: np.ndarray
     free: np.ndarray             # free dof indices
-    fixed: np.ndarray            # constrained dof indices
-    fixed_values: np.ndarray
-    ndof: int
+    prescribed: np.ndarray       # (ndof,) Dirichlet values, zero at the free dofs
 
 
 def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None) -> GlobalSystem:
@@ -145,36 +142,33 @@ def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None
 
     `body_force` is None or a vectorized callable b(x, y) -> (m, 2); a
     constant (2,) result is broadcast. It is called once, at all cell
-    centroids, and each cell's b |E| is spread evenly over its vertices. The
-    projectors are kept on the system for the stress evaluation.
+    centroids, and each cell's b |E| is spread evenly over its vertices.
     """
     nv = mesh.num_vertices
     ndof = 2 * nv
     C = elastic_matrix(material)
-    keys, blocks, groups = [], [], []
+    f = np.zeros(ndof)
+    if body_force is not None:
+        b = np.asarray(body_force(*mesh.centroids.T), dtype=float)
+        b = np.broadcast_to(b, (mesh.num_cells, 2))
+    keys, blocks = [], []
     for cells, idx in vertex_count_groups(mesh):
         k, n = idx.shape
-        Pi_m, Kc, Ks = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
+        if body_force is not None:
+            np.add.at(f.reshape(nv, 2), idx, (b[cells] * (mesh.areas[cells, None] / n))[:, None])
+        _, Kc, Ks = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
         Kc += Ks
         del Ks                        # hold one (k, 2n, 2n) stack while Kc is reordered
         # Row 2a + b holds entry (a, b) of the 2 x 2 block of each vertex pair (i, j) of a cell.
         blocks.append(Kc.reshape(k, n, 2, n, 2).transpose(2, 4, 0, 1, 3).reshape(4, -1))
         keys.append((idx[:, :, None] * nv + idx[:, None, :]).ravel())
-        groups.append((cells, np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(k, -1), Pi_m))
     del Kc                            # the last group's, before the sort
     pattern, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     blocks = np.concatenate(blocks, axis=1)   # frees the per-group list before the sums
     blocks = np.stack([np.bincount(inverse, row, len(pattern)) for row in blocks], axis=-1)
     indptr = np.searchsorted(pattern, nv * np.arange(nv + 1))
     K = sp.bsr_matrix((blocks.reshape(-1, 2, 2), pattern % nv, indptr), shape=(ndof, ndof)).tocsr()
-    f = np.zeros(ndof)
-    if body_force is not None:
-        b = np.asarray(body_force(*mesh.centroids.T), dtype=float)
-        b = np.broadcast_to(b, (mesh.num_cells, 2))
-        for cells, dofs, _ in groups:
-            n = dofs.shape[1] // 2
-            np.add.at(f, dofs, np.tile(b[cells] * (mesh.areas[cells, None] / n), n))
-    return GlobalSystem(matrix=K, rhs=f, groups=groups)
+    return GlobalSystem(matrix=K, rhs=f)
 
 
 def apply_dirichlet(system: GlobalSystem, vertices, values) -> ConstrainedSystem:
@@ -182,35 +176,31 @@ def apply_dirichlet(system: GlobalSystem, vertices, values) -> ConstrainedSystem
 
     `vertices` is an index array and `values` the (m, 2) prescribed (u, v)
     of each. The right-hand side of the remaining free block absorbs the
-    coupling term.
+    coupling term K[free] @ prescribed.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     if len(vertices) == 0:
         raise ValueError("empty Dirichlet set leaves the rigid modes unconstrained")
-    ndof = system.ndof
+    ndof = len(system.rhs)
     dofs = np.stack([2 * vertices, 2 * vertices + 1], axis=-1)
     fixed_mask = np.zeros(ndof, dtype=bool)
     fixed_mask[dofs] = True
     prescribed = np.zeros(ndof)
     prescribed[dofs] = values
-    fixed = np.nonzero(fixed_mask)[0]
     free = np.nonzero(~fixed_mask)[0]
     free_rows = system.matrix[free]
-    rhs = system.rhs[free] - free_rows[:, fixed] @ prescribed[fixed]
     return ConstrainedSystem(
         matrix=free_rows[:, free].tocsr(),
-        rhs=rhs,
+        rhs=system.rhs[free] - free_rows @ prescribed,
         free=free,
-        fixed=fixed,
-        fixed_values=prescribed[fixed],
-        ndof=ndof,
+        prescribed=prescribed,
     )
 
 
 def solve_system(constrained: ConstrainedSystem) -> np.ndarray:
-    """Direct sparse solve of the free block; returns the full dof vector."""
-    u = np.zeros(constrained.ndof)
-    u[constrained.fixed] = constrained.fixed_values
+    """Direct sparse solve of the free block; returns a copy of `prescribed`
+    with the free dofs filled in."""
+    u = constrained.prescribed.copy()
     if len(constrained.free) == 0:
         return u
     x = spsolve(constrained.matrix, constrained.rhs, permc_spec="MMD_AT_PLUS_A")
@@ -223,13 +213,14 @@ def solve_system(constrained: ConstrainedSystem) -> np.ndarray:
     return u
 
 
-def element_stresses(mesh: PolygonalMesh, system: GlobalSystem, material: LameMaterial,
-                     u: np.ndarray) -> np.ndarray:
-    """Constant stress C Pi_m u of every cell as an (ncells, 3) array."""
+def element_stresses(mesh: PolygonalMesh, material: LameMaterial, u: np.ndarray) -> np.ndarray:
+    """Constant stress C Pi_m u of every cell as an (ncells, 3) array; Pi_m = B / |E|."""
     C = elastic_matrix(material)
+    uv = u.reshape(-1, 2)
     out = np.empty((mesh.num_cells, 3))
-    for cells, dofs, Pi_m in system.groups:
-        out[cells] = np.einsum("ij,kjd,kd->ki", C, Pi_m, u[dofs])
+    for cells, idx in vertex_count_groups(mesh):
+        Pi_m = compute_B(mesh.vertices[idx]) / mesh.areas[cells, None, None]
+        out[cells] = np.einsum("ij,kjd,kd->ki", C, Pi_m, uv[idx].reshape(len(cells), -1))
     return out
 
 
@@ -238,17 +229,17 @@ def solve_dirichlet_problem(
     material: LameMaterial,
     body_force,
     boundary_displacement,
-) -> tuple[np.ndarray, GlobalSystem]:
+) -> np.ndarray:
     """Assemble, constrain every boundary vertex, and solve.
 
     body_force is None or a vectorized callable b(x, y) -> (m, 2), called once
     at all cell centroids (see `assemble_global`). boundary_displacement is a
     vectorized callable u(x, y) -> (m, 2) too, called once at all boundary
-    vertices.
+    vertices. The assembled system goes straight into `apply_dirichlet`, so
+    the full stiffness is released before the factorisation.
     """
-    system = assemble_global(mesh, material, body_force)
     boundary = mesh.boundary_vertices()
     x, y = mesh.vertices[boundary].T
     values = np.asarray(boundary_displacement(x, y), dtype=float).reshape(-1, 2)
-    constrained = apply_dirichlet(system, boundary, values)
-    return solve_system(constrained), system
+    constrained = apply_dirichlet(assemble_global(mesh, material, body_force), boundary, values)
+    return solve_system(constrained)

@@ -549,7 +549,7 @@ class TestPatches:
         assert len(patch.member_cells) == 4
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
-    def test_edge_and_vertex_neighbours_agree(self, family):
+    def test_vertex_patches_match_brute_force(self, family):
         mesh = generate_mesh(family, 8, seed=0)
         members = patch_member_sets(mesh, np.arange(mesh.num_cells))
         vertex_sets = [set(cell.tolist()) for cell in mesh_cells(mesh)]
@@ -675,7 +675,7 @@ class TestValidation:
         assert errors
         assert any("shared by 3" in e or "same direction" in e for e in errors)
 
-    def test_edge_of_three_cells_has_no_neighbour(self):
+    def test_edge_of_three_cells_fails_validation(self):
         verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
         mesh = mesh_from_cells(verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
         assert "edge (0,1): shared by 3 cells" in validate_mesh(mesh)

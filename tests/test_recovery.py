@@ -272,7 +272,7 @@ class TestRecoverField:
     def test_patch_test_recovers_constant_stress(self, family, kind, mat, rng):
         mesh = generate_mesh(family, 3, seed=1)
         case = linear_patch_case(mat)
-        u, _ = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
+        u = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
         field = recover_field(mesh, mat, u, None, kind)
         expected = case.stress(0.0, 0.0)
         for ci in range(mesh.num_cells):
@@ -286,10 +286,10 @@ class TestRecoverField:
     def test_rcp0_constant_part_equals_element_stress(self, mat):
         mesh = generate_mesh(MeshFamily.TRI_U, 4, seed=11)
         case = manufactured_case("a", mat)
-        u, system = solve_dirichlet_problem(
+        u = solve_dirichlet_problem(
             mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)
         )
-        stresses = element_stresses(mesh, system, mat, u)
+        stresses = element_stresses(mesh, mat, u)
         field = recover_field(mesh, mat, u, case.body_force, "rcp0")
         for ci in range(mesh.num_cells):
             # at the patch center the mode matrix reduces to the constant block
@@ -306,7 +306,7 @@ class TestRecoverField:
 
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
         case = linear_patch_case(mat)
-        u, _ = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
+        u = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
         original = rec.patch_systems
 
         def singular_H(mesh_, material, patches, displacement, body_force):
@@ -342,7 +342,7 @@ class TestEvaluateRecovered:
     def test_center_value_is_constant_coefficients(self, mat):
         mesh = generate_mesh(MeshFamily.HEX_S, 3)
         case = linear_patch_case(mat)
-        u, _ = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
+        u = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
         field = recover_field(mesh, mat, u, None, "rcp0")
         for ci in (0, 5):
             value = evaluate_recovered_stress(field, ci, field.centers[ci])
@@ -351,7 +351,7 @@ class TestEvaluateRecovered:
     def test_cell_array_matches_per_cell_calls(self, mat, rng):
         mesh = generate_mesh(MeshFamily.CONC_U, 4, seed=0)
         case = manufactured_case("b", mat)
-        u, _ = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+        u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         field = recover_field(mesh, mat, u, case.body_force, "rcp1")
         cells = rng.integers(0, mesh.num_cells, 200)
         pts = rng.uniform(0.0, 1.0, (200, 2))
@@ -363,7 +363,7 @@ class TestEvaluateRecovered:
     def test_equilibrium_with_sampled_force(self, mat, rng):
         mesh = generate_mesh(MeshFamily.QUAD_U, 3, seed=4)
         case = manufactured_case("b", mat)
-        u, _ = solve_dirichlet_problem(
+        u = solve_dirichlet_problem(
             mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)
         )
         for kind in ("rcp0", "rcp1"):
@@ -389,7 +389,7 @@ class TestEvaluateRecovered:
         mat = LameMaterial(1.0, 1.0)
         mesh = generate_mesh(family, n, seed)
         case = manufactured_case("b", mat)
-        u, _ = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+        u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         cells = np.arange(mesh.num_cells)
         for kind in RECOVERY_KINDS:
             field = recover_field(mesh, mat, u, case.body_force, kind)
@@ -453,7 +453,7 @@ class TestBoundaryWork:
         # Per-cell work summed over the members against work over each patch's outer edges.
         mesh = generate_mesh(family, 8, seed=0)
         case = manufactured_case("b", mat)
-        u, _ = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+        u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         bending, _ = bending_case(mat)
         cells = np.arange(mesh.num_cells)
         for kind in RECOVERY_KINDS:
