@@ -198,8 +198,7 @@ def apply_dirichlet(system: GlobalSystem, vertices, values) -> ConstrainedSystem
 
 
 def solve_system(constrained: ConstrainedSystem) -> np.ndarray:
-    """Direct sparse solve of the free block; returns a copy of `prescribed`
-    with the free dofs filled in."""
+    """Direct sparse solve of the free block; returns a copy of `prescribed` with it filled in."""
     u = constrained.prescribed.copy()
     if len(constrained.free) == 0:
         return u
