@@ -25,16 +25,24 @@ class ManufacturedCase:
     body_force: object     # b(x, y) -> (..., 2)
 
 
+def stress_from_strain(material: LameMaterial, strain):
+    """The stress field C eps(x, y) of a vectorized strain field."""
+    C = elastic_matrix(material)
+
+    def stress(x, y):
+        return np.einsum("ij,...j->...i", C, strain(x, y))
+    return stress
+
+
+def zero_body_force(x, y):
+    """b = 0 as a (..., 2) stack shaped like x."""
+    return np.zeros(np.shape(x) + (2,))
+
+
 def manufactured_case(case_id: str, material: LameMaterial) -> ManufacturedCase:
     if case_id not in CASE_IDS:
         raise ValueError(f"unknown manufactured case {case_id!r}")
     lam, mu = material.lam, material.mu
-    C = elastic_matrix(material)
-
-    def stress_from_strain(strain):
-        def stress(x, y):
-            return np.einsum("ij,...j->...i", C, strain(x, y))
-        return stress
 
     if case_id == "a":
         # cubic harmonic-conjugate pair: zero body force for any material
@@ -46,9 +54,7 @@ def manufactured_case(case_id: str, material: LameMaterial) -> ManufacturedCase:
                 [3.0 * x**2 - 3.0 * y**2, 3.0 * y**2 - 3.0 * x**2, -12.0 * x * y], axis=-1
             )
 
-        def body_force(x, y):
-            z = np.zeros_like(np.asarray(x, dtype=float))
-            return np.stack([z, z], axis=-1)
+        body_force = zero_body_force
 
     elif case_id == "b":
         def displacement(x, y):
@@ -96,6 +102,6 @@ def manufactured_case(case_id: str, material: LameMaterial) -> ManufacturedCase:
         id=case_id,
         displacement=displacement,
         strain=strain,
-        stress=stress_from_strain(strain),
+        stress=stress_from_strain(material, strain),
         body_force=body_force,
     )

@@ -85,8 +85,11 @@ class PolygonalMesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if not np.all(np.isfinite(vertices)):
             raise MeshError("non-finite vertex coordinates")
-        offsets = np.asarray(offsets, dtype=np.int64)
-        idx = np.asarray(indices).astype(np.int64, copy=False)
+        offsets, idx = np.asarray(offsets), np.asarray(indices)
+        for name, a in (("offsets", offsets), ("indices", idx)):  # the cast would truncate 1.5
+            if a.dtype.kind == "f" and not np.all((np.abs(a) < 2.0**63) & (a == np.trunc(a))):
+                raise MeshError(f"{name} must hold whole numbers")
+        offsets, idx = offsets.astype(np.int64, copy=False), idx.astype(np.int64, copy=False)
         if (offsets.ndim != 1 or idx.ndim != 1 or len(offsets) == 0 or offsets[0] != 0
                 or offsets[-1] != len(idx) or np.any(np.diff(offsets) < 0)):
             raise MeshError("offsets must rise from 0 to the length of the 1-D indices")

@@ -61,8 +61,6 @@ class RecoveryConditioningError(Exception):
 class RecoveredStressField:
     """Recovered stress of every cell: modes of its patch plus the particular stress."""
 
-    mesh: PolygonalMesh
-    kind: str
     centers: np.ndarray               # (ncells, 2) patch centre, also the load sample point
     scales: np.ndarray                # (ncells,) square root of the patch area
     betas: np.ndarray                 # (ncells, 7) mode coefficients
@@ -240,7 +238,7 @@ def recover_field(
         raise RecoveryConditioningError(
             f"patch at cell {np.argmax(failed)}: condition number above 1e12 or inaccurate solve"
         )
-    return RecoveredStressField(mesh, kind, *arrays, fallback_cells=tuple(fallback.tolist()))
+    return RecoveredStressField(*arrays, fallback_cells=tuple(fallback.tolist()))
 
 
 def evaluate_recovered_stress(field: RecoveredStressField, cell, points) -> np.ndarray:

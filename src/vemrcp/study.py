@@ -9,9 +9,9 @@ from functools import partial
 
 import numpy as np
 
-from .cases import ManufacturedCase, manufactured_case
+from .cases import ManufacturedCase, manufactured_case, stress_from_strain, zero_body_force
 from .generators import generate_mesh
-from .material import LameMaterial, compliance_matrix, elastic_matrix
+from .material import LameMaterial, compliance_matrix
 from .mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh
 from .quadrature import cell_quadrature
 from .recovery import (
@@ -182,18 +182,9 @@ def linear_patch_case(material: LameMaterial) -> ManufacturedCase:
         e = np.array([a1, b2, a2 + b1])
         return np.broadcast_to(e, shape + (3,)).copy()
 
-    C = elastic_matrix(material)
-
-    def stress(x, y):
-        return np.einsum("ij,...j->...i", C, strain(x, y))
-
-    def body_force(x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float))
-        return np.stack([z, z], axis=-1)
-
     return ManufacturedCase(
-        id="linear", displacement=displacement, strain=strain, stress=stress,
-        body_force=body_force,
+        id="linear", displacement=displacement, strain=strain,
+        stress=stress_from_strain(material, strain), body_force=zero_body_force,
     )
 
 

@@ -9,9 +9,9 @@ so the projector is Pi_m = B / |E|.
 
 Every kernel works on all cells of one vertex count n at once: cells are
 grouped by n (`vertex_count_groups`) and a group of k cells is a stack of
-(k, n, 2) vertex coordinates, (k, 3, 2n) projectors and (k, 2n, 2n)
-stiffness matrices. The global stiffness is summed in 2 x 2 vertex blocks,
-one per vertex pair of a cell, then expanded to dof-level CSR.
+(k, n, 2) vertex coordinates, (k, 3, 2n) projectors, (k, 2n, 2n) consistency
+stiffnesses and (k, n, n) per-component stabilizations. The global stiffness
+is summed in 2 x 2 blocks, one per vertex pair of a cell, then expanded to CSR.
 
 The displacement is all the solve hands on: the element stress C Pi_m u is
 computed from the mesh, the material and u alone, and the Dirichlet data
@@ -40,7 +40,7 @@ class ElementMatrices(NamedTuple):
 
     Pi_m: np.ndarray                  # (k, 3, 2n) strain projector
     Kc: np.ndarray                    # (k, 2n, 2n) consistency stiffness
-    Ks: np.ndarray                    # (k, 2n, 2n) stabilization stiffness
+    S: np.ndarray                     # (k, n, n) stabilization of each displacement component
 
 
 def compute_B(pts: np.ndarray) -> np.ndarray:
@@ -102,19 +102,16 @@ def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray) ->
     `area` (k,) is the mesh's stored cell area.
     Kc = |E| Pi_m^T C Pi_m carries the constant-strain energy exactly. The six
     vertex-sampled linear vector fields are span{1, x, y} in each displacement
-    component, so Ks = tau (I - P_s) (x) I_2 in the interleaved dof order, with
-    P_s the per-component projector of `linear_complement` and tau half the
-    trace of Kc. Ks vanishes on linear fields, and on triangles, which have no
+    component, so the stabilization S = tau (I - P_s) acts on each one alone,
+    with P_s the projector of `linear_complement` and tau half the trace of Kc.
+    `assemble_global` adds S (x) I_2 to Kc: S on the diagonal of each 2 x 2
+    vertex block. S vanishes on 1, x and y, and on triangles, which have no
     complement. `cells` names the cells in the rank-check error.
     """
     Pi_m = compute_B(pts) / area[:, None, None]
     Kc = area[:, None, None] * np.swapaxes(Pi_m, 1, 2) @ C @ Pi_m
     tau = 0.5 * np.trace(Kc, axis1=1, axis2=2)
-    S = tau[:, None, None] * linear_complement(pts, cells)
-    Ks = np.zeros_like(Kc)
-    Ks[:, 0::2, 0::2] = S
-    Ks[:, 1::2, 1::2] = S
-    return ElementMatrices(Pi_m, Kc, Ks)
+    return ElementMatrices(Pi_m, Kc, tau[:, None, None] * linear_complement(pts, cells))
 
 
 @dataclass
@@ -134,8 +131,8 @@ class ConstrainedSystem:
 def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None) -> GlobalSystem:
     """Assemble stiffness and load one vertex-count group at a time.
 
-    Each vertex pair (i, j) of a cell adds its 2 x 2 block of Kc + Ks under
-    the key i * nv + j. One sort of the keys gives the block pattern, one
+    Each vertex pair (i, j) of a cell adds its 2 x 2 block of Kc + S (x) I_2
+    under the key i * nv + j. One sort of the keys gives the block pattern, one
     bincount per block entry sums the blocks, and the block matrix is
     expanded to the canonical ndof x ndof CSR; vertices in no cell keep
     empty rows.
@@ -156,9 +153,10 @@ def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None
         k, n = idx.shape
         if body_force is not None:
             np.add.at(f.reshape(nv, 2), idx, (b[cells] * (mesh.areas[cells, None] / n))[:, None])
-        _, Kc, Ks = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
-        Kc += Ks
-        del Ks                        # hold one (k, 2n, 2n) stack while Kc is reordered
+        Kc, S = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)[1:]
+        Kc[:, 0::2, 0::2] += S
+        Kc[:, 1::2, 1::2] += S
+        del S                         # Pi_m and S freed: only Kc is held while it is reordered
         # Row 2a + b holds entry (a, b) of the 2 x 2 block of each vertex pair (i, j) of a cell.
         blocks.append(Kc.reshape(k, n, 2, n, 2).transpose(2, 4, 0, 1, 3).reshape(4, -1))
         keys.append((idx[:, :, None] * nv + idx[:, None, :]).ravel())

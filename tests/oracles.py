@@ -513,6 +513,11 @@ def linear_complement_longdouble(pts: np.ndarray) -> np.ndarray:
     return np.eye(n, dtype=np.longdouble) - np.longdouble(1) / n - outer
 
 
+def interleaved_stabilization(S: np.ndarray) -> np.ndarray:
+    """S (x) I_2 of one cell's (n, n) or a stack's (k, n, n) S, in interleaved dof order."""
+    return np.kron(S, np.eye(2))
+
+
 def assemble_triplets(mesh, material) -> sp.csr_matrix:
     """Global stiffness summed from dof-level (row, col, value) triplets through a COO matrix.
 
@@ -528,7 +533,7 @@ def assemble_triplets(mesh, material) -> sp.csr_matrix:
         m = dofs.shape[1]
         rows.append(np.repeat(dofs, m, axis=1).ravel())
         cols.append(np.tile(dofs, m).ravel())
-        vals.append((ops.Kc + ops.Ks).ravel())
+        vals.append((ops.Kc + interleaved_stabilization(ops.S)).ravel())
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ndof, ndof),

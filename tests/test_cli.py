@@ -8,12 +8,16 @@ import pytest
 from vemrcp.cli import (
     CSV_HEADER,
     StudyConfig,
+    _fmt,
     main,
     parse_config,
     run,
     write_csv,
+    write_dat,
     write_vtk,
 )
+
+DAT_HEADER = "# h_e E_vem E_rcp0 E_rcp1"
 from vemrcp.generators import GenerationError, generate_mesh
 from vemrcp.material import von_mises
 from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, save_mesh
@@ -106,6 +110,14 @@ class TestWriteCsv:
             assert int(row["dofs"]) == rec.dofs
             for m in ("vem", "rcp0", "rcp1"):
                 assert float(row[f"E_{m}"]) == pytest.approx(rec.errors[m], rel=1e-12)
+        dat = tmp_path / "out.dat"
+        write_dat(records, dat)
+        header, *lines = dat.read_text().splitlines()
+        assert header == DAT_HEADER
+        assert [line.split(" ") for line in lines] == [
+            [_fmt(rec.h)] + [_fmt(rec.errors[m]) for m in ("vem", "rcp0", "rcp1")]
+            for rec in records
+        ]
 
     def test_rates_recoverable_from_csv(self, tmp_path):
         hs = [0.4, 0.2, 0.1]
@@ -124,6 +136,9 @@ class TestWriteCsv:
         write_csv(make_records([0.5], [{"vem": 1e-2}]), path)
         row = path.read_text().splitlines()[1].split(",")
         assert row[6] == row[7] == "nan"
+        dat = tmp_path / "out.dat"
+        write_dat(make_records([0.5], [{"vem": 1e-2}]), dat)
+        assert dat.read_text().splitlines() == [DAT_HEADER, f"{_fmt(0.5)} {_fmt(1e-2)} nan nan"]
 
 
 class TestWriteVtk:

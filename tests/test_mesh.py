@@ -642,6 +642,26 @@ class TestConstructorChecks:
         with pytest.raises(MeshError, match="^offsets must rise from 0"):
             PolygonalMesh(np.array(self.SQUARE, dtype=float), offsets, indices, MeshFamily.EXTERNAL)
 
+    @pytest.mark.parametrize(
+        "offsets, indices, message",
+        [([0, 4], [0, 1.5, 2, 3], "indices"), ([0, 4], [0, np.nan, 2, 3], "indices"),
+         ([0, 4.5], [0, 1, 2, 3], "offsets"), ([0, np.nan], [0, 1, 2, 3], "offsets")],
+        ids=["fractional-index", "nan-index", "fractional-offset", "nan-offset"],
+    )
+    def test_non_whole_indices_rejected(self, offsets, indices, message):
+        # A cast to int64 would turn the fractional index into a unit square and warn on nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=f"^{message} must hold whole numbers$"):
+                PolygonalMesh(np.array(self.SQUARE, dtype=float), offsets, indices,
+                              MeshFamily.EXTERNAL)
+
+    def test_whole_valued_float_indices_accepted(self):
+        mesh = PolygonalMesh(np.array(self.SQUARE, dtype=float), [0.0, 4.0], [0.0, 1.0, 2.0, 3.0],
+                             MeshFamily.EXTERNAL)
+        assert mesh.indices.dtype == mesh.offsets.dtype == np.int64
+        np.testing.assert_array_equal(mesh.indices, [0, 1, 2, 3])
+
     def test_topology_arrays_are_read_only(self):
         mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=0)
         for arr in (mesh.vertices, mesh.offsets, mesh.indices,

@@ -324,10 +324,8 @@ class TestRecoverField:
 
 
 class TestEvaluateRecovered:
-    def test_unit_constant_mode(self, mat, unit_square_mesh):
+    def test_unit_constant_mode(self, mat):
         field = RecoveredStressField(
-            mesh=unit_square_mesh,
-            kind="rcp0",
             centers=np.array([[0.5, 0.5]]),
             scales=np.array([1.0]),
             betas=np.array([[1.0, 0, 0, 0, 0, 0, 0]]),
