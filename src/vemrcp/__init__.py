@@ -30,8 +30,6 @@ from .study import (
     run_patch_test,
 )
 from .vem import (
-    ElementMatrices,
-    GlobalSystem,
     SolveError,
     apply_dirichlet,
     assemble_global,

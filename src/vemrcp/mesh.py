@@ -249,7 +249,7 @@ def ear_clip(points: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
     scale = np.ptp(points, axis=1).max(axis=1)
     eps = (1e-12 * scale * scale)[:, None]
     rows = np.arange(k)[:, None]
-    remaining = np.broadcast_to(np.arange(n), (k, n))
+    remaining = np.tile(np.arange(n), (k, 1))
     tris = np.empty((k, n - 2, 3), dtype=np.int64)
     emitted = np.ones((k, n - 2), dtype=bool)
     for step, m in enumerate(range(n, 3, -1)):

@@ -130,7 +130,8 @@ def patch_systems(
 
     `displacement` is either the global dof vector (its trace is interpolated
     linearly per edge) or a callable u(x, y) -> (m, 2) evaluated at the Gauss
-    points. `body_force` is None or a vectorized callable b(x, y) -> (m, 2).
+    points. `body_force` is a vectorized callable b(x, y) -> (m, 2), called
+    once at all patch centres.
     """
     owner, member = patches
     npatch = int(owner[-1]) + 1
@@ -179,9 +180,8 @@ def patch_systems(
     S = _sum_by(owner, W, npatch)
 
     # Particular stress (-bx (x - cx), -by (y - cy), 0) = xi V[1] + eta V[2].
-    loads = np.zeros((npatch, 2))
-    if body_force is not None:
-        loads[:] = body_force(centers[:, 0], centers[:, 1])
+    # A copy, not a view of the callable's result: the rcp1 fallback writes into it.
+    loads = np.array(body_force(centers[:, 0], centers[:, 1]), dtype=float)
     V = np.zeros((npatch, 3, 3))
     V[:, 1, 0] = -loads[:, 0] * scales
     V[:, 2, 1] = -loads[:, 1] * scales

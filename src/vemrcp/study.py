@@ -178,9 +178,7 @@ def linear_patch_case(material: LameMaterial) -> ManufacturedCase:
         return np.stack([a0 + a1 * x + a2 * y, b0 + b1 * x + b2 * y], axis=-1)
 
     def strain(x, y):
-        shape = np.shape(np.asarray(x, dtype=float))
-        e = np.array([a1, b2, a2 + b1])
-        return np.broadcast_to(e, shape + (3,)).copy()
+        return np.full(np.shape(x) + (3,), [a1, b2, a2 + b1])
 
     return ManufacturedCase(
         id="linear", displacement=displacement, strain=strain,

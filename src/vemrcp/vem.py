@@ -13,7 +13,10 @@ grouped by n (`vertex_count_groups`) and a group of k cells is a stack of
 stiffnesses and (k, n, n) per-component stabilizations. The global stiffness
 is summed in 2 x 2 blocks, one per vertex pair of a cell, then expanded to CSR.
 
-The displacement is all the solve hands on: the element stress C Pi_m u is
+The layer hands on plain arrays: `element_matrices` returns (Kc, S) and
+`assemble_global` (K, f). A body force is always a vectorized callable
+b(x, y) -> (m, 2), `cases.zero_body_force` when there is none. The
+displacement is all the solve hands on: the element stress C Pi_m u is
 computed from the mesh, the material and u alone, and the Dirichlet data
 travels as one full-length `prescribed` vector that is zero at the free dofs.
 """
@@ -21,26 +24,18 @@ travels as one full-length `prescribed` vector that is zero at the free dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from .cases import zero_body_force
 from .material import LameMaterial, elastic_matrix
 from .mesh import MeshError, PolygonalMesh, vertex_count_groups
 
 
 class SolveError(Exception):
     """Linear solver failed to reach the required residual."""
-
-
-class ElementMatrices(NamedTuple):
-    """Matrices of a group of k cells with n vertices each."""
-
-    Pi_m: np.ndarray                  # (k, 3, 2n) strain projector
-    Kc: np.ndarray                    # (k, 2n, 2n) consistency stiffness
-    S: np.ndarray                     # (k, n, n) stabilization of each displacement component
 
 
 def compute_B(pts: np.ndarray) -> np.ndarray:
@@ -96,14 +91,15 @@ def linear_complement(pts: np.ndarray, cells) -> np.ndarray:
     return out
 
 
-def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray) -> ElementMatrices:
-    """Projector and stiffness of k cells with n vertices each, `pts` (k, n, 2).
+def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray):
+    """Stiffness (Kc, S) of k cells with n vertices each, `pts` (k, n, 2).
 
-    `area` (k,) is the mesh's stored cell area.
-    Kc = |E| Pi_m^T C Pi_m carries the constant-strain energy exactly. The six
-    vertex-sampled linear vector fields are span{1, x, y} in each displacement
-    component, so the stabilization S = tau (I - P_s) acts on each one alone,
-    with P_s the projector of `linear_complement` and tau half the trace of Kc.
+    `area` (k,) is the mesh's stored cell area. The consistency stiffness
+    Kc = |E| Pi_m^T C Pi_m, (k, 2n, 2n), carries the constant-strain energy
+    exactly. The six vertex-sampled linear vector fields are span{1, x, y} in
+    each displacement component, so the stabilization S = tau (I - P_s),
+    (k, n, n), acts on each one alone, with P_s the projector of
+    `linear_complement` and tau half the trace of Kc.
     `assemble_global` adds S (x) I_2 to Kc: S on the diagonal of each 2 x 2
     vertex block. S vanishes on 1, x and y, and on triangles, which have no
     complement. `cells` names the cells in the rank-check error.
@@ -111,13 +107,7 @@ def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray) ->
     Pi_m = compute_B(pts) / area[:, None, None]
     Kc = area[:, None, None] * np.swapaxes(Pi_m, 1, 2) @ C @ Pi_m
     tau = 0.5 * np.trace(Kc, axis1=1, axis2=2)
-    return ElementMatrices(Pi_m, Kc, tau[:, None, None] * linear_complement(pts, cells))
-
-
-@dataclass
-class GlobalSystem:
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
+    return Kc, tau[:, None, None] * linear_complement(pts, cells)
 
 
 @dataclass
@@ -128,8 +118,8 @@ class ConstrainedSystem:
     prescribed: np.ndarray       # (ndof,) Dirichlet values, zero at the free dofs
 
 
-def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None) -> GlobalSystem:
-    """Assemble stiffness and load one vertex-count group at a time.
+def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=zero_body_force):
+    """Assemble the stiffness K (CSR) and load f, one vertex-count group at a time.
 
     Each vertex pair (i, j) of a cell adds its 2 x 2 block of Kc + S (x) I_2
     under the key i * nv + j. One sort of the keys gives the block pattern, one
@@ -137,26 +127,23 @@ def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None
     expanded to the canonical ndof x ndof CSR; vertices in no cell keep
     empty rows.
 
-    `body_force` is None or a vectorized callable b(x, y) -> (m, 2); a
-    constant (2,) result is broadcast. It is called once, at all cell
-    centroids, and each cell's b |E| is spread evenly over its vertices.
+    `body_force` is a vectorized callable b(x, y) -> (m, 2). It is called
+    once, at all cell centroids, and each cell's b |E| is spread evenly over
+    its vertices.
     """
     nv = mesh.num_vertices
     ndof = 2 * nv
     C = elastic_matrix(material)
     f = np.zeros(ndof)
-    if body_force is not None:
-        b = np.asarray(body_force(*mesh.centroids.T), dtype=float)
-        b = np.broadcast_to(b, (mesh.num_cells, 2))
+    b = np.asarray(body_force(*mesh.centroids.T), dtype=float)
     keys, blocks = [], []
     for cells, idx in vertex_count_groups(mesh):
         k, n = idx.shape
-        if body_force is not None:
-            np.add.at(f.reshape(nv, 2), idx, (b[cells] * (mesh.areas[cells, None] / n))[:, None])
-        Kc, S = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)[1:]
+        np.add.at(f.reshape(nv, 2), idx, (b[cells] * (mesh.areas[cells, None] / n))[:, None])
+        Kc, S = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
         Kc[:, 0::2, 0::2] += S
         Kc[:, 1::2, 1::2] += S
-        del S                         # Pi_m and S freed: only Kc is held while it is reordered
+        del S                         # only Kc is held while it is reordered
         # Row 2a + b holds entry (a, b) of the 2 x 2 block of each vertex pair (i, j) of a cell.
         blocks.append(Kc.reshape(k, n, 2, n, 2).transpose(2, 4, 0, 1, 3).reshape(4, -1))
         keys.append((idx[:, :, None] * nv + idx[:, None, :]).ravel())
@@ -166,11 +153,11 @@ def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=None
     blocks = np.stack([np.bincount(inverse, row, len(pattern)) for row in blocks], axis=-1)
     indptr = np.searchsorted(pattern, nv * np.arange(nv + 1))
     K = sp.bsr_matrix((blocks.reshape(-1, 2, 2), pattern % nv, indptr), shape=(ndof, ndof)).tocsr()
-    return GlobalSystem(matrix=K, rhs=f)
+    return K, f
 
 
-def apply_dirichlet(system: GlobalSystem, vertices, values) -> ConstrainedSystem:
-    """Eliminate prescribed vertex displacements from the assembled system.
+def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, vertices, values) -> ConstrainedSystem:
+    """Eliminate prescribed vertex displacements from the assembled system K u = f.
 
     `vertices` is an index array and `values` the (m, 2) prescribed (u, v)
     of each. The right-hand side of the remaining free block absorbs the
@@ -179,17 +166,17 @@ def apply_dirichlet(system: GlobalSystem, vertices, values) -> ConstrainedSystem
     vertices = np.asarray(vertices, dtype=np.int64)
     if len(vertices) == 0:
         raise ValueError("empty Dirichlet set leaves the rigid modes unconstrained")
-    ndof = len(system.rhs)
+    ndof = len(f)
     dofs = np.stack([2 * vertices, 2 * vertices + 1], axis=-1)
     fixed_mask = np.zeros(ndof, dtype=bool)
     fixed_mask[dofs] = True
     prescribed = np.zeros(ndof)
     prescribed[dofs] = values
     free = np.nonzero(~fixed_mask)[0]
-    free_rows = system.matrix[free]
+    free_rows = K[free]
     return ConstrainedSystem(
         matrix=free_rows[:, free].tocsr(),
-        rhs=system.rhs[free] - free_rows @ prescribed,
+        rhs=f[free] - free_rows @ prescribed,
         free=free,
         prescribed=prescribed,
     )
@@ -229,14 +216,14 @@ def solve_dirichlet_problem(
 ) -> np.ndarray:
     """Assemble, constrain every boundary vertex, and solve.
 
-    body_force is None or a vectorized callable b(x, y) -> (m, 2), called once
-    at all cell centroids (see `assemble_global`). boundary_displacement is a
+    body_force is a vectorized callable b(x, y) -> (m, 2), called once at all
+    cell centroids (see `assemble_global`). boundary_displacement is a
     vectorized callable u(x, y) -> (m, 2) too, called once at all boundary
-    vertices. The assembled system goes straight into `apply_dirichlet`, so
-    the full stiffness is released before the factorisation.
+    vertices. K and f go straight into `apply_dirichlet`, so the full
+    stiffness is released before the factorisation.
     """
     boundary = mesh.boundary_vertices()
     x, y = mesh.vertices[boundary].T
     values = np.asarray(boundary_displacement(x, y), dtype=float).reshape(-1, 2)
-    constrained = apply_dirichlet(assemble_global(mesh, material, body_force), boundary, values)
+    constrained = apply_dirichlet(*assemble_global(mesh, material, body_force), boundary, values)
     return solve_system(constrained)

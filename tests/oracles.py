@@ -95,11 +95,10 @@ def cst_solve(vertices, triangles, C, body_force, boundary_values):
         B_mats.append(B)
         dofs = np.array([[2 * v, 2 * v + 1] for v in tri]).ravel()
         K[np.ix_(dofs, dofs)] += Ke
-        if body_force is not None:
-            cx, cy = coords.mean(axis=0)
-            load = np.asarray(body_force(cx, cy), dtype=float).reshape(2)
-            for v in tri:
-                f[2 * v : 2 * v + 2] += load * (area / 3.0)
+        cx, cy = coords.mean(axis=0)
+        load = np.asarray(body_force(cx, cy), dtype=float).reshape(2)
+        for v in tri:
+            f[2 * v : 2 * v + 2] += load * (area / 3.0)
     K = K.tocsr()
 
     fixed = np.zeros(ndof, dtype=bool)
@@ -469,9 +468,7 @@ def patch_systems_outer_edges(mesh, material, patches, displacement, body_force)
         for d, factor in enumerate((1.0, local[:, 0, None], local[:, 1, None])):
             S[:, d] += _sum_by(edge_owner, factor * pair, npatch)
 
-    loads = np.zeros((npatch, 2))
-    if body_force is not None:
-        loads[:] = body_force(centers[:, 0], centers[:, 1])
+    loads = np.array(body_force(centers[:, 0], centers[:, 1]), dtype=float)
     V = np.zeros((npatch, 3, 3))
     V[:, 1, 0] = -loads[:, 0] * scales
     V[:, 2, 1] = -loads[:, 1] * scales
@@ -528,12 +525,12 @@ def assemble_triplets(mesh, material) -> sp.csr_matrix:
     C = elastic_matrix(material)
     rows, cols, vals = [], [], []
     for cells, idx in vertex_count_groups(mesh):
-        ops = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
+        Kc, S = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
         dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(len(cells), -1)
         m = dofs.shape[1]
         rows.append(np.repeat(dofs, m, axis=1).ravel())
         cols.append(np.tile(dofs, m).ravel())
-        vals.append((ops.Kc + interleaved_stabilization(ops.S)).ravel())
+        vals.append((Kc + interleaved_stabilization(S)).ravel())
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ndof, ndof),

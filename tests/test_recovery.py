@@ -20,7 +20,7 @@ from oracles import (
     stress_modes_at,
     vertex_patch_per_cell,
 )
-from vemrcp.cases import manufactured_case
+from vemrcp.cases import manufactured_case, zero_body_force
 from vemrcp.generators import generate_mesh
 from vemrcp.material import LameMaterial, compliance_matrix
 from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh
@@ -62,7 +62,7 @@ def bending_case(mat):
     return displacement, stress
 
 
-def one_patch_system(mesh, mat, cell, kind, displacement, body_force=None):
+def one_patch_system(mesh, mat, cell, kind, displacement, body_force=zero_body_force):
     """Centre, scale, load sample, H and g of the one patch centred on `cell`."""
     system = patch_systems(mesh, mat, build_patch(mesh, [cell], kind), displacement, body_force)
     return tuple(a[0] for a in system)
@@ -102,7 +102,7 @@ class TestStressModes:
 class TestParticularSolution:
     def test_zero_force_gives_zero_field(self, mat, rng):
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
-        field = recover_field(mesh, mat, np.zeros(2 * mesh.num_vertices), None, "rcp1")
+        field = recover_field(mesh, mat, np.zeros(2 * mesh.num_vertices), zero_body_force, "rcp1")
         np.testing.assert_array_equal(field.loads, 0.0)
         pts = rng.uniform(0, 1, (4, 2))
         np.testing.assert_array_equal(evaluate_recovered_stress(field, 0, pts), 0.0)
@@ -195,7 +195,7 @@ class TestPatchSystem:
         _, failed = solve_patches(H[None], g[None])
         assert failed.tolist() == [True]
         with pytest.raises(RecoveryConditioningError):
-            recover_field(mesh, mat, np.ones(8), None, "rcp0")
+            recover_field(mesh, mat, np.ones(8), zero_body_force, "rcp0")
 
 
 def _refined_triangle_integral(corners, integrand, depth):
@@ -272,8 +272,8 @@ class TestRecoverField:
     def test_patch_test_recovers_constant_stress(self, family, kind, mat, rng):
         mesh = generate_mesh(family, 3, seed=1)
         case = linear_patch_case(mat)
-        u = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
-        field = recover_field(mesh, mat, u, None, kind)
+        u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
+        field = recover_field(mesh, mat, u, zero_body_force, kind)
         expected = case.stress(0.0, 0.0)
         for ci in range(mesh.num_cells):
             pts = random_points_in_cell(mesh, ci, rng, 3)
@@ -299,14 +299,14 @@ class TestRecoverField:
 
     def test_unknown_kind_rejected(self, mat, unit_square_mesh):
         with pytest.raises(ValueError, match="kind"):
-            recover_field(unit_square_mesh, mat, np.zeros(8), None, "vem")
+            recover_field(unit_square_mesh, mat, np.zeros(8), zero_body_force, "vem")
 
     def test_fallback_to_single_cell_patch(self, mat, monkeypatch):
         import vemrcp.recovery as rec
 
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
         case = linear_patch_case(mat)
-        u = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
+        u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
         original = rec.patch_systems
 
         def singular_H(mesh_, material, patches, displacement, body_force):
@@ -317,7 +317,7 @@ class TestRecoverField:
             return system
 
         monkeypatch.setattr(rec, "patch_systems", singular_H)
-        field = rec.recover_field(mesh, mat, u, None, "rcp1")
+        field = rec.recover_field(mesh, mat, u, zero_body_force, "rcp1")
         assert field.fallback_cells == (1,)
         expected = case.stress(0.0, 0.0)
         np.testing.assert_allclose(field.betas[1][:3], expected, atol=1e-9)
@@ -340,8 +340,8 @@ class TestEvaluateRecovered:
     def test_center_value_is_constant_coefficients(self, mat):
         mesh = generate_mesh(MeshFamily.HEX_S, 3)
         case = linear_patch_case(mat)
-        u = solve_dirichlet_problem(mesh, mat, None, lambda x, y: case.displacement(x, y))
-        field = recover_field(mesh, mat, u, None, "rcp0")
+        u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
+        field = recover_field(mesh, mat, u, zero_body_force, "rcp0")
         for ci in (0, 5):
             value = evaluate_recovered_stress(field, ci, field.centers[ci])
             np.testing.assert_allclose(value, field.betas[ci][:3], atol=1e-15)
@@ -408,10 +408,11 @@ class TestFrameInvariance:
                                 MeshFamily.EXTERNAL)
 
         def shifted_fn(fn):
-            return None if fn is None else lambda x, y: fn(x - shift[0], y - shift[1])
+            return lambda x, y: fn(x - shift[0], y - shift[1])
 
         # an unloaded linear stress in the mode span, then case b with its load
-        for displacement, body_force in ((bending, None), (case.displacement, case.body_force)):
+        loads = ((bending, zero_body_force), (case.displacement, case.body_force))
+        for displacement, body_force in loads:
             field_a = recover_field(base, mat, displacement, body_force, "rcp1")
             field_b = recover_field(
                 shifted, mat, shifted_fn(displacement), shifted_fn(body_force), "rcp1"
@@ -437,10 +438,10 @@ class TestFrameInvariance:
                               mesh.family)
         u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
         cells = np.arange(mesh.num_cells)
-        before = evaluate_recovered_stress(recover_field(mesh, mat, u, None, kind), cells,
-                                           mesh.centroids)
-        after = evaluate_recovered_stress(recover_field(moved, mat, u, None, kind), cells,
-                                          moved.centroids)
+        before = evaluate_recovered_stress(
+            recover_field(mesh, mat, u, zero_body_force, kind), cells, mesh.centroids)
+        after = evaluate_recovered_stress(
+            recover_field(moved, mat, u, zero_body_force, kind), cells, moved.centroids)
         np.testing.assert_allclose(scale * after, before, rtol=0,
                                    atol=1e-9 * np.abs(before).max())
 
@@ -457,7 +458,7 @@ class TestBoundaryWork:
         for kind in RECOVERY_KINDS:
             for request in (cells, cells[::-3]):
                 patches = build_patch(mesh, request, kind)
-                for displacement, body_force in ((u, case.body_force), (bending, None)):
+                for displacement, body_force in ((u, case.body_force), (bending, zero_body_force)):
                     got = patch_systems(mesh, mat, patches, displacement, body_force)
                     want = patch_systems_outer_edges(mesh, mat, patches, displacement,
                                                      body_force)

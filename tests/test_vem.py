@@ -21,6 +21,7 @@ from oracles import (
     shoelace,
     stabilization_complement_qr,
 )
+from vemrcp.cases import zero_body_force
 from vemrcp.generators import generate_mesh
 from vemrcp.material import LameMaterial, elastic_matrix
 from vemrcp.mesh import (
@@ -33,7 +34,6 @@ from vemrcp.mesh import (
 from vemrcp.study import linear_patch_case
 from vemrcp.vem import (
     ConstrainedSystem,
-    ElementMatrices,
     SolveError,
     apply_dirichlet,
     assemble_global,
@@ -63,19 +63,29 @@ def random_polygon_mesh(rng, n=6):
     return single_cell_mesh(pts)
 
 
-def cell_ops(mesh, mat) -> ElementMatrices:
-    """The grouped kernel called on the one cell of a one-cell mesh."""
-    ops = element_matrices(cell_coords(mesh, 0)[None], mesh.areas[:1], [0], elastic_matrix(mat))
-    return ElementMatrices(*(a[0] for a in ops))
+def cell_ops(mesh, mat):
+    """(Kc, S) of the grouped kernel called on the one cell of a one-cell mesh."""
+    Kc, S = element_matrices(cell_coords(mesh, 0)[None], mesh.areas[:1], [0], elastic_matrix(mat))
+    return Kc[0], S[0]
 
 
-def stiffness(ops: ElementMatrices) -> np.ndarray:
+def stiffness(Kc, S) -> np.ndarray:
     """Element stiffness Kc + S (x) I_2 of one cell or a stack."""
-    return ops.Kc + interleaved_stabilization(ops.S)
+    return Kc + interleaved_stabilization(S)
 
 
 def cell_B(mesh):
     return compute_B(cell_coords(mesh, 0)[None])[0]
+
+
+def projector(mesh):
+    """Pi_m = B / |E| of the one cell of a one-cell mesh, with the mesh's stored area."""
+    return compute_B(cell_coords(mesh, 0)[None])[0] / mesh.areas[0]
+
+
+def constant_body_force(bx, by):
+    """The vectorized constant load b(x, y) = (bx, by), shaped (..., 2) like x."""
+    return lambda x, y: np.stack([np.full(np.shape(x), bx), np.full(np.shape(x), by)], axis=-1)
 
 
 class TestComputeG:
@@ -115,19 +125,23 @@ class TestComputeB:
 
 class TestProjector:
     def test_first_order_projector_is_scaled_B(self, rng, mat):
+        # The kernel's Kc = |E| Pi_m^T C Pi_m, with Pi_m the B of the cell over its shoelace area.
         mesh = random_polygon_mesh(rng)
-        np.testing.assert_allclose(cell_ops(mesh, mat).Pi_m, cell_B(mesh) / shoelace(cell_coords(mesh, 0))[0])
+        area = shoelace(cell_coords(mesh, 0))[0]
+        Pi = cell_B(mesh) / area
+        Kc, _ = cell_ops(mesh, mat)
+        np.testing.assert_allclose(Kc, area * Pi.T @ elastic_matrix(mat) @ Pi)
 
     def test_exact_on_constant_strain_field(self, rng, mat):
         mesh = random_polygon_mesh(rng)
-        Pi = cell_ops(mesh, mat).Pi_m
+        Pi = projector(mesh)
         v = dof_vector_from(mesh, 0, lambda x, y: (x, 0.0))
         np.testing.assert_allclose(Pi @ v, [1, 0, 0], atol=1e-12)
 
     def test_consistency_on_random_linear_fields(self, rng, mat):
         for _ in range(25):
             mesh = random_polygon_mesh(rng, n=int(rng.integers(3, 9)))
-            Pi = cell_ops(mesh, mat).Pi_m
+            Pi = projector(mesh)
             a = rng.uniform(-1, 1, 6)
             v = dof_vector_from(
                 mesh, 0,
@@ -137,7 +151,7 @@ class TestProjector:
 
     def test_rigid_motion_maps_to_zero(self, rng, mat):
         mesh = random_polygon_mesh(rng)
-        Pi = cell_ops(mesh, mat).Pi_m
+        Pi = projector(mesh)
         v = dof_vector_from(mesh, 0, lambda x, y: (2.0 - y, -1.0 + x))
         np.testing.assert_allclose(Pi @ v, 0.0, atol=1e-12)
 
@@ -145,26 +159,26 @@ class TestProjector:
 class TestStiffness:
     def test_rigid_modes_in_kernel(self, mat, rng):
         mesh = random_polygon_mesh(rng)
-        ops = cell_ops(mesh, mat)
+        Kc, S = cell_ops(mesh, mat)
         for u in (lambda x, y: (1, 0), lambda x, y: (0, 1), lambda x, y: (-y, x)):
             v = dof_vector_from(mesh, 0, u)
-            np.testing.assert_allclose(ops.Kc @ v, 0.0, atol=1e-12)
-            np.testing.assert_allclose(stiffness(ops) @ v, 0.0, atol=1e-12)
+            np.testing.assert_allclose(Kc @ v, 0.0, atol=1e-12)
+            np.testing.assert_allclose(stiffness(Kc, S) @ v, 0.0, atol=1e-12)
 
     def test_kc_rank_three_on_hexagon(self, mat, rng):
         mesh = random_polygon_mesh(rng, n=6)
-        sv = np.linalg.svd(cell_ops(mesh, mat).Kc, compute_uv=False)
+        sv = np.linalg.svd(cell_ops(mesh, mat)[0], compute_uv=False)
         assert np.sum(sv > 1e-10 * sv[0]) == 3
 
     def test_constant_strain_energy(self, unit_square_mesh, mat):
         # strain (1,0,0) on the unit square: v^T Kc v = (lambda + 2 mu) |E| = 3
-        ops = cell_ops(unit_square_mesh, mat)
+        Kc, _ = cell_ops(unit_square_mesh, mat)
         v = dof_vector_from(unit_square_mesh, 0, lambda x, y: (x, 0.0))
-        assert v @ ops.Kc @ v == pytest.approx(3.0, rel=1e-13)
+        assert v @ Kc @ v == pytest.approx(3.0, rel=1e-13)
 
     def test_stabilization_kernel_on_linear_fields(self, mat, rng):
         mesh = random_polygon_mesh(rng)
-        ops = cell_ops(mesh, mat)
+        _, S = cell_ops(mesh, mat)
         for _ in range(10):
             a = rng.uniform(-2, 2, 6)
             v = dof_vector_from(
@@ -172,30 +186,29 @@ class TestStiffness:
                 lambda x, y: (a[0] + a[1] * x + a[2] * y, a[3] + a[4] * x + a[5] * y),
             )
             # S acts on each displacement component alone: both components are linear.
-            np.testing.assert_allclose(ops.S @ v.reshape(-1, 2), 0.0, atol=1e-12)
+            np.testing.assert_allclose(S @ v.reshape(-1, 2), 0.0, atol=1e-12)
 
     def test_triangle_has_zero_stabilization(self, mat):
         mesh = single_cell_mesh([(0, 0), (1, 0), (0.3, 0.8)])
-        np.testing.assert_allclose(cell_ops(mesh, mat).S, 0.0, atol=1e-12)
+        np.testing.assert_allclose(cell_ops(mesh, mat)[1], 0.0, atol=1e-12)
 
     def test_full_rank_on_hexagon(self, mat, rng):
         mesh = random_polygon_mesh(rng, n=6)
-        ops = cell_ops(mesh, mat)
-        sv = np.linalg.svd(stiffness(ops), compute_uv=False)
+        sv = np.linalg.svd(stiffness(*cell_ops(mesh, mat)), compute_uv=False)
         assert np.sum(sv > 1e-10 * sv[0]) == 2 * 6 - 3
 
     def test_symmetry(self, mat, rng):
         mesh = random_polygon_mesh(rng, n=7)
-        K = stiffness(cell_ops(mesh, mat))
+        K = stiffness(*cell_ops(mesh, mat))
         assert np.max(np.abs(K - K.T)) <= 1e-13 * np.max(np.abs(K))
 
 
 def assert_s_matches_qr(pts, area, centroid, cells, C):
     """S (x) I_2 of the stack is the former QR projector's to 1e-13 of each cell's tau."""
-    ops = element_matrices(pts, area, cells, C)
-    tau = 0.5 * np.trace(ops.Kc, axis1=1, axis2=2)
+    Kc, S = element_matrices(pts, area, cells, C)
+    tau = 0.5 * np.trace(Kc, axis1=1, axis2=2)
     expected = tau[:, None, None] * stabilization_complement_qr(pts, centroid)
-    err = np.abs(interleaved_stabilization(ops.S) - expected).max(axis=(1, 2))
+    err = np.abs(interleaved_stabilization(S) - expected).max(axis=(1, 2))
     assert (err <= 1e-13 * tau).all(), (err / tau).max()
 
 
@@ -244,9 +257,9 @@ class TestStabilizationProperties:
     @given(pts=star_shaped_cells())
     def test_kernel_and_spectrum(self, pts):
         n = len(pts)
-        ops = cell_ops(single_cell_mesh(pts), LameMaterial(1.0, 1.0))
-        K = stiffness(ops)
-        tau = 0.5 * np.trace(ops.Kc)
+        Kc, S = cell_ops(single_cell_mesh(pts), LameMaterial(1.0, 1.0))
+        K = stiffness(Kc, S)
+        tau = 0.5 * np.trace(Kc)
         x, y = pts.T
         one, zero = np.ones(n), np.zeros(n)
 
@@ -257,9 +270,9 @@ class TestStabilizationProperties:
             assert np.abs(K @ v).max() <= 1e-12 * np.abs(K).max() * np.abs(v).max()
         # S acts on each displacement component alone: it annihilates 1, x and y at the vertices.
         for w in (one, x, y):
-            assert np.abs(ops.S @ w).max() <= 1e-12 * tau * np.abs(w).max()
+            assert np.abs(S @ w).max() <= 1e-12 * tau * np.abs(w).max()
         # S is tau times an orthogonal projector of rank n - 3: eigenvalues 0 and tau only.
-        ev = np.linalg.eigvalsh(ops.S) / tau
+        ev = np.linalg.eigvalsh(S) / tau
         assert np.minimum(np.abs(ev), np.abs(ev - 1.0)).max() <= 1e-12
         assert np.count_nonzero(ev > 0.5) == n - 3
 
@@ -279,7 +292,7 @@ class TestRankCheck:
         assert str(info.value) == "cell 1: degenerate geometry, linear modes are rank deficient"
 
     def test_thin_sliver_assembles(self, mat):
-        K = assemble_global(self.square_and_sliver(1e-6), mat).matrix
+        K, _ = assemble_global(self.square_and_sliver(1e-6), mat)
         assert np.isfinite(K.data).all()
 
     @pytest.mark.parametrize("scale", [1e-11, 1e14], ids=["1e-11", "1e14"])
@@ -287,14 +300,15 @@ class TestRankCheck:
         # r1 and r2 are lengths: the rank test must not compare them with the dimensionless sqrt(n).
         mesh = generate_mesh(MeshFamily.QUAD_S, 8)
         scaled = PolygonalMesh(scale * mesh.vertices, mesh.offsets, mesh.indices, mesh.family)
-        assert np.isfinite(assemble_global(scaled, mat).matrix.data).all()
+        assert np.isfinite(assemble_global(scaled, mat)[0].data).all()
         (cells, idx), = vertex_count_groups(mesh)
         C = elastic_matrix(mat)
         ref = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
         ops = element_matrices(scaled.vertices[idx], scaled.areas[cells], cells, C)
 
         def s_over_tau(m):
-            return m.S / (0.5 * np.trace(m.Kc, axis1=1, axis2=2))[:, None, None]
+            Kc, S = m
+            return S / (0.5 * np.trace(Kc, axis1=1, axis2=2))[:, None, None]
 
         np.testing.assert_allclose(s_over_tau(ops), s_over_tau(ref), rtol=0, atol=1e-12)
 
@@ -304,18 +318,18 @@ class TestLoadVector:
 
     def test_zero_force(self, unit_square_mesh, mat):
         np.testing.assert_array_equal(
-            assemble_global(unit_square_mesh, mat, None).rhs, np.zeros(8)
+            assemble_global(unit_square_mesh, mat, zero_body_force)[1], np.zeros(8)
         )
 
     def test_unit_x_force_on_square(self, unit_square_mesh, mat):
-        f = assemble_global(unit_square_mesh, mat, lambda x, y: (1.0, 0.0)).rhs
+        _, f = assemble_global(unit_square_mesh, mat, constant_body_force(1.0, 0.0))
         np.testing.assert_allclose(f[0::2], 0.25)
         np.testing.assert_allclose(f[1::2], 0.0)
 
     def test_total_load_equals_area_times_force(self, rng, mat):
         mesh = random_polygon_mesh(rng, n=5)
         b = lambda x, y: np.stack([1.3 * x - y, 0.4 + y], axis=-1)
-        f = assemble_global(mesh, mat, b).rhs
+        _, f = assemble_global(mesh, mat, b)
         area, (cx, cy) = shoelace(cell_coords(mesh, 0))
         expected = area * np.asarray(b(cx, cy))
         np.testing.assert_allclose([f[0::2].sum(), f[1::2].sum()], expected, atol=1e-14)
@@ -323,47 +337,46 @@ class TestLoadVector:
 
 class TestAssemblyAndSolve:
     def test_single_cell_assembly_matches_element(self, unit_square_mesh, mat):
-        system = assemble_global(unit_square_mesh, mat)
-        ops = cell_ops(unit_square_mesh, mat)
-        np.testing.assert_allclose(system.matrix.toarray(), stiffness(ops), atol=1e-15)
+        K, _ = assemble_global(unit_square_mesh, mat)
+        expected = stiffness(*cell_ops(unit_square_mesh, mat))
+        np.testing.assert_allclose(K.toarray(), expected, atol=1e-15)
 
     def test_global_rigid_kernel(self, mat):
         mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=8)
-        system = assemble_global(mesh, mat)
+        K, _ = assemble_global(mesh, mat)
         for u in (lambda x, y: (1, 0), lambda x, y: (0, 1), lambda x, y: (-y, x)):
             v = np.array([u(x, y) for x, y in mesh.vertices]).ravel()
-            np.testing.assert_allclose(system.matrix @ v, 0.0, atol=1e-12)
+            np.testing.assert_allclose(K @ v, 0.0, atol=1e-12)
 
     def test_stiffness_unchanged_far_from_origin(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_U, 8)
         shifted = PolygonalMesh(mesh.vertices + [1e4, -1e4], mesh.offsets, mesh.indices, mesh.family)
-        K = assemble_global(mesh, mat).matrix.toarray()
-        K_shifted = assemble_global(shifted, mat).matrix.toarray()
+        K = assemble_global(mesh, mat)[0].toarray()
+        K_shifted = assemble_global(shifted, mat)[0].toarray()
         assert np.max(np.abs(K_shifted - K)) <= 1e-10 * np.max(np.abs(K))
 
     def test_global_symmetry(self, mat):
         mesh = generate_mesh(MeshFamily.CONC_U, 3, seed=8)
-        K = assemble_global(mesh, mat).matrix
+        K, _ = assemble_global(mesh, mat)
         diff = (K - K.T).toarray()
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(K.toarray()))
 
     def test_empty_dirichlet_rejected(self, unit_square_mesh, mat):
-        system = assemble_global(unit_square_mesh, mat)
+        K, f = assemble_global(unit_square_mesh, mat)
         with pytest.raises(ValueError, match="Dirichlet"):
-            apply_dirichlet(system, [], np.zeros((0, 2)))
+            apply_dirichlet(K, f, [], np.zeros((0, 2)))
 
     def test_zero_boundary_keeps_rhs(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
-        body = lambda x, y: (1.0, -2.0)
-        system = assemble_global(mesh, mat, body)
+        K, f = assemble_global(mesh, mat, constant_body_force(1.0, -2.0))
         boundary = mesh.boundary_vertices()
-        constrained = apply_dirichlet(system, boundary, np.zeros((len(boundary), 2)))
-        np.testing.assert_array_equal(constrained.rhs, system.rhs[constrained.free])
+        constrained = apply_dirichlet(K, f, boundary, np.zeros((len(boundary), 2)))
+        np.testing.assert_array_equal(constrained.rhs, f[constrained.free])
 
     def test_fully_constrained_single_cell(self, unit_square_mesh, mat):
-        system = assemble_global(unit_square_mesh, mat)
+        K, f = assemble_global(unit_square_mesh, mat)
         vertices = np.arange(4)
-        constrained = apply_dirichlet(system, vertices, np.outer(vertices, [0.1, -0.2]))
+        constrained = apply_dirichlet(K, f, vertices, np.outer(vertices, [0.1, -0.2]))
         assert len(constrained.free) == 0
         u = solve_system(constrained)
         for v in range(4):
@@ -373,7 +386,7 @@ class TestAssemblyAndSolve:
         mesh = generate_mesh(MeshFamily.QUAD_U, 4)
         boundary = mesh.boundary_vertices()
         constrained = apply_dirichlet(
-            assemble_global(mesh, mat, lambda x, y: (1.0, -2.0)), boundary,
+            *assemble_global(mesh, mat, constant_body_force(1.0, -2.0)), boundary,
             mesh.vertices[boundary] @ [[0.1, 0.3], [-0.2, 0.4]] + 1.0,
         )
         first, second = solve_system(constrained), solve_system(constrained)
@@ -392,9 +405,9 @@ class TestAssemblyAndSolve:
 
     def test_zero_everything_gives_zero(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
-        system = assemble_global(mesh, mat)
+        K, f = assemble_global(mesh, mat)
         boundary = mesh.boundary_vertices()
-        constrained = apply_dirichlet(system, boundary, np.zeros((len(boundary), 2)))
+        constrained = apply_dirichlet(K, f, boundary, np.zeros((len(boundary), 2)))
         np.testing.assert_array_equal(solve_system(constrained), 0.0)
 
 
@@ -412,16 +425,17 @@ class TestGroupedAssembly:
 
         mesh = poly_mesh
         case = manufactured_case("b", mat)
-        system = assemble_global(mesh, mat, case.body_force)
+        K_global, f_global = assemble_global(mesh, mat, case.body_force)
         ndof = 2 * mesh.num_vertices
         K, f = np.zeros((ndof, ndof)), np.zeros(ndof)
         for ci, verts in enumerate(mesh_cells(mesh)):
-            local = assemble_global(single_cell_mesh(cell_coords(mesh, ci)), mat, case.body_force)
+            K_cell, f_cell = assemble_global(single_cell_mesh(cell_coords(mesh, ci)), mat,
+                                             case.body_force)
             dofs = np.stack([2 * verts, 2 * verts + 1], axis=-1).ravel()
-            K[np.ix_(dofs, dofs)] += local.matrix.toarray()
-            f[dofs] += local.rhs
-        np.testing.assert_allclose(system.matrix.toarray(), K, rtol=0, atol=1e-13 * np.abs(K).max())
-        np.testing.assert_allclose(system.rhs, f, rtol=0, atol=1e-13 * np.abs(f).max())
+            K[np.ix_(dofs, dofs)] += K_cell.toarray()
+            f[dofs] += f_cell
+        np.testing.assert_allclose(K_global.toarray(), K, rtol=0, atol=1e-13 * np.abs(K).max())
+        np.testing.assert_allclose(f_global, f, rtol=0, atol=1e-13 * np.abs(f).max())
 
     def test_element_stresses_are_projected_strains(self, poly_mesh, mat, rng):
         mesh = poly_mesh
@@ -445,7 +459,7 @@ class TestBlockAssembly:
     def test_matches_triplet_assembly(self, family, n):
         mat = LameMaterial(2.0, 0.5)  # lambda != mu: off-diagonal 2 x 2 blocks are not symmetric
         mesh = generate_mesh(family, n)
-        K = assemble_global(mesh, mat).matrix
+        K, _ = assemble_global(mesh, mat)
         ref = assemble_triplets(mesh, mat)
         assert K.format == "csr" and K.shape == ref.shape
         assert K.has_canonical_format
@@ -456,10 +470,10 @@ class TestBlockAssembly:
     def test_unreferenced_vertex_keeps_empty_rows(self, mat):
         vertices = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], dtype=float)
         mesh = PolygonalMesh(vertices, [0, 4], [0, 1, 2, 3], MeshFamily.EXTERNAL)
-        K = assemble_global(mesh, mat).matrix
+        K, _ = assemble_global(mesh, mat)
         assert K.shape == (10, 10)
         assert K.indptr[8] == K.indptr[10] == K.nnz == 64
-        expected = stiffness(cell_ops(mesh, mat))
+        expected = stiffness(*cell_ops(mesh, mat))
         np.testing.assert_allclose(K.toarray()[:8, :8], expected, rtol=0, atol=1e-15)
 
     def test_memory_peak_bounded(self, mat):
@@ -485,7 +499,7 @@ class TestPatchTestProperty:
         mesh = generate_mesh(family, 4, seed=3)
         case = linear_patch_case(mat)
         u = solve_dirichlet_problem(
-            mesh, mat, None, lambda x, y: case.displacement(x, y)
+            mesh, mat, zero_body_force, lambda x, y: case.displacement(x, y)
         )
         exact = case.displacement(mesh.vertices[:, 0], mesh.vertices[:, 1]).ravel()
         np.testing.assert_allclose(u, exact, atol=1e-10)
