@@ -62,7 +62,9 @@ def energy_error_norm(
     norms = {}
     for name, stress in stresses.items():
         d = exact - stress(cells, pts)
-        norms[name] = float(w @ np.einsum("mi,mi->m", d @ Cinv, d))
+        # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits a long dot across its
+        # threads, which would tie the last bits to OPENBLAS_NUM_THREADS.
+        norms[name] = float(np.sum(w * np.einsum("mi,mi->m", d @ Cinv, d)))
     return norms
 
 

@@ -22,6 +22,9 @@ tie rcp0 on every pair and fail here; a per-level `rcp1 <= rcp0` count passes it
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -29,6 +32,7 @@ import numpy as np
 import pytest
 
 from oracles import cst_solve, fd_strain, fd_stress_divergence, mesh_cells, random_points_in_cell
+import vemrcp
 from vemrcp.cases import CASE_IDS, manufactured_case
 from vemrcp.cli import StudyConfig, run
 from vemrcp.generators import generate_mesh
@@ -335,4 +339,28 @@ class TestCriterion8Determinism:
             )
         ok = outputs[0] == outputs[1]
         report(8, "bitwise determinism", ok)
+        assert ok
+
+    def test_errors_independent_of_blas_thread_count(self):
+        # c/poly-u n = 32 is a level whose norms differed in the last bits at 1 and 2
+        # OpenBLAS threads while the final weighted sum was a BLAS dot product.
+        script = (
+            "from vemrcp import LameMaterial, generate_mesh, manufactured_case\n"
+            "from vemrcp.study import run_level\n"
+            "mat = LameMaterial(1.0, 1.0)\n"
+            "mesh = generate_mesh('poly-u', 32, seed=0)\n"
+            "errors = run_level(mesh, mat, manufactured_case('c', mat))[1]\n"
+            "print(' '.join(float.hex(errors[m]) for m in ('vem', 'rcp0', 'rcp1')))\n"
+        )
+        src = str(Path(vemrcp.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.split())
+        ok = outputs[0] == outputs[1]
+        report(8, "BLAS thread-count independence", ok, f"1: {outputs[0]}, 2: {outputs[1]}")
         assert ok
