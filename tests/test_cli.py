@@ -1,6 +1,8 @@
 """Argument parsing, CSV/DAT/VTK writers, and end-to-end CLI runs."""
 
 import csv
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +229,20 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["family"] == "external"
+
+    def test_fallback_mesh_run(self, tmp_path):
+        # rcp1 falls back to a single-cell patch at cell 2; rcp0 has no fallback and fails.
+        mesh_file = str(Path(__file__).parent / "data" / "fallback.pmesh")
+        code = main(["--mesh-file", mesh_file, "--methods", "vem,rcp1", "--out", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "a_external.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert math.isnan(float(rows[0]["E_rcp0"]))
+        for m in ("vem", "rcp1"):
+            e = float(rows[0][f"E_{m}"])
+            assert math.isfinite(e) and e > 0.0, (m, e)
+        assert main(["--mesh-file", mesh_file, "--out", str(tmp_path / "all")]) == 2
 
     def test_missing_mesh_file_is_runtime_failure(self, tmp_path):
         code = main(["--mesh-file", str(tmp_path / "nope.pmesh"), "--out", str(tmp_path)])

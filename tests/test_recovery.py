@@ -1,6 +1,7 @@
 """Stress-mode, particular-stress, patch-system, and recovery tests."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from oracles import (
 from vemrcp.cases import manufactured_case, zero_body_force
 from vemrcp.generators import generate_mesh
 from vemrcp.material import LameMaterial, compliance_matrix
-from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh
+from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, load_mesh, validate_mesh
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import (
     RECOVERY_KINDS,
@@ -35,7 +36,7 @@ from vemrcp.recovery import (
     recover_field,
     solve_patches,
 )
-from vemrcp.study import linear_patch_case
+from vemrcp.study import linear_patch_case, run_level
 from vemrcp.vem import element_stresses, solve_dirichlet_problem
 
 
@@ -321,6 +322,79 @@ class TestRecoverField:
         assert field.fallback_cells == (1,)
         expected = case.stress(0.0, 0.0)
         np.testing.assert_allclose(field.betas[1][:3], expected, atol=1e-9)
+
+
+class RecordedField:
+    """A vectorized field b(x, y) that records the (m, 2) points of every call."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, x, y):
+        self.calls.append(np.column_stack([x, y]))
+        return self.fn(x, y)
+
+
+class TestFallbackMesh:
+    """A saved external mesh whose vertex patch at cell 2 is too ill-conditioned to fit.
+
+    B = [0, 1] x [-1, 0] (cell 0), a strip T = [0, 1] x [0, 1e-6] with two extra
+    top vertices at x = 0.5 and 0.5 + 1e-5 (cell 1), and a square S of side 1e-5
+    on top of them (cell 2). S's vertex patch is S and T, so rcp1 falls back to
+    S's own cell. T's single-cell patch is ill-conditioned too, and rcp0 has no
+    fallback.
+    """
+
+    @pytest.fixture
+    def mesh(self):
+        mesh = load_mesh(Path(__file__).parent / "data" / "fallback.pmesh")
+        assert validate_mesh(mesh) == []
+        return mesh
+
+    @pytest.mark.parametrize("case_id", ["a", "b", "c"])
+    def test_rcp1_falls_back_to_single_cell_fit(self, mesh, mat, case_id):
+        case = manufactured_case(case_id, mat)
+        load = RecordedField(case.body_force)
+        result, errors = run_level(mesh, mat, dataclasses.replace(case, body_force=load),
+                                   methods=("vem", "rcp1"))
+        field = result.recovered["rcp1"]
+        assert field.fallback_cells == (2,)
+        assert np.isfinite(errors["rcp1"]) and errors["rcp1"] > 0.0
+        # One call for the assembly, one per fit: every patch, then the fallback cell.
+        assert [len(points) for points in load.calls] == [3, 3, 1]
+        system = patch_systems(mesh, mat, build_patch(mesh, [2], "rcp0"), result.displacement,
+                               case.body_force)
+        betas, failed = solve_patches(system.H, system.g)
+        assert not failed.any()
+        want = (system.centers, system.scales, betas, system.loads)
+        for got, expected in zip((field.centers, field.scales, field.betas, field.loads), want):
+            np.testing.assert_array_equal(got[2], expected[0])
+
+    def test_rcp0_has_no_fallback(self, mesh, mat):
+        case = manufactured_case("b", mat)
+        with pytest.raises(RecoveryConditioningError, match="patch at cell 1"):
+            run_level(mesh, mat, case, methods=("vem", "rcp0"))
+
+
+class TestLoadCalls:
+    """Each load is sampled by one vectorized call per assembly and per fit."""
+
+    def test_one_call_per_assembly_and_fit(self, mat):
+        mesh = generate_mesh(MeshFamily.CONC_U, 8, seed=0)
+        case = manufactured_case("b", mat)
+        load, boundary = RecordedField(case.body_force), RecordedField(case.displacement)
+        u = solve_dirichlet_problem(mesh, mat, load, boundary)
+        assert len(boundary.calls) == 1
+        np.testing.assert_array_equal(boundary.calls[0], mesh.vertices[mesh.boundary_vertices()])
+        assert len(load.calls) == 1
+        np.testing.assert_array_equal(load.calls[0], mesh.centroids)
+        for kind in RECOVERY_KINDS:
+            load.calls.clear()
+            field = recover_field(mesh, mat, u, load, kind)
+            assert len(load.calls) == 1
+            assert len(load.calls[0]) == mesh.num_cells
+            np.testing.assert_array_equal(load.calls[0], field.centers)
+        assert len(boundary.calls) == 1
 
 
 class TestEvaluateRecovered:
