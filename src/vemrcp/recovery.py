@@ -216,7 +216,8 @@ def recover_field(
     """Run the patch recovery centered on every cell.
 
     An ill-conditioned vertex-neighbor patch falls back to its single-cell
-    patch; the affected cells are flagged on the returned field.
+    patch; the affected cells are flagged on the returned field. A
+    single-cell patch has no fallback: it raises RecoveryConditioningError.
     """
 
     def fit(cells, patch_kind):

@@ -91,7 +91,9 @@ def linear_complement(pts: np.ndarray, cells) -> np.ndarray:
     return out
 
 
-def element_matrices(pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray):
+def element_matrices(
+    pts: np.ndarray, area: np.ndarray, cells, C: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Stiffness (Kc, S) of k cells with n vertices each, `pts` (k, n, 2).
 
     `area` (k,) is the mesh's stored cell area. The consistency stiffness
@@ -118,7 +120,9 @@ class ConstrainedSystem:
     prescribed: np.ndarray       # (ndof,) Dirichlet values, zero at the free dofs
 
 
-def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=zero_body_force):
+def assemble_global(
+    mesh: PolygonalMesh, material: LameMaterial, body_force=zero_body_force
+) -> tuple[sp.csr_matrix, np.ndarray]:
     """Assemble the stiffness K (CSR) and load f, one vertex-count group at a time.
 
     Each vertex pair (i, j) of a cell adds its 2 x 2 block of Kc + S (x) I_2
@@ -129,13 +133,16 @@ def assemble_global(mesh: PolygonalMesh, material: LameMaterial, body_force=zero
 
     `body_force` is a vectorized callable b(x, y) -> (m, 2). It is called
     once, at all cell centroids, and each cell's b |E| is spread evenly over
-    its vertices.
+    its vertices. Any other result shape raises ValueError: a constant (2,)
+    would otherwise be indexed as if it held one value per cell.
     """
     nv = mesh.num_vertices
     ndof = 2 * nv
     C = elastic_matrix(material)
     f = np.zeros(ndof)
     b = np.asarray(body_force(*mesh.centroids.T), dtype=float)
+    if b.shape != (mesh.num_cells, 2):
+        raise ValueError(f"body force gave shape {b.shape} at {mesh.num_cells} centroids")
     keys, blocks = [], []
     for cells, idx in vertex_count_groups(mesh):
         k, n = idx.shape

@@ -394,7 +394,6 @@ class TestLoadCalls:
             assert len(load.calls) == 1
             assert len(load.calls[0]) == mesh.num_cells
             np.testing.assert_array_equal(load.calls[0], field.centers)
-        assert len(boundary.calls) == 1
 
 
 class TestEvaluateRecovered:

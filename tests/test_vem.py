@@ -80,7 +80,7 @@ def cell_B(mesh):
 
 def projector(mesh):
     """Pi_m = B / |E| of the one cell of a one-cell mesh, with the mesh's stored area."""
-    return compute_B(cell_coords(mesh, 0)[None])[0] / mesh.areas[0]
+    return cell_B(mesh) / mesh.areas[0]
 
 
 def constant_body_force(bx, by):
@@ -325,6 +325,12 @@ class TestLoadVector:
         _, f = assemble_global(unit_square_mesh, mat, constant_body_force(1.0, 0.0))
         np.testing.assert_allclose(f[0::2], 0.25)
         np.testing.assert_allclose(f[1::2], 0.0)
+
+    def test_unvectorized_constant_rejected(self, unit_square_mesh, mat):
+        # One (2,) value for all cells would be read as one value per cell.
+        for mesh in (unit_square_mesh, generate_mesh(MeshFamily.QUAD_S, 2)):
+            with pytest.raises(ValueError, match="body force gave shape"):
+                assemble_global(mesh, mat, lambda x, y: (1.0, 0.0))
 
     def test_total_load_equals_area_times_force(self, rng, mat):
         mesh = random_polygon_mesh(rng, n=5)
