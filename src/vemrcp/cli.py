@@ -13,9 +13,10 @@ import numpy as np
 
 from .cases import CASE_IDS, manufactured_case
 from .material import LameMaterial, von_mises
-from .mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, cell_records, load_mesh
-from .recovery import RecoveryConditioningError, evaluate_recovered_stress
+from .mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, cell_records, load_mesh
+from .recovery import evaluate_recovered_stress
 from .study import (
+    LEVEL_ERRORS,
     METHODS,
     ConvergenceRecord,
     observed_rate,
@@ -23,7 +24,6 @@ from .study import (
     run_level,
     run_patch_test,
 )
-from .vem import SolveError
 
 logger = logging.getLogger(__name__)
 
@@ -241,11 +241,16 @@ def _run_patch_test(config: StudyConfig) -> int:
 
 
 def _run_external(config: StudyConfig) -> list[ConvergenceRecord]:
-    mesh = load_mesh(config.mesh_file)
+    """The one level of the --mesh-file run; a failed load or level is logged and gives []."""
     material = LameMaterial(config.lam, config.mu)
     case = manufactured_case(config.test, material)
-    start = config.clock()
-    result, errors = run_level(mesh, material, case, config.methods)
+    try:
+        mesh = load_mesh(config.mesh_file)
+        start = config.clock()
+        result, errors = run_level(mesh, material, case, config.methods)
+    except LEVEL_ERRORS:
+        logger.exception("%s/external (%s) failed", config.test, config.mesh_file)
+        return []
     record = ConvergenceRecord(
         test=config.test,
         family=MeshFamily.EXTERNAL,
@@ -309,7 +314,7 @@ def main(argv=None) -> int:
     config = parse_config(argv)
     try:
         return run(config)
-    except (OSError, MeshError, SolveError, RecoveryConditioningError, np.linalg.LinAlgError):
+    except (OSError, *LEVEL_ERRORS):
         logger.exception("study failed")
         return 2
 

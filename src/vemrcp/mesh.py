@@ -4,11 +4,9 @@ Vertices are rows of an (nv, 2) float array. The cells are one ragged pair of
 index arrays, as in PolyMesher: cell ci is the counterclockwise vertex cycle
 indices[offsets[ci]:offsets[ci + 1]], and the cell edge from its k-th vertex
 to the next has the global id offsets[ci] + k. The mesh is built from that
-pair alone. The vertex-to-cell map is a second such pair: the cells around
-vertex v, in cell order, are vertex_cell_ids[vertex_offsets[v]:vertex_offsets[v + 1]].
-All derived topology (edge incidence, boundary flags, the vertex-to-cell
-map) and the cell moments of degree <= 2 (area, centroid, central second
-moments, in closed form from the vertices) are built once at construction.
+pair alone. All derived topology (edge incidence, boundary flags) and the
+cell moments of degree <= 2 (area, centroid, central second moments, in
+closed form from the vertices) are built once at construction.
 Areas and centroids of ragged cycles come from one kernel, `polygon_moments`,
 which the generators and `load_mesh` use too. Only the per-cell quadrature
 rules are cached lazily on the instance, so a mesh is not safe to share
@@ -66,9 +64,8 @@ class PolygonalMesh:
     """Conforming polygonal tessellation with counterclockwise cells.
 
     The cells are the ragged pair `offsets` (ncells + 1, rising from 0) and
-    `indices`, and the vertex-to-cell map the pair `vertex_offsets`,
-    `vertex_cell_ids` (see the module docstring). The given arrays are kept,
-    not copied, where their dtypes allow, and made read-only. Per global edge
+    `indices` (see the module docstring). The given arrays are kept, not
+    copied, where their dtypes allow, and made read-only. Per global edge
     id, `edge_ends` is the end vertex. Per unique edge, in order of first
     appearance, `edges` holds the (lo, hi) vertex pair and `edge_uses` how
     many cell edges run lo -> hi and hi -> lo. Boundary vertex flags are
@@ -151,11 +148,8 @@ class PolygonalMesh:
         d = vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]]
         self.average_edge_length = float(np.hypot(d[:, 0], d[:, 1]).mean())
 
-        self.vertex_offsets = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=nv))])
-        self.vertex_cell_ids = cell_of[np.argsort(idx, kind="stable")]
         for arr in (self.vertices, self.offsets, idx, ends, self.boundary_vertex_flags,
-                    self.edges, self.edge_uses, self.vertex_offsets, self.vertex_cell_ids,
-                    self.areas, self.centroids, self.second_moments):
+                    self.edges, self.edge_uses, self.areas, self.centroids, self.second_moments):
             arr.setflags(write=False)
         self._quadrature_cache: dict = {}
 
@@ -393,7 +387,10 @@ def load_mesh(path) -> PolygonalMesh:
     for k in np.flatnonzero(clockwise):
         logger.warning("%s: cell %d was clockwise; reversed to counterclockwise", path, k)
     flat = flat[np.where(np.repeat(clockwise, counts), start + end - 1 - pos, pos)]
-    mesh = PolygonalMesh(vertices, offsets, flat, MeshFamily.EXTERNAL)
+    try:
+        mesh = PolygonalMesh(vertices, offsets, flat, MeshFamily.EXTERNAL)
+    except MeshError as exc:
+        raise MeshValidationError(f"{path}: {exc}") from exc
     errors = validate_mesh(mesh)
     if errors:
         raise MeshValidationError(f"{path}: {errors[0]}")

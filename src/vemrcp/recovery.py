@@ -22,8 +22,8 @@ cancels. All patches of a mesh are solved as one stack.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
-patch. The patches of a fit are one array of (patch, member cell) pairs,
-built in one pass over the mesh's flat vertex-to-cell map.
+patch. The patches of a fit are one array of (patch, member cell) pairs: for
+rcp1, the sparsity pattern of A A^T, with A the cell-vertex incidence matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .material import LameMaterial, compliance_matrix
 from .mesh import PolygonalMesh
@@ -75,16 +76,6 @@ class Patches(NamedTuple):
     member_cells: np.ndarray          # (npair,) cell id
 
 
-class PatchSystems(NamedTuple):
-    """The 7x7 systems H beta = g of a list of patches, with their frames."""
-
-    centers: np.ndarray               # (npatch, 2)
-    scales: np.ndarray                # (npatch,)
-    loads: np.ndarray                 # (npatch, 2)
-    H: np.ndarray                     # (npatch, 7, 7)
-    g: np.ndarray                     # (npatch, 7)
-
-
 def _sum_by(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Sum the rows of `values` that share an `owner` index in [0, n)."""
     flat = values.reshape(len(owner), -1)
@@ -92,29 +83,24 @@ def _sum_by(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.stack(sums, axis=-1).reshape((n,) + values.shape[1:])
 
 
-def _ragged_ranges(starts: np.ndarray, counts: np.ndarray):
-    """Expand the ranges [starts[k], starts[k] + counts[k]) into (k, position) pairs, in order."""
-    group = np.repeat(np.arange(len(counts)), counts)
-    return group, starts[group] + np.arange(counts.sum()) - (np.cumsum(counts) - counts)[group]
-
-
 def build_patch(mesh: PolygonalMesh, cells, kind: str) -> Patches:
     """The recovery patches centred on `cells`, one per requested cell, in request order.
 
     "rcp0" is the cell alone; "rcp1" is every cell sharing at least one
-    vertex with it.
+    vertex with it: the pattern of row c of A A^T, where A is the cell-vertex
+    incidence matrix.
     """
     cells = np.asarray(cells, dtype=np.int64)
     if kind not in RECOVERY_KINDS:
         raise ValueError(f"unknown recovery kind {kind!r}")
     if kind == "rcp0":
         return Patches(np.arange(len(cells)), cells)
-    patch, corner = _ragged_ranges(mesh.offsets[cells], np.diff(mesh.offsets)[cells])
-    vertex = mesh.indices[corner]
-    pair, slot = _ragged_ranges(mesh.vertex_offsets[vertex], np.diff(mesh.vertex_offsets)[vertex])
-    nc = mesh.num_cells
-    owner, member = np.divmod(np.unique(patch[pair] * nc + mesh.vertex_cell_ids[slot]), nc)
-    return Patches(owner, member)
+    A = sp.csr_matrix((np.ones(len(mesh.indices)), mesh.indices, mesh.offsets),
+                      shape=(mesh.num_cells, mesh.num_vertices))
+    shared = A[cells] @ A.T
+    shared.sort_indices()
+    return Patches(np.repeat(np.arange(len(cells)), np.diff(shared.indptr)),
+                   shared.indices.astype(np.int64))
 
 
 def patch_systems(
@@ -123,10 +109,12 @@ def patch_systems(
     patches: Patches,
     displacement,
     body_force,
-) -> PatchSystems:
-    """Assemble the complementary-energy system of every patch in `patches`.
+) -> tuple[np.ndarray, ...]:
+    """Assemble the complementary-energy system H beta = g of every patch in `patches`.
 
     `patches` holds (patch, member cell) pairs as `build_patch` returns them.
+    Returns (centers (npatch, 2), scales (npatch,), loads (npatch, 2),
+    H (npatch, 7, 7), g (npatch, 7)).
 
     `displacement` is either the global dof vector (its trace is interpolated
     linearly per edge) or a callable u(x, y) -> (m, 2) evaluated at the Gauss
@@ -187,7 +175,7 @@ def patch_systems(
     V[:, 2, 1] = -loads[:, 1] * scales
     # g = sum_a MODES[a]^T (S[a] - C^-1 sum_b M[a, b] V[b])
     g = np.einsum("aik,pai->pk", MODES, S - (M @ V) @ Cinv)
-    return PatchSystems(centers, scales, loads, H, g)
+    return centers, scales, loads, H, g
 
 
 def solve_patches(H: np.ndarray, g: np.ndarray):
@@ -222,9 +210,10 @@ def recover_field(
 
     def fit(cells, patch_kind):
         patches = build_patch(mesh, cells, patch_kind)
-        system = patch_systems(mesh, material, patches, displacement, body_force)
-        betas, failed = solve_patches(system.H, system.g)
-        return (system.centers, system.scales, betas, system.loads), failed
+        centers, scales, loads, H, g = patch_systems(mesh, material, patches, displacement,
+                                                     body_force)
+        betas, failed = solve_patches(H, g)
+        return (centers, scales, betas, loads), failed
 
     cells = np.arange(mesh.num_cells)
     arrays, failed = fit(cells, kind)

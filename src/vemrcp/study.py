@@ -25,6 +25,9 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("vem", "rcp0", "rcp1")
 
+# The errors that fail one level: a study logs the level and goes on.
+LEVEL_ERRORS = (MeshError, SolveError, RecoveryConditioningError, np.linalg.LinAlgError)
+
 
 @dataclass
 class ConvergenceRecord:
@@ -129,7 +132,7 @@ def run_convergence_study(
         try:
             mesh = generate_mesh(family, n, seed)
             result, errors = run_level(mesh, material, case, methods)
-        except (MeshError, SolveError, RecoveryConditioningError, np.linalg.LinAlgError):
+        except LEVEL_ERRORS:
             logger.exception("%s/%s level %d (n=%d) failed", test_id, family.value, level, n)
             continue
         elapsed = clock() - start

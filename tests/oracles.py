@@ -16,7 +16,7 @@ from vemrcp.generators import _merge_points
 from vemrcp.material import compliance_matrix, elastic_matrix
 from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, ear_clip, vertex_count_groups
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
-from vemrcp.recovery import _GAUSS2, MODES, PatchSystems, _ragged_ranges, _sum_by
+from vemrcp.recovery import _GAUSS2, MODES, _sum_by
 from vemrcp.vem import element_matrices
 
 
@@ -381,14 +381,12 @@ def poisson_disk_per_candidate(n: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def vertex_patch_per_cell(mesh, cell) -> np.ndarray:
-    """Cells sharing at least one vertex with `cell`, ascending, from the vertex-to-cell map.
+    """Cells sharing at least one vertex with `cell`, ascending, by a search over all corners.
 
-    The per-cell loop that `vemrcp.recovery.build_patch` replaced, kept as its reference.
+    The reference for `vemrcp.recovery.build_patch`'s rcp1 patches.
     """
-    around = mesh.vertex_offsets
-    return np.unique(np.concatenate(
-        [mesh.vertex_cell_ids[around[v]:around[v + 1]] for v in cell_ids(mesh, cell)]
-    ))
+    corner_cell = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.offsets))
+    return np.unique(corner_cell[np.isin(mesh.indices, cell_ids(mesh, cell))])
 
 
 def stress_modes_at(center, scale: float, points) -> np.ndarray:
@@ -419,15 +417,18 @@ def patch_edges(mesh, owner: np.ndarray, member: np.ndarray):
     exterior or not a member of the same patch; its outward normal (w.r.t. the
     member cell) then points out of the patch.
     """
-    pair, edge = _ragged_ranges(mesh.offsets[member], np.diff(mesh.offsets)[member])
+    start = mesh.offsets[member]
+    counts = mesh.offsets[member + 1] - start
+    pair = np.repeat(np.arange(len(member)), counts)
+    edge = np.arange(len(pair)) + (start - np.cumsum(counts) + counts)[pair]
     patch, nb, nc = owner[pair], edge_neighbors(mesh)[edge], mesh.num_cells
     outer = (nb < 0) | ~np.isin(patch * nc + nb, owner * nc + member)
     return patch, edge, outer
 
 
-def patch_systems_outer_edges(mesh, material, patches, displacement, body_force) -> PatchSystems:
-    """The patch systems of `vemrcp.recovery.patch_systems`, with the boundary work taken
-    over each patch's outer edges.
+def patch_systems_outer_edges(mesh, material, patches, displacement, body_force):
+    """The (centers, scales, loads, H, g) of `vemrcp.recovery.patch_systems`, with the
+    boundary work taken over each patch's outer edges.
 
     The outer-edge pass that the per-cell work sums replaced, kept as their
     reference; frames, moments and the particular stress are built as there.
@@ -473,7 +474,7 @@ def patch_systems_outer_edges(mesh, material, patches, displacement, body_force)
     V[:, 1, 0] = -loads[:, 0] * scales
     V[:, 2, 1] = -loads[:, 1] * scales
     g = np.einsum("aik,pai->pk", MODES, S - (M @ V) @ Cinv)
-    return PatchSystems(centers, scales, loads, H, g)
+    return centers, scales, loads, H, g
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,10 @@ class TestRun:
         for m in ("vem", "rcp1"):
             e = float(rows[0][f"E_{m}"])
             assert math.isfinite(e) and e > 0.0, (m, e)
+        # The failed level still writes its CSV and .dat, with the header alone.
         assert main(["--mesh-file", mesh_file, "--out", str(tmp_path / "all")]) == 2
+        assert (tmp_path / "all" / "a_external.csv").read_text() == CSV_HEADER + "\n"
+        assert (tmp_path / "all" / "a_external.dat").read_text() == DAT_HEADER + "\n"
 
     def test_missing_mesh_file_is_runtime_failure(self, tmp_path):
         code = main(["--mesh-file", str(tmp_path / "nope.pmesh"), "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 """Geometry, generator, patch, validation, and file-format tests."""
 
 import logging
+import re
 import types
 import warnings
 
@@ -570,6 +571,7 @@ class TestPatches:
         owner, member = build_patch(mesh, cells, "rcp1")
         expected = [vertex_patch_per_cell(mesh, ci) for ci in cells]
         sizes = [len(m) for m in expected]
+        assert owner.dtype == member.dtype == np.int64
         np.testing.assert_array_equal(owner, np.repeat(np.arange(len(cells)), sizes))
         np.testing.assert_array_equal(member, np.concatenate(expected))
 
@@ -580,7 +582,10 @@ class TestPatches:
 
     def test_shuffled_subset_follows_request_order(self, rng):
         mesh = generate_mesh(MeshFamily.CONC_U, 8, seed=0)
-        self.assert_matches_per_cell_reference(mesh, rng.permutation(mesh.num_cells)[:40])
+        subset = rng.permutation(mesh.num_cells)[:40]
+        self.assert_matches_per_cell_reference(mesh, subset)
+        # A repeated cell gets one patch per request.
+        self.assert_matches_per_cell_reference(mesh, np.concatenate([[3, 1, 3, 0], subset]))
 
     def test_rcp0_is_identity_pairs(self, rng):
         mesh = generate_mesh(MeshFamily.POLY_U, 8, seed=0)
@@ -664,8 +669,8 @@ class TestConstructorChecks:
 
     def test_topology_arrays_are_read_only(self):
         mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=0)
-        for arr in (mesh.vertices, mesh.offsets, mesh.indices,
-                    mesh.vertex_offsets, mesh.vertex_cell_ids):
+        for arr in (mesh.vertices, mesh.offsets, mesh.indices, mesh.edge_ends, mesh.edges,
+                    mesh.edge_uses, mesh.boundary_vertex_flags):
             assert not arr.flags.writeable
 
 
@@ -846,7 +851,7 @@ class TestMeshFile:
         path.write_bytes(data)
         try:
             load_mesh(path)
-        except MeshError:
+        except (MeshFormatError, MeshValidationError):
             pass
 
     @settings(derandomize=True, deadline=None)
@@ -859,7 +864,7 @@ class TestMeshFile:
             warnings.simplefilter("error", RuntimeWarning)
             try:
                 mesh = load_mesh(path)
-            except MeshError:
+            except (MeshFormatError, MeshValidationError):
                 return
         assert (mesh.areas > 0.0).all()
         assert np.isfinite(mesh.centroids).all() and np.isfinite(mesh.second_moments).all()
@@ -877,6 +882,21 @@ class TestMeshFile:
             "4 0 1 2 3\n4 4 5 6 7\n"
         )
         with pytest.raises(MeshValidationError):
+            load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "vertices, cell, message",
+        [
+            ("0 0\n1 0\n1 1\n0 1\n", "4 0 1 1 2", "cell 0 repeats a vertex"),
+            ("0 0\n1 0\n1 nan\n0 1\n", "4 0 1 2 3", "non-finite vertex coordinates"),
+            ("0 0\n1 0\n1 1\n0 1\n", "2 0 1", "cell 0 has fewer than 3 vertices"),
+        ],
+        ids=["repeated-vertex", "nan-coordinate", "two-vertex-cell"],
+    )
+    def test_constructor_error_names_the_file(self, tmp_path, vertices, cell, message):
+        path = tmp_path / "bad.pmesh"
+        path.write_text(f"pmesh 1\n4 1\n{vertices}{cell}\n")
+        with pytest.raises(MeshValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_mesh(path)
 
     def test_boundary_flags_recomputed(self, tmp_path):

@@ -311,11 +311,12 @@ class TestRecoverField:
         original = rec.patch_systems
 
         def singular_H(mesh_, material, patches, displacement, body_force):
-            system = original(mesh_, material, patches, displacement, body_force)
+            centers, scales, loads, H, g = original(mesh_, material, patches, displacement,
+                                                    body_force)
             # The full fit requests every cell in order, so patch 1 is centred on cell 1.
             if np.count_nonzero(patches.owner == 1) > 1:
-                system.H[1, 6, :] = system.H[1, :, 6] = 0.0  # forced
-            return system
+                H[1, 6, :] = H[1, :, 6] = 0.0  # forced
+            return centers, scales, loads, H, g
 
         monkeypatch.setattr(rec, "patch_systems", singular_H)
         field = rec.recover_field(mesh, mat, u, zero_body_force, "rcp1")
@@ -362,11 +363,11 @@ class TestFallbackMesh:
         assert np.isfinite(errors["rcp1"]) and errors["rcp1"] > 0.0
         # One call for the assembly, one per fit: every patch, then the fallback cell.
         assert [len(points) for points in load.calls] == [3, 3, 1]
-        system = patch_systems(mesh, mat, build_patch(mesh, [2], "rcp0"), result.displacement,
-                               case.body_force)
-        betas, failed = solve_patches(system.H, system.g)
+        centers, scales, loads, H, g = patch_systems(
+            mesh, mat, build_patch(mesh, [2], "rcp0"), result.displacement, case.body_force)
+        betas, failed = solve_patches(H, g)
         assert not failed.any()
-        want = (system.centers, system.scales, betas, system.loads)
+        want = (centers, scales, betas, loads)
         for got, expected in zip((field.centers, field.scales, field.betas, field.loads), want):
             np.testing.assert_array_equal(got[2], expected[0])
 
@@ -535,11 +536,11 @@ class TestBoundaryWork:
                     got = patch_systems(mesh, mat, patches, displacement, body_force)
                     want = patch_systems_outer_edges(mesh, mat, patches, displacement,
                                                      body_force)
-                    for name in ("centers", "scales", "loads"):
-                        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-                    for name in ("H", "g"):
+                    for a, b in zip(got[:3], want[:3]):          # centers, scales, loads
+                        np.testing.assert_array_equal(a, b)
+                    for name, a, b in zip(("H", "g"), got[3:], want[3:]):
                         # Relative to each patch's largest entry: some entries cancel to rounding.
-                        a, b = (getattr(s, name).reshape(len(request), -1) for s in (got, want))
+                        a, b = a.reshape(len(request), -1), b.reshape(len(request), -1)
                         err = np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)
                         assert err.max() <= 1e-12, (kind, name, err.max())
 
