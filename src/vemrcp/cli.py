@@ -7,6 +7,7 @@ import logging
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from .study import (
     ConvergenceRecord,
     observed_rate,
     run_convergence_study,
-    run_level,
     run_patch_test,
+    run_study_level,
 )
 
 logger = logging.getLogger(__name__)
@@ -32,6 +33,8 @@ CSV_HEADER = "test,family,level,h_e,dofs,E_vem,E_rcp0,E_rcp1,time_s"
 
 @dataclass
 class StudyConfig:
+    """One CLI run. Its defaults are the CLI's: `parse_config` sets only the given flags."""
+
     test: str = "a"
     families: tuple = GENERATED_FAMILIES
     levels: int = 4
@@ -54,76 +57,65 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _split_list(raw: list[str]) -> list[str]:
-    out = []
-    for chunk in raw:
-        out.extend(s.strip() for s in chunk.split(","))
-    return [s for s in out if s]
+def _split_list(raw: str) -> tuple[str, ...]:
+    names = (s.strip() for s in raw.split(","))
+    return tuple(s for s in names if s)
 
 
 def parse_config(argv=None) -> StudyConfig:
+    """Parse argv into a `StudyConfig`; a usage error exits with status 1.
+
+    Each flag's dest is a `StudyConfig` field; a flag not given keeps the field's default.
+    """
     parser = _Parser(
         prog="vemrcp",
         description="Plane-elasticity convergence studies on polygonal meshes "
         "with equilibrated patch stress recovery.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--test", choices=CASE_IDS, default="a")
+    parser.add_argument("--test", choices=CASE_IDS)
     parser.add_argument(
         "--family",
-        action="append",
+        dest="families",
+        action="extend",
+        type=_split_list,
         metavar="NAME[,NAME...]",
         help="mesh families (tri-s quad-s hex-s conc-s tri-u quad-u poly-u conc-u); "
         "default: all eight",
     )
-    parser.add_argument("--levels", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--methods", default="vem,rcp0,rcp1")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    parser.add_argument("--mu", type=float, default=1.0)
-    parser.add_argument("--mesh-file", type=Path, default=None)
-    parser.add_argument("--out", type=Path, default=Path("out"))
+    parser.add_argument("--levels", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--methods", type=_split_list)
+    parser.add_argument("--lambda", dest="lam", type=float)
+    parser.add_argument("--mu", type=float)
+    parser.add_argument("--mesh-file", type=Path)
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", type=Path)
     parser.add_argument("--patch-test", action="store_true")
     parser.add_argument("--vtk", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.family is None:
-        families = GENERATED_FAMILIES
-    else:
-        names = _split_list(args.family)
-        if not names:
+    if "families" in args:
+        if not args.families:
             parser.error("empty family list")
         try:
-            families = tuple(MeshFamily(name) for name in names)
+            args.families = tuple(MeshFamily(name) for name in args.families)
         except ValueError:
-            parser.error(f"unknown mesh family in {names}")
-        if MeshFamily.EXTERNAL in families:
+            parser.error(f"unknown mesh family in {args.families}")
+        if MeshFamily.EXTERNAL in args.families:
             parser.error("family 'external' requires --mesh-file")
+    if "mesh_file" in args:
+        args.families = (MeshFamily.EXTERNAL,)
+    config = StudyConfig(**vars(args))
 
-    methods = tuple(_split_list([args.methods]))
-    if not methods or any(m not in METHODS for m in methods):
+    if not config.methods or any(m not in METHODS for m in config.methods):
         parser.error(f"--methods must be a subset of {','.join(METHODS)}")
-    if args.levels < 1:
+    if config.levels < 1:
         parser.error("--levels must be >= 1")
     try:
-        LameMaterial(args.lam, args.mu)
+        LameMaterial(config.lam, config.mu)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.mesh_file is not None:
-        families = (MeshFamily.EXTERNAL,)
-
-    return StudyConfig(
-        test=args.test,
-        families=families,
-        levels=args.levels,
-        seed=args.seed,
-        methods=methods,
-        lam=args.lam,
-        mu=args.mu,
-        out_dir=args.out,
-        mesh_file=args.mesh_file,
-        patch_test=args.patch_test,
-        vtk=args.vtk,
-    )
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +232,13 @@ def _run_patch_test(config: StudyConfig) -> int:
     return 0 if all_ok else 2
 
 
-def _run_external(config: StudyConfig) -> list[ConvergenceRecord]:
-    """The one level of the --mesh-file run; a failed load or level is logged and gives []."""
-    material = LameMaterial(config.lam, config.mu)
-    case = manufactured_case(config.test, material)
-    try:
-        mesh = load_mesh(config.mesh_file)
-        start = config.clock()
-        result, errors = run_level(mesh, material, case, config.methods)
-    except LEVEL_ERRORS:
-        logger.exception("%s/external (%s) failed", config.test, config.mesh_file)
-        return []
-    record = ConvergenceRecord(
-        test=config.test,
-        family=MeshFamily.EXTERNAL,
-        level=0,
-        subdivisions=0,
-        h=mesh.average_edge_length,
-        dofs=2 * mesh.num_vertices,
-        errors=errors,
-        wall_time=config.clock() - start,
-    )
-    if config.vtk:
-        fields = _von_mises_fields(result, material, config.methods)
-        write_vtk(mesh, fields, config.out_dir / f"vm_{config.test}_external.vtk")
-    return [record]
+def _export_vtk(config: StudyConfig, material: LameMaterial, record, result) -> None:
+    """Write one level's von Mises cell fields; an external mesh's file has no level."""
+    stem = f"vm_{config.test}_{record.family.value}"
+    if record.family is not MeshFamily.EXTERNAL:
+        stem += f"_L{record.level}"
+    fields = _von_mises_fields(result, material, config.methods)
+    write_vtk(result.mesh, fields, config.out_dir / f"{stem}.vtk")
 
 
 def run(config: StudyConfig) -> int:
@@ -274,19 +248,16 @@ def run(config: StudyConfig) -> int:
         return _run_patch_test(config)
 
     material = LameMaterial(config.lam, config.mu)
+    on_level = partial(_export_vtk, config, material) if config.vtk else None
     failed = False
     for family in config.families:
         if family is MeshFamily.EXTERNAL:
-            records = _run_external(config)
+            case = manufactured_case(config.test, material)
+            record = run_study_level(case, family, 0, 0, partial(load_mesh, config.mesh_file),
+                                     material, config.methods, config.clock, on_level)
+            records = [] if record is None else [record]
             expected = 1
         else:
-            exporter = None
-            if config.vtk:
-                def exporter(record, result, _family=family):
-                    fields = _von_mises_fields(result, material, config.methods)
-                    name = f"vm_{config.test}_{_family.value}_L{record.level}.vtk"
-                    write_vtk(result.mesh, fields, config.out_dir / name)
-
             records = run_convergence_study(
                 config.test,
                 family,
@@ -296,7 +267,7 @@ def run(config: StudyConfig) -> int:
                 seed=config.seed,
                 base_subdivisions=config.base_subdivisions,
                 clock=config.clock,
-                on_level=exporter,
+                on_level=on_level,
             )
             expected = config.levels
         if len(records) < expected:
@@ -314,7 +285,7 @@ def main(argv=None) -> int:
     config = parse_config(argv)
     try:
         return run(config)
-    except (OSError, *LEVEL_ERRORS):
+    except LEVEL_ERRORS:
         logger.exception("study failed")
         return 2
 

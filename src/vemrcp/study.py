@@ -25,8 +25,9 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("vem", "rcp0", "rcp1")
 
-# The errors that fail one level: a study logs the level and goes on.
-LEVEL_ERRORS = (MeshError, SolveError, RecoveryConditioningError, np.linalg.LinAlgError)
+# The errors that fail one level, OSError for a mesh file that cannot be read: a study
+# logs the level and goes on.
+LEVEL_ERRORS = (MeshError, SolveError, RecoveryConditioningError, np.linalg.LinAlgError, OSError)
 
 
 @dataclass
@@ -104,6 +105,36 @@ def run_level(
     return result, errors
 
 
+def run_study_level(case: ManufacturedCase, family: MeshFamily, level: int, n: int, make_mesh,
+                    material: LameMaterial, methods=METHODS, clock=time.perf_counter,
+                    on_level=None) -> ConvergenceRecord | None:
+    """Time and record one level; `wall_time` counts `make_mesh()`, its generation or load.
+
+    A level that fails with one of `LEVEL_ERRORS` is logged and gives None; any
+    other exception propagates. A record is passed to `on_level(record, result)`.
+    """
+    start = clock()
+    try:
+        mesh = make_mesh()
+        result, errors = run_level(mesh, material, case, methods)
+    except LEVEL_ERRORS:
+        logger.exception("%s/%s level %d (n=%d) failed", case.id, family.value, level, n)
+        return None
+    record = ConvergenceRecord(
+        test=case.id,
+        family=family,
+        level=level,
+        subdivisions=n,
+        h=mesh.average_edge_length,
+        dofs=2 * mesh.num_vertices,
+        errors=errors,
+        wall_time=clock() - start,
+    )
+    if on_level is not None:
+        on_level(record, result)
+    return record
+
+
 def run_convergence_study(
     test_id: str,
     family: MeshFamily,
@@ -117,10 +148,10 @@ def run_convergence_study(
 ) -> list[ConvergenceRecord]:
     """Refinement sweep: subdivisions double per level starting at the base.
 
-    A level that fails with a mesh, solver, recovery-conditioning or linear
-    algebra error is logged and skipped; the sweep continues, so callers can
-    detect trouble by comparing the record count with `levels`. Any other
-    exception is a programming error and propagates.
+    Each level is one `run_study_level` on a generated mesh. A level that fails
+    with a mesh, solver, recovery-conditioning, linear algebra or file error is
+    logged and skipped; the sweep continues, so callers can detect trouble by
+    comparing the record count with `levels`. Any other exception propagates.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -128,27 +159,12 @@ def run_convergence_study(
     records = []
     for level in range(levels):
         n = base_subdivisions * 2**level
-        start = clock()
-        try:
-            mesh = generate_mesh(family, n, seed)
-            result, errors = run_level(mesh, material, case, methods)
-        except LEVEL_ERRORS:
-            logger.exception("%s/%s level %d (n=%d) failed", test_id, family.value, level, n)
-            continue
-        elapsed = clock() - start
-        record = ConvergenceRecord(
-            test=test_id,
-            family=family,
-            level=level,
-            subdivisions=n,
-            h=mesh.average_edge_length,
-            dofs=2 * mesh.num_vertices,
-            errors=errors,
-            wall_time=elapsed,
+        record = run_study_level(
+            case, family, level, n, partial(generate_mesh, family, n, seed), material,
+            methods, clock, on_level,
         )
-        records.append(record)
-        if on_level is not None:
-            on_level(record, result)
+        if record is not None:
+            records.append(record)
     return records
 
 

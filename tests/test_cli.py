@@ -51,6 +51,19 @@ class TestParseConfig:
         assert config.seed == 0
         assert config.methods == ("vem", "rcp0", "rcp1")
         assert config.lam == 1.0 and config.mu == 1.0
+        assert config == StudyConfig()
+
+    def test_every_flag_lands_in_its_field(self):
+        config = parse_config([
+            "--test", "c", "--levels", "2", "--seed", "3", "--out", "D", "--vtk",
+            "--patch-test", "--lambda", "2", "--mu", "0.5", "--methods", "vem,rcp1",
+            "--mesh-file", "M",
+        ])
+        assert config == StudyConfig(
+            test="c", families=(MeshFamily.EXTERNAL,), levels=2, seed=3,
+            methods=("vem", "rcp1"), lam=2.0, mu=0.5, out_dir=Path("D"),
+            mesh_file=Path("M"), patch_test=True, vtk=True,
+        )
 
     def test_material_override(self):
         config = parse_config(["--lambda", "2", "--mu", "0.5"])
@@ -248,19 +261,30 @@ class TestRun:
         assert (tmp_path / "all" / "a_external.dat").read_text() == DAT_HEADER + "\n"
 
     def test_missing_mesh_file_is_runtime_failure(self, tmp_path):
+        # A file error fails the level like any other: header-only CSV and .dat.
         code = main(["--mesh-file", str(tmp_path / "nope.pmesh"), "--out", str(tmp_path)])
         assert code == 2
+        assert (tmp_path / "a_external.csv").read_text() == CSV_HEADER + "\n"
+        assert (tmp_path / "a_external.dat").read_text() == DAT_HEADER + "\n"
 
-    def test_programming_error_escapes_main(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "quad-s", "--levels", "1"],
+            ["--mesh-file", str(Path(__file__).parent / "data" / "fallback.pmesh"),
+             "--methods", "vem,rcp1"],
+        ],
+        ids=["generated", "mesh-file"],
+    )
+    def test_programming_error_escapes_main(self, tmp_path, monkeypatch, argv):
         import vemrcp.study as study_mod
 
         def broken(*args, **kwargs):
             raise TypeError("injected")
 
         monkeypatch.setattr(study_mod, "run_level", broken)
-        argv = ["--family", "quad-s", "--levels", "1", "--out", str(tmp_path)]
         with pytest.raises(TypeError, match="injected"):
-            main(argv)
+            main(argv + ["--out", str(tmp_path)])
 
     def test_failed_level_exits_two(self, tmp_path, monkeypatch):
         import vemrcp.study as study_mod

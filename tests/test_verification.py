@@ -21,6 +21,7 @@ from vemrcp.study import (
     run_convergence_study,
     run_level,
     run_patch_test,
+    run_study_level,
 )
 
 
@@ -272,6 +273,19 @@ class TestRunStudy:
             run_convergence_study(
                 "a", MeshFamily.QUAD_S, 2, mat, methods=("vem",), base_subdivisions=4
             )
+
+    def test_clock_starts_before_the_mesh_is_made(self, mat):
+        now = [0.0]
+
+        def make_mesh():
+            now[0] += 5.0
+            return generate_mesh(MeshFamily.QUAD_S, 2)
+
+        record = run_study_level(
+            manufactured_case("a", mat), MeshFamily.QUAD_S, 0, 2, make_mesh, mat,
+            methods=("vem",), clock=lambda: now[0],
+        )
+        assert record.wall_time == 5.0
 
     def test_deterministic_given_seed(self, mat):
         a = run_convergence_study(
