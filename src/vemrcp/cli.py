@@ -104,6 +104,8 @@ def parse_config(argv=None) -> StudyConfig:
         if MeshFamily.EXTERNAL in args.families:
             parser.error("family 'external' requires --mesh-file")
     if "mesh_file" in args:
+        if "patch_test" in args:
+            parser.error("--patch-test runs the generated families; it takes no --mesh-file")
         args.families = (MeshFamily.EXTERNAL,)
     config = StudyConfig(**vars(args))
 
@@ -220,7 +222,7 @@ def _print_study(records: list[ConvergenceRecord], methods) -> None:
 
 def _run_patch_test(config: StudyConfig) -> int:
     material = LameMaterial(config.lam, config.mu)
-    results = run_patch_test(material, seed=config.seed, methods=config.methods)
+    results = run_patch_test(material, config.families, seed=config.seed, methods=config.methods)
     all_ok = True
     for res in results:
         ok = res.passed()

@@ -3,8 +3,8 @@
 Structured families (tri-s, quad-s, hex-s, conc-s) are fully deterministic
 and ignore the seed; unstructured ones (tri-u, quad-u, poly-u, conc-u) are
 deterministic for a fixed (family, subdivisions, seed) triple. Every
-generated mesh is validated before it is returned. hex-s clips its whole
-hexagon lattice at once, one array step per side of the square.
+generated mesh is validated before it is returned. hex-s and poly-u clip all
+their convex cells at once, one array step per side of the square.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ class GenerationError(MeshError):
 
 
 _FAMILY_CODE = {fam: k for k, fam in enumerate(GENERATED_FAMILIES)}
+_FAR_SITES = np.array([[-10.0, -10.0], [11.0, -10.0], [11.0, 11.0], [-10.0, 11.0]])   # poly-u
 
 # What every family builder returns: vertices (nv, 2) and the ragged cell pair offsets, indices.
 MeshArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -259,70 +260,46 @@ def _tri_unstructured(n: int, rng) -> MeshArrays:
 
 
 def _poly_unstructured(n: int, rng) -> MeshArrays:
-    """Voronoi tessellation of Lloyd-relaxed random seeds.
+    """Voronoi tessellation of Lloyd-relaxed random seeds, cut to the square.
 
-    Before each Voronoi construction the seeds near each side of the square are
-    mirrored across it (PolyMesher's reflection), which makes the real regions
-    finite and clips them to the square; see `_mirrored_voronoi`.
+    The final cycles are sorted by angle again, since `ear_clip` starts at vertex 0 and
+    the clip starts them elsewhere; then the shared points are merged by first use.
     """
-    num = n * n
-    seeds = rng.uniform(0.05, 0.95, size=(num, 2))
+    seeds = rng.uniform(0.05, 0.95, size=(n * n, 2))
     for _ in range(30):
-        seeds = np.clip(_mirrored_voronoi(seeds)[1][2], 1e-9, 1.0 - 1e-9)
-    vor, (offsets, ids, _) = _mirrored_voronoi(seeds)
-    # Number the Voronoi vertices in order of first use.
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return vor.vertices[ids[np.sort(first)]], offsets, rank[inverse]
+        seeds = np.clip(polygon_moments(*_clipped_regions(seeds))[1], 1e-9, 1.0 - 1e-9)
+    points, offsets = _clipped_regions(seeds)
+    points, ids = _merge_points(_by_angle(points, np.diff(offsets)))
+    return points, offsets, ids
 
 
-def _mirrored_voronoi(seeds: np.ndarray):
-    """Voronoi diagram of the seeds and their mirror images within a band of each side.
+def _clipped_regions(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Voronoi regions of the seeds (in [0,1]^2) next to `_FAR_SITES`, sorted by angle, clipped.
 
-    Returns it with `_ordered_regions` of the seeds. With fewer mirrors a real region
-    can only grow, and those of the full mirror tile the square, so bounded real
-    regions inside the square are exactly the full mirror's. The band starts at
-    1.5 sqrt(1 / N) and doubles until that holds; past 0.5 all seeds are mirrored.
+    The far sites' hull holds the square, so every region is bounded. For p in the square no far
+    site is within 10, every seed is within sqrt(2), and no image of a seed t across a side is
+    nearer than t, which is on p's side: so the clipped regions are those of PolyMesher's full
+    mirror. Returns (points, offsets); an unbounded, degenerate or lost region is a GenerationError.
     """
-    (x, y), fx, fy = seeds.T, seeds * [-1.0, 1.0], seeds * [1.0, -1.0]
-    band = 1.5 * np.sqrt(1.0 / len(seeds))
-    while True:
-        near = band if band <= 0.5 else np.inf
-        vor = Voronoi(np.vstack([seeds, fx[x < near], fx[x > 1.0 - near] + [2.0, 0.0],
-                                 fy[y < near], fy[y > 1.0 - near] + [0.0, 2.0]]))
-        regions = _ordered_regions(vor, len(seeds), certify=band <= 0.5)
-        if regions is not None:
-            return vor, regions
-        band *= 2.0
-
-
-def _ordered_regions(vor: Voronoi, num: int, certify: bool = False):
-    """The regions of the first `num` input points as one ragged pair and their centroids.
-
-    Returns offsets (num + 1,), Voronoi vertex ids with each region's cycle sorted by angle
-    about its vertex mean (counterclockwise), one vertex-count group at a time, and the
-    (num, 2) region centroids from `polygon_moments`. An unbounded or degenerate region
-    raises GenerationError, or with `certify` returns None, as does a vertex more than 1e-9
-    outside [0,1]^2.
-    """
-    regions = list(map(vor.regions.__getitem__, vor.point_region[:num]))
-    counts = np.fromiter(map(len, regions), dtype=np.int64, count=num)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64, count=offsets[-1])
-    bad = np.union1d(np.flatnonzero(counts < 3), np.repeat(np.arange(num), counts)[ids < 0])
+    vor = Voronoi(np.vstack([seeds, _FAR_SITES]))
+    regions = list(map(vor.regions.__getitem__, vor.point_region[:len(seeds)]))
+    counts = np.fromiter(map(len, regions), dtype=np.int64, count=len(seeds))
+    ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64, count=counts.sum())
+    bad = np.union1d(np.flatnonzero(counts < 3), np.repeat(np.arange(len(seeds)), counts)[ids < 0])
     if len(bad):
-        if certify:
-            return None
         raise GenerationError(f"poly-u: unbounded or degenerate Voronoi region for seed {bad[0]}")
-    for m in np.unique(counts):
-        cells = np.flatnonzero(counts == m)
-        pos = offsets[cells, None] + np.arange(m)
-        coords = vor.vertices[ids[pos]]
-        if certify and not ((coords >= -1e-9) & (coords <= 1.0 + 1e-9)).all():
-            return None
-        center = coords.mean(axis=1, keepdims=True)
-        ang = np.arctan2(coords[..., 1] - center[..., 1], coords[..., 0] - center[..., 0])
-        order = np.argsort(ang, axis=1)
-        ids[pos] = np.take_along_axis(ids[pos], order, axis=1)
-    return offsets, ids, polygon_moments(vor.vertices[ids], offsets)[1]
+    points, counts = _clip_to_unit_square(_by_angle(vor.vertices[ids], counts), counts)
+    if not counts.all():
+        raise GenerationError(f"poly-u: clipping dropped the region of seed {np.argmin(counts)}")
+    return points, np.concatenate([[0], np.cumsum(counts)])
+
+
+def _by_angle(xy: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs of `counts` rows of `xy`, each sorted by angle about its vertex mean from -pi."""
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    positions = np.arange(offsets[-1])
+    for m in np.unique(counts):                      # one vertex-count group at a time
+        pos = offsets[np.flatnonzero(counts == m), None] + np.arange(m)
+        d = xy[pos] - xy[pos].mean(axis=1, keepdims=True)
+        positions[pos] = np.take_along_axis(pos, np.argsort(np.arctan2(d[..., 1], d[..., 0]), 1), 1)
+    return xy[positions]

@@ -13,10 +13,12 @@ class LameMaterial:
     mu: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and self.lam + self.mu > 0.0):
-            raise ValueError(
-                f"material (lambda={self.lam}, mu={self.mu}) is not positive definite"
-            )
+        ok = self.mu > 0.0 and self.lam + self.mu > 0.0          # false for a nan too
+        with np.errstate(all="ignore"):
+            ok = ok and np.isfinite([elastic_matrix(self), compliance_matrix(self)]).all()
+        if not ok:
+            raise ValueError(f"material (lambda={self.lam}, mu={self.mu}) is not positive "
+                             "definite with finite elastic and compliance matrices")
 
     @property
     def poisson(self) -> float:
@@ -37,9 +39,9 @@ def elastic_matrix(material: LameMaterial) -> np.ndarray:
 
 def compliance_matrix(material: LameMaterial) -> np.ndarray:
     """Closed-form inverse of the elastic matrix."""
-    lam, mu = material.lam, material.mu
+    lam, mu = np.float64(material.lam), np.float64(material.mu)    # a det of 0 gives inf
     a = lam + 2.0 * mu
-    det = a * a - lam * lam
+    det = 4.0 * mu * (lam + mu)                  # a^2 - lam^2, which cancels for lam >> mu
     return np.array(
         [
             [a / det, -lam / det, 0.0],

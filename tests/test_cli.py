@@ -56,14 +56,19 @@ class TestParseConfig:
     def test_every_flag_lands_in_its_field(self):
         config = parse_config([
             "--test", "c", "--levels", "2", "--seed", "3", "--out", "D", "--vtk",
-            "--patch-test", "--lambda", "2", "--mu", "0.5", "--methods", "vem,rcp1",
-            "--mesh-file", "M",
+            "--lambda", "2", "--mu", "0.5", "--methods", "vem,rcp1", "--mesh-file", "M",
         ])
         assert config == StudyConfig(
             test="c", families=(MeshFamily.EXTERNAL,), levels=2, seed=3,
             methods=("vem", "rcp1"), lam=2.0, mu=0.5, out_dir=Path("D"),
-            mesh_file=Path("M"), patch_test=True, vtk=True,
+            mesh_file=Path("M"), vtk=True,
         )
+        assert parse_config(["--patch-test"]) == StudyConfig(patch_test=True)
+
+    def test_patch_test_with_mesh_file_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["--patch-test", "--mesh-file", "M"])
+        assert exc.value.code == 1
 
     def test_material_override(self):
         config = parse_config(["--lambda", "2", "--mu", "0.5"])
@@ -99,6 +104,13 @@ class TestParseConfig:
     def test_invalid_material_rejected(self):
         with pytest.raises(SystemExit):
             parse_config(["--mu", "-1"])
+
+    @pytest.mark.parametrize("argv", [["--mu", "inf"], ["--lambda", "nan"],
+                                      ["--lambda", "1e308", "--mu", "1e308"]])
+    def test_material_not_finite_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 1
 
 
 class TestWriteCsv:
@@ -229,6 +241,15 @@ class TestRun:
         assert run(config) == 0
         out = capsys.readouterr().out
         assert out.strip().endswith("PASS")
+        assert out.count("patch-test ") == 1
+
+    def test_patch_test_runs_only_the_given_families(self, tmp_path, capsys):
+        code = main(["--patch-test", "--family", "quad-s,poly-u", "--methods", "vem,rcp1",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == ["quad-s:", "poly-u:"]
+        assert lines[-1] == "PASS"
 
     def test_external_mesh_run(self, tmp_path):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ class TestElasticMatrix:
         with pytest.raises(ValueError):
             LameMaterial(-2.0, 1.0)
 
+    @pytest.mark.parametrize("lam, mu", [(1.0, np.inf), (np.nan, 1.0), (1e308, 1e308),
+                                         (0.0, 1e-200)])
+    def test_material_not_finite_rejected(self, lam, mu):
+        with pytest.raises(ValueError, match="finite elastic and compliance matrices"):
+            LameMaterial(lam, mu)
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.0, 1.0), (2.0, 0.5), (-0.5, 1.0)])
+    def test_finite_material_accepted(self, lam, mu):
+        material = LameMaterial(lam, mu)
+        assert np.isfinite(compliance_matrix(material)).all()
+
 
 class TestComplianceMatrix:
     def test_reference_material(self, mat):
@@ -44,6 +57,16 @@ class TestComplianceMatrix:
     def test_product_is_identity(self, mat):
         prod = elastic_matrix(mat) @ compliance_matrix(mat)
         np.testing.assert_allclose(prod, np.eye(3), atol=1e-14)
+
+    @pytest.mark.parametrize("ratio", [1e10, 1e12])
+    def test_exact_for_lambda_much_larger_than_mu(self, ratio):
+        # Against rational arithmetic on the same float inputs: a^2 - lambda^2 cancels here.
+        lam, mu = Fraction(ratio), Fraction(1.0)
+        det = (lam + 2 * mu) ** 2 - lam ** 2
+        exact = [[(lam + 2 * mu) / det, -lam / det, 0], [-lam / det, (lam + 2 * mu) / det, 0],
+                 [0, 0, 1 / mu]]
+        np.testing.assert_allclose(compliance_matrix(LameMaterial(ratio, 1.0)),
+                                   np.array(exact, dtype=float), rtol=1e-15, atol=0.0)
 
     def test_mutual_inverses_random(self, rng):
         for _ in range(100):

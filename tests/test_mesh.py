@@ -27,10 +27,10 @@ from oracles import (
 )
 from vemrcp.generators import (
     GenerationError,
+    _by_angle,
     _clip_to_unit_square,
+    _clipped_regions,
     _merge_points,
-    _mirrored_voronoi,
-    _ordered_regions,
     _poisson_disk,
     generate_mesh,
 )
@@ -312,50 +312,58 @@ class TestTriangulation:
 
 
 class TestGenerators:
-    def test_ordered_regions_match_per_region_loop(self):
+    def test_by_angle_matches_per_region_loop(self):
         seeds = np.random.default_rng(3).uniform(0.05, 0.95, size=(40, 2))
-        vor = _mirrored_voronoi(seeds)[0]
-        offsets, ids, centroids = _ordered_regions(vor, len(seeds))
-        for k in range(len(seeds)):
-            region = np.array(vor.regions[vor.point_region[k]])
+        vor = Voronoi(seeds)
+        regions = [vor.regions[vor.point_region[k]] for k in range(len(seeds))]
+        regions = [r for r in regions if -1 not in r]
+        counts = np.array([len(r) for r in regions])
+        sorted_xy = _by_angle(vor.vertices[np.concatenate(regions)], counts)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        assert len(np.unique(counts)) > 1
+        for k, region in enumerate(regions):
             coords = vor.vertices[region]
             center = coords.mean(axis=0)
             order = np.argsort(np.arctan2(coords[:, 1] - center[1], coords[:, 0] - center[0]))
-            np.testing.assert_array_equal(ids[offsets[k]:offsets[k + 1]], region[order])
-            np.testing.assert_array_equal(centroids[k],
-                                          polygon_moments(coords[order], np.array([0, len(region)]))[1][0])
+            np.testing.assert_array_equal(sorted_xy[offsets[k]:offsets[k + 1]], coords[order])
 
-    def test_unbounded_region_named(self):
-        vor = Voronoi(np.random.default_rng(3).uniform(size=(12, 2)))
+    def test_unbounded_region_named(self, monkeypatch):
+        monkeypatch.setattr("vemrcp.generators._FAR_SITES", np.empty((0, 2)))
+        seeds = np.random.default_rng(3).uniform(size=(12, 2))
         with pytest.raises(GenerationError, match="unbounded or degenerate Voronoi region"):
-            _ordered_regions(vor, 12)
-        assert _ordered_regions(vor, 12, certify=True) is None
+            _clipped_regions(seeds)
 
     @pytest.mark.parametrize("n", [8, 32])
-    def test_certified_regions_match_full_mirror(self, n):
-        # Unrelaxed seeds, where the seeds mirrored from the first band alone give wrong regions.
-        def mirrored(seeds, band):
-            x, y = seeds.T
-            return Voronoi(np.vstack([seeds, seeds[x < band] * [-1.0, 1.0],
-                                      seeds[x > 1.0 - band] * [-1.0, 1.0] + [2.0, 0.0],
-                                      seeds[y < band] * [1.0, -1.0],
-                                      seeds[y > 1.0 - band] * [1.0, -1.0] + [0.0, 2.0]]))
+    def test_clipped_regions_match_full_mirror(self, n):
+        # Unrelaxed seeds; the oracle mirrors every seed across every side (PolyMesher).
+        def mirrored(seeds):
+            return Voronoi(np.vstack([seeds, seeds * [-1.0, 1.0], seeds * [-1.0, 1.0] + [2.0, 0.0],
+                                      seeds * [1.0, -1.0], seeds * [1.0, -1.0] + [0.0, 2.0]]))
 
-        def first_use(ids):
-            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-            return np.argsort(np.argsort(first))[inverse]
-
-        band_alone_fails = []
         for seed in range(3):
             seeds = np.random.default_rng(seed).uniform(0.05, 0.95, size=(n * n, 2))
-            _, (offsets, ids, centroids) = _mirrored_voronoi(seeds)
-            ref_offsets, ref_ids, ref_centroids = _ordered_regions(mirrored(seeds, 1.0), n * n)
+            points, offsets = _clipped_regions(seeds)
+            vor = mirrored(seeds)
+            regions = [vor.regions[vor.point_region[k]] for k in range(n * n)]
+            ref_counts = np.array([len(r) for r in regions])
+            assert min(min(r) for r in regions) >= 0
+            ref = _by_angle(vor.vertices[np.concatenate(regions)], ref_counts)
+            ref_offsets = np.concatenate([[0], np.cumsum(ref_counts)])
             np.testing.assert_array_equal(offsets, ref_offsets)
-            np.testing.assert_array_equal(first_use(ids), first_use(ref_ids))
-            np.testing.assert_allclose(centroids, ref_centroids, rtol=0.0, atol=1e-12)
-            band_alone = mirrored(seeds, 1.5 / n)
-            band_alone_fails.append(_ordered_regions(band_alone, n * n, certify=True) is None)
-        assert any(band_alone_fails)
+            np.testing.assert_allclose(_by_angle(points, np.diff(offsets)), ref,
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(polygon_moments(points, offsets)[1],
+                                       polygon_moments(ref, ref_offsets)[1], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_poly_u_cells_start_at_smallest_angle(self, n):
+        # ear_clip triangulates from vertex 0, so the start of each cycle sets the norms.
+        for seed in (0, 1):
+            mesh = generate_mesh(MeshFamily.POLY_U, n, seed=seed)
+            for ci in range(mesh.num_cells):
+                coords = mesh.vertices[mesh.indices[mesh.offsets[ci]:mesh.offsets[ci + 1]]]
+                d = coords - coords.mean(axis=0)
+                assert np.argmin(np.arctan2(d[:, 1], d[:, 0])) == 0, (seed, ci)
 
     @pytest.mark.parametrize("n", [*range(1, 17), 23, 32])
     def test_poisson_disk_matches_sequential_darts(self, n):
