@@ -58,8 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _split_list(raw: str) -> tuple[str, ...]:
+    """The comma-separated names of `raw`, each once, in first-seen order."""
     names = (s.strip() for s in raw.split(","))
-    return tuple(s for s in names if s)
+    return tuple(dict.fromkeys(s for s in names if s))
 
 
 def parse_config(argv=None) -> StudyConfig:
@@ -94,19 +95,21 @@ def parse_config(argv=None) -> StudyConfig:
     parser.add_argument("--vtk", action="store_true")
     args = parser.parse_args(argv)
 
-    if "families" in args:
+    if "mesh_file" in args:
+        if "patch_test" in args:
+            parser.error("--patch-test runs the generated families; it takes no --mesh-file")
+        if "families" in args:
+            parser.error("--mesh-file runs the one mesh it names; it takes no --family")
+        args.families = (MeshFamily.EXTERNAL,)
+    elif "families" in args:
         if not args.families:
             parser.error("empty family list")
-        try:
-            args.families = tuple(MeshFamily(name) for name in args.families)
+        try:   # repeated --family flags each give a list; a name repeated across them runs once
+            args.families = tuple(dict.fromkeys(MeshFamily(name) for name in args.families))
         except ValueError:
             parser.error(f"unknown mesh family in {args.families}")
         if MeshFamily.EXTERNAL in args.families:
             parser.error("family 'external' requires --mesh-file")
-    if "mesh_file" in args:
-        if "patch_test" in args:
-            parser.error("--patch-test runs the generated families; it takes no --mesh-file")
-        args.families = (MeshFamily.EXTERNAL,)
     config = StudyConfig(**vars(args))
 
     if not config.methods or any(m not in METHODS for m in config.methods):

@@ -57,10 +57,12 @@ def generate_mesh(family: MeshFamily, subdivisions: int, seed: int = 0) -> Polyg
         MeshFamily.POLY_U: _poly_unstructured,
         MeshFamily.CONC_U: _conc_unstructured,
     }[family]
-    mesh = PolygonalMesh(*builder(subdivisions, rng), family)
-    errors = validate_mesh(mesh)
-    if errors:
-        raise GenerationError(f"{family.value} (n={subdivisions}, seed={seed}): {errors[0]}")
+    arrays = builder(subdivisions, rng)
+    try:
+        mesh = PolygonalMesh(*arrays, family)
+        validate_mesh(mesh)
+    except MeshError as exc:
+        raise GenerationError(f"{family.value} (n={subdivisions}, seed={seed}): {exc}") from exc
     return mesh
 
 

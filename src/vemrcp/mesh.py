@@ -6,7 +6,8 @@ indices[offsets[ci]:offsets[ci + 1]], and the cell edge from its k-th vertex
 to the next has the global id offsets[ci] + k. The mesh is built from that
 pair alone. All derived topology (edge incidence, boundary flags) and the
 cell moments of degree <= 2 (area, centroid, central second moments, in
-closed form from the vertices) are built once at construction.
+closed form from the vertices) are built once at construction, which also
+rejects bad cells and bad edges; `validate_mesh` checks the rest.
 Areas and centroids of ragged cycles come from one kernel, `polygon_moments`,
 which the generators and `load_mesh` use too. Only the per-cell quadrature
 rules are cached lazily on the instance, so a mesh is not safe to share
@@ -67,12 +68,12 @@ class PolygonalMesh:
     `indices` (see the module docstring). The given arrays are kept, not
     copied, where their dtypes allow, and made read-only. Per global edge
     id, `edge_ends` is the end vertex. Per unique edge, in order of first
-    appearance, `edges` holds the (lo, hi) vertex pair and `edge_uses` how
-    many cell edges run lo -> hi and hi -> lo. Boundary vertex flags are
-    always recomputed from edge incidence, never taken on trust from a file
-    or generator. Per cell, `areas`, `centroids` and `second_moments` (the
-    2x2 integral of (x - c)(x - c)^T about the centroid c) are exact. A bad
-    cell raises MeshError naming the first one.
+    appearance, `edges` holds the (lo, hi) vertex pair. Boundary vertex flags
+    are always recomputed from edge incidence, never taken on trust from a
+    file or generator. Per cell, `areas`, `centroids` and `second_moments`
+    (the 2x2 integral of (x - c)(x - c)^T about the centroid c) are exact. A
+    bad cell raises MeshError naming the first one; so does an edge used by
+    three cells or an interior edge run twice the same way, naming the first.
     """
 
     def __init__(self, vertices: np.ndarray, offsets: np.ndarray, indices: np.ndarray,
@@ -144,12 +145,17 @@ class PolygonalMesh:
         appearance = np.argsort(first)
         self.edges = np.column_stack([lo, hi])[first[appearance]]
         reverse = np.bincount(edge_of[idx > ends], minlength=len(users))
-        self.edge_uses = np.column_stack([users - reverse, reverse])[appearance]
+        bad = ((users > 2) | ((users == 2) & (reverse != 1)))[appearance]
+        if bad.any():
+            e = int(np.argmax(bad))
+            (i, j), n = self.edges[e], users[appearance[e]]
+            raise MeshError(f"edge ({i},{j}): shared by {n} cells" if n > 2
+                            else f"edge ({i},{j}): traversed twice in the same direction")
         d = vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]]
         self.average_edge_length = float(np.hypot(d[:, 0], d[:, 1]).mean())
 
         for arr in (self.vertices, self.offsets, idx, ends, self.boundary_vertex_flags,
-                    self.edges, self.edge_uses, self.areas, self.centroids, self.second_moments):
+                    self.edges, self.areas, self.centroids, self.second_moments):
             arr.setflags(write=False)
         self._quadrature_cache: dict = {}
 
@@ -277,37 +283,24 @@ def ear_clip(points: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_mesh(mesh: PolygonalMesh) -> list[str]:
-    """Check the structural mesh invariants; return the violations found, empty if none.
+def validate_mesh(mesh: PolygonalMesh) -> None:
+    """Check the invariants beyond the constructor's; raise MeshValidationError for the first.
 
-    For generated families the cells must tile the unit square; externally
-    loaded meshes are checked topologically (edge incidence, orientation
-    consistency, Euler characteristic of a simply connected tessellation).
+    Every cell boundary must be simple and the tessellation simply connected
+    (Euler characteristic 1); the cells of a generated family must tile the
+    unit square. Cell orientation and edge incidence are the constructor's.
     """
-    errors: list[str] = []
-    # Cell areas are positive: the constructor rejects any other cell.
-    area_sum = float(mesh.areas.sum())
     groups = vertex_count_groups(mesh)
     crossing = np.concatenate([cells[_crossing_cells(mesh.vertices[idx])] for cells, idx in groups])
-    for ci in np.sort(crossing):
-        errors.append(f"cell {ci}: self-intersecting boundary")
-
-    users = mesh.edge_uses.sum(axis=1)
-    for e in np.flatnonzero((users > 2) | ((users == 2) & (mesh.edge_uses[:, 0] != 1))):
-        i, j = mesh.edges[e]
-        if users[e] > 2:
-            errors.append(f"edge ({i},{j}): shared by {users[e]} cells")
-        else:
-            errors.append(f"edge ({i},{j}): traversed twice in the same direction")
-
+    if len(crossing):
+        raise MeshValidationError(f"cell {crossing.min()}: self-intersecting boundary")
     euler = mesh.num_vertices - len(mesh.edges) + mesh.num_cells
     if euler != 1:
-        errors.append(f"Euler characteristic V-E+F = {euler}, expected 1")
-
+        raise MeshValidationError(f"Euler characteristic V-E+F = {euler}, expected 1")
+    # Cell areas are positive: the constructor rejects any other cell.
+    area_sum = float(mesh.areas.sum())
     if mesh.family is not MeshFamily.EXTERNAL and abs(area_sum - 1.0) > 1e-10:
-        errors.append(f"cell areas sum to {area_sum!r}, expected 1.0")
-
-    return errors
+        raise MeshValidationError(f"cell areas sum to {area_sum!r}, expected 1.0")
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +382,9 @@ def load_mesh(path) -> PolygonalMesh:
     flat = flat[np.where(np.repeat(clockwise, counts), start + end - 1 - pos, pos)]
     try:
         mesh = PolygonalMesh(vertices, offsets, flat, MeshFamily.EXTERNAL)
+        validate_mesh(mesh)
     except MeshError as exc:
         raise MeshValidationError(f"{path}: {exc}") from exc
-    errors = validate_mesh(mesh)
-    if errors:
-        raise MeshValidationError(f"{path}: {errors[0]}")
     return mesh
 
 

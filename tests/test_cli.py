@@ -81,6 +81,22 @@ class TestParseConfig:
     def test_family_comma_list_and_repeat(self):
         config = parse_config(["--family", "tri-s,quad-s", "--family", "poly-u"])
         assert config.families == (MeshFamily.TRI_S, MeshFamily.QUAD_S, MeshFamily.POLY_U)
+        config = parse_config(["--family", "quad-s,tri-s,quad-s", "--family", "tri-s,poly-u"])
+        assert config.families == (MeshFamily.QUAD_S, MeshFamily.TRI_S, MeshFamily.POLY_U)
+
+    def test_repeated_method_runs_once(self):
+        config = parse_config(["--methods", "rcp1,vem,rcp1,vem,rcp0"])
+        assert config.methods == ("rcp1", "vem", "rcp0")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mesh-file", "M", "--family", "quad-s"], ["--family", "external"], ["--levels", "0"]],
+        ids=["mesh-file-with-family", "external-without-mesh-file", "zero-levels"],
+    )
+    def test_flag_combination_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 1
 
     def test_empty_family_list_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -280,6 +296,14 @@ class TestRun:
         assert main(["--mesh-file", mesh_file, "--out", str(tmp_path / "all")]) == 2
         assert (tmp_path / "all" / "a_external.csv").read_text() == CSV_HEADER + "\n"
         assert (tmp_path / "all" / "a_external.dat").read_text() == DAT_HEADER + "\n"
+
+    def test_out_naming_a_file_fails_the_study(self, tmp_path, caplog):
+        # The output directory cannot be made: main logs "study failed" and exits 2.
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["--family", "quad-s", "--levels", "1", "--out", str(out)]) == 2
+        assert any(r.getMessage() == "study failed" and r.exc_info[0] is FileExistsError
+                   for r in caplog.records)
 
     def test_missing_mesh_file_is_runtime_failure(self, tmp_path):
         # A file error fails the level like any other: header-only CSV and .dat.

@@ -291,6 +291,27 @@ class TestTriangulation:
         with pytest.raises(MeshError, match="cell 7: ear clipping failed"):
             ear_clip(np.stack([square, square[::-1], square]), np.array([4, 7, 2]))
 
+    @pytest.mark.parametrize(
+        "family", ["quad-s", "quad-u", "hex-s", "tri-u", "poly-u", "conc-s"],
+    )
+    def test_strictly_convex_cell_is_fan_from_last_vertex(self, family):
+        # Every cell of these families is strictly convex, but only the convex half of conc-s.
+        mesh = generate_mesh(family, 8, seed=0)
+        convex_cells = 0
+        for cells, idx in vertex_count_groups(mesh):
+            pts = mesh.vertices[idx]
+            side = np.roll(pts, -1, axis=1) - pts
+            nxt = np.roll(side, -1, axis=1)
+            convex = (side[..., 0] * nxt[..., 1] - side[..., 1] * nxt[..., 0] > 0.0).all(axis=1)
+            n = idx.shape[1]
+            fan = np.stack([np.full(n - 2, n - 1), np.arange(n - 2), np.arange(1, n - 1)], axis=1)
+            fan[-1] = (n - 3, n - 2, n - 1)
+            local, emitted = ear_clip(pts[convex], cells[convex])
+            assert emitted.all()
+            np.testing.assert_array_equal(local, np.broadcast_to(fan, local.shape))
+            convex_cells += convex.sum()
+        assert convex_cells == mesh.num_cells // (2 if family == "conc-s" else 1)
+
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_stack_matches_per_cell_reference(self, family):
         mesh = generate_mesh(family, 8, seed=0)
@@ -403,19 +424,16 @@ class TestGenerators:
 
     def test_poly_u_n4_seed42(self):
         mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=42)
-        errors = validate_mesh(mesh)
-        assert not errors, errors
+        validate_mesh(mesh)
         total = sum(cell_area(mesh, ci) for ci in range(mesh.num_cells))
         assert total == pytest.approx(1.0, abs=1e-10)
-        interior = mesh.edge_uses.sum(axis=1) == 2
-        assert interior.any()  # a 16-cell tessellation certainly has interior edges
+        # A 16-cell tessellation certainly has interior edges, each run by two cell edges.
+        assert len(mesh.edges) < len(mesh.indices)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_all_families_validate(self, family):
         for n, seed in ((1, 0), (3, 0), (6, 7)):
-            mesh = generate_mesh(family, n, seed)
-            errors = validate_mesh(mesh)
-            assert not errors, (family, n, errors)
+            validate_mesh(generate_mesh(family, n, seed))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_area_and_euler(self, family):
@@ -475,6 +493,44 @@ class TestGenerators:
             a = generate_mesh(fam, 3, seed=0)
             b = generate_mesh(fam, 3, seed=99)
             np.testing.assert_array_equal(a.vertices, b.vertices)
+
+    def test_family_given_by_name(self):
+        np.testing.assert_array_equal(generate_mesh("quad-s", 2).vertices,
+                                      generate_mesh(MeshFamily.QUAD_S, 2).vertices)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [([[0, 1, 1, 2]], "cell 0 repeats a vertex"),
+         ([[0, 1, 2], [0, 1, 3]], "edge (0,1): traversed twice in the same direction"),
+         ([[0, 1, 3, 2]], "cell areas sum to 0.5, expected 1.0")],
+        ids=["constructor", "edge", "validation"],
+    )
+    def test_invalid_builder_output_names_family_n_and_seed(self, monkeypatch, cells, message):
+        verts = np.array([(0, 0), (1, 0), (0, 1), (0.5, 0.5)], dtype=float)
+        monkeypatch.setattr("vemrcp.generators._quad_structured",
+                            lambda n, rng: (verts, [0, *np.cumsum([len(c) for c in cells])],
+                                            np.concatenate(cells)))
+        message = re.escape(f"quad-s (n=2, seed=5): {message}")
+        with pytest.raises(GenerationError, match=f"^{message}$"):
+            generate_mesh(MeshFamily.QUAD_S, 2, seed=5)
+
+    def test_degenerate_delaunay_triangle_named(self, monkeypatch):
+        # The first three Poisson-disk points are the bottom side's (0, 0), (0.5, 0) and (1, 0).
+        collinear = types.SimpleNamespace(simplices=np.array([[0, 1, 3], [0, 1, 2]]))
+        monkeypatch.setattr("vemrcp.generators.Delaunay", lambda pts: collinear)
+        message = r"^tri-u: degenerate Delaunay triangle \[0 1 2\]$"
+        with pytest.raises(GenerationError, match=message):
+            generate_mesh(MeshFamily.TRI_U, 2)
+
+    def test_dropped_region_named(self, monkeypatch):
+        def drop_second(points, counts):
+            kept = np.arange(len(counts)) != 1
+            return points[np.repeat(kept, counts)], counts * kept
+
+        monkeypatch.setattr("vemrcp.generators._clip_to_unit_square", drop_second)
+        message = "^poly-u: clipping dropped the region of seed 1$"
+        with pytest.raises(GenerationError, match=message):
+            generate_mesh(MeshFamily.POLY_U, 2)
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError, match="unsupported"):
@@ -675,49 +731,58 @@ class TestConstructorChecks:
         assert mesh.indices.dtype == mesh.offsets.dtype == np.int64
         np.testing.assert_array_equal(mesh.indices, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("vertices", [np.zeros(8), np.zeros((4, 3))], ids=["flat", "3-d"])
+    def test_vertices_must_be_nv_by_2(self, vertices):
+        with pytest.raises(MeshError, match=r"^vertices must be an \(nv, 2\) array$"):
+            PolygonalMesh(vertices, [0, 3], [0, 1, 2], MeshFamily.EXTERNAL)
+
+    def test_cells_without_vertices_rejected(self):
+        with pytest.raises(MeshError, match="^mesh has no vertices$"):
+            PolygonalMesh(np.empty((0, 2)), [0, 3], [0, 1, 2], MeshFamily.EXTERNAL)
+
     def test_topology_arrays_are_read_only(self):
         mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=0)
         for arr in (mesh.vertices, mesh.offsets, mesh.indices, mesh.edge_ends, mesh.edges,
-                    mesh.edge_uses, mesh.boundary_vertex_flags):
+                    mesh.boundary_vertex_flags):
             assert not arr.flags.writeable
 
 
 class TestValidation:
+    OVERLAPPING = np.array([(0, 0), (1, 0), (1, 1), (0, 1)] * 2, dtype=float)
+    FAN = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
+
     def test_overlapping_cells_fail(self):
-        verts = np.array(
-            [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (1, 1), (0, 1)], dtype=float
-        )
-        mesh = mesh_from_cells(verts, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.QUAD_S)
-        errors = validate_mesh(mesh)
-        assert errors
-        assert any("areas sum" in e or "Euler" in e for e in errors)
+        mesh = mesh_from_cells(self.OVERLAPPING, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.QUAD_S)
+        with pytest.raises(MeshValidationError, match="areas sum|Euler"):
+            validate_mesh(mesh)
 
     def test_overlapping_external_cells_fail_topologically(self):
-        verts = np.array(
-            [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (1, 1), (0, 1)], dtype=float
-        )
-        mesh = mesh_from_cells(verts, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.EXTERNAL)
-        assert validate_mesh(mesh)
+        mesh = mesh_from_cells(self.OVERLAPPING, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.EXTERNAL)
+        message = r"^Euler characteristic V-E\+F = 2, expected 1$"
+        with pytest.raises(MeshValidationError, match=message):
+            validate_mesh(mesh)
 
     def test_dangling_edge_fails(self):
-        verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
-        mesh = mesh_from_cells(
-            verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL
-        )
-        errors = validate_mesh(mesh)
-        assert errors
-        assert any("shared by 3" in e or "same direction" in e for e in errors)
+        with pytest.raises(MeshError, match="shared by 3|same direction"):
+            mesh_from_cells(self.FAN, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
 
     def test_edge_of_three_cells_fails_validation(self):
-        verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
-        mesh = mesh_from_cells(verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
-        assert "edge (0,1): shared by 3 cells" in validate_mesh(mesh)
+        with pytest.raises(MeshError, match=r"^edge \(0,1\): shared by 3 cells$"):
+            mesh_from_cells(self.FAN, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
+
+    def test_first_bad_edge_in_order_of_appearance(self):
+        # Cell 0 runs (0,2) before (0,1): the same-direction (0,2) is named, not the lower key.
+        verts = np.array([(0, 0), (1, 0), (0, 1), (0.5, 0.2), (0.5, -1), (0.5, 0.5)], dtype=float)
+        cells = [[2, 0, 1], [2, 0, 3], [0, 4, 1], [0, 1, 5]]
+        message = r"^edge \(0,2\): traversed twice in the same direction$"
+        with pytest.raises(MeshError, match=message):
+            mesh_from_cells(verts, cells, MeshFamily.EXTERNAL)
 
     def test_self_intersecting_cell_reported(self):
         # ccw by signed area, but the last two edges cross the bottom edge
         pts = np.array([(0, 0), (3, 0), (3, 3), (0, 3), (2, -1)], dtype=float) / 3.0
-        errors = validate_mesh(single_cell_mesh(pts))
-        assert errors[0] == "cell 0: self-intersecting boundary"
+        with pytest.raises(MeshValidationError, match="^cell 0: self-intersecting boundary$"):
+            validate_mesh(single_cell_mesh(pts))
 
     def test_simplicity_matches_pairwise_reference(self, rng):
         # random vertex cycles, many of them self-intersecting, oriented ccw
@@ -725,20 +790,23 @@ class TestValidation:
             pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(4, 9)), 2))
             if shoelace(pts)[0] < 0.0:
                 pts = pts[::-1]
-            errors = validate_mesh(single_cell_mesh(pts))
-            flagged = "cell 0: self-intersecting boundary" in errors
-            assert flagged == (not is_simple_polygon(pts))
+            mesh = single_cell_mesh(pts)
+            if is_simple_polygon(pts):
+                validate_mesh(mesh)
+            else:
+                message = "^cell 0: self-intersecting boundary$"
+                with pytest.raises(MeshValidationError, match=message):
+                    validate_mesh(mesh)
 
     def test_same_direction_edge_reported(self):
         verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], dtype=float)
-        mesh = mesh_from_cells(verts, [[0, 1, 2], [0, 1, 3]], MeshFamily.EXTERNAL)
-        errors = validate_mesh(mesh)
-        assert "edge (0,1): traversed twice in the same direction" in errors
+        message = r"^edge \(0,1\): traversed twice in the same direction$"
+        with pytest.raises(MeshError, match=message):
+            mesh_from_cells(verts, [[0, 1, 2], [0, 1, 3]], MeshFamily.EXTERNAL)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_generator_round_trip(self, family):
-        mesh = generate_mesh(family, 5, seed=13)
-        assert not validate_mesh(mesh)
+        validate_mesh(generate_mesh(family, 5, seed=13))
 
 
 _PMESH = "pmesh 1\n4 2\n0 0\n1 0\n1 1\n0 1\n3 0 1 2\n3 0 2 3\n"
@@ -883,6 +951,13 @@ class TestMeshFile:
         with pytest.raises(MeshFormatError, match="line 1"):
             load_mesh(path)
 
+    def test_vertex_line_needs_two_coordinates(self, tmp_path):
+        path = tmp_path / "bad.pmesh"
+        path.write_text("pmesh 1\n3 1\n0 0\n1 0 0\n0 1\n3 0 1 2\n")
+        message = re.escape(f"{path}: line 4: expected 'x y'")
+        with pytest.raises(MeshFormatError, match=f"^{message}$"):
+            load_mesh(path)
+
     def test_validation_failure_reported(self, tmp_path):
         path = tmp_path / "dup.pmesh"
         path.write_text(
@@ -904,6 +979,28 @@ class TestMeshFile:
     def test_constructor_error_names_the_file(self, tmp_path, vertices, cell, message):
         path = tmp_path / "bad.pmesh"
         path.write_text(f"pmesh 1\n4 1\n{vertices}{cell}\n")
+        with pytest.raises(MeshValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("5 3\n0 0\n1 0\n0.5 1\n0.5 -1\n1.5 1\n3 0 1 2\n3 0 3 1\n3 0 1 4\n",
+             "edge (0,1): shared by 3 cells"),
+            ("4 2\n0 0\n1 0\n0.5 1\n0.5 0.5\n3 0 1 2\n3 0 1 3\n",
+             "edge (0,1): traversed twice in the same direction"),
+            ("5 1\n0 0\n3 0\n3 3\n0 3\n2 -1\n5 0 1 2 3 4\n", "cell 0: self-intersecting boundary"),
+            ("6 2\n0 0\n1 0\n0 1\n2 0\n3 0\n2 1\n3 0 1 2\n3 3 4 5\n",
+             "Euler characteristic V-E+F = 2, expected 1"),
+            # A bad edge is the constructor's, so it is named before a self-intersecting cell.
+            ("6 2\n0 0\n1 0\n0.5 1\n3 -3\n3 3\n1.5 -1\n3 0 1 2\n5 0 1 3 4 5\n",
+             "edge (0,1): traversed twice in the same direction"),
+        ],
+        ids=["three-users", "same-direction", "self-intersecting", "euler", "edge-first"],
+    )
+    def test_violation_names_the_file(self, tmp_path, body, message):
+        path = tmp_path / "bad.pmesh"
+        path.write_text(f"pmesh 1\n{body}")
         with pytest.raises(MeshValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_mesh(path)
 

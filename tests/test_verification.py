@@ -240,6 +240,10 @@ class TestRunStudy:
             errs = [r.errors[method] for r in records]
             assert all(a > b for a, b in zip(errs, errs[1:])), (method, errs)
 
+    def test_zero_levels_rejected(self, mat):
+        with pytest.raises(ValueError, match="^levels must be >= 1$"):
+            run_convergence_study("a", MeshFamily.QUAD_S, 0, mat)
+
     def test_vem_rate_near_two(self, mat):
         records = run_convergence_study(
             "a", MeshFamily.QUAD_S, 3, mat, methods=("vem",), base_subdivisions=4
