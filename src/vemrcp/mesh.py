@@ -4,7 +4,8 @@ Vertices are rows of an (nv, 2) float array. The cells are one ragged pair of
 index arrays, as in PolyMesher: cell ci is the counterclockwise vertex cycle
 indices[offsets[ci]:offsets[ci + 1]], and the cell edge from its k-th vertex
 to the next has the global id offsets[ci] + k. The mesh is built from that
-pair alone. All derived topology (edge incidence, boundary flags) and the
+pair alone. All derived topology (edge incidence, boundary flags, and the
+cells grouped by vertex count, which every per-cell kernel stacks) and the
 cell moments of degree <= 2 (area, centroid, central second moments, in
 closed form from the vertices) are built once at construction, which also
 rejects bad cells and bad edges; `validate_mesh` checks the rest.
@@ -70,7 +71,9 @@ class PolygonalMesh:
     id, `edge_ends` is the end vertex. Per unique edge, in order of first
     appearance, `edges` holds the (lo, hi) vertex pair. Boundary vertex flags
     are always recomputed from edge incidence, never taken on trust from a
-    file or generator. Per cell, `areas`, `centroids` and `second_moments`
+    file or generator. `groups` holds, per vertex count n in ascending order,
+    the ids (k,) of the cells with n vertices, ascending, and their vertex
+    indices (k, n). Per cell, `areas`, `centroids` and `second_moments`
     (the 2x2 integral of (x - c)(x - c)^T about the centroid c) are exact. A
     bad cell raises MeshError naming the first one; so does an edge used by
     three cells or an interior edge run twice the same way, naming the first.
@@ -131,6 +134,8 @@ class PolygonalMesh:
             raise MeshError(f"cell {ci} {_CELL_CHECKS[np.argmax(failed[:, ci])]}")
         self.areas, self.centroids = area, centroids
         self.second_moments = second[:, [0, 1, 1, 2]].reshape(nc, 2, 2)
+        self.groups = tuple((cells, idx[offsets[cells, None] + np.arange(n)])
+                            for n in np.unique(counts) for cells in [np.flatnonzero(counts == n)])
 
         # Edge incidence: one unique pass over the sorted (lo, hi) key of every cell edge.
         self.edge_ends = ends = idx[succ]
@@ -155,7 +160,8 @@ class PolygonalMesh:
         self.average_edge_length = float(np.hypot(d[:, 0], d[:, 1]).mean())
 
         for arr in (self.vertices, self.offsets, idx, ends, self.boundary_vertex_flags,
-                    self.edges, self.areas, self.centroids, self.second_moments):
+                    self.edges, self.areas, self.centroids, self.second_moments,
+                    *(a for group in self.groups for a in group)):
             arr.setflags(write=False)
         self._quadrature_cache: dict = {}
 
@@ -207,16 +213,6 @@ def polygon_moments(xy: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np
         return area, origin + moment / (6.0 * area[:, None])
 
 
-def vertex_count_groups(mesh: PolygonalMesh) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Cells grouped by vertex count n: (cell ids (k,), vertex indices (k, n)) per n."""
-    counts = np.diff(mesh.offsets)
-    groups = []
-    for n in np.unique(counts):
-        cells = np.flatnonzero(counts == n)
-        groups.append((cells, mesh.indices[mesh.offsets[cells, None] + np.arange(n)]))
-    return groups
-
-
 def _crossing_cells(pts: np.ndarray) -> np.ndarray:
     """Flag the cells of a (k, n, 2) stack in which two non-adjacent edges properly cross."""
     n = pts.shape[1]
@@ -254,16 +250,18 @@ def ear_clip(points: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
     emitted = np.ones((k, n - 2), dtype=bool)
     for step, m in enumerate(range(n, 3, -1)):
         j = np.arange(m)
-        ear = np.stack([j - 1, j, (j + 1) % m], axis=-1)        # positions of (a, b, c) per ear
         p = points[rows, remaining]
-        a, b, c = np.moveaxis(p[:, ear], 2, 0)
-        # turn[s, :, i, q]: cross product of side s of ear i with remaining vertex q.
-        start, d = np.stack([a, b, c]), np.stack([b - a, c - b, a - c])
-        turn = (d[..., 0, None] * (p[:, None, :, 1] - start[..., 1, None])
-                - d[..., 1, None] * (p[:, None, :, 0] - start[..., 0, None]))
-        cross = turn[0][:, j, (j + 1) % m]
+        nxt, prev = np.roll(p, -1, axis=1), np.roll(p, 1, axis=1)
+        # [:, i, q]: cross product of edge (i, i + 1), or of diagonal (i + 1, i - 1), with
+        # remaining vertex q. Ear i is bounded by edges i - 1 and i and by diagonal i.
+        start, d = np.stack([p, nxt]), np.stack([nxt - p, prev - nxt])
+        edge, diag = (d[..., 0, None] * (p[:, None, :, 1] - start[..., 1, None])
+                      - d[..., 1, None] * (p[:, None, :, 0] - start[..., 0, None]))
+        before = np.roll(edge, 1, axis=1)
+        cross = before[:, j, (j + 1) % m]
         others = (j - j[:, None] + 1) % m > 2
-        holds = ((turn > -eps[..., None]).all(axis=0) & others).any(axis=-1)
+        inside = (before > -eps[..., None]) & (edge > -eps[..., None]) & (diag > -eps[..., None])
+        holds = (inside & others).any(axis=-1)
         collinear = np.abs(cross) <= eps
         convex = (cross > eps) & ~holds
         flat = collinear.any(axis=1)
@@ -272,7 +270,7 @@ def ear_clip(points: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
             cell = np.asarray(cells)[np.argmax(stuck)]
             raise MeshError(f"cell {cell}: ear clipping failed: polygon is not simple")
         pick = np.where(flat, collinear.argmax(axis=1), convex.argmax(axis=1))
-        tris[:, step] = remaining[rows, ear[pick]]
+        tris[:, step] = remaining[rows, (pick[:, None] + np.arange(-1, 2)) % m]
         emitted[:, step] = ~flat
         remaining = remaining[j != pick[:, None]].reshape(k, m - 1)
     tris[:, -1] = remaining
@@ -290,8 +288,8 @@ def validate_mesh(mesh: PolygonalMesh) -> None:
     (Euler characteristic 1); the cells of a generated family must tile the
     unit square. Cell orientation and edge incidence are the constructor's.
     """
-    groups = vertex_count_groups(mesh)
-    crossing = np.concatenate([cells[_crossing_cells(mesh.vertices[idx])] for cells, idx in groups])
+    crossing = np.concatenate([cells[_crossing_cells(mesh.vertices[idx])]
+                               for cells, idx in mesh.groups])
     if len(crossing):
         raise MeshValidationError(f"cell {crossing.min()}: self-intersecting boundary")
     euler = mesh.num_vertices - len(mesh.edges) + mesh.num_cells

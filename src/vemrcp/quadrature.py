@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import PolygonalMesh, ear_clip, vertex_count_groups
+from .mesh import PolygonalMesh, ear_clip
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -40,7 +40,7 @@ def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndar
     cache = mesh._quadrature_cache
     if cell not in cache:
         rules = {}
-        for cells, idx in vertex_count_groups(mesh):
+        for cells, idx in mesh.groups:
             coords = mesh.vertices[idx]                                  # (k, n, 2)
             local, emitted = ear_clip(coords, cells)
             tris = coords[np.arange(len(cells))[:, None, None], local]   # (k, n - 2, 3, 2)

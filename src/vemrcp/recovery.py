@@ -55,7 +55,7 @@ MODES[2, [0, 2, 1], [3, 5, 6]] = (1.0, -1.0, 1.0)
 
 
 class RecoveryConditioningError(Exception):
-    """A patch system was too ill-conditioned to trust."""
+    """A patch system was too ill-conditioned, or its solve too inaccurate, to trust."""
 
 
 @dataclass
@@ -178,20 +178,36 @@ def patch_systems(
     return centers, scales, loads, H, g
 
 
-def solve_patches(H: np.ndarray, g: np.ndarray):
-    """Solve the stacked systems; returns (betas, failed).
+# A patch fails when the condition number of H or the normwise backward error of
+# its solve is above these limits. The solve is backward stable, so its backward
+# error stays near machine epsilon however large cond(H) grows with lambda / mu.
+_CHECKS = ("condition number", "backward error")
+_LIMITS = (1e12, 64 * np.finfo(float).eps)
 
-    A patch fails when its condition number exceeds 1e12 or its solve leaves
-    a residual above 1e-12 |g|; its betas are then not to be used.
+
+def solve_patches(H: np.ndarray, g: np.ndarray):
+    """Solve the stacked systems; returns (betas, failed, checks).
+
+    `checks` (npatch, 2) holds each patch's condition number and the normwise
+    backward error ||H beta - g|| / (||H||_F ||beta|| + ||g||) of its solve
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 7.1). A
+    patch fails when either is above its limit in `_LIMITS` (or not a
+    number) or its betas are not finite; its betas are then not to be used.
     """
     lam = np.linalg.eigvalsh(H)          # H is a symmetric Gram matrix: cond = lam_max / lam_min
-    failed = ~(np.isfinite(lam).all(axis=1) & (lam[:, 0] > 0) & (lam[:, -1] <= 1e12 * lam[:, 0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(lam[:, 0] > 0.0, lam[:, -1] / lam[:, 0], np.inf)
+    solved = cond <= _LIMITS[0]          # False for NaN too
     betas = np.zeros(g.shape)
-    betas[~failed] = np.linalg.solve(H[~failed], g[~failed, :, None])[..., 0]
+    betas[solved] = np.linalg.solve(H[solved], g[solved, :, None])[..., 0]
     residual = np.linalg.norm(np.einsum("pab,pb->pa", H, betas) - g, axis=1)
-    failed |= ~np.isfinite(betas).all(axis=1)
-    failed |= residual > 1e-12 * np.linalg.norm(g, axis=1) + 1e-300
-    return betas, failed
+    size = (np.linalg.norm(H, axis=(1, 2)) * np.linalg.norm(betas, axis=1)
+            + np.linalg.norm(g, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        backward = np.where(residual == 0.0, 0.0, residual / size)
+    checks = np.column_stack([cond, backward])
+    failed = ~(checks <= _LIMITS).all(axis=1) | ~np.isfinite(betas).all(axis=1)
+    return betas, failed, checks
 
 
 def recover_field(
@@ -203,30 +219,33 @@ def recover_field(
 ) -> RecoveredStressField:
     """Run the patch recovery centered on every cell.
 
-    An ill-conditioned vertex-neighbor patch falls back to its single-cell
-    patch; the affected cells are flagged on the returned field. A
-    single-cell patch has no fallback: it raises RecoveryConditioningError.
+    A vertex-neighbor patch that fails a check of `solve_patches` falls back
+    to its single-cell patch; the affected cells are flagged on the returned
+    field. A single-cell patch has no fallback: it raises
+    RecoveryConditioningError naming the first failed check and its value.
     """
 
     def fit(cells, patch_kind):
         patches = build_patch(mesh, cells, patch_kind)
         centers, scales, loads, H, g = patch_systems(mesh, material, patches, displacement,
                                                      body_force)
-        betas, failed = solve_patches(H, g)
-        return (centers, scales, betas, loads), failed
+        betas, failed, checks = solve_patches(H, g)
+        return (centers, scales, betas, loads), failed, checks
 
     cells = np.arange(mesh.num_cells)
-    arrays, failed = fit(cells, kind)
+    arrays, failed, checks = fit(cells, kind)
     fallback = cells[failed] if kind == "rcp1" else cells[:0]
     if len(fallback):
         logger.warning("cells %s: vertex patch ill-conditioned, using single-cell patch",
                        fallback.tolist())
-        single, failed[fallback] = fit(fallback, "rcp0")
+        single, failed[fallback], checks[fallback] = fit(fallback, "rcp0")
         for full, part in zip(arrays, single):
             full[fallback] = part
     if failed.any():
+        c = int(np.argmax(failed))
+        j = int(np.argmax(~(checks[c] <= _LIMITS)))       # a NaN value fails its check too
         raise RecoveryConditioningError(
-            f"patch at cell {np.argmax(failed)}: condition number above 1e12 or inaccurate solve"
+            f"patch at cell {c}: {_CHECKS[j]} {checks[c, j]:.3g} above {_LIMITS[j]:.3g}"
         )
     return RecoveredStressField(*arrays, fallback_cells=tuple(fallback.tolist()))
 

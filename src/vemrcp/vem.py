@@ -7,11 +7,12 @@ the displacement enters its construction, so no interior shape functions are
 ever evaluated. The Gram matrix of the constant-strain basis is G = |E| I,
 so the projector is Pi_m = B / |E|.
 
-Every kernel works on all cells of one vertex count n at once: cells are
-grouped by n (`vertex_count_groups`) and a group of k cells is a stack of
-(k, n, 2) vertex coordinates, (k, 3, 2n) projectors, (k, 2n, 2n) consistency
-stiffnesses and (k, n, n) per-component stabilizations. The global stiffness
-is summed in 2 x 2 blocks, one per vertex pair of a cell, then expanded to CSR.
+Every kernel works on all cells of one vertex count n at once: the mesh
+groups its cells by n at construction (`PolygonalMesh.groups`), and a group
+of k cells is a stack of (k, n, 2) vertex coordinates, (k, 3, 2n)
+projectors, (k, 2n, 2n) consistency stiffnesses and (k, n, n)
+per-component stabilizations. The global stiffness is summed in 2 x 2
+blocks, one per vertex pair of a cell, then expanded to CSR.
 
 The layer hands on plain arrays: `element_matrices` returns (Kc, S) and
 `assemble_global` (K, f). A body force is always a vectorized callable
@@ -27,15 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .cases import zero_body_force
 from .material import LameMaterial, elastic_matrix
-from .mesh import MeshError, PolygonalMesh, vertex_count_groups
+from .mesh import MeshError, PolygonalMesh
 
 
 class SolveError(Exception):
-    """Linear solver failed to reach the required residual."""
+    """The free block was singular, or its solve missed the required residual."""
 
 
 def compute_B(pts: np.ndarray) -> np.ndarray:
@@ -144,7 +145,7 @@ def assemble_global(
     if b.shape != (mesh.num_cells, 2):
         raise ValueError(f"body force gave shape {b.shape} at {mesh.num_cells} centroids")
     keys, blocks = [], []
-    for cells, idx in vertex_count_groups(mesh):
+    for cells, idx in mesh.groups:
         k, n = idx.shape
         np.add.at(f.reshape(nv, 2), idx, (b[cells] * (mesh.areas[cells, None] / n))[:, None])
         Kc, S = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
@@ -190,11 +191,23 @@ def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, vertices, values) -> Constr
 
 
 def solve_system(constrained: ConstrainedSystem) -> np.ndarray:
-    """Direct sparse solve of the free block; returns a copy of `prescribed` with it filled in."""
+    """Direct sparse solve of the free block; returns a copy of `prescribed` with it filled in.
+
+    The block is symmetric positive definite, so SuperLU factors it in its
+    symmetric mode (diagonal pivots, one ordering of A + A^T). The transpose
+    of the CSR block is the CSC matrix SuperLU reads, without a copy, and the
+    transposed solve is then a solve with the block itself. A singular block
+    or a relative residual above 1e-10 raises SolveError.
+    """
     u = constrained.prescribed.copy()
     if len(constrained.free) == 0:
         return u
-    x = spsolve(constrained.matrix, constrained.rhs, permc_spec="MMD_AT_PLUS_A")
+    try:
+        lu = splu(constrained.matrix.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:               # SuperLU: "Factor is exactly singular"
+        raise SolveError(f"factorisation failed: {exc}") from exc
+    x = lu.solve(constrained.rhs, trans="T")
     residual = np.linalg.norm(constrained.matrix @ x - constrained.rhs)
     denom = np.linalg.norm(constrained.rhs)
     rel = residual / denom if denom > 0.0 else residual
@@ -209,7 +222,7 @@ def element_stresses(mesh: PolygonalMesh, material: LameMaterial, u: np.ndarray)
     C = elastic_matrix(material)
     uv = u.reshape(-1, 2)
     out = np.empty((mesh.num_cells, 3))
-    for cells, idx in vertex_count_groups(mesh):
+    for cells, idx in mesh.groups:
         Pi_m = compute_B(mesh.vertices[idx]) / mesh.areas[cells, None, None]
         out[cells] = np.einsum("ij,kjd,kd->ki", C, Pi_m, uv[idx].reshape(len(cells), -1))
     return out

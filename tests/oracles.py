@@ -14,7 +14,7 @@ from scipy.sparse.linalg import spsolve
 
 from vemrcp.generators import _merge_points
 from vemrcp.material import compliance_matrix, elastic_matrix
-from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, ear_clip, vertex_count_groups
+from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, ear_clip
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import _GAUSS2, MODES, _sum_by
 from vemrcp.vem import element_matrices
@@ -268,7 +268,7 @@ def random_points_in_cell(mesh, cell, rng, count):
 def quadrature_rules_per_cell(mesh) -> dict:
     """Every cell's composite degree-5 rule, copied out of the stacked ear clip one cell at a time."""
     rules = {}
-    for cells, idx in vertex_count_groups(mesh):
+    for cells, idx in mesh.groups:
         coords = mesh.vertices[idx]
         local, emitted = ear_clip(coords, cells)
         tris = coords[np.arange(len(cells))[:, None, None], local]
@@ -525,7 +525,7 @@ def assemble_triplets(mesh, material) -> sp.csr_matrix:
     ndof = 2 * mesh.num_vertices
     C = elastic_matrix(material)
     rows, cols, vals = [], [], []
-    for cells, idx in vertex_count_groups(mesh):
+    for cells, idx in mesh.groups:
         Kc, S = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
         dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).reshape(len(cells), -1)
         m = dofs.shape[1]

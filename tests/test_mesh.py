@@ -4,6 +4,7 @@ import logging
 import re
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ from vemrcp.mesh import (
     polygon_moments,
     save_mesh,
     validate_mesh,
-    vertex_count_groups,
 )
 from vemrcp.quadrature import cell_quadrature
 from vemrcp.recovery import build_patch
@@ -163,7 +163,7 @@ class TestCellMoments:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_match_shoelace_and_quadrature(self, family):
         mesh = generate_mesh(family, 8, seed=0)
-        for cells, idx in vertex_count_groups(mesh):
+        for cells, idx in mesh.groups:
             area, centroid = shoelace(mesh.vertices[idx])
             np.testing.assert_allclose(mesh.areas[cells], area, rtol=1e-12)
             np.testing.assert_allclose(mesh.centroids[cells], centroid, rtol=0, atol=1e-12)
@@ -298,7 +298,7 @@ class TestTriangulation:
         # Every cell of these families is strictly convex, but only the convex half of conc-s.
         mesh = generate_mesh(family, 8, seed=0)
         convex_cells = 0
-        for cells, idx in vertex_count_groups(mesh):
+        for cells, idx in mesh.groups:
             pts = mesh.vertices[idx]
             side = np.roll(pts, -1, axis=1) - pts
             nxt = np.roll(side, -1, axis=1)
@@ -315,7 +315,7 @@ class TestTriangulation:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_stack_matches_per_cell_reference(self, family):
         mesh = generate_mesh(family, 8, seed=0)
-        for cells, idx in vertex_count_groups(mesh):
+        for cells, idx in mesh.groups:
             coords = mesh.vertices[idx]
             local, emitted = ear_clip(coords, cells)
             for k in range(len(cells)):
@@ -741,10 +741,21 @@ class TestConstructorChecks:
             PolygonalMesh(np.empty((0, 2)), [0, 3], [0, 1, 2], MeshFamily.EXTERNAL)
 
     def test_topology_arrays_are_read_only(self):
-        mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=0)
-        for arr in (mesh.vertices, mesh.offsets, mesh.indices, mesh.edge_ends, mesh.edges,
-                    mesh.boundary_vertex_flags):
-            assert not arr.flags.writeable
+        # The vertex-count groups too: each cell once, in the group of its count, ids ascending.
+        meshes = [generate_mesh(f, 4, seed=0) for f in GENERATED_FAMILIES]
+        meshes.append(load_mesh(Path(__file__).parent / "data" / "fallback.pmesh"))
+        for mesh in meshes:
+            for arr in (mesh.vertices, mesh.offsets, mesh.indices, mesh.edge_ends, mesh.edges,
+                        mesh.boundary_vertex_flags, *(a for group in mesh.groups for a in group)):
+                assert not arr.flags.writeable
+            counts = [idx.shape[1] for _, idx in mesh.groups]
+            assert counts == sorted(set(counts))
+            ids = np.concatenate([cells for cells, _ in mesh.groups])
+            assert np.array_equal(np.sort(ids), np.arange(mesh.num_cells))
+            for cells, idx in mesh.groups:
+                assert np.all(np.diff(cells) > 0) and len(idx) == len(cells)
+                for c, row in zip(cells, idx):
+                    assert np.array_equal(row, mesh.indices[mesh.offsets[c]:mesh.offsets[c + 1]])
 
 
 class TestValidation:

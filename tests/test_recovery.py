@@ -193,7 +193,7 @@ class TestPatchSystem:
         # on a 1 x 1e-7 sliver the eta-linear modes are numerically invisible
         mesh = single_cell_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-7), (0.0, 1e-7)])
         _, _, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", np.ones(8))
-        _, failed = solve_patches(H[None], g[None])
+        _, failed, _ = solve_patches(H[None], g[None])
         assert failed.tolist() == [True]
         with pytest.raises(RecoveryConditioningError):
             recover_field(mesh, mat, np.ones(8), zero_body_force, "rcp0")
@@ -232,7 +232,7 @@ class TestSolvePatch:
     def test_zero_rhs(self, mat):
         mesh = centered_square_mesh()
         _, _, _, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
-        betas, failed = solve_patches(H[None], np.zeros((1, 7)))
+        betas, failed, _ = solve_patches(H[None], np.zeros((1, 7)))
         np.testing.assert_array_equal(betas, 0.0)
         assert not failed.any()
 
@@ -248,7 +248,7 @@ class TestSolvePatch:
 
         mesh = centered_square_mesh()
         _, _, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
-        (beta,), failed = solve_patches(H[None], g[None])
+        (beta,), failed, _ = solve_patches(H[None], g[None])
         assert not failed.any()
         np.testing.assert_allclose(beta[:3], sigma, atol=1e-9)
         np.testing.assert_allclose(beta[3:], 0.0, atol=1e-9)
@@ -258,7 +258,7 @@ class TestSolvePatch:
         pts = 0.5 * np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) + np.array([0.25, -0.4])
         mesh = single_cell_mesh(pts)
         center, scale, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
-        (beta,), failed = solve_patches(H[None], g[None])
+        (beta,), failed, _ = solve_patches(H[None], g[None])
         assert not failed.any()
         probe = rng.uniform(-0.2, 0.2, size=(20, 2)) + np.array([0.25, -0.4])
         recovered = stress_modes_at(center, scale, probe) @ beta
@@ -365,7 +365,7 @@ class TestFallbackMesh:
         assert [len(points) for points in load.calls] == [3, 3, 1]
         centers, scales, loads, H, g = patch_systems(
             mesh, mat, build_patch(mesh, [2], "rcp0"), result.displacement, case.body_force)
-        betas, failed = solve_patches(H, g)
+        betas, failed, _ = solve_patches(H, g)
         assert not failed.any()
         want = (centers, scales, betas, loads)
         for got, expected in zip((field.centers, field.scales, field.betas, field.loads), want):
@@ -373,8 +373,40 @@ class TestFallbackMesh:
 
     def test_rcp0_has_no_fallback(self, mesh, mat):
         case = manufactured_case("b", mat)
-        with pytest.raises(RecoveryConditioningError, match="patch at cell 1"):
+        with pytest.raises(RecoveryConditioningError,
+                           match=r"^patch at cell 1: condition number 2\.\d+e\+12 above 1e\+12$"):
             run_level(mesh, mat, case, methods=("vem", "rcp0"))
+
+
+class TestNearlyIncompressible:
+    """At lambda / mu = 1e6 cond(H) is about 2e6 on well-shaped patches and
+    ||H beta - g|| / ||g|| reaches 2e-11, but every solve is backward stable:
+    no patch may fail, and the fallback mesh still falls back on cell 2 only."""
+
+    MAT = LameMaterial(1e6, 1.0)
+
+    @pytest.mark.parametrize("family", [MeshFamily.QUAD_S, MeshFamily.POLY_U, MeshFamily.CONC_U],
+                             ids=lambda f: f.value)
+    def test_no_failed_level_and_no_fallback(self, family):
+        mesh = generate_mesh(family, 8, seed=0)
+        result, errors = run_level(mesh, self.MAT, manufactured_case("a", self.MAT))
+        assert all(np.isfinite(e) and e > 0.0 for e in errors.values())
+        assert [f.fallback_cells for f in result.recovered.values()] == [(), ()]
+
+    def test_fallback_mesh_falls_back_on_cell_2(self):
+        mesh = load_mesh(Path(__file__).parent / "data" / "fallback.pmesh")
+        result, errors = run_level(mesh, self.MAT, manufactured_case("a", self.MAT),
+                                   methods=("vem", "rcp1"))
+        assert result.recovered["rcp1"].fallback_cells == (2,)
+        assert np.isfinite(errors["rcp1"]) and errors["rcp1"] > 0.0
+
+    def test_non_finite_solve_names_backward_error(self, mat):
+        mesh = centered_square_mesh()
+        u = np.zeros(8)
+        u[0] = np.nan
+        with pytest.raises(RecoveryConditioningError,
+                           match=r"^patch at cell 0: backward error nan above 1\.42e-14$"):
+            recover_field(mesh, mat, u, zero_body_force, "rcp0")
 
 
 class TestLoadCalls:

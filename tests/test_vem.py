@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import MatrixRankWarning
 
 from conftest import single_cell_mesh
 from oracles import (
@@ -29,7 +28,6 @@ from vemrcp.mesh import (
     MeshError,
     MeshFamily,
     PolygonalMesh,
-    vertex_count_groups,
 )
 from vemrcp.study import linear_patch_case
 from vemrcp.vem import (
@@ -218,7 +216,7 @@ class TestStabilization:
     @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
     def test_matches_qr_projector_on_every_family(self, family, mat):
         mesh = generate_mesh(family, 8, seed=0)
-        for cells, idx in vertex_count_groups(mesh):
+        for cells, idx in mesh.groups:
             assert_s_matches_qr(mesh.vertices[idx], mesh.areas[cells], mesh.centroids[cells],
                                  cells, elastic_matrix(mat))
 
@@ -231,7 +229,7 @@ class TestStabilization:
 
     def test_closed_form_matches_longdouble_reference(self):
         mesh = generate_mesh(MeshFamily.QUAD_U, 64, seed=0)
-        for cells, idx in vertex_count_groups(mesh):
+        for cells, idx in mesh.groups:
             pts = mesh.vertices[idx]
             err = np.abs(linear_complement(pts, cells) - linear_complement_longdouble(pts)).max()
             assert err <= 1e-15
@@ -301,7 +299,7 @@ class TestRankCheck:
         mesh = generate_mesh(MeshFamily.QUAD_S, 8)
         scaled = PolygonalMesh(scale * mesh.vertices, mesh.offsets, mesh.indices, mesh.family)
         assert np.isfinite(assemble_global(scaled, mat)[0].data).all()
-        (cells, idx), = vertex_count_groups(mesh)
+        (cells, idx), = mesh.groups
         C = elastic_matrix(mat)
         ref = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
         ops = element_matrices(scaled.vertices[idx], scaled.areas[cells], cells, C)
@@ -406,8 +404,28 @@ class TestAssemblyAndSolve:
             matrix=sp.csr_matrix((2, 2)), rhs=np.ones(2), free=np.arange(2),
             prescribed=np.zeros(2),
         )
-        with pytest.warns(MatrixRankWarning), pytest.raises(SolveError, match="residual"):
+        with pytest.raises(SolveError, match="^factorisation failed: .*singular"):
             solve_system(constrained)
+
+    def test_non_finite_rhs_fails_residual_check(self):
+        constrained = ConstrainedSystem(
+            matrix=sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]])), rhs=np.array([np.nan, 1.0]),
+            free=np.arange(2), prescribed=np.zeros(2),
+        )
+        with pytest.raises(SolveError, match="residual nan exceeds 1e-10"):
+            solve_system(constrained)
+
+    def test_solves_with_the_block_itself(self):
+        # The block is handed to SuperLU transposed; an unsymmetric one shows which is solved.
+        matrix = np.array([[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 0.25, 4.0]])
+        rhs = np.array([1.0, 2.0, 3.0])
+        constrained = ConstrainedSystem(
+            matrix=sp.csr_matrix(matrix), rhs=rhs, free=np.array([0, 2, 3]),
+            prescribed=np.array([0.0, 7.0, 0.0, 0.0]),
+        )
+        u = solve_system(constrained)
+        np.testing.assert_allclose(u[[0, 2, 3]], np.linalg.solve(matrix, rhs), rtol=1e-14)
+        assert u[1] == 7.0
 
     def test_zero_everything_gives_zero(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
