@@ -10,6 +10,7 @@ their convex cells at once, one array step per side of the square.
 from __future__ import annotations
 
 import itertools
+import numbers
 
 import numpy as np
 from scipy.spatial import Delaunay, Voronoi, cKDTree
@@ -38,6 +39,10 @@ MeshArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def generate_mesh(family: MeshFamily, subdivisions: int, seed: int = 0) -> PolygonalMesh:
     """Build a mesh of the requested family with ~`subdivisions` cells per side."""
+    for name, value in (("subdivisions", subdivisions), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    subdivisions, seed = int(subdivisions), int(seed)        # numpy integers would overflow
     if subdivisions < 1:
         raise ValueError("subdivisions must be >= 1")
     if isinstance(family, str):
@@ -155,10 +160,10 @@ def _hex_structured(n: int, rng) -> MeshArrays:
 
 
 def _clip_to_unit_square(points: np.ndarray, counts: np.ndarray):
-    """Sutherland-Hodgman clip of convex ccw polygons (runs of `counts` rows of `points`).
+    """Sutherland-Hodgman clip of convex polygons (runs of `counts` rows of `points`).
 
-    Returns the runs clipped to [0,1]^2 in the same form; a polygon left with
-    fewer than three vertices or an area below 1e-14 gets count 0.
+    Returns the runs clipped to [0,1]^2 in the same form, each keeping its orientation, cw or
+    ccw; a polygon left with fewer than three vertices or an |area| below 1e-14 gets count 0.
     """
     offsets = np.concatenate([[0], np.cumsum(counts)])
     for axis, level, keep in ((0, 0.0, np.greater_equal), (0, 1.0, np.less_equal),
@@ -264,8 +269,8 @@ def _tri_unstructured(n: int, rng) -> MeshArrays:
 def _poly_unstructured(n: int, rng) -> MeshArrays:
     """Voronoi tessellation of Lloyd-relaxed random seeds, cut to the square.
 
-    The final cycles are sorted by angle again, since `ear_clip` starts at vertex 0 and
-    the clip starts them elsewhere; then the shared points are merged by first use.
+    The sweeps clip qhull's cycles, cw or ccw, as they come. Only the final cycles are sorted by
+    angle (ccw, from vertex 0, where `ear_clip` starts), then their shared points merged.
     """
     seeds = rng.uniform(0.05, 0.95, size=(n * n, 2))
     for _ in range(30):
@@ -276,7 +281,7 @@ def _poly_unstructured(n: int, rng) -> MeshArrays:
 
 
 def _clipped_regions(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Voronoi regions of the seeds (in [0,1]^2) next to `_FAR_SITES`, sorted by angle, clipped.
+    """Voronoi regions of the seeds (in [0,1]^2) next to `_FAR_SITES`, clipped as qhull cycles them.
 
     The far sites' hull holds the square, so every region is bounded. For p in the square no far
     site is within 10, every seed is within sqrt(2), and no image of a seed t across a side is
@@ -290,18 +295,14 @@ def _clipped_regions(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = np.union1d(np.flatnonzero(counts < 3), np.repeat(np.arange(len(seeds)), counts)[ids < 0])
     if len(bad):
         raise GenerationError(f"poly-u: unbounded or degenerate Voronoi region for seed {bad[0]}")
-    points, counts = _clip_to_unit_square(_by_angle(vor.vertices[ids], counts), counts)
+    points, counts = _clip_to_unit_square(vor.vertices[ids], counts)
     if not counts.all():
         raise GenerationError(f"poly-u: clipping dropped the region of seed {np.argmin(counts)}")
     return points, np.concatenate([[0], np.cumsum(counts)])
 
 
 def _by_angle(xy: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The runs of `counts` rows of `xy`, each sorted by angle about its vertex mean from -pi."""
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    positions = np.arange(offsets[-1])
-    for m in np.unique(counts):                      # one vertex-count group at a time
-        pos = offsets[np.flatnonzero(counts == m), None] + np.arange(m)
-        d = xy[pos] - xy[pos].mean(axis=1, keepdims=True)
-        positions[pos] = np.take_along_axis(pos, np.argsort(np.arctan2(d[..., 1], d[..., 0]), 1), 1)
-    return xy[positions]
+    """The runs of `counts` (each >= 1) rows of `xy`, sorted by angle about their means from -pi."""
+    cell = np.repeat(np.arange(len(counts)), counts)
+    d = xy - (np.add.reduceat(xy, np.cumsum(counts) - counts) / counts[:, None])[cell]
+    return xy[np.lexsort((np.arctan2(d[:, 1], d[:, 0]), cell))]

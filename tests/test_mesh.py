@@ -336,8 +336,13 @@ class TestGenerators:
     def test_by_angle_matches_per_region_loop(self):
         seeds = np.random.default_rng(3).uniform(0.05, 0.95, size=(40, 2))
         vor = Voronoi(seeds)
-        regions = [vor.regions[vor.point_region[k]] for k in range(len(seeds))]
-        regions = [r for r in regions if -1 not in r]
+        qhull = [vor.regions[vor.point_region[k]] for k in range(len(seeds))]
+        qhull = [r for r in qhull if -1 not in r]
+        area = np.array([shoelace(vor.vertices[r])[0] for r in qhull])
+        assert (area > 0).any() and (area < 0).any()                # qhull's cycles: ccw and cw
+        # ... and each cycle reversed, and rotated to start at another vertex
+        regions = (qhull + [r[::-1] for r in qhull]
+                   + [r[k % len(r):] + r[:k % len(r)] for k, r in enumerate(qhull, 1)])
         counts = np.array([len(r) for r in regions])
         sorted_xy = _by_angle(vor.vertices[np.concatenate(regions)], counts)
         offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -347,6 +352,62 @@ class TestGenerators:
             center = coords.mean(axis=0)
             order = np.argsort(np.arctan2(coords[:, 1] - center[1], coords[:, 0] - center[0]))
             np.testing.assert_array_equal(sorted_xy[offsets[k]:offsets[k + 1]], coords[order])
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_lloyd_sweeps_see_qhull_regions_as_angle_cycles(self, monkeypatch, n):
+        # _clipped_regions clips each region in qhull's order: that order must be the angle
+        # order, ccw or cw, from some vertex. Checked on the diagram of every sweep.
+        diagrams = []
+
+        def recording(points):
+            diagrams.append(Voronoi(points))
+            return diagrams[-1]
+
+        monkeypatch.setattr("vemrcp.generators.Voronoi", recording)
+        for seed in range(3):
+            generate_mesh(MeshFamily.POLY_U, n, seed=seed)
+        assert len(diagrams) == 3 * 31
+        orientations = set()
+        for vor in diagrams:
+            for k in range(n * n):
+                region = np.array(vor.regions[vor.point_region[k]])
+                d = vor.vertices[region] - vor.vertices[region].mean(axis=0)
+                ccw = region[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
+                rolled = np.roll(region, -np.flatnonzero(region == ccw[0])[0])
+                if np.array_equal(rolled, ccw):
+                    orientations.add("ccw")
+                else:
+                    np.testing.assert_array_equal(rolled, np.roll(ccw[::-1], 1))
+                    orientations.add("cw")
+        assert orientations == {"ccw", "cw"}
+
+    @pytest.mark.parametrize("family", [MeshFamily.HEX_S, MeshFamily.POLY_U], ids=lambda f: f.value)
+    def test_clip_keeps_each_cycle_whatever_its_orientation(self, monkeypatch, family):
+        # The clipper's inputs: hex-s's lattice corners (ccw) and poly-u's raw Voronoi regions.
+        inputs = []
+
+        def recording(points, counts):
+            inputs.append((points, counts))
+            return _clip_to_unit_square(points, counts)
+
+        monkeypatch.setattr("vemrcp.generators._clip_to_unit_square", recording)
+        generate_mesh(family, 8, seed=0)
+        assert len(inputs) == (1 if family == MeshFamily.HEX_S else 31)
+        for points, counts in inputs:
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            cell = np.repeat(np.arange(len(counts)), counts)
+            reverse = offsets[cell] + offsets[cell + 1] - 1 - np.arange(offsets[-1])
+            kept, kept_counts = _clip_to_unit_square(points, counts)
+            flipped, flipped_counts = _clip_to_unit_square(points[reverse], counts)
+            np.testing.assert_array_equal(flipped_counts, kept_counts)
+            out = np.concatenate([[0], np.cumsum(kept_counts)])
+            area, centroid = polygon_moments(kept, out)
+            flipped_area, flipped_centroid = polygon_moments(flipped, out)
+            np.testing.assert_allclose(flipped_area, -area, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(flipped_centroid, centroid, rtol=0.0, atol=1e-15)
+            for a, b in zip(np.split(kept, out[1:-1]), np.split(flipped, out[1:-1])):
+                gap = np.abs(a[:, None] - b[None]).max(axis=-1)       # the same point set
+                assert len(a) == 0 or max(gap.min(0).max(), gap.min(1).max()) <= 1e-15
 
     def test_unbounded_region_named(self, monkeypatch):
         monkeypatch.setattr("vemrcp.generators._FAR_SITES", np.empty((0, 2)))
@@ -531,6 +592,24 @@ class TestGenerators:
         message = "^poly-u: clipping dropped the region of seed 1$"
         with pytest.raises(GenerationError, match=message):
             generate_mesh(MeshFamily.POLY_U, 2)
+
+    @pytest.mark.parametrize("family, n", [("quad-s", 3.0), ("poly-u", 2.5)])
+    def test_non_integer_subdivisions_named(self, family, n):
+        with pytest.raises(TypeError, match=rf"^subdivisions must be an integer, got {n}$"):
+            generate_mesh(family, n)
+
+    def test_non_integer_seed_named(self):
+        with pytest.raises(TypeError, match=r"^seed must be an integer, got 1\.5$"):
+            generate_mesh("quad-u", 3, seed=1.5)
+
+    @pytest.mark.parametrize("family, n, seed", [("poly-u", np.int32(3), np.int64(5)),
+                                                 ("tri-u", np.uint8(5), np.int16(-3))],
+                             ids=["int32-int64", "uint8-int16"])
+    def test_numpy_integer_arguments_match_python_ints(self, family, n, seed):
+        a = generate_mesh(family, n, seed=seed)
+        b = generate_mesh(family, int(n), seed=int(seed))
+        np.testing.assert_array_equal(a.vertices, b.vertices)
+        np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError, match="unsupported"):
