@@ -39,7 +39,7 @@ CASE, SEED = "b", 0
 
 def run_levels(levels) -> dict:
     """Time every stage of each level in this interpreter; returns {"family/n": record}."""
-    from functools import partial
+    from functools import partial                   # imported here: only workers load a tree
 
     import numpy as np
     from vemrcp.cases import manufactured_case
