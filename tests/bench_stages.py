@@ -90,8 +90,7 @@ def _commit(tree: Path) -> dict:
         return done.stdout.strip() if done.returncode == 0 else None
 
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"path": str(tree.resolve()), "commit": git("rev-parse", "HEAD"),
-            "dirty": None if status is None else bool(status)}
+    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
 
 
 def _environment() -> dict:

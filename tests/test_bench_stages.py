@@ -23,7 +23,7 @@ def test_one_tree_one_round_writes_every_key(tmp_path):
     assert {"nproc", "cpu_model", "python", "numpy", "scipy", "blas_threads"} <= set(
         result["environment"])
     assert list(result["trees"]) == ["change"]
-    assert set(result["trees"]["change"]) == {"path", "commit", "dirty"}
+    assert set(result["trees"]["change"]) == {"commit", "dirty"}
     (run,) = result["runs"]
     assert run["round"] == 0 and run["tree"] == "change" and run["cli_s"] > 0.0
     assert list(run["levels"]) == levels
