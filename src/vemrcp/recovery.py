@@ -9,16 +9,15 @@ the outer patch boundary: exactly the data a virtual element solution
 provides.
 
 Modes are expressed in patch-local coordinates (xi, eta), shifted to the
-area-weighted patch centroid and scaled by the square root of the patch area,
-to keep the 7x7 systems uniformly conditioned. There the mode matrix is
-P = MODES[0] + xi MODES[1] + eta MODES[2], so the moments of (1, xi, eta)
-over a patch give the compliance matrix H and the particular-stress work
-exactly. They are summed by the parallel-axis identity from the closed-form
-area, centroid and central second moments that the mesh stores per cell, so
-recovery needs no quadrature and no triangulation. The boundary work is
-summed the same way from each cell's own work, taken once with two Gauss
-points per cell edge: the work on an edge between two cells of a patch
-cancels. All patches of a mesh are solved as one stack.
+area-weighted patch centroid and scaled by the square root of the patch area.
+There the mode matrix is P = MODES[0] + xi MODES[1] + eta MODES[2] and the
+first moments of (1, xi, eta) vanish, so the fit splits in two: the constants
+are C S[0] / |P|, the patch mean of the VEM cell stresses (S[0] is the work of
+the constant modes), and the linear modes solve a 4x4 system built from the
+patch's central second moment. That moment is summed by the parallel-axis
+identity from the closed-form cell moments the mesh stores, the boundary work
+from each cell's own work with two Gauss points per edge (on an edge between
+two cells of a patch the work cancels). All patches are solved as one stack.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
@@ -35,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .material import LameMaterial, compliance_matrix
+from .material import LameMaterial, compliance_matrix, elastic_matrix
 from .mesh import PolygonalMesh
 # Unused here; kept only because the benchmark's span tracer wraps recovery.cell_quadrature.
 from .quadrature import cell_quadrature  # noqa: F401
@@ -52,6 +51,7 @@ MODES = np.zeros((3, 3, 7))
 MODES[0, :, :3] = np.eye(3)
 MODES[1, [1, 0, 2], [4, 5, 6]] = (1.0, 1.0, -1.0)
 MODES[2, [0, 2, 1], [3, 5, 6]] = (1.0, -1.0, 1.0)
+LINEAR = MODES[1:, :, 3:]             # the xi and eta coefficients of modes 3-6
 
 
 class RecoveryConditioningError(Exception):
@@ -110,11 +110,11 @@ def patch_systems(
     displacement,
     body_force,
 ) -> tuple[np.ndarray, ...]:
-    """Assemble the complementary-energy system H beta = g of every patch in `patches`.
+    """The constant-mode coefficients and the linear-mode system H beta = g of every patch.
 
     `patches` holds (patch, member cell) pairs as `build_patch` returns them.
     Returns (centers (npatch, 2), scales (npatch,), loads (npatch, 2),
-    H (npatch, 7, 7), g (npatch, 7)).
+    constants (npatch, 3), H (npatch, 4, 4), g (npatch, 4)).
 
     `displacement` is either the global dof vector (its trace is interpolated
     linearly per edge) or a callable u(x, y) -> (m, 2) evaluated at the Gauss
@@ -125,20 +125,18 @@ def patch_systems(
     npatch = int(owner[-1]) + 1
     area, centroid, second = mesh.areas, mesh.centroids, mesh.second_moments
     patch_area = np.bincount(owner, area[member], minlength=npatch)
-    centers = _sum_by(owner, area[member, None] * centroid[member], npatch)
-    centers /= patch_area[:, None]
+    centers = _sum_by(owner, area[member, None] * centroid[member], npatch) / patch_area[:, None]
     scales = np.sqrt(patch_area)
 
-    # Moments of (1, xi, eta) by the parallel-axis identity.
+    # Central second moment J of (xi, eta) by the parallel-axis identity.
     s = scales[owner, None]
     shift = centroid[member] - centers[owner]
-    phi = np.column_stack([np.ones(len(member)), shift / s])
-    cell_m = area[member, None, None] * phi[:, :, None] * phi[:, None, :]
-    cell_m[:, 1:, 1:] += second[member] / (s * s)[:, :, None]
-    M = _sum_by(owner, cell_m, npatch)
+    phi = shift / s
+    cell_j = area[member, None, None] * phi[:, :, None] * phi[:, None, :]
+    J = _sum_by(owner, cell_j + second[member] / (s * s)[:, :, None], npatch)
 
     Cinv = compliance_matrix(material)
-    H = np.einsum("pab,abkl->pkl", M, np.einsum("aik,ij,bjl->abkl", MODES, Cinv, MODES))
+    H = np.einsum("pab,abkl->pkl", J, np.einsum("aik,ij,bjl->abkl", LINEAR, Cinv, LINEAR))
 
     # Work of each mode's traction on the displacement trace over the boundary
     # of every cell: W[c, 0] sums the weighted traction pairs at the Gauss
@@ -163,50 +161,52 @@ def patch_systems(
     W = _sum_by(edge_cell, work, mesh.num_cells)[member]
     # A patch's work is its members' sum: on an edge between two members both
     # sides see one trace at the same Gauss points with opposite normals, so
-    # they cancel. The moments move to the patch frame as those of M do.
+    # they cancel. The moments move to the patch frame as those of J do.
     W[:, 1:] = (W[:, 1:] + shift[:, :, None] * W[:, :1]) / s[:, :, None]
     S = _sum_by(owner, W, npatch)
+    with np.errstate(all="ignore"):      # an overflow fails the patch in `solve_patches`
+        constants = S[:, 0] @ elastic_matrix(material) / patch_area[:, None]
 
-    # Particular stress (-bx (x - cx), -by (y - cy), 0) = xi V[1] + eta V[2].
+    # Particular stress (-bx (x - cx), -by (y - cy), 0) = xi V[0] + eta V[1].
     # A copy, not a view of the callable's result: the rcp1 fallback writes into it.
     loads = np.array(body_force(centers[:, 0], centers[:, 1]), dtype=float)
-    V = np.zeros((npatch, 3, 3))
-    V[:, 1, 0] = -loads[:, 0] * scales
-    V[:, 2, 1] = -loads[:, 1] * scales
-    # g = sum_a MODES[a]^T (S[a] - C^-1 sum_b M[a, b] V[b])
-    g = np.einsum("aik,pai->pk", MODES, S - (M @ V) @ Cinv)
-    return centers, scales, loads, H, g
+    V = (loads * scales[:, None])[:, :, None] * -np.eye(2, 3)
+    # g = sum_a LINEAR[a]^T (S[a + 1] - C^-1 sum_b J[a, b] V[b])
+    g = np.einsum("aik,pai->pk", LINEAR, S[:, 1:] - (J @ V) @ Cinv)
+    return centers, scales, loads, constants, H, g
 
 
-# A patch fails when the condition number of H or the normwise backward error of
-# its solve is above these limits. The solve is backward stable, so its backward
-# error stays near machine epsilon however large cond(H) grows with lambda / mu
-# (at most 0.54 eps over the 72-level acceptance grid).
+# A patch fails when the condition number of its 4x4 H or the normwise backward
+# error of its solve is above these limits. No linear mode is purely volumetric,
+# so cond(H) does not grow with lambda / mu, and the solve is backward stable
+# (at most 0.84 eps over the 72-level acceptance grid).
 _CHECKS = ("condition number", "backward error")
 _LIMITS = (1e12, 64 * np.finfo(float).eps)
 
 
-def solve_patches(H: np.ndarray, g: np.ndarray):
-    """Solve the stacked systems; returns (betas, failed, checks).
+def solve_patches(constants: np.ndarray, H: np.ndarray, g: np.ndarray):
+    """Solve the stacked linear-mode systems; returns (betas, failed, checks).
 
-    `checks` (npatch, 2) holds each patch's condition number and the normwise
-    backward error ||H beta - g|| / (||H||_F ||beta|| + ||g||) of its solve
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 7.1). A
-    patch fails when either is above its limit in `_LIMITS` (or not a
-    number) or its betas are not finite; its betas are then not to be used.
+    `betas` (npatch, 7) are the `constants`, then the solution of H beta = g.
+    `checks` (npatch, 2) holds cond(H) and the normwise backward error
+    ||H beta - g|| / (||H||_F ||beta|| + ||g||) of the solve (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 7.1). A patch fails when either is
+    above its limit in `_LIMITS` (or not a number) or any of its seven betas is
+    not finite; they are then not to be used.
     """
     lam = np.linalg.eigvalsh(H)          # H is a symmetric Gram matrix: cond = lam_max / lam_min
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(lam[:, 0] > 0.0, lam[:, -1] / lam[:, 0], np.inf)
     solved = cond <= _LIMITS[0]          # False for NaN too
-    betas = np.zeros(g.shape)
-    betas[solved] = np.linalg.solve(H[solved], g[solved, :, None])[..., 0]
-    residual = np.linalg.norm(np.einsum("pab,pb->pa", H, betas) - g, axis=1)
-    size = (np.linalg.norm(H, axis=(1, 2)) * np.linalg.norm(betas, axis=1)
+    linear = np.zeros(g.shape)
+    linear[solved] = np.linalg.solve(H[solved], g[solved, :, None])[..., 0]
+    residual = np.linalg.norm(np.einsum("pab,pb->pa", H, linear) - g, axis=1)
+    size = (np.linalg.norm(H, axis=(1, 2)) * np.linalg.norm(linear, axis=1)
             + np.linalg.norm(g, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         backward = np.where(residual == 0.0, 0.0, residual / size)
     checks = np.column_stack([cond, backward])
+    betas = np.column_stack([constants, linear])
     failed = ~(checks <= _LIMITS).all(axis=1) | ~np.isfinite(betas).all(axis=1)
     return betas, failed, checks
 
@@ -222,15 +222,15 @@ def recover_field(
 
     A vertex-neighbor patch that fails a check of `solve_patches` falls back
     to its single-cell patch; the affected cells are flagged on the returned
-    field. A single-cell patch has no fallback: it raises
-    RecoveryConditioningError naming the first failed check and its value.
+    field. A single-cell patch has no fallback: it raises RecoveryConditioningError
+    naming the first failed check and its value, or a mode coefficient not finite.
     """
 
     def fit(cells, patch_kind):
         patches = build_patch(mesh, cells, patch_kind)
-        centers, scales, loads, H, g = patch_systems(mesh, material, patches, displacement,
-                                                     body_force)
-        betas, failed, checks = solve_patches(H, g)
+        centers, scales, loads, *system = patch_systems(mesh, material, patches, displacement,
+                                                        body_force)
+        betas, failed, checks = solve_patches(*system)
         return (centers, scales, betas, loads), failed, checks
 
     cells = np.arange(mesh.num_cells)
@@ -245,9 +245,9 @@ def recover_field(
     if failed.any():
         c = int(np.argmax(failed))
         j = int(np.argmax(~(checks[c] <= _LIMITS)))       # a NaN value fails its check too
-        raise RecoveryConditioningError(
-            f"patch at cell {c}: {_CHECKS[j]} {checks[c, j]:.3g} above {_LIMITS[j]:.3g}"
-        )
+        reason = (f"{_CHECKS[j]} {checks[c, j]:.3g} above {_LIMITS[j]:.3g}"
+                  if not checks[c, j] <= _LIMITS[j] else "a mode coefficient is not finite")
+        raise RecoveryConditioningError(f"patch at cell {c}: {reason}")
     return RecoveredStressField(*arrays, fallback_cells=tuple(fallback.tolist()))
 
 

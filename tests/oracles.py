@@ -427,11 +427,12 @@ def patch_edges(mesh, owner: np.ndarray, member: np.ndarray):
 
 
 def patch_systems_outer_edges(mesh, material, patches, displacement, body_force):
-    """The (centers, scales, loads, H, g) of `vemrcp.recovery.patch_systems`, with the
+    """The coupled 7x7 system (centers, scales, loads, H, g) of every patch, with the
     boundary work taken over each patch's outer edges.
 
-    The outer-edge pass that the per-cell work sums replaced, kept as their
-    reference; frames, moments and the particular stress are built as there.
+    The reference for `vemrcp.recovery.patch_systems`, which sums per-cell work
+    instead and returns H[3:, 3:] and g[3:] alone, with the constant modes in
+    closed form; frames, moments and the particular stress are built as there.
     """
     owner, member = patches
     npatch = int(owner[-1]) + 1

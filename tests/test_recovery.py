@@ -27,6 +27,7 @@ from vemrcp.material import LameMaterial, compliance_matrix
 from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, load_mesh, validate_mesh
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import (
+    MODES,
     RECOVERY_KINDS,
     RecoveredStressField,
     RecoveryConditioningError,
@@ -64,7 +65,7 @@ def bending_case(mat):
 
 
 def one_patch_system(mesh, mat, cell, kind, displacement, body_force=zero_body_force):
-    """Centre, scale, load sample, H and g of the one patch centred on `cell`."""
+    """Centre, scale, load sample, constants, H and g of the one patch centred on `cell`."""
     system = patch_systems(mesh, mat, build_patch(mesh, [cell], kind), displacement, body_force)
     return tuple(a[0] for a in system)
 
@@ -141,14 +142,22 @@ class TestParticularSolution:
 
 class TestPatchSystem:
     def test_h_constant_block_on_unit_square(self, mat):
+        # The constant block lives only in the 7x7 reference; H is the linear block,
+        # whose second moments on the unit square are diag(1/12, 1/12).
         mesh = centered_square_mesh()
-        _, _, _, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
-        np.testing.assert_allclose(H[:3, :3], compliance_matrix(mat), atol=1e-14)
+        Cinv = compliance_matrix(mat)
+        patches = build_patch(mesh, [0], "rcp0")
+        *_, H7, _ = patch_systems_outer_edges(mesh, mat, patches, np.zeros(8), zero_body_force)
+        np.testing.assert_allclose(H7[0, :3, :3], Cinv, atol=1e-14)
+        *_, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
+        L = MODES[1:, :, 3:]
+        expected = (L[0].T @ Cinv @ L[0] + L[1].T @ Cinv @ L[1]) / 12.0
+        np.testing.assert_allclose(H, expected, atol=1e-14)
 
     def test_h_symmetric(self, mat):
         mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=3)
         for ci in (0, 3):
-            _, _, _, H, _ = one_patch_system(
+            *_, H, _ = one_patch_system(
                 mesh, mat, ci, "rcp1", np.zeros(2 * mesh.num_vertices)
             )
             np.testing.assert_allclose(H, H.T, atol=1e-13 * np.abs(H).max())
@@ -159,7 +168,7 @@ class TestPatchSystem:
         for family, seed in ((MeshFamily.POLY_U, 5), (MeshFamily.CONC_U, 2)):
             mesh = generate_mesh(family, 2, seed=seed)
             u = np.zeros(2 * mesh.num_vertices)
-            center, scale, b, H, g = one_patch_system(
+            center, scale, b, constants, H, g = one_patch_system(
                 mesh, mat, 1, "rcp1", u, case.body_force
             )
             np.testing.assert_allclose(b, case.body_force(*center))
@@ -176,24 +185,32 @@ class TestPatchSystem:
 
             H_ref = np.zeros((7, 7))
             load_ref = np.zeros(7)
+            area = 0.0
             for ci in vertex_patch_per_cell(mesh, 1):
                 coords = cell_coords(mesh, ci)
+                area += abs(shoelace(coords)[0])
                 for tri in ear_clip_per_cell(coords):
                     corners = coords[list(tri)]
                     H_ref += _refined_triangle_integral(corners, h_integrand, depth=2)
                     load_ref += _refined_triangle_integral(corners, load_integrand, depth=2)
-            np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-15)
-            # With zero displacement, g is minus the work of the particular stress.
-            # Its constant-mode entries vanish exactly (first moments about the
-            # centroid), so both sides hold only rounding there.
+            # The 7x7 energy is blockdiag(|P| C^-1, H): the first moments vanish
+            # about the patch centroid, so the off-diagonal block is rounding.
+            np.testing.assert_allclose(H_ref[:3, :3], area * Cinv, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(H_ref[:3, 3:], 0.0, atol=1e-15)
+            np.testing.assert_allclose(H, H_ref[3:, 3:], rtol=1e-12, atol=1e-15)
+            # With zero displacement, g is minus the work of the particular stress
+            # and the constants are zero. The particular stress does no work on the
+            # constant modes (first moments about the centroid): only rounding there.
             atol = 1e-14 * np.abs(load_ref).max()
-            np.testing.assert_allclose(-g, load_ref, rtol=1e-12, atol=atol)
+            np.testing.assert_array_equal(constants, 0.0)
+            np.testing.assert_allclose(load_ref[:3], 0.0, atol=atol)
+            np.testing.assert_allclose(-g, load_ref[3:], rtol=1e-12, atol=atol)
 
     def test_conditioning_guard(self, mat):
         # on a 1 x 1e-7 sliver the eta-linear modes are numerically invisible
         mesh = single_cell_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-7), (0.0, 1e-7)])
-        _, _, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", np.ones(8))
-        _, failed, _ = solve_patches(H[None], g[None])
+        *_, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", np.ones(8))
+        _, failed, _ = solve_patches(constants[None], H[None], g[None])
         assert failed.tolist() == [True]
         with pytest.raises(RecoveryConditioningError):
             recover_field(mesh, mat, np.ones(8), zero_body_force, "rcp0")
@@ -215,24 +232,27 @@ def _refined_triangle_integral(corners, integrand, depth):
 class TestComputeG:
     def test_zero_displacement_zero_force(self, mat):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
-        *_, g = one_patch_system(
+        *_, constants, _, g = one_patch_system(
             mesh, mat, 4, "rcp1", np.zeros(2 * mesh.num_vertices)
         )
+        np.testing.assert_array_equal(constants, 0.0)
         np.testing.assert_array_equal(g, 0.0)
 
     def test_rigid_translation_kills_constant_entries(self, mat):
         mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=2)
         u = np.zeros(2 * mesh.num_vertices)
         u[0::2] = 1.0  # unit x translation everywhere
-        *_, g = one_patch_system(mesh, mat, 4, "rcp1", u)
-        np.testing.assert_allclose(g[:3], 0.0, atol=1e-14)
+        *_, constants, _, g = one_patch_system(mesh, mat, 4, "rcp1", u)
+        np.testing.assert_allclose(constants, 0.0, atol=1e-14)
+        np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
 class TestSolvePatch:
     def test_zero_rhs(self, mat):
         mesh = centered_square_mesh()
-        _, _, _, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
-        betas, failed, _ = solve_patches(H[None], np.zeros((1, 7)))
+        *_, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
+        betas, failed, _ = solve_patches(np.zeros((1, 3)), H[None], np.zeros((1, 4)))
+        assert betas.shape == (1, 7)
         np.testing.assert_array_equal(betas, 0.0)
         assert not failed.any()
 
@@ -247,8 +267,8 @@ class TestSolvePatch:
             )
 
         mesh = centered_square_mesh()
-        _, _, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
-        (beta,), failed, _ = solve_patches(H[None], g[None])
+        *_, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
+        (beta,), failed, _ = solve_patches(constants[None], H[None], g[None])
         assert not failed.any()
         np.testing.assert_allclose(beta[:3], sigma, atol=1e-9)
         np.testing.assert_allclose(beta[3:], 0.0, atol=1e-9)
@@ -257,8 +277,8 @@ class TestSolvePatch:
         displacement, stress = bending_case(mat)
         pts = 0.5 * np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) + np.array([0.25, -0.4])
         mesh = single_cell_mesh(pts)
-        center, scale, _, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
-        (beta,), failed, _ = solve_patches(H[None], g[None])
+        center, scale, _, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
+        (beta,), failed, _ = solve_patches(constants[None], H[None], g[None])
         assert not failed.any()
         probe = rng.uniform(-0.2, 0.2, size=(20, 2)) + np.array([0.25, -0.4])
         recovered = stress_modes_at(center, scale, probe) @ beta
@@ -311,18 +331,43 @@ class TestRecoverField:
         original = rec.patch_systems
 
         def singular_H(mesh_, material, patches, displacement, body_force):
-            centers, scales, loads, H, g = original(mesh_, material, patches, displacement,
-                                                    body_force)
+            system = original(mesh_, material, patches, displacement, body_force)
             # The full fit requests every cell in order, so patch 1 is centred on cell 1.
             if np.count_nonzero(patches.owner == 1) > 1:
-                H[1, 6, :] = H[1, :, 6] = 0.0  # forced
-            return centers, scales, loads, H, g
+                H = system[4]
+                H[1, 3, :] = H[1, :, 3] = 0.0  # forced: mode 6 drops out
+            return system
 
         monkeypatch.setattr(rec, "patch_systems", singular_H)
         field = rec.recover_field(mesh, mat, u, zero_body_force, "rcp1")
         assert field.fallback_cells == (1,)
         expected = case.stress(0.0, 0.0)
         np.testing.assert_allclose(field.betas[1][:3], expected, atol=1e-9)
+
+
+class TestPatchMean:
+    @pytest.mark.parametrize(
+        "family", [MeshFamily.POLY_U, MeshFamily.CONC_S, MeshFamily.TRI_U, MeshFamily.HEX_S],
+        ids=lambda f: f.value,
+    )
+    def test_centre_value_is_patch_mean_vem_stress(self, family, mat):
+        # beta[:3] = C S[0] / |P| is the area-weighted mean of the VEM cell
+        # stresses over the patch, and the particular stress vanishes at the centre.
+        mesh = generate_mesh(family, 16, seed=0)
+        cells = np.arange(mesh.num_cells)
+        for case_id in ("a", "b", "c"):
+            case = manufactured_case(case_id, mat)
+            u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+            stresses = element_stresses(mesh, mat, u)
+            for kind in RECOVERY_KINDS:
+                field = recover_field(mesh, mat, u, case.body_force, kind)
+                owner, member = build_patch(mesh, cells, kind)
+                weight = mesh.areas[member, None]
+                mean = np.stack([np.bincount(owner, w) for w in (weight * stresses[member]).T], -1)
+                mean /= np.bincount(owner, weight[:, 0])[:, None]
+                got = evaluate_recovered_stress(field, cells, field.centers)
+                err = np.abs(got - mean).max() / np.abs(mean).max()
+                assert err <= 2e-14, (case_id, kind, err)
 
 
 class RecordedField:
@@ -363,9 +408,9 @@ class TestFallbackMesh:
         assert np.isfinite(errors["rcp1"]) and errors["rcp1"] > 0.0
         # One call for the assembly, one per fit: every patch, then the fallback cell.
         assert [len(points) for points in load.calls] == [3, 3, 1]
-        centers, scales, loads, H, g = patch_systems(
+        centers, scales, loads, *system = patch_systems(
             mesh, mat, build_patch(mesh, [2], "rcp0"), result.displacement, case.body_force)
-        betas, failed, _ = solve_patches(H, g)
+        betas, failed, _ = solve_patches(*system)
         assert not failed.any()
         want = (centers, scales, betas, loads)
         for got, expected in zip((field.centers, field.scales, field.betas, field.loads), want):
@@ -379,26 +424,30 @@ class TestFallbackMesh:
 
 
 class TestNearlyIncompressible:
-    """At lambda / mu = 1e6 cond(H) is about 2e6 on well-shaped patches and
-    ||H beta - g|| / ||g|| reaches 2e-11, but every solve is backward stable:
-    no patch may fail, and the fallback mesh still falls back on cell 2 only."""
-
-    MAT = LameMaterial(1e6, 1.0)
+    """The constant modes are solved in closed form, and no linear mode is purely
+    volumetric, so the condition number of a patch's 4x4 system depends on its
+    shape and not on lambda / mu. Up to lambda / mu = 1e14, where the VEM
+    solution locks, no patch may fail, and the fallback mesh still falls back
+    on cell 2 only."""
 
     @pytest.mark.parametrize("family", [MeshFamily.QUAD_S, MeshFamily.POLY_U, MeshFamily.CONC_U],
                              ids=lambda f: f.value)
     def test_no_failed_level_and_no_fallback(self, family):
         mesh = generate_mesh(family, 8, seed=0)
-        result, errors = run_level(mesh, self.MAT, manufactured_case("a", self.MAT))
-        assert all(np.isfinite(e) and e > 0.0 for e in errors.values())
-        assert [f.fallback_cells for f in result.recovered.values()] == [(), ()]
+        for lam in (1e6, 1e12, 1e14):
+            mat = LameMaterial(lam, 1.0)
+            result, errors = run_level(mesh, mat, manufactured_case("a", mat))
+            assert all(np.isfinite(e) and e > 0.0 for e in errors.values()), (lam, errors)
+            assert [f.fallback_cells for f in result.recovered.values()] == [(), ()], lam
 
     def test_fallback_mesh_falls_back_on_cell_2(self):
         mesh = load_mesh(Path(__file__).parent / "data" / "fallback.pmesh")
-        result, errors = run_level(mesh, self.MAT, manufactured_case("a", self.MAT),
-                                   methods=("vem", "rcp1"))
-        assert result.recovered["rcp1"].fallback_cells == (2,)
-        assert np.isfinite(errors["rcp1"]) and errors["rcp1"] > 0.0
+        for lam in (1.0, 1e6, 1e12, 1e14):
+            mat = LameMaterial(lam, 1.0)
+            result, errors = run_level(mesh, mat, manufactured_case("a", mat),
+                                       methods=("vem", "rcp1"))
+            assert result.recovered["rcp1"].fallback_cells == (2,), lam
+            assert np.isfinite(errors["rcp1"]) and errors["rcp1"] > 0.0, lam
 
     def test_non_finite_solve_names_backward_error(self, mat):
         mesh = centered_square_mesh()
@@ -407,6 +456,15 @@ class TestNearlyIncompressible:
         with pytest.raises(RecoveryConditioningError,
                            match=r"^patch at cell 0: backward error nan above 1\.42e-14$"):
             recover_field(mesh, mat, u, zero_body_force, "rcp0")
+
+    def test_overflowing_constants_named(self, rng):
+        # The linear-mode system passes both checks; only the closed-form
+        # constants C S[0] / |P| overflow.
+        mat = LameMaterial(1e300, 1.0)
+        u = 1e10 * rng.standard_normal(8)
+        with pytest.raises(RecoveryConditioningError,
+                           match=r"^patch at cell 0: a mode coefficient is not finite$"):
+            recover_field(centered_square_mesh(), mat, u, zero_body_force, "rcp0")
 
 
 class TestLoadCalls:
@@ -555,26 +613,40 @@ class TestFrameInvariance:
 class TestBoundaryWork:
     @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
     def test_member_sums_match_outer_edge_oracle(self, family, mat):
-        # Per-cell work summed over the members against work over each patch's outer edges.
+        # Per-cell work summed over the members against work over each patch's
+        # outer edges, and the blocks against the oracle's coupled 7x7 system.
         mesh = generate_mesh(family, 8, seed=0)
         case = manufactured_case("b", mat)
         u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         bending, _ = bending_case(mat)
+        Cinv = compliance_matrix(mat)
         cells = np.arange(mesh.num_cells)
         for kind in RECOVERY_KINDS:
             for request in (cells, cells[::-3]):
                 patches = build_patch(mesh, request, kind)
                 for displacement, body_force in ((u, case.body_force), (bending, zero_body_force)):
-                    got = patch_systems(mesh, mat, patches, displacement, body_force)
-                    want = patch_systems_outer_edges(mesh, mat, patches, displacement,
-                                                     body_force)
-                    for a, b in zip(got[:3], want[:3]):          # centers, scales, loads
+                    *got, constants, H, g = patch_systems(mesh, mat, patches, displacement,
+                                                          body_force)
+                    *want, H7, g7 = patch_systems_outer_edges(mesh, mat, patches, displacement,
+                                                              body_force)
+                    for a, b in zip(got, want):                  # centers, scales, loads
                         np.testing.assert_array_equal(a, b)
-                    for name, a, b in zip(("H", "g"), got[3:], want[3:]):
-                        # Relative to each patch's largest entry: some entries cancel to rounding.
+                    # Relative to each patch's largest entry: some entries cancel to rounding.
+                    scale = {"H": np.abs(H7).max(axis=(1, 2)), "g": np.abs(g7).max(axis=1)}
+                    for name, a, b in (("H", H, H7[:, 3:, 3:]), ("g", g, g7[:, 3:])):
                         a, b = a.reshape(len(request), -1), b.reshape(len(request), -1)
-                        err = np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)
+                        err = np.abs(a - b).max(axis=1) / scale[name]
                         assert err.max() <= 1e-12, (kind, name, err.max())
+                    # blockdiag(|P| C^-1, H), and the closed-form constants solve it.
+                    area = np.bincount(patches.owner, mesh.areas[patches.member_cells])
+                    err = np.abs(H7[:, :3, :3] - area[:, None, None] * Cinv).max(axis=(1, 2))
+                    err /= area * np.abs(Cinv).max()
+                    assert err.max() <= 1e-15, (kind, err.max())
+                    off = np.abs(H7[:, :3, 3:]).max(axis=(1, 2)) / scale["H"]
+                    assert off.max() <= 1e-14, (kind, off.max())
+                    beta7 = np.linalg.solve(H7, g7[..., None])[..., 0]
+                    err = np.abs(constants - beta7[:, :3]).max(axis=1) / np.abs(beta7).max(axis=1)
+                    assert err.max() <= 1e-13, (kind, err.max())
 
 
 class TestOuterEdges:
