@@ -51,7 +51,7 @@ MODES = np.zeros((3, 3, 7))
 MODES[0, :, :3] = np.eye(3)
 MODES[1, [1, 0, 2], [4, 5, 6]] = (1.0, 1.0, -1.0)
 MODES[2, [0, 2, 1], [3, 5, 6]] = (1.0, -1.0, 1.0)
-LINEAR = MODES[1:, :, 3:]             # the xi and eta coefficients of modes 3-6
+_LINEAR = MODES[1:, :, 3:]            # the xi and eta coefficients of modes 3-6
 
 
 class RecoveryConditioningError(Exception):
@@ -136,7 +136,7 @@ def patch_systems(
     J = _sum_by(owner, cell_j + second[member] / (s * s)[:, :, None], npatch)
 
     Cinv = compliance_matrix(material)
-    H = np.einsum("pab,abkl->pkl", J, np.einsum("aik,ij,bjl->abkl", LINEAR, Cinv, LINEAR))
+    H = np.einsum("pab,abkl->pkl", J, np.einsum("aik,ij,bjl->abkl", _LINEAR, Cinv, _LINEAR))
 
     # Work of each mode's traction on the displacement trace over the boundary
     # of every cell: W[c, 0] sums the weighted traction pairs at the Gauss
@@ -161,7 +161,7 @@ def patch_systems(
     W = _sum_by(edge_cell, work, mesh.num_cells)[member]
     # A patch's work is its members' sum: on an edge between two members both
     # sides see one trace at the same Gauss points with opposite normals, so
-    # they cancel. The moments move to the patch frame as those of J do.
+    # they cancel. The first moments move to the patch frame as J does.
     W[:, 1:] = (W[:, 1:] + shift[:, :, None] * W[:, :1]) / s[:, :, None]
     S = _sum_by(owner, W, npatch)
     with np.errstate(all="ignore"):      # an overflow fails the patch in `solve_patches`
@@ -171,8 +171,8 @@ def patch_systems(
     # A copy, not a view of the callable's result: the rcp1 fallback writes into it.
     loads = np.array(body_force(centers[:, 0], centers[:, 1]), dtype=float)
     V = (loads * scales[:, None])[:, :, None] * -np.eye(2, 3)
-    # g = sum_a LINEAR[a]^T (S[a + 1] - C^-1 sum_b J[a, b] V[b])
-    g = np.einsum("aik,pai->pk", LINEAR, S[:, 1:] - (J @ V) @ Cinv)
+    # g = sum_a _LINEAR[a]^T (S[a + 1] - C^-1 sum_b J[a, b] V[b])
+    g = np.einsum("aik,pai->pk", _LINEAR, S[:, 1:] - (J @ V) @ Cinv)
     return centers, scales, loads, constants, H, g
 
 
@@ -223,7 +223,7 @@ def recover_field(
     A vertex-neighbor patch that fails a check of `solve_patches` falls back
     to its single-cell patch; the affected cells are flagged on the returned
     field. A single-cell patch has no fallback: it raises RecoveryConditioningError
-    naming the first failed check and its value, or a mode coefficient not finite.
+    naming the first failed check and its value, or that a coefficient is not finite.
     """
 
     def fit(cells, patch_kind):
