@@ -59,6 +59,7 @@ _CELL_CHECKS = (
     "references a vertex out of range",
     "is not counterclockwise",
     "has moments that overflow",
+    "has moments that underflow",
 )
 
 
@@ -75,8 +76,9 @@ class PolygonalMesh:
     the ids (k,) of the cells with n vertices, ascending, and their vertex
     indices (k, n). Per cell, `areas`, `centroids` and `second_moments`
     (the 2x2 integral of (x - c)(x - c)^T about the centroid c) are exact. A
-    bad cell raises MeshError naming the first one; so does an edge used by
-    three cells or an interior edge run twice the same way, naming the first.
+    bad cell raises MeshError naming the first one (a cell whose moments
+    overflow or underflow is bad); so does an edge used by three cells or
+    an interior edge run twice the same way, naming the first.
     """
 
     def __init__(self, vertices: np.ndarray, offsets: np.ndarray, indices: np.ndarray,
@@ -129,6 +131,9 @@ class PolygonalMesh:
         failed[2, cell_of[out_of_range]] = True
         failed[3] = area <= 0.0
         failed[4] = ~np.isfinite(np.column_stack([area, centroids, second])).all(axis=1)
+        # A second moment that is zero or subnormal has lost digits, and the recovery's
+        # patch systems use it. (A self-intersecting cell may have a negative one.)
+        failed[5] = (np.abs(second[:, [0, 2]]) < np.finfo(float).tiny).any(axis=1)
         if failed.any():
             ci = int(np.argmax(failed.any(axis=0)))
             raise MeshError(f"cell {ci} {_CELL_CHECKS[np.argmax(failed[:, ci])]}")

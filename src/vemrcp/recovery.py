@@ -6,18 +6,19 @@ fields) added to a particular stress that balances the body force sampled at
 the patch centre. The mode coefficients minimize the patch complementary
 energy, in which the computed displacement enters only through its trace on
 the outer patch boundary: exactly the data a virtual element solution
-provides.
+provides. Modes and particular stress are affine, so a fit hands on each
+cell's stress as one affine field: its value at the patch centre and its x
+and y derivatives.
 
-Modes are expressed in patch-local coordinates (xi, eta), shifted to the
-area-weighted patch centroid and scaled by the square root of the patch area.
-There the mode matrix is P = MODES[0] + xi MODES[1] + eta MODES[2] and the
-first moments of (1, xi, eta) vanish, so the fit splits in two: the constants
-are C S[0] / |P|, the patch mean of the VEM cell stresses (S[0] is the work of
-the constant modes), and the linear modes solve a 4x4 system built from the
-patch's central second moment. That moment is summed by the parallel-axis
-identity from the closed-form cell moments the mesh stores, the boundary work
-from each cell's own work with two Gauss points per edge (on an edge between
-two cells of a patch the work cancels). All patches are solved as one stack.
+Modes are expressed in coordinates (xi, eta) centred on the patch's area
+centroid and scaled by the square root of its area, P = MODES[0] + xi MODES[1]
++ eta MODES[2]. The first moments of (1, xi, eta) vanish there, so the
+constants are C S[0] / |P|, the patch mean of the VEM cell stresses (S[0] is
+the work of the constant modes), and the linear modes solve a 4x4 system built
+from the patch's central second moment. That moment is the parallel-axis sum
+of the cell moments the mesh stores; the boundary work sums each member's own
+work, two Gauss points per edge (on an edge between two members it cancels).
+All patches are solved as one stack.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
@@ -60,12 +61,12 @@ class RecoveryConditioningError(Exception):
 
 @dataclass
 class RecoveredStressField:
-    """Recovered stress of every cell: modes of its patch plus the particular stress."""
+    """Recovered stress of every cell, affine in x and y: at (x, y) in cell c it is
+    coefficients[c, 0] + (x - cx) coefficients[c, 1] + (y - cy) coefficients[c, 2],
+    (cx, cy) = centers[c]. The particular stress of the load is included."""
 
     centers: np.ndarray               # (ncells, 2) patch centre, also the load sample point
-    scales: np.ndarray                # (ncells,) square root of the patch area
-    betas: np.ndarray                 # (ncells, 7) mode coefficients
-    loads: np.ndarray                 # (ncells, 2) body force sampled at the centre
+    coefficients: np.ndarray          # (ncells, 3, 3) stress at the centre, d/dx, d/dy
     fallback_cells: tuple = ()
 
 
@@ -168,8 +169,7 @@ def patch_systems(
         constants = S[:, 0] @ elastic_matrix(material) / patch_area[:, None]
 
     # Particular stress (-bx (x - cx), -by (y - cy), 0) = xi V[0] + eta V[1].
-    # A copy, not a view of the callable's result: the rcp1 fallback writes into it.
-    loads = np.array(body_force(centers[:, 0], centers[:, 1]), dtype=float)
+    loads = np.asarray(body_force(centers[:, 0], centers[:, 1]), dtype=float)
     V = (loads * scales[:, None])[:, :, None] * -np.eye(2, 3)
     # g = sum_a _LINEAR[a]^T (S[a + 1] - C^-1 sum_b J[a, b] V[b])
     g = np.einsum("aik,pai->pk", _LINEAR, S[:, 1:] - (J @ V) @ Cinv)
@@ -211,6 +211,13 @@ def solve_patches(constants: np.ndarray, H: np.ndarray, g: np.ndarray):
     return betas, failed, checks
 
 
+def _reason(checks: np.ndarray) -> str:
+    """A failed patch's first failed check and its value, else a coefficient not finite."""
+    j = int(np.argmax(~(checks <= _LIMITS)))             # a NaN value fails its check too
+    return (f"{_CHECKS[j]} {checks[j]:.3g} above {_LIMITS[j]:.3g}"
+            if not checks[j] <= _LIMITS[j] else "a mode coefficient is not finite")
+
+
 def recover_field(
     mesh: PolygonalMesh,
     material: LameMaterial,
@@ -220,9 +227,9 @@ def recover_field(
 ) -> RecoveredStressField:
     """Run the patch recovery centered on every cell.
 
-    A vertex-neighbor patch that fails a check of `solve_patches` falls back
-    to its single-cell patch; the affected cells are flagged on the returned
-    field. A single-cell patch has no fallback: it raises RecoveryConditioningError
+    A vertex-neighbor patch that fails a check of `solve_patches` falls back to its
+    single-cell patch; a warning names each such cell and its failed check, and the field
+    flags them. A single-cell patch has no fallback: it raises RecoveryConditioningError
     naming the first failed check and its value, or that a coefficient is not finite.
     """
 
@@ -231,38 +238,31 @@ def recover_field(
         centers, scales, loads, *system = patch_systems(mesh, material, patches, displacement,
                                                         body_force)
         betas, failed, checks = solve_patches(*system)
-        return (centers, scales, betas, loads), failed, checks
+        # MODES[a] @ beta are the coefficients of 1, xi and eta; d/dx = d/dxi / scale. The
+        # particular stress adds -bx to d sx/dx and -by to d sy/dy.
+        with np.errstate(all="ignore"):                  # a non-finite one fails the patch
+            coefficients = np.einsum("aik,pk->pai", MODES, betas)
+            coefficients[:, 1:] /= scales[:, None, None]
+            coefficients[:, [1, 2], [0, 1]] -= loads
+        return centers, coefficients, failed | ~np.isfinite(coefficients).all(axis=(1, 2)), checks
 
-    cells = np.arange(mesh.num_cells)
-    arrays, failed, checks = fit(cells, kind)
-    fallback = cells[failed] if kind == "rcp1" else cells[:0]
+    centers, coefficients, failed, checks = fit(np.arange(mesh.num_cells), kind)
+    fallback = np.flatnonzero(failed) if kind == "rcp1" else np.arange(0)
+    for c in fallback:
+        logger.warning("cell %d: vertex patch failed (%s), using single-cell patch",
+                       c, _reason(checks[c]))
     if len(fallback):
-        logger.warning("cells %s: vertex patch ill-conditioned, using single-cell patch",
-                       fallback.tolist())
-        single, failed[fallback], checks[fallback] = fit(fallback, "rcp0")
-        for full, part in zip(arrays, single):
-            full[fallback] = part
+        (centers[fallback], coefficients[fallback], failed[fallback],
+         checks[fallback]) = fit(fallback, "rcp0")
     if failed.any():
         c = int(np.argmax(failed))
-        j = int(np.argmax(~(checks[c] <= _LIMITS)))       # a NaN value fails its check too
-        reason = (f"{_CHECKS[j]} {checks[c, j]:.3g} above {_LIMITS[j]:.3g}"
-                  if not checks[c, j] <= _LIMITS[j] else "a mode coefficient is not finite")
-        raise RecoveryConditioningError(f"patch at cell {c}: {reason}")
-    return RecoveredStressField(*arrays, fallback_cells=tuple(fallback.tolist()))
+        raise RecoveryConditioningError(f"patch at cell {c}: {_reason(checks[c])}")
+    return RecoveredStressField(centers, coefficients, tuple(fallback.tolist()))
 
 
 def evaluate_recovered_stress(field: RecoveredStressField, cell, points) -> np.ndarray:
-    """Recovered stress of `cell` at one point or an (m, 2) stack.
-
-    `cell` is one cell id, or an int array aligned with the (m, 2) points
-    that names the cell of each point.
-    """
-    pts = np.asarray(points, dtype=float)
-    cell = np.asarray(cell)
-    center = field.centers[cell]
-    local = (pts - center) / field.scales[cell][..., None]
-    # coef[c, a] = MODES[a] @ beta_c: the stress coefficients of 1, xi and eta, once per cell.
-    coef = np.einsum("aik,ck->cai", MODES, field.betas)[cell]
-    out = coef[..., 0, :] + local[..., :1] * coef[..., 1, :] + local[..., 1:] * coef[..., 2, :]
-    out[..., :2] -= field.loads[cell] * (pts - center)
-    return out
+    """Recovered stress of `cell` at one point or an (m, 2) stack. `cell` is one cell id,
+    or an int array aligned with the (m, 2) points that names the cell of each point."""
+    coef = field.coefficients[cell]
+    d = np.asarray(points, dtype=float) - field.centers[cell]
+    return coef[..., 0, :] + d[..., :1] * coef[..., 1, :] + d[..., 1:] * coef[..., 2, :]

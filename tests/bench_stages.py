@@ -11,8 +11,9 @@ rounds). A run times, per level of case `b` with seed 0, `generate_mesh`,
 `assemble_global`, `apply_dirichlet`, `solve_system`, `element_stresses`, `recover_field`
 for `rcp0` and `rcp1`, and `energy_error_norm` twice: cold, with the quadrature rules
 built on the fresh mesh, and warm. Then the CLI (`--test b` by default) is timed end to end
-in another fresh interpreter. The JSON file holds the environment, each tree's commit,
-every run, the per-tree medians and each level's E_*. The file is not a pytest module.
+in another fresh interpreter. The JSON file holds the environment, each tree's commit
+(and whether its `src/` has uncommitted edits), every run, the per-tree medians and each
+level's E_*. The file is not a pytest module.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def _commit(tree: Path) -> dict:
         done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
         return done.stdout.strip() if done.returncode == 0 else None
 
-    status = git("status", "--porcelain", "--untracked-files=no")
+    # Only edits under src/ change what a run measures; a docs edit leaves the tree clean.
+    status = git("status", "--porcelain", "--untracked-files=no", "--", "src")
     return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
 
 

@@ -15,8 +15,8 @@ crossover. rcp1's rate is the higher one on 23 of the 24 pairs, by at least
 single-cell recovery is superconvergent on the structured quadrilateral mesh
 (rate 3.97 against 3.72). Part of rcp1's error in cases b and c comes from
 the single patch-centroid sample of the load in the particular stress
-(`RecoveredStressField.loads` in `vemrcp.recovery`): a linear load sample lowers rcp1's
-error 1.1-2.4x at every level and removes 6 of the 24 losing levels, but it
+(taken once per patch in `vemrcp.recovery.patch_systems`): a linear load sample lowers
+rcp1's error 1.1-2.4x at every level and removes 6 of the 24 losing levels, but it
 changes no pair's rate ordering. An rcp1 that used the single-cell patch would
 tie rcp0 on every pair and fail here; a per-level `rcp1 <= rcp0` count passes it.
 """
@@ -275,6 +275,7 @@ class TestCriterion6Equilibrium:
                 )
                 for kind in ("rcp0", "rcp1"):
                     field = recover_field(mesh, MATERIAL, u, case.body_force, kind)
+                    loads = case.body_force(*field.centers.T)
                     for ci in range(mesh.num_cells):
                         pts = random_points_in_cell(mesh, ci, rng, 10)
                         div = fd_stress_divergence(
@@ -283,11 +284,37 @@ class TestCriterion6Equilibrium:
                             ),
                             pts[:, 0], pts[:, 1], h=1e-4,
                         )
-                        resid = np.abs(div + field.loads[ci]).max()
+                        resid = np.abs(div + loads[ci]).max()
                         worst = max(worst, resid)
         ok = worst <= 1e-8
         report(6, "recovered-stress equilibrium", ok, f"max residual {worst:.2e}")
         assert worst <= 1e-8
+
+    def test_affine_divergence_balances_sampled_force_exactly(self):
+        # Each cell's field is affine, so its divergence is read off the gradient rows:
+        # (d sx/dx + d sxy/dy, d sxy/dx + d sy/dy). The load enters d sx/dx and d sy/dy
+        # once, so the only residual is the rounding of those two sums. Measured: at
+        # most 0.98 eps times the cell's largest gradient entry (exactly zero in case a).
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for test in GRID_TESTS:
+            case = manufactured_case(test, MATERIAL)
+            for family in GENERATED_FAMILIES:
+                mesh = generate_mesh(family, 8, SEED)
+                u = solve_dirichlet_problem(mesh, MATERIAL, case.body_force, case.displacement)
+                for kind in ("rcp0", "rcp1"):
+                    field = recover_field(mesh, MATERIAL, u, case.body_force, kind)
+                    c = field.coefficients
+                    div = np.column_stack([c[:, 1, 0] + c[:, 2, 2], c[:, 1, 2] + c[:, 2, 1]])
+                    resid = np.abs(div + case.body_force(*field.centers.T)).max(axis=1)
+                    unit = eps * np.abs(c[:, 1:]).max(axis=(1, 2))
+                    ratio = np.divide(resid, unit, out=np.where(resid > 0, np.inf, 0.0),
+                                      where=unit > 0)
+                    worst = max(worst, ratio.max())
+        ok = worst <= 2.0
+        report(6, "exact equilibrium of the affine fields", ok,
+               f"max residual {worst:.2f} eps x largest gradient entry")
+        assert worst <= 2.0
 
 
 class TestCriterion7ManufacturedConsistency:

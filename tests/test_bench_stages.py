@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_stages import STAGES
+from bench_stages import STAGES, _commit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +33,22 @@ def test_one_tree_one_round_writes_every_key(tmp_path):
         assert set(level["E"]) == {"E_vem", "E_rcp0", "E_rcp1"}
     assert list(result["medians"]["change"]["levels"]["poly-u/4"]) == list(STAGES)
     assert result["errors"]["change"]["poly-u/4"] == run["levels"]["poly-u/4"]["E"]
+
+
+def test_dirty_flag_tracks_src_only(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c",
+                        "user.email=bench@example.com", "-c", "commit.gpgsign=false", *args],
+                       check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text("x = 1\n")
+    (tmp_path / "README.md").write_text("docs\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    assert _commit(tmp_path)["dirty"] is False
+    (tmp_path / "README.md").write_text("more docs\n")
+    assert _commit(tmp_path)["dirty"] is False
+    (tmp_path / "src" / "mod.py").write_text("x = 2\n")
+    assert _commit(tmp_path)["dirty"] is True

@@ -768,8 +768,9 @@ class TestConstructorChecks:
         "scale, cells, message",
         [(1e200, [[0, 1, 2, 3]], "cell 0 has moments that overflow"),
          (1e78, [[0, 1, 2, 3]], "cell 0 has moments that overflow"),
-         (1e200, [[0, 1, 2, 3], [4, 5, 6, 7]], "cell 1 has moments that overflow")],
-        ids=["area", "second-moments", "second-cell"],
+         (1e200, [[0, 1, 2, 3], [4, 5, 6, 7]], "cell 1 has moments that overflow"),
+         (1e-78, [[0, 1, 2, 3]], "cell 0 has moments that underflow")],
+        ids=["area", "second-moments", "second-cell", "subnormal-second-moments"],
     )
     def test_overflowing_moments_rejected(self, scale, cells, message):
         # The last cell is the square scaled by `scale`; the first of two is the unit square.

@@ -1,6 +1,8 @@
 """Stress-mode, particular-stress, patch-system, and recovery tests."""
 
 import dataclasses
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import single_cell_mesh
 from oracles import (
     cell_coords,
+    cell_ids,
     ear_clip_per_cell,
     fd_stress_divergence,
     mesh_cells,
@@ -24,7 +27,8 @@ from oracles import (
 from vemrcp.cases import manufactured_case, zero_body_force
 from vemrcp.generators import generate_mesh
 from vemrcp.material import LameMaterial, compliance_matrix
-from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, load_mesh, validate_mesh
+from vemrcp.mesh import (GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, load_mesh,
+                         validate_mesh)
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import (
     MODES,
@@ -70,9 +74,18 @@ def one_patch_system(mesh, mat, cell, kind, displacement, body_force=zero_body_f
     return tuple(a[0] for a in system)
 
 
-def particular_only(field):
-    """The same field with every mode coefficient zeroed: its particular stress."""
-    return dataclasses.replace(field, betas=np.zeros_like(field.betas))
+def particular_only(monkeypatch, *args):
+    """`recover_field(*args)` with every mode coefficient zeroed: its particular stress."""
+    import vemrcp.recovery as rec
+
+    solve = rec.solve_patches
+
+    def zero_modes(constants, H, g):
+        betas, failed, checks = solve(constants, H, g)
+        return np.zeros_like(betas), failed, checks
+
+    monkeypatch.setattr(rec, "solve_patches", zero_modes)
+    return rec.recover_field(*args)
 
 
 class TestStressModes:
@@ -104,40 +117,49 @@ class TestStressModes:
 class TestParticularSolution:
     def test_zero_force_gives_zero_field(self, mat, rng):
         mesh = generate_mesh(MeshFamily.QUAD_S, 2)
-        field = recover_field(mesh, mat, np.zeros(2 * mesh.num_vertices), zero_body_force, "rcp1")
-        np.testing.assert_array_equal(field.loads, 0.0)
+        load = RecordedField(zero_body_force)
+        field = recover_field(mesh, mat, np.zeros(2 * mesh.num_vertices), load, "rcp1")
+        assert len(load.calls) == 1
+        np.testing.assert_array_equal(load.calls[0], field.centers)
+        np.testing.assert_array_equal(field.coefficients, 0.0)
         pts = rng.uniform(0, 1, (4, 2))
         np.testing.assert_array_equal(evaluate_recovered_stress(field, 0, pts), 0.0)
 
-    def test_constant_force_cell_at_origin(self, mat):
+    def test_constant_force_cell_at_origin(self, mat, monkeypatch):
         mesh = centered_square_mesh()
 
         def unit_x_force(x, y):
             return np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
 
-        field = particular_only(recover_field(mesh, mat, np.zeros(8), unit_x_force, "rcp0"))
+        load = RecordedField(unit_x_force)
+        field = particular_only(monkeypatch, mesh, mat, np.zeros(8), load, "rcp0")
         np.testing.assert_allclose(field.centers[0], 0.0, atol=1e-15)
-        np.testing.assert_array_equal(field.loads[0], [1.0, 0.0])
+        assert len(load.calls) == 1
+        np.testing.assert_array_equal(load.calls[0], field.centers)
         xs = np.array([[0.2, 0.1], [-0.3, 0.4]])
         sp = evaluate_recovered_stress(field, 0, xs)
         np.testing.assert_allclose(sp[:, 0], -xs[:, 0], atol=1e-15)
         np.testing.assert_allclose(sp[:, 1:], 0.0)
 
-    def test_divergence_balances_sample_for_test_b(self, mat):
+    def test_divergence_balances_sample_for_test_b(self, mat, monkeypatch):
         case = manufactured_case("b", mat)
         mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=6)
         u = np.zeros(2 * mesh.num_vertices)
-        field = particular_only(recover_field(mesh, mat, u, case.body_force, "rcp0"))
+        load = RecordedField(case.body_force)
+        field = particular_only(monkeypatch, mesh, mat, u, load, "rcp0")
+        # one load call, at the patch centres
+        assert len(load.calls) == 1
+        np.testing.assert_array_equal(load.calls[0], field.centers)
+        loads = case.body_force(*field.centers.T)
         for ci in range(mesh.num_cells):
             c = shoelace(cell_coords(mesh, ci))[1]
             # a single-cell patch samples the load at the cell centroid
             np.testing.assert_allclose(field.centers[ci], c, atol=1e-14)
-            np.testing.assert_allclose(field.loads[ci], case.body_force(*field.centers[ci]))
             div = fd_stress_divergence(
                 lambda x, y: evaluate_recovered_stress(field, ci, np.stack([x, y], axis=-1)),
                 c[0], c[1], h=1e-4,
             )
-            np.testing.assert_allclose(div + field.loads[ci], 0.0, atol=1e-10)
+            np.testing.assert_allclose(div + loads[ci], 0.0, atol=1e-10)
 
 
 class TestPatchSystem:
@@ -313,10 +335,12 @@ class TestRecoverField:
         stresses = element_stresses(mesh, mat, u)
         field = recover_field(mesh, mat, u, case.body_force, "rcp0")
         for ci in range(mesh.num_cells):
-            # at the patch center the mode matrix reduces to the constant block
-            np.testing.assert_allclose(field.betas[ci][:3], stresses[ci], atol=1e-9)
-            # and on triangles the linear part vanishes identically
-            np.testing.assert_allclose(field.betas[ci][3:], 0.0, atol=1e-9)
+            # at the patch center the field is its constant-mode block
+            np.testing.assert_allclose(field.coefficients[ci, 0], stresses[ci], atol=1e-9)
+            # and on triangles the linear part vanishes identically. Case a has no load,
+            # so the gradient times the patch scale holds the linear-mode coefficients.
+            scale = np.sqrt(mesh.areas[ci])
+            np.testing.assert_allclose(field.coefficients[ci, 1:] * scale, 0.0, atol=1e-9)
 
     def test_unknown_kind_rejected(self, mat, unit_square_mesh):
         with pytest.raises(ValueError, match="kind"):
@@ -342,7 +366,7 @@ class TestRecoverField:
         field = rec.recover_field(mesh, mat, u, zero_body_force, "rcp1")
         assert field.fallback_cells == (1,)
         expected = case.stress(0.0, 0.0)
-        np.testing.assert_allclose(field.betas[1][:3], expected, atol=1e-9)
+        np.testing.assert_allclose(field.coefficients[1, 0], expected, atol=1e-9)
 
 
 class TestPatchMean:
@@ -408,13 +432,33 @@ class TestFallbackMesh:
         assert np.isfinite(errors["rcp1"]) and errors["rcp1"] > 0.0
         # One call for the assembly, one per fit: every patch, then the fallback cell.
         assert [len(points) for points in load.calls] == [3, 3, 1]
-        centers, scales, loads, *system = patch_systems(
+        # Cell 2's record is its single-cell fit: the patch system of cell 2 alone, and
+        # bit for bit the recovery on a mesh of that one cell.
+        (center,), (scale,), (b,), *system = patch_systems(
             mesh, mat, build_patch(mesh, [2], "rcp0"), result.displacement, case.body_force)
-        betas, failed, _ = solve_patches(*system)
+        (beta,), failed, _ = solve_patches(*system)
         assert not failed.any()
-        want = (centers, scales, betas, loads)
-        for got, expected in zip((field.centers, field.scales, field.betas, field.loads), want):
-            np.testing.assert_array_equal(got[2], expected[0])
+        np.testing.assert_array_equal(field.centers[2], center)
+        ids = cell_ids(mesh, 2)
+        alone = recover_field(single_cell_mesh(mesh.vertices[ids]), mat,
+                              result.displacement.reshape(-1, 2)[ids].ravel(), case.body_force,
+                              "rcp0")
+        np.testing.assert_array_equal(alone.centers[0], center)
+        np.testing.assert_array_equal(alone.coefficients[0], field.coefficients[2])
+        pts = mesh.vertices[ids]
+        want = stress_modes_at(center, scale, pts) @ beta
+        want[:, :2] -= b * (pts - center)
+        got = evaluate_recovered_stress(field, 2, pts)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_fallback_warning_names_failed_check(self, mesh, mat, caplog):
+        case = manufactured_case("a", mat)
+        u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+        with caplog.at_level(logging.WARNING, logger="vemrcp.recovery"):
+            recover_field(mesh, mat, u, case.body_force, "rcp1")
+        [message] = [r.getMessage() for r in caplog.records]
+        assert re.fullmatch(r"cell 2: vertex patch failed \(condition number 2\.\d+e\+12 above "
+                            r"1e\+12\), using single-cell patch", message), message
 
     def test_rcp0_has_no_fallback(self, mesh, mat):
         case = manufactured_case("b", mat)
@@ -457,6 +501,48 @@ class TestNearlyIncompressible:
                            match=r"^patch at cell 0: backward error nan above 1\.42e-14$"):
             recover_field(mesh, mat, u, zero_body_force, "rcp0")
 
+    def test_backward_error_named_in_warning_and_error(self, mat, monkeypatch, caplog):
+        # Forced: patch 1 of every fit fails its backward error.
+        import vemrcp.recovery as rec
+
+        mesh = generate_mesh(MeshFamily.QUAD_S, 2)
+        u = solve_dirichlet_problem(mesh, mat, zero_body_force, linear_patch_case(mat).displacement)
+        solve = rec.solve_patches
+
+        def inaccurate(constants, H, g):
+            betas, failed, checks = solve(constants, H, g)
+            if len(g) > 1:
+                checks[1, 1], failed[1] = 1.0, True
+            return betas, failed, checks
+
+        monkeypatch.setattr(rec, "solve_patches", inaccurate)
+        reason = "backward error 1 above 1.42e-14"
+        with caplog.at_level(logging.WARNING, logger="vemrcp.recovery"):
+            field = rec.recover_field(mesh, mat, u, zero_body_force, "rcp1")
+        assert field.fallback_cells == (1,)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cell 1: vertex patch failed ({reason}), using single-cell patch"]
+        with pytest.raises(RecoveryConditioningError, match=rf"^patch at cell 1: {reason}$"):
+            rec.recover_field(mesh, mat, u, zero_body_force, "rcp0")
+
+    def test_non_finite_coefficient_after_conversion_named(self, mat, monkeypatch):
+        # Forced: a zero patch scale makes the gradient of finite mode coefficients
+        # non-finite, and only the conversion to x and y sees it.
+        import vemrcp.recovery as rec
+
+        systems = rec.patch_systems
+
+        def zero_scales(*args):
+            centers, scales, *rest = systems(*args)
+            return (centers, np.zeros_like(scales), *rest)
+
+        monkeypatch.setattr(rec, "patch_systems", zero_scales)
+        mesh = centered_square_mesh()
+        u = np.random.default_rng(3).standard_normal(8)
+        with pytest.raises(RecoveryConditioningError,
+                           match=r"^patch at cell 0: a mode coefficient is not finite$"):
+            rec.recover_field(mesh, mat, u, zero_body_force, "rcp0")
+
     def test_overflowing_constants_named(self, rng):
         # The linear-mode system passes both checks; only the closed-form
         # constants C S[0] / |P| overflow.
@@ -491,9 +577,7 @@ class TestEvaluateRecovered:
     def test_unit_constant_mode(self, mat):
         field = RecoveredStressField(
             centers=np.array([[0.5, 0.5]]),
-            scales=np.array([1.0]),
-            betas=np.array([[1.0, 0, 0, 0, 0, 0, 0]]),
-            loads=np.zeros((1, 2)),
+            coefficients=np.array([[[1.0, 0, 0], [0, 0, 0], [0, 0, 0]]]),
         )
         pts = np.array([[0.1, 0.9], [0.6, 0.4]])
         np.testing.assert_allclose(
@@ -508,7 +592,7 @@ class TestEvaluateRecovered:
         field = recover_field(mesh, mat, u, zero_body_force, "rcp0")
         for ci in (0, 5):
             value = evaluate_recovered_stress(field, ci, field.centers[ci])
-            np.testing.assert_allclose(value, field.betas[ci][:3], atol=1e-15)
+            np.testing.assert_allclose(value, field.coefficients[ci, 0], atol=1e-15)
 
     def test_cell_array_matches_per_cell_calls(self, mat, rng):
         mesh = generate_mesh(MeshFamily.CONC_U, 4, seed=0)
@@ -530,6 +614,7 @@ class TestEvaluateRecovered:
         )
         for kind in ("rcp0", "rcp1"):
             field = recover_field(mesh, mat, u, case.body_force, kind)
+            loads = case.body_force(*field.centers.T)
             for ci in range(mesh.num_cells):
                 pts = random_points_in_cell(mesh, ci, rng, 10)
                 div = fd_stress_divergence(
@@ -538,7 +623,7 @@ class TestEvaluateRecovered:
                     ),
                     pts[:, 0], pts[:, 1],
                 )
-                np.testing.assert_allclose(div + field.loads[ci], 0.0, atol=1e-8)
+                np.testing.assert_allclose(div + loads[ci], 0.0, atol=1e-8)
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -559,7 +644,7 @@ class TestEvaluateRecovered:
                 lambda x, y: evaluate_recovered_stress(field, cells, np.stack([x, y], axis=-1)),
                 *mesh.centroids.T, h=1e-4,
             )
-            assert np.abs(div + field.loads).max() <= 1e-8, kind
+            assert np.abs(div + case.body_force(*field.centers.T)).max() <= 1e-8, kind
 
 
 class TestFrameInvariance:
@@ -608,6 +693,27 @@ class TestFrameInvariance:
             recover_field(moved, mat, u, zero_body_force, kind), cells, moved.centroids)
         np.testing.assert_allclose(scale * after, before, rtol=0,
                                    atol=1e-9 * np.abs(before).max())
+
+
+    @pytest.mark.parametrize("kind", RECOVERY_KINDS)
+    def test_smallest_normal_moments_still_recover(self, kind):
+        # Scaled by 1e-76, the quad-s n = 4 cells' central second moments (3.3e-308)
+        # are still normal numbers, and the recovered stress is the unscaled one
+        # divided by the scale (measured: within 1.9e-15). By 1e-77 they turn
+        # subnormal (3.3e-312), and the mesh rejects them.
+        mat = LameMaterial(1.0, 1.0)
+        mesh = generate_mesh(MeshFamily.QUAD_S, 4)
+        u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
+        cells = np.arange(mesh.num_cells)
+        before = evaluate_recovered_stress(
+            recover_field(mesh, mat, u, zero_body_force, kind), cells, mesh.centroids)
+        moved = PolygonalMesh(1e-76 * mesh.vertices, mesh.offsets, mesh.indices, mesh.family)
+        field = recover_field(moved, mat, u, zero_body_force, kind)
+        assert field.fallback_cells == ()
+        after = evaluate_recovered_stress(field, cells, moved.centroids)
+        assert np.abs(1e-76 * after - before).max() <= 1e-14 * np.abs(before).max()
+        with pytest.raises(MeshError, match="^cell 0 has moments that underflow$"):
+            PolygonalMesh(1e-77 * mesh.vertices, mesh.offsets, mesh.indices, mesh.family)
 
 
 class TestBoundaryWork:
