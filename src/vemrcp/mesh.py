@@ -181,6 +181,18 @@ class PolygonalMesh:
     def boundary_vertices(self) -> np.ndarray:
         return np.nonzero(self.boundary_vertex_flags)[0]
 
+    def checked_cells(self, cells) -> np.ndarray:
+        """Cell ids `cells` (one or an array) as int64; TypeError names the first one if
+        they are not integers, ValueError the first one out of range."""
+        ids = np.asarray(cells)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise TypeError(f"cell id {ids.flat[0].item()!r} is not an integer")
+        bad = (ids < 0) | (ids >= self.num_cells)
+        if bad.any():
+            raise ValueError(f"cell id {ids[bad].flat[0]} out of range for a mesh of "
+                             f"{self.num_cells} cells")
+        return ids.astype(np.int64, copy=False)
+
 
 # ---------------------------------------------------------------------------
 # elementary polygon geometry
@@ -257,16 +269,16 @@ def ear_clip(points: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
         j = np.arange(m)
         p = points[rows, remaining]
         nxt, prev = np.roll(p, -1, axis=1), np.roll(p, 1, axis=1)
-        # [:, i, q]: cross product of edge (i, i + 1), or of diagonal (i + 1, i - 1), with
-        # remaining vertex q. Ear i is bounded by edges i - 1 and i and by diagonal i.
-        start, d = np.stack([p, nxt]), np.stack([nxt - p, prev - nxt])
-        edge, diag = (d[..., 0, None] * (p[:, None, :, 1] - start[..., 1, None])
-                      - d[..., 1, None] * (p[:, None, :, 0] - start[..., 0, None]))
-        before = np.roll(edge, 1, axis=1)
-        cross = before[:, j, (j + 1) % m]
-        others = (j - j[:, None] + 1) % m > 2
-        inside = (before > -eps[..., None]) & (edge > -eps[..., None]) & (diag > -eps[..., None])
-        holds = (inside & others).any(axis=-1)
+        # Ear i is bounded by edges (i - 1, i) and (i, i + 1) and by diagonal (i + 1, i - 1);
+        # only the m - 3 vertices i + 2, ..., i - 2 can lie in it. [s, :, i, r]: cross
+        # product of side s of ear i with the r-th of them.
+        start, d = np.stack([prev, p, nxt]), np.stack([p - prev, nxt - p, prev - nxt])
+        q = p[:, (j[:, None] + np.arange(2, m - 1)) % m]                   # (k, m, m - 3, 2)
+        sides = (d[..., 0, None] * (q[..., 1] - start[..., 1, None])
+                 - d[..., 1, None] * (q[..., 0] - start[..., 0, None]))
+        chord = nxt - prev                    # the turn at i: side 0 against vertex i + 1
+        cross = d[0, ..., 0] * chord[..., 1] - d[0, ..., 1] * chord[..., 0]
+        holds = (sides > -eps[..., None]).all(axis=0).any(axis=-1)
         collinear = np.abs(cross) <= eps
         convex = (cross > eps) & ~holds
         flat = collinear.any(axis=1)

@@ -36,9 +36,13 @@ TRI7_WEIGHTS = np.array(
 
 
 def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule over the ear-clip triangulation of a cell; a miss fills every cell."""
+    """Composite rule over the ear-clip triangulation of a cell; a miss fills every cell.
+
+    A miss on an id that is not a cell raises TypeError or ValueError and fills nothing.
+    """
     cache = mesh._quadrature_cache
     if cell not in cache:
+        mesh.checked_cells(cell)
         rules = {}
         for cells, idx in mesh.groups:
             coords = mesh.vertices[idx]                                  # (k, n, 2)

@@ -11,14 +11,15 @@ cell's stress as one affine field: its value at the patch centre and its x
 and y derivatives.
 
 Modes are expressed in coordinates (xi, eta) centred on the patch's area
-centroid and scaled by the square root of its area, P = MODES[0] + xi MODES[1]
-+ eta MODES[2]. The first moments of (1, xi, eta) vanish there, so the
-constants are C S[0] / |P|, the patch mean of the VEM cell stresses (S[0] is
-the work of the constant modes), and the linear modes solve a 4x4 system built
-from the patch's central second moment. That moment is the parallel-axis sum
-of the cell moments the mesh stores; the boundary work sums each member's own
-work, two Gauss points per edge (on an edge between two members it cancels).
-All patches are solved as one stack.
+centroid and scaled by the square root of its area. The first moments of
+(1, xi, eta) vanish there, so the two kinds of mode decouple: the constants
+are C S[0] / |P|, the patch mean of the VEM cell stresses (S[0] is the work of
+the constant modes), and the four linear modes, whose xi and eta coefficients
+are `_LINEAR`, solve a 4x4 system built from the patch's central second
+moment. That moment is the parallel-axis sum of the cell moments the mesh
+stores; the boundary work sums each member's own work, two Gauss points per
+edge (on an edge between two members it cancels). All patches are solved as
+one stack, and only that 4x4 solve is checked.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
@@ -46,13 +47,10 @@ _GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 RECOVERY_KINDS = ("rcp0", "rcp1")
 
-# Coefficients of 1, xi and eta in the 3x7 mode matrix (rows sx, sy, sxy):
-# modes 3-6 are (eta, 0, 0), (0, xi, 0), (xi, 0, -eta) and (0, eta, -xi).
-MODES = np.zeros((3, 3, 7))
-MODES[0, :, :3] = np.eye(3)
-MODES[1, [1, 0, 2], [4, 5, 6]] = (1.0, 1.0, -1.0)
-MODES[2, [0, 2, 1], [3, 5, 6]] = (1.0, -1.0, 1.0)
-_LINEAR = MODES[1:, :, 3:]            # the xi and eta coefficients of modes 3-6
+# The xi and eta coefficients (rows sx, sy, sxy) of the four linear modes
+# (eta, 0, 0), (0, xi, 0), (xi, 0, -eta) and (0, eta, -xi).
+_LINEAR = np.array([[[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]],
+                    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]])
 
 
 class RecoveryConditioningError(Exception):
@@ -89,9 +87,9 @@ def build_patch(mesh: PolygonalMesh, cells, kind: str) -> Patches:
 
     "rcp0" is the cell alone; "rcp1" is every cell sharing at least one
     vertex with it: the pattern of row c of A A^T, where A is the cell-vertex
-    incidence matrix.
+    incidence matrix. An id that is not a cell raises TypeError or ValueError.
     """
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = mesh.checked_cells(cells)
     if kind not in RECOVERY_KINDS:
         raise ValueError(f"unknown recovery kind {kind!r}")
     if kind == "rcp0":
@@ -111,7 +109,7 @@ def patch_systems(
     displacement,
     body_force,
 ) -> tuple[np.ndarray, ...]:
-    """The constant-mode coefficients and the linear-mode system H beta = g of every patch.
+    """The constant-mode coefficients and the linear-mode system H x = g of every patch.
 
     `patches` holds (patch, member cell) pairs as `build_patch` returns them.
     Returns (centers (npatch, 2), scales (npatch,), loads (npatch, 2),
@@ -165,7 +163,7 @@ def patch_systems(
     # they cancel. The first moments move to the patch frame as J does.
     W[:, 1:] = (W[:, 1:] + shift[:, :, None] * W[:, :1]) / s[:, :, None]
     S = _sum_by(owner, W, npatch)
-    with np.errstate(all="ignore"):      # an overflow fails the patch in `solve_patches`
+    with np.errstate(all="ignore"):      # an overflow fails the patch in `recover_field`
         constants = S[:, 0] @ elastic_matrix(material) / patch_area[:, None]
 
     # Particular stress (-bx (x - cx), -by (y - cy), 0) = xi V[0] + eta V[1].
@@ -184,15 +182,14 @@ _CHECKS = ("condition number", "backward error")
 _LIMITS = (1e12, 64 * np.finfo(float).eps)
 
 
-def solve_patches(constants: np.ndarray, H: np.ndarray, g: np.ndarray):
-    """Solve the stacked linear-mode systems; returns (betas, failed, checks).
+def solve_patches(H: np.ndarray, g: np.ndarray):
+    """Solve the stacked linear-mode systems H x = g; returns (linear, failed, checks).
 
-    `betas` (npatch, 7) are the `constants`, then the solution of H beta = g.
+    `linear` (npatch, 4) holds the coefficients of the four linear modes.
     `checks` (npatch, 2) holds cond(H) and the normwise backward error
-    ||H beta - g|| / (||H||_F ||beta|| + ||g||) of the solve (Higham, Accuracy and
+    ||H x - g|| / (||H||_F ||x|| + ||g||) of the solve (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, 7.1). A patch fails when either is
-    above its limit in `_LIMITS` (or not a number) or any of its seven betas is
-    not finite; they are then not to be used.
+    above its limit in `_LIMITS` or not a number; its `linear` is then not to be used.
     """
     lam = np.linalg.eigvalsh(H)          # H is a symmetric Gram matrix: cond = lam_max / lam_min
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,9 +203,7 @@ def solve_patches(constants: np.ndarray, H: np.ndarray, g: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         backward = np.where(residual == 0.0, 0.0, residual / size)
     checks = np.column_stack([cond, backward])
-    betas = np.column_stack([constants, linear])
-    failed = ~(checks <= _LIMITS).all(axis=1) | ~np.isfinite(betas).all(axis=1)
-    return betas, failed, checks
+    return linear, ~(checks <= _LIMITS).all(axis=1), checks
 
 
 def _reason(checks: np.ndarray) -> str:
@@ -227,22 +222,23 @@ def recover_field(
 ) -> RecoveredStressField:
     """Run the patch recovery centered on every cell.
 
-    A vertex-neighbor patch that fails a check of `solve_patches` falls back to its
-    single-cell patch; a warning names each such cell and its failed check, and the field
-    flags them. A single-cell patch has no fallback: it raises RecoveryConditioningError
+    A vertex-neighbor patch that fails a check of `solve_patches`, or whose field is not
+    finite, falls back to its single-cell patch; a warning names each such cell and its
+    failed check, and the field flags them. A single-cell patch has no fallback: it raises RecoveryConditioningError
     naming the first failed check and its value, or that a coefficient is not finite.
     """
 
     def fit(cells, patch_kind):
         patches = build_patch(mesh, cells, patch_kind)
-        centers, scales, loads, *system = patch_systems(mesh, material, patches, displacement,
-                                                        body_force)
-        betas, failed, checks = solve_patches(*system)
-        # MODES[a] @ beta are the coefficients of 1, xi and eta; d/dx = d/dxi / scale. The
-        # particular stress adds -bx to d sx/dx and -by to d sy/dy.
+        centers, scales, loads, constants, *system = patch_systems(
+            mesh, material, patches, displacement, body_force)
+        linear, failed, checks = solve_patches(*system)
+        # The constants are the stress at the centre; _LINEAR[a] @ linear is its derivative
+        # in xi or eta, and d/dx = d/dxi / scale. The particular stress adds -bx to d sx/dx
+        # and -by to d sy/dy.
         with np.errstate(all="ignore"):                  # a non-finite one fails the patch
-            coefficients = np.einsum("aik,pk->pai", MODES, betas)
-            coefficients[:, 1:] /= scales[:, None, None]
+            gradient = np.einsum("aik,pk->pai", _LINEAR, linear) / scales[:, None, None]
+            coefficients = np.concatenate([constants[:, None], gradient], axis=1)
             coefficients[:, [1, 2], [0, 1]] -= loads
         return centers, coefficients, failed | ~np.isfinite(coefficients).all(axis=(1, 2)), checks
 

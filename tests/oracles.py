@@ -16,7 +16,6 @@ from vemrcp.generators import _merge_points
 from vemrcp.material import compliance_matrix, elastic_matrix
 from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, ear_clip
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
-from vemrcp.recovery import _GAUSS2, MODES, _sum_by
 from vemrcp.vem import element_matrices
 
 
@@ -389,6 +388,42 @@ def vertex_patch_per_cell(mesh, cell) -> np.ndarray:
     return np.unique(corner_cell[np.isin(mesh.indices, cell_ids(mesh, cell))])
 
 
+# The seven self-equilibrated stress modes (sx, sy, sxy) of the recovery, as
+# functions of the patch coordinates (xi, eta): three constants, then four
+# divergence-free linear fields.
+STRESS_MODES = (
+    lambda xi, eta: (1.0, 0.0, 0.0),
+    lambda xi, eta: (0.0, 1.0, 0.0),
+    lambda xi, eta: (0.0, 0.0, 1.0),
+    lambda xi, eta: (eta, 0.0, 0.0),
+    lambda xi, eta: (0.0, xi, 0.0),
+    lambda xi, eta: (xi, 0.0, -eta),
+    lambda xi, eta: (0.0, eta, -xi),
+)
+
+
+def _mode_table() -> np.ndarray:
+    """Coefficients (3, 3, 7) of 1, xi and eta in each mode: its value at (0, 0) and
+    its steps to (1, 0) and (0, 1), exact for affine modes."""
+    at = np.array([[mode(xi, eta) for mode in STRESS_MODES]
+                   for xi, eta in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))])   # (3, 7, 3)
+    at[1:] -= at[0]
+    return at.transpose(0, 2, 1).copy()
+
+
+MODES = _mode_table()
+
+# Nodes of the two-point Gauss rule on [0, 1].
+GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+
+
+def sum_by(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of `values` that share an `owner` index in [0, n), in row order."""
+    sums = np.zeros((n,) + values.shape[1:])
+    np.add.at(sums, owner, values)
+    return sums
+
+
 def stress_modes_at(center, scale: float, points) -> np.ndarray:
     """Evaluate the 3x7 mode matrix at one point or a stack of points."""
     local = (np.asarray(points, dtype=float) - center) / scale
@@ -438,7 +473,7 @@ def patch_systems_outer_edges(mesh, material, patches, displacement, body_force)
     npatch = int(owner[-1]) + 1
     area, centroid, second = mesh.areas, mesh.centroids, mesh.second_moments
     patch_area = np.bincount(owner, area[member], minlength=npatch)
-    centers = _sum_by(owner, area[member, None] * centroid[member], npatch)
+    centers = sum_by(owner, area[member, None] * centroid[member], npatch)
     centers /= patch_area[:, None]
     scales = np.sqrt(patch_area)
 
@@ -446,7 +481,7 @@ def patch_systems_outer_edges(mesh, material, patches, displacement, body_force)
     phi = np.column_stack([np.ones(len(member)), (centroid[member] - centers[owner]) / s])
     cell_m = area[member, None, None] * phi[:, :, None] * phi[:, None, :]
     cell_m[:, 1:, 1:] += second[member] / (s * s)[:, :, None]
-    M = _sum_by(owner, cell_m, npatch)
+    M = sum_by(owner, cell_m, npatch)
     Cinv = compliance_matrix(material)
     H = np.einsum("pab,abkl->pkl", M, np.einsum("aik,ij,bjl->abkl", MODES, Cinv, MODES))
 
@@ -456,7 +491,7 @@ def patch_systems_outer_edges(mesh, material, patches, displacement, body_force)
     a = mesh.vertices[ia]
     t = mesh.vertices[ib] - a
     S = np.zeros((npatch, 3, 3))
-    for gp in _GAUSS2:
+    for gp in GAUSS2:
         x = a + gp * t
         if callable(displacement):
             u = np.asarray(displacement(x[:, 0], x[:, 1]), dtype=float)
@@ -468,7 +503,7 @@ def patch_systems_outer_edges(mesh, material, patches, displacement, body_force)
         )
         local = (x - centers[edge_owner]) / scales[edge_owner, None]
         for d, factor in enumerate((1.0, local[:, 0, None], local[:, 1, None])):
-            S[:, d] += _sum_by(edge_owner, factor * pair, npatch)
+            S[:, d] += sum_by(edge_owner, factor * pair, npatch)
 
     loads = np.array(body_force(centers[:, 0], centers[:, 1]), dtype=float)
     V = np.zeros((npatch, 3, 3))

@@ -31,11 +31,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import shared_mesh
 from oracles import cst_solve, fd_strain, fd_stress_divergence, mesh_cells, random_points_in_cell
 import vemrcp
 from vemrcp.cases import CASE_IDS, manufactured_case
 from vemrcp.cli import StudyConfig, run
-from vemrcp.generators import generate_mesh
 from vemrcp.material import LameMaterial, elastic_matrix
 from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily
 from vemrcp.recovery import evaluate_recovered_stress, recover_field
@@ -91,8 +91,11 @@ def run_grid():
 
 @pytest.fixture(scope="module")
 def grid():
-    """The grid used by criteria 4 and 5 and the pinned-grid check."""
-    return run_grid()
+    """The grid used by criteria 4 and 5 and the pinned-grid check, on the session's
+    shared meshes: each (family, n) serves all three cases."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vemrcp.study, "generate_mesh", shared_mesh)
+        return run_grid()
 
 
 class TestCriterion1PatchTest:
@@ -122,7 +125,7 @@ class TestCriterion2CstOracle:
         t0 = time.perf_counter()
         worst = 0.0
         for family in (MeshFamily.TRI_S, MeshFamily.TRI_U):
-            mesh = generate_mesh(family, 8, SEED)
+            mesh = shared_mesh(family, 8, SEED)
             case = manufactured_case("a", MATERIAL)
             u = solve_dirichlet_problem(
                 mesh, MATERIAL, case.body_force, lambda x, y: case.displacement(x, y)
@@ -268,7 +271,7 @@ class TestCriterion6Equilibrium:
         for test in GRID_TESTS:
             case = manufactured_case(test, MATERIAL)
             for family in GENERATED_FAMILIES:
-                mesh = generate_mesh(family, 8, SEED)
+                mesh = shared_mesh(family, 8, SEED)
                 u = solve_dirichlet_problem(
                     mesh, MATERIAL, case.body_force,
                     lambda x, y: case.displacement(x, y),
@@ -300,7 +303,7 @@ class TestCriterion6Equilibrium:
         for test in GRID_TESTS:
             case = manufactured_case(test, MATERIAL)
             for family in GENERATED_FAMILIES:
-                mesh = generate_mesh(family, 8, SEED)
+                mesh = shared_mesh(family, 8, SEED)
                 u = solve_dirichlet_problem(mesh, MATERIAL, case.body_force, case.displacement)
                 for kind in ("rcp0", "rcp1"):
                     field = recover_field(mesh, MATERIAL, u, case.body_force, kind)

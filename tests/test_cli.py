@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import shared_mesh
 from vemrcp.cli import (
     CSV_HEADER,
     StudyConfig,
@@ -20,7 +21,7 @@ from vemrcp.cli import (
 )
 
 DAT_HEADER = "# h_e E_vem E_rcp0 E_rcp1"
-from vemrcp.generators import GenerationError, generate_mesh
+from vemrcp.generators import GenerationError
 from vemrcp.material import von_mises
 from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, save_mesh
 from vemrcp.study import ConvergenceRecord, observed_rate
@@ -268,7 +269,7 @@ class TestRun:
         assert lines[-1] == "PASS"
 
     def test_external_mesh_run(self, tmp_path):
-        mesh = generate_mesh(MeshFamily.QUAD_S, 3)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
         mesh_path = tmp_path / "m.pmesh"
         save_mesh(mesh, mesh_path)
         code = main(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Voronoi
 
-from conftest import single_cell_mesh
+from conftest import shared_mesh, single_cell_mesh
 from oracles import (
     cell_coords,
     clip_to_unit_square_per_polygon,
@@ -162,7 +162,7 @@ class TestCellMoments:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_match_shoelace_and_quadrature(self, family):
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         for cells, idx in mesh.groups:
             area, centroid = shoelace(mesh.vertices[idx])
             np.testing.assert_allclose(mesh.areas[cells], area, rtol=1e-12)
@@ -189,7 +189,7 @@ class TestCellMoments:
         np.testing.assert_allclose(mesh.second_moments[0], [[ixx, ixy], [ixy, ixx]], atol=1e-14)
 
     def test_far_origin_costs_no_digits(self):
-        mesh = generate_mesh(MeshFamily.QUAD_U, 8, seed=0)
+        mesh = shared_mesh(MeshFamily.QUAD_U, 8, seed=0)
         shift = np.array([1e4, -1e4])
         far = PolygonalMesh(mesh.vertices + shift, mesh.offsets, mesh.indices,
                             MeshFamily.EXTERNAL)
@@ -224,7 +224,7 @@ class TestOutwardNormal:
         np.testing.assert_allclose(-2.0 * vertex_normals(mesh, 0)[2], expected)
 
     def test_points_away_from_centroid_on_convex_cells(self, rng):
-        mesh = generate_mesh(MeshFamily.HEX_S, 3)
+        mesh = shared_mesh(MeshFamily.HEX_S, 3)
         for ci in range(mesh.num_cells):
             pts = cell_coords(mesh, ci)
             center = cell_centroid(mesh, ci)
@@ -233,7 +233,7 @@ class TestOutwardNormal:
 
     def test_closed_polygon_normal_integral_vanishes(self):
         for fam in ALL_FAMILIES:
-            mesh = generate_mesh(fam, 3, seed=5)
+            mesh = shared_mesh(fam, 3, seed=5)
             for ci in range(mesh.num_cells):
                 total = vertex_normals(mesh, ci).sum(axis=0)
                 np.testing.assert_allclose(total, 0.0, atol=1e-12)
@@ -296,7 +296,7 @@ class TestTriangulation:
     )
     def test_strictly_convex_cell_is_fan_from_last_vertex(self, family):
         # Every cell of these families is strictly convex, but only the convex half of conc-s.
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         convex_cells = 0
         for cells, idx in mesh.groups:
             pts = mesh.vertices[idx]
@@ -314,7 +314,7 @@ class TestTriangulation:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_stack_matches_per_cell_reference(self, family):
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         for cells, idx in mesh.groups:
             coords = mesh.vertices[idx]
             local, emitted = ear_clip(coords, cells)
@@ -642,12 +642,12 @@ class TestAverageEdgeLength:
         assert unit_square_mesh.average_edge_length == pytest.approx(1.0)
 
     def test_quad_s_n2(self):
-        assert generate_mesh(MeshFamily.QUAD_S, 2).average_edge_length == pytest.approx(0.5)
+        assert shared_mesh(MeshFamily.QUAD_S, 2).average_edge_length == pytest.approx(0.5)
 
     def test_tri_s_n2(self):
         # 12 axis-aligned edges of 0.5 plus 4 diagonals of sqrt(2)/2
         expected = (12 * 0.5 + 4 * np.sqrt(2.0) / 2.0) / 16.0
-        mesh = generate_mesh(MeshFamily.TRI_S, 2)
+        mesh = shared_mesh(MeshFamily.TRI_S, 2)
         assert mesh.average_edge_length == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.5517766952966369)
 
@@ -659,14 +659,27 @@ def patch_member_sets(mesh, cells, kind="rcp1"):
 
 
 class TestPatches:
-    def test_patch0(self):
+    @pytest.mark.parametrize("kind", ["rcp0", "rcp1"])
+    @pytest.mark.parametrize("cell, error, message", [
+        (-1, ValueError, "cell id -1 out of range for a mesh of 9 cells"),
+        (9, ValueError, "cell id 9 out of range for a mesh of 9 cells"),
+        (2.5, TypeError, "cell id 2.5 is not an integer"),
+    ])
+    def test_bad_cell_id_rejected(self, kind, cell, error, message):
         mesh = generate_mesh(MeshFamily.QUAD_S, 3)
+        assert mesh.num_cells == 9
+        # The first bad id is named; in a float array every id is one.
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_patch(mesh, [cell, 4], kind)
+
+    def test_patch0(self):
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
         patch = build_patch(mesh, [4], "rcp0")
         assert patch.owner.tolist() == [0]
         assert patch.member_cells.tolist() == [4]
 
     def test_interior_patch1_is_full_neighborhood(self):
-        mesh = generate_mesh(MeshFamily.QUAD_S, 3)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
         central = 4  # middle cell of the 3x3 grid
         patch = build_patch(mesh, [central], "rcp1")
         cells = mesh_cells(mesh)
@@ -680,7 +693,7 @@ class TestPatches:
         assert len(patch.member_cells) == 9
 
     def test_corner_patch1_keeps_kind_and_holds_touching_cells(self):
-        mesh = generate_mesh(MeshFamily.QUAD_S, 3)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
         patch = build_patch(mesh, [0], "rcp1")
         cells = mesh_cells(mesh)
         brute = {
@@ -694,7 +707,7 @@ class TestPatches:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_vertex_patches_match_brute_force(self, family):
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         members = patch_member_sets(mesh, np.arange(mesh.num_cells))
         vertex_sets = [set(cell.tolist()) for cell in mesh_cells(mesh)]
         for ci in range(mesh.num_cells):
@@ -703,7 +716,7 @@ class TestPatches:
             assert members[ci] == brute
 
     def test_adjacency_symmetry(self):
-        mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=9)
+        mesh = shared_mesh(MeshFamily.POLY_U, 4, seed=9)
         members = patch_member_sets(mesh, np.arange(mesh.num_cells))
         for a in range(mesh.num_cells):
             for b in members[a]:
@@ -720,18 +733,18 @@ class TestPatches:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_all_cells_match_per_cell_reference(self, family):
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         self.assert_matches_per_cell_reference(mesh, np.arange(mesh.num_cells))
 
     def test_shuffled_subset_follows_request_order(self, rng):
-        mesh = generate_mesh(MeshFamily.CONC_U, 8, seed=0)
+        mesh = shared_mesh(MeshFamily.CONC_U, 8, seed=0)
         subset = rng.permutation(mesh.num_cells)[:40]
         self.assert_matches_per_cell_reference(mesh, subset)
         # A repeated cell gets one patch per request.
         self.assert_matches_per_cell_reference(mesh, np.concatenate([[3, 1, 3, 0], subset]))
 
     def test_rcp0_is_identity_pairs(self, rng):
-        mesh = generate_mesh(MeshFamily.POLY_U, 8, seed=0)
+        mesh = shared_mesh(MeshFamily.POLY_U, 8, seed=0)
         cells = rng.permutation(mesh.num_cells)
         owner, member = build_patch(mesh, cells, "rcp0")
         np.testing.assert_array_equal(owner, np.arange(mesh.num_cells))
@@ -933,7 +946,7 @@ def mutated_pmesh(draw) -> bytes:
 class TestMeshFile:
     def test_round_trip(self, tmp_path):
         for family in ALL_FAMILIES:
-            mesh = generate_mesh(family, 8, seed=4)
+            mesh = shared_mesh(family, 8, seed=4)
             path = tmp_path / f"{family.value}.pmesh"
             save_mesh(mesh, path)
             loaded = load_mesh(path)
@@ -964,7 +977,7 @@ class TestMeshFile:
         assert any("counterclockwise" in r.message for r in caplog.records)
 
     def test_mixed_orientation_cells_reversed_one_by_one(self, tmp_path, caplog):
-        mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=1)
+        mesh = shared_mesh(MeshFamily.POLY_U, 4, seed=1)
         flip = np.random.default_rng(0).random(mesh.num_cells) < 0.5
         records = [f"{len(c)} " + " ".join(map(str, c[::-1] if f else c))
                    for c, f in zip(mesh_cells(mesh), flip)]
@@ -1096,7 +1109,7 @@ class TestMeshFile:
             load_mesh(path)
 
     def test_boundary_flags_recomputed(self, tmp_path):
-        mesh = generate_mesh(MeshFamily.QUAD_S, 2)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 2)
         path = tmp_path / "m.pmesh"
         save_mesh(mesh, path)
         loaded = load_mesh(path)

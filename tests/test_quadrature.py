@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,4 +110,17 @@ class TestPolygonQuadrature:
         for _ in range(2):
             with pytest.raises(MeshError, match="^cell 2: ear clipping failed"):
                 cell_quadrature(mesh, 0)
+        assert mesh._quadrature_cache == {}
+
+    @pytest.mark.parametrize("cell, error, message", [
+        (-1, ValueError, "cell id -1 out of range for a mesh of 9 cells"),
+        (9, ValueError, "cell id 9 out of range for a mesh of 9 cells"),
+        (2.5, TypeError, "cell id 2.5 is not an integer"),
+    ])
+    def test_bad_cell_id_rejected_before_the_fill(self, cell, error, message):
+        mesh = generate_mesh(MeshFamily.QUAD_S, 3)       # a cold cache: 9 cells, none filled
+        assert mesh.num_cells == 9
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                cell_quadrature(mesh, cell)
         assert mesh._quadrature_cache == {}

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_cell_mesh
+from conftest import shared_mesh, single_cell_mesh
 from oracles import (
+    MODES,
     cell_coords,
     cell_ids,
     ear_clip_per_cell,
@@ -25,13 +27,12 @@ from oracles import (
     vertex_patch_per_cell,
 )
 from vemrcp.cases import manufactured_case, zero_body_force
-from vemrcp.generators import generate_mesh
 from vemrcp.material import LameMaterial, compliance_matrix
 from vemrcp.mesh import (GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, load_mesh,
                          validate_mesh)
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.recovery import (
-    MODES,
+    _LINEAR,
     RECOVERY_KINDS,
     RecoveredStressField,
     RecoveryConditioningError,
@@ -78,17 +79,53 @@ def particular_only(monkeypatch, *args):
     """`recover_field(*args)` with every mode coefficient zeroed: its particular stress."""
     import vemrcp.recovery as rec
 
-    solve = rec.solve_patches
+    systems, solve = rec.patch_systems, rec.solve_patches
 
-    def zero_modes(constants, H, g):
-        betas, failed, checks = solve(constants, H, g)
-        return np.zeros_like(betas), failed, checks
+    def zero_constants(*system_args):
+        *rest, constants, H, g = systems(*system_args)
+        return (*rest, np.zeros_like(constants), H, g)
 
-    monkeypatch.setattr(rec, "solve_patches", zero_modes)
+    def zero_linear(H, g):
+        linear, failed, checks = solve(H, g)
+        return np.zeros_like(linear), failed, checks
+
+    monkeypatch.setattr(rec, "patch_systems", zero_constants)
+    monkeypatch.setattr(rec, "solve_patches", zero_linear)
     return rec.recover_field(*args)
 
 
+def exact_rank(rows) -> int:
+    """Rank of a matrix of integers or fractions, by Gaussian elimination in exact arithmetic."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 class TestStressModes:
+    def test_linear_modes_span_the_divergence_free_linear_stresses(self):
+        # A linear stress xi A + eta B (A, B: sx, sy, sxy) has divergence
+        # (A[0] + B[2], A[2] + B[1]): a rank-2 operator on the 6 entries of (A, B), so the
+        # divergence-free ones form a 4-dimensional space. _LINEAR's four modes, as the
+        # columns (A, B), must lie in it and have rank 4.
+        modes = [[Fraction(v) for v in column] for column in _LINEAR.reshape(6, 4).T]
+        div = [[1, 0, 0, 0, 0, 1], [0, 0, 1, 0, 1, 0]]
+        for mode in modes:
+            assert [sum(d * v for d, v in zip(row, mode)) for row in div] == [0, 0], mode
+        assert exact_rank(div) == 2
+        assert exact_rank(modes) == 4
+
+    def test_linear_modes_are_columns_three_to_six_of_the_mode_table(self):
+        np.testing.assert_array_equal(_LINEAR, MODES[1:, :, 3:])
+
     def test_identity_block_at_center(self):
         center = np.array([0.3, -0.7])
         P = stress_modes_at(center, 2.0, center)
@@ -116,7 +153,7 @@ class TestStressModes:
 
 class TestParticularSolution:
     def test_zero_force_gives_zero_field(self, mat, rng):
-        mesh = generate_mesh(MeshFamily.QUAD_S, 2)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 2)
         load = RecordedField(zero_body_force)
         field = recover_field(mesh, mat, np.zeros(2 * mesh.num_vertices), load, "rcp1")
         assert len(load.calls) == 1
@@ -143,7 +180,7 @@ class TestParticularSolution:
 
     def test_divergence_balances_sample_for_test_b(self, mat, monkeypatch):
         case = manufactured_case("b", mat)
-        mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=6)
+        mesh = shared_mesh(MeshFamily.POLY_U, 3, seed=6)
         u = np.zeros(2 * mesh.num_vertices)
         load = RecordedField(case.body_force)
         field = particular_only(monkeypatch, mesh, mat, u, load, "rcp0")
@@ -177,7 +214,7 @@ class TestPatchSystem:
         np.testing.assert_allclose(H, expected, atol=1e-14)
 
     def test_h_symmetric(self, mat):
-        mesh = generate_mesh(MeshFamily.CONC_U, 2, seed=3)
+        mesh = shared_mesh(MeshFamily.CONC_U, 2, seed=3)
         for ci in (0, 3):
             *_, H, _ = one_patch_system(
                 mesh, mat, ci, "rcp1", np.zeros(2 * mesh.num_vertices)
@@ -188,7 +225,7 @@ class TestPatchSystem:
         Cinv = compliance_matrix(mat)
         case = manufactured_case("b", mat)
         for family, seed in ((MeshFamily.POLY_U, 5), (MeshFamily.CONC_U, 2)):
-            mesh = generate_mesh(family, 2, seed=seed)
+            mesh = shared_mesh(family, 2, seed=seed)
             u = np.zeros(2 * mesh.num_vertices)
             center, scale, b, constants, H, g = one_patch_system(
                 mesh, mat, 1, "rcp1", u, case.body_force
@@ -232,7 +269,8 @@ class TestPatchSystem:
         # on a 1 x 1e-7 sliver the eta-linear modes are numerically invisible
         mesh = single_cell_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-7), (0.0, 1e-7)])
         *_, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", np.ones(8))
-        _, failed, _ = solve_patches(constants[None], H[None], g[None])
+        _, failed, _ = solve_patches(H[None], g[None])
+        assert np.isfinite(constants).all()
         assert failed.tolist() == [True]
         with pytest.raises(RecoveryConditioningError):
             recover_field(mesh, mat, np.ones(8), zero_body_force, "rcp0")
@@ -253,7 +291,7 @@ def _refined_triangle_integral(corners, integrand, depth):
 
 class TestComputeG:
     def test_zero_displacement_zero_force(self, mat):
-        mesh = generate_mesh(MeshFamily.QUAD_S, 3)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
         *_, constants, _, g = one_patch_system(
             mesh, mat, 4, "rcp1", np.zeros(2 * mesh.num_vertices)
         )
@@ -261,7 +299,7 @@ class TestComputeG:
         np.testing.assert_array_equal(g, 0.0)
 
     def test_rigid_translation_kills_constant_entries(self, mat):
-        mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=2)
+        mesh = shared_mesh(MeshFamily.POLY_U, 3, seed=2)
         u = np.zeros(2 * mesh.num_vertices)
         u[0::2] = 1.0  # unit x translation everywhere
         *_, constants, _, g = one_patch_system(mesh, mat, 4, "rcp1", u)
@@ -272,10 +310,11 @@ class TestComputeG:
 class TestSolvePatch:
     def test_zero_rhs(self, mat):
         mesh = centered_square_mesh()
-        *_, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
-        betas, failed, _ = solve_patches(np.zeros((1, 3)), H[None], np.zeros((1, 4)))
-        assert betas.shape == (1, 7)
-        np.testing.assert_array_equal(betas, 0.0)
+        *_, constants, H, _ = one_patch_system(mesh, mat, 0, "rcp0", np.zeros(8))
+        linear, failed, _ = solve_patches(H[None], np.zeros((1, 4)))
+        assert linear.shape == (1, 4)
+        np.testing.assert_array_equal(constants, 0.0)
+        np.testing.assert_array_equal(linear, 0.0)
         assert not failed.any()
 
     def test_constant_stress_round_trip(self, mat):
@@ -290,20 +329,20 @@ class TestSolvePatch:
 
         mesh = centered_square_mesh()
         *_, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
-        (beta,), failed, _ = solve_patches(constants[None], H[None], g[None])
+        (linear,), failed, _ = solve_patches(H[None], g[None])
         assert not failed.any()
-        np.testing.assert_allclose(beta[:3], sigma, atol=1e-9)
-        np.testing.assert_allclose(beta[3:], 0.0, atol=1e-9)
+        np.testing.assert_allclose(constants, sigma, atol=1e-9)
+        np.testing.assert_allclose(linear, 0.0, atol=1e-9)
 
     def test_linear_stress_in_span_round_trip(self, mat, rng):
         displacement, stress = bending_case(mat)
         pts = 0.5 * np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) + np.array([0.25, -0.4])
         mesh = single_cell_mesh(pts)
         center, scale, _, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
-        (beta,), failed, _ = solve_patches(constants[None], H[None], g[None])
+        (linear,), failed, _ = solve_patches(H[None], g[None])
         assert not failed.any()
         probe = rng.uniform(-0.2, 0.2, size=(20, 2)) + np.array([0.25, -0.4])
-        recovered = stress_modes_at(center, scale, probe) @ beta
+        recovered = stress_modes_at(center, scale, probe) @ np.concatenate([constants, linear])
         np.testing.assert_allclose(recovered, stress(probe[:, 0], probe[:, 1]), atol=1e-9)
 
 
@@ -313,7 +352,7 @@ class TestRecoverField:
         "family", [MeshFamily.HEX_S, MeshFamily.CONC_U], ids=lambda f: f.value
     )
     def test_patch_test_recovers_constant_stress(self, family, kind, mat, rng):
-        mesh = generate_mesh(family, 3, seed=1)
+        mesh = shared_mesh(family, 3, seed=1)
         case = linear_patch_case(mat)
         u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
         field = recover_field(mesh, mat, u, zero_body_force, kind)
@@ -327,7 +366,7 @@ class TestRecoverField:
             )
 
     def test_rcp0_constant_part_equals_element_stress(self, mat):
-        mesh = generate_mesh(MeshFamily.TRI_U, 4, seed=11)
+        mesh = shared_mesh(MeshFamily.TRI_U, 4, seed=11)
         case = manufactured_case("a", mat)
         u = solve_dirichlet_problem(
             mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)
@@ -349,7 +388,7 @@ class TestRecoverField:
     def test_fallback_to_single_cell_patch(self, mat, monkeypatch):
         import vemrcp.recovery as rec
 
-        mesh = generate_mesh(MeshFamily.QUAD_S, 2)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 2)
         case = linear_patch_case(mat)
         u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
         original = rec.patch_systems
@@ -377,7 +416,7 @@ class TestPatchMean:
     def test_centre_value_is_patch_mean_vem_stress(self, family, mat):
         # beta[:3] = C S[0] / |P| is the area-weighted mean of the VEM cell
         # stresses over the patch, and the particular stress vanishes at the centre.
-        mesh = generate_mesh(family, 16, seed=0)
+        mesh = shared_mesh(family, 16, seed=0)
         cells = np.arange(mesh.num_cells)
         for case_id in ("a", "b", "c"):
             case = manufactured_case(case_id, mat)
@@ -434,10 +473,11 @@ class TestFallbackMesh:
         assert [len(points) for points in load.calls] == [3, 3, 1]
         # Cell 2's record is its single-cell fit: the patch system of cell 2 alone, and
         # bit for bit the recovery on a mesh of that one cell.
-        (center,), (scale,), (b,), *system = patch_systems(
+        (center,), (scale,), (b,), (constants,), H, g = patch_systems(
             mesh, mat, build_patch(mesh, [2], "rcp0"), result.displacement, case.body_force)
-        (beta,), failed, _ = solve_patches(*system)
+        (linear,), failed, _ = solve_patches(H, g)
         assert not failed.any()
+        beta = np.concatenate([constants, linear])
         np.testing.assert_array_equal(field.centers[2], center)
         ids = cell_ids(mesh, 2)
         alone = recover_field(single_cell_mesh(mesh.vertices[ids]), mat,
@@ -477,7 +517,7 @@ class TestNearlyIncompressible:
     @pytest.mark.parametrize("family", [MeshFamily.QUAD_S, MeshFamily.POLY_U, MeshFamily.CONC_U],
                              ids=lambda f: f.value)
     def test_no_failed_level_and_no_fallback(self, family):
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         for lam in (1e6, 1e12, 1e14):
             mat = LameMaterial(lam, 1.0)
             result, errors = run_level(mesh, mat, manufactured_case("a", mat))
@@ -505,15 +545,15 @@ class TestNearlyIncompressible:
         # Forced: patch 1 of every fit fails its backward error.
         import vemrcp.recovery as rec
 
-        mesh = generate_mesh(MeshFamily.QUAD_S, 2)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 2)
         u = solve_dirichlet_problem(mesh, mat, zero_body_force, linear_patch_case(mat).displacement)
         solve = rec.solve_patches
 
-        def inaccurate(constants, H, g):
-            betas, failed, checks = solve(constants, H, g)
+        def inaccurate(H, g):
+            linear, failed, checks = solve(H, g)
             if len(g) > 1:
                 checks[1, 1], failed[1] = 1.0, True
-            return betas, failed, checks
+            return linear, failed, checks
 
         monkeypatch.setattr(rec, "solve_patches", inaccurate)
         reason = "backward error 1 above 1.42e-14"
@@ -557,7 +597,7 @@ class TestLoadCalls:
     """Each load is sampled by one vectorized call per assembly and per fit."""
 
     def test_one_call_per_assembly_and_fit(self, mat):
-        mesh = generate_mesh(MeshFamily.CONC_U, 8, seed=0)
+        mesh = shared_mesh(MeshFamily.CONC_U, 8, seed=0)
         case = manufactured_case("b", mat)
         load, boundary = RecordedField(case.body_force), RecordedField(case.displacement)
         u = solve_dirichlet_problem(mesh, mat, load, boundary)
@@ -586,7 +626,7 @@ class TestEvaluateRecovered:
         )
 
     def test_center_value_is_constant_coefficients(self, mat):
-        mesh = generate_mesh(MeshFamily.HEX_S, 3)
+        mesh = shared_mesh(MeshFamily.HEX_S, 3)
         case = linear_patch_case(mat)
         u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
         field = recover_field(mesh, mat, u, zero_body_force, "rcp0")
@@ -595,7 +635,7 @@ class TestEvaluateRecovered:
             np.testing.assert_allclose(value, field.coefficients[ci, 0], atol=1e-15)
 
     def test_cell_array_matches_per_cell_calls(self, mat, rng):
-        mesh = generate_mesh(MeshFamily.CONC_U, 4, seed=0)
+        mesh = shared_mesh(MeshFamily.CONC_U, 4, seed=0)
         case = manufactured_case("b", mat)
         u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         field = recover_field(mesh, mat, u, case.body_force, "rcp1")
@@ -607,7 +647,7 @@ class TestEvaluateRecovered:
         )
 
     def test_equilibrium_with_sampled_force(self, mat, rng):
-        mesh = generate_mesh(MeshFamily.QUAD_U, 3, seed=4)
+        mesh = shared_mesh(MeshFamily.QUAD_U, 3, seed=4)
         case = manufactured_case("b", mat)
         u = solve_dirichlet_problem(
             mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)
@@ -634,7 +674,7 @@ class TestEvaluateRecovered:
     )
     def test_equilibrium_on_random_unstructured_meshes(self, family, n, seed):
         mat = LameMaterial(1.0, 1.0)
-        mesh = generate_mesh(family, n, seed)
+        mesh = shared_mesh(family, n, seed)
         case = manufactured_case("b", mat)
         u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         cells = np.arange(mesh.num_cells)
@@ -651,7 +691,7 @@ class TestFrameInvariance:
     def test_translation_by_hundred(self, mat, rng):
         bending, _ = bending_case(mat)
         case = manufactured_case("b", mat)
-        base = generate_mesh(MeshFamily.QUAD_U, 3, seed=9)
+        base = shared_mesh(MeshFamily.QUAD_U, 3, seed=9)
         shift = np.array([100.0, 100.0])
         shifted = PolygonalMesh(base.vertices + shift, base.offsets, base.indices,
                                 MeshFamily.EXTERNAL)
@@ -682,7 +722,7 @@ class TestFrameInvariance:
     def test_similarity_moves_stress_by_the_scale_only(self, family, kind, shift, scale):
         # x -> scale x + shift with the same vertex displacements divides every strain by scale.
         mat = LameMaterial(1.0, 1.0)
-        mesh = generate_mesh(family, 4, seed=0)
+        mesh = shared_mesh(family, 4, seed=0)
         moved = PolygonalMesh(scale * mesh.vertices + shift, mesh.offsets, mesh.indices,
                               mesh.family)
         u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
@@ -702,7 +742,7 @@ class TestFrameInvariance:
         # divided by the scale (measured: within 1.9e-15). By 1e-77 they turn
         # subnormal (3.3e-312), and the mesh rejects them.
         mat = LameMaterial(1.0, 1.0)
-        mesh = generate_mesh(MeshFamily.QUAD_S, 4)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 4)
         u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
         cells = np.arange(mesh.num_cells)
         before = evaluate_recovered_stress(
@@ -721,7 +761,7 @@ class TestBoundaryWork:
     def test_member_sums_match_outer_edge_oracle(self, family, mat):
         # Per-cell work summed over the members against work over each patch's
         # outer edges, and the blocks against the oracle's coupled 7x7 system.
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         case = manufactured_case("b", mat)
         u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         bending, _ = bending_case(mat)
@@ -760,7 +800,7 @@ class TestOuterEdges:
         "family", [MeshFamily.CONC_U, MeshFamily.POLY_U], ids=lambda f: f.value
     )
     def test_matches_brute_force_edge_map(self, family):
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         edge_map = {}                                   # (lo, hi) -> cells using the edge
         cells = mesh_cells(mesh)
         for ci, cell in enumerate(cells):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_cell_mesh
+from conftest import shared_mesh, single_cell_mesh
 from oracles import (
     assemble_triplets,
     cell_coords,
@@ -21,7 +21,6 @@ from oracles import (
     stabilization_complement_qr,
 )
 from vemrcp.cases import zero_body_force
-from vemrcp.generators import generate_mesh
 from vemrcp.material import LameMaterial, elastic_matrix
 from vemrcp.mesh import (
     GENERATED_FAMILIES,
@@ -215,7 +214,7 @@ class TestStabilization:
 
     @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
     def test_matches_qr_projector_on_every_family(self, family, mat):
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         for cells, idx in mesh.groups:
             assert_s_matches_qr(mesh.vertices[idx], mesh.areas[cells], mesh.centroids[cells],
                                  cells, elastic_matrix(mat))
@@ -228,7 +227,7 @@ class TestStabilization:
             assert_s_matches_qr(pts, area, centroid, np.arange(len(pts)), elastic_matrix(mat))
 
     def test_closed_form_matches_longdouble_reference(self):
-        mesh = generate_mesh(MeshFamily.QUAD_U, 64, seed=0)
+        mesh = shared_mesh(MeshFamily.QUAD_U, 64, seed=0)
         for cells, idx in mesh.groups:
             pts = mesh.vertices[idx]
             err = np.abs(linear_complement(pts, cells) - linear_complement_longdouble(pts)).max()
@@ -296,7 +295,7 @@ class TestRankCheck:
     @pytest.mark.parametrize("scale", [1e-11, 1e14], ids=["1e-11", "1e14"])
     def test_scaled_squares_assemble(self, scale, mat):
         # r1 and r2 are lengths: the rank test must not compare them with the dimensionless sqrt(n).
-        mesh = generate_mesh(MeshFamily.QUAD_S, 8)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 8)
         scaled = PolygonalMesh(scale * mesh.vertices, mesh.offsets, mesh.indices, mesh.family)
         assert np.isfinite(assemble_global(scaled, mat)[0].data).all()
         (cells, idx), = mesh.groups
@@ -326,7 +325,7 @@ class TestLoadVector:
 
     def test_unvectorized_constant_rejected(self, unit_square_mesh, mat):
         # One (2,) value for all cells would be read as one value per cell.
-        for mesh in (unit_square_mesh, generate_mesh(MeshFamily.QUAD_S, 2)):
+        for mesh in (unit_square_mesh, shared_mesh(MeshFamily.QUAD_S, 2)):
             with pytest.raises(ValueError, match="body force gave shape"):
                 assemble_global(mesh, mat, lambda x, y: (1.0, 0.0))
 
@@ -346,21 +345,21 @@ class TestAssemblyAndSolve:
         np.testing.assert_allclose(K.toarray(), expected, atol=1e-15)
 
     def test_global_rigid_kernel(self, mat):
-        mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=8)
+        mesh = shared_mesh(MeshFamily.POLY_U, 3, seed=8)
         K, _ = assemble_global(mesh, mat)
         for u in (lambda x, y: (1, 0), lambda x, y: (0, 1), lambda x, y: (-y, x)):
             v = np.array([u(x, y) for x, y in mesh.vertices]).ravel()
             np.testing.assert_allclose(K @ v, 0.0, atol=1e-12)
 
     def test_stiffness_unchanged_far_from_origin(self, mat):
-        mesh = generate_mesh(MeshFamily.QUAD_U, 8)
+        mesh = shared_mesh(MeshFamily.QUAD_U, 8)
         shifted = PolygonalMesh(mesh.vertices + [1e4, -1e4], mesh.offsets, mesh.indices, mesh.family)
         K = assemble_global(mesh, mat)[0].toarray()
         K_shifted = assemble_global(shifted, mat)[0].toarray()
         assert np.max(np.abs(K_shifted - K)) <= 1e-10 * np.max(np.abs(K))
 
     def test_global_symmetry(self, mat):
-        mesh = generate_mesh(MeshFamily.CONC_U, 3, seed=8)
+        mesh = shared_mesh(MeshFamily.CONC_U, 3, seed=8)
         K, _ = assemble_global(mesh, mat)
         diff = (K - K.T).toarray()
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(K.toarray()))
@@ -371,7 +370,7 @@ class TestAssemblyAndSolve:
             apply_dirichlet(K, f, [], np.zeros((0, 2)))
 
     def test_zero_boundary_keeps_rhs(self, mat):
-        mesh = generate_mesh(MeshFamily.QUAD_S, 3)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
         K, f = assemble_global(mesh, mat, constant_body_force(1.0, -2.0))
         boundary = mesh.boundary_vertices()
         constrained = apply_dirichlet(K, f, boundary, np.zeros((len(boundary), 2)))
@@ -387,7 +386,7 @@ class TestAssemblyAndSolve:
             np.testing.assert_allclose(u[2 * v : 2 * v + 2], [0.1 * v, -0.2 * v])
 
     def test_solve_leaves_constrained_system_untouched(self, mat):
-        mesh = generate_mesh(MeshFamily.QUAD_U, 4)
+        mesh = shared_mesh(MeshFamily.QUAD_U, 4)
         boundary = mesh.boundary_vertices()
         constrained = apply_dirichlet(
             *assemble_global(mesh, mat, constant_body_force(1.0, -2.0)), boundary,
@@ -428,7 +427,7 @@ class TestAssemblyAndSolve:
         assert u[1] == 7.0
 
     def test_zero_everything_gives_zero(self, mat):
-        mesh = generate_mesh(MeshFamily.QUAD_S, 2)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 2)
         K, f = assemble_global(mesh, mat)
         boundary = mesh.boundary_vertices()
         constrained = apply_dirichlet(K, f, boundary, np.zeros((len(boundary), 2)))
@@ -440,7 +439,7 @@ class TestGroupedAssembly:
 
     @pytest.fixture
     def poly_mesh(self):
-        mesh = generate_mesh(MeshFamily.POLY_U, 5, seed=0)
+        mesh = shared_mesh(MeshFamily.POLY_U, 5, seed=0)
         assert len(np.unique(np.diff(mesh.offsets))) >= 3
         return mesh
 
@@ -482,7 +481,7 @@ class TestBlockAssembly:
     @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
     def test_matches_triplet_assembly(self, family, n):
         mat = LameMaterial(2.0, 0.5)  # lambda != mu: off-diagonal 2 x 2 blocks are not symmetric
-        mesh = generate_mesh(family, n)
+        mesh = shared_mesh(family, n)
         K, _ = assemble_global(mesh, mat)
         ref = assemble_triplets(mesh, mat)
         assert K.format == "csr" and K.shape == ref.shape
@@ -502,7 +501,7 @@ class TestBlockAssembly:
 
     def test_memory_peak_bounded(self, mat):
         # Measured peaks: 6.1 MiB for the block assembly, 19.2 MiB for `assemble_triplets`' sum.
-        mesh = generate_mesh(MeshFamily.QUAD_U, 64)
+        mesh = shared_mesh(MeshFamily.QUAD_U, 64)
         assemble_global(mesh, mat)    # first-call imports and caches stay out of the measurement
         tracemalloc.start()
         try:
@@ -520,7 +519,7 @@ class TestPatchTestProperty:
         ids=lambda f: f.value,
     )
     def test_linear_field_reproduced(self, family, mat):
-        mesh = generate_mesh(family, 4, seed=3)
+        mesh = shared_mesh(family, 4, seed=3)
         case = linear_patch_case(mat)
         u = solve_dirichlet_problem(
             mesh, mat, zero_body_force, lambda x, y: case.displacement(x, y)
@@ -553,7 +552,7 @@ class TestTriangleEquivalence:
     def test_matches_reference_fem(self, family, mat):
         from vemrcp.cases import manufactured_case
 
-        mesh = generate_mesh(family, 6, seed=21)
+        mesh = shared_mesh(family, 6, seed=21)
         case = manufactured_case("a", mat)
         u = solve_dirichlet_problem(
             mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)
@@ -576,7 +575,7 @@ class TestTriangleEquivalence:
     def test_matches_reference_fem_with_body_force(self, mat):
         from vemrcp.cases import manufactured_case
 
-        mesh = generate_mesh(MeshFamily.TRI_S, 5)
+        mesh = shared_mesh(MeshFamily.TRI_S, 5)
         case = manufactured_case("b", mat)
         u = solve_dirichlet_problem(
             mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import shared_mesh
 from oracles import fd_strain, fd_stress_divergence, mesh_cells, mesh_from_cells
 from vemrcp.cases import CASE_IDS, manufactured_case
 from vemrcp.generators import GenerationError, generate_mesh
@@ -74,7 +75,7 @@ class TestManufacturedCases:
 class TestEnergyErrorNorm:
     def test_exact_provider_gives_zero(self, mat):
         for family in (MeshFamily.HEX_S, MeshFamily.CONC_S):
-            mesh = generate_mesh(family, 3, seed=1)
+            mesh = shared_mesh(family, 3, seed=1)
             case = manufactured_case("a", mat)
             exact = {"exact": lambda cells, pts: case.stress(pts[:, 0], pts[:, 1])}
             err = energy_error_norm(mesh, mat, case, exact)
@@ -82,7 +83,7 @@ class TestEnergyErrorNorm:
             assert err["exact"] == pytest.approx(0.0, abs=1e-12)
 
     def test_patch_test_error_below_1e18(self, mat):
-        mesh = generate_mesh(MeshFamily.POLY_U, 3, seed=2)
+        mesh = shared_mesh(MeshFamily.POLY_U, 3, seed=2)
         case = linear_patch_case(mat)
         _, errors = run_level(mesh, mat, case)
         assert all(e <= 1e-18 for e in errors.values()), errors
@@ -91,7 +92,7 @@ class TestEnergyErrorNorm:
         "family", [MeshFamily.POLY_U, MeshFamily.CONC_U], ids=lambda f: f.value
     )
     def test_one_pass_matches_per_cell_reference(self, family, mat):
-        mesh = generate_mesh(family, 4, seed=0)
+        mesh = shared_mesh(family, 4, seed=0)
         case = manufactured_case("b", mat)
         result, errors = run_level(mesh, mat, case, methods=("vem", "rcp1"))
         rcp1 = result.recovered["rcp1"]
@@ -123,7 +124,7 @@ class TestEnergyErrorNorm:
         "family", [MeshFamily.HEX_S, MeshFamily.CONC_U], ids=lambda f: f.value
     )
     def test_one_exact_stress_call_per_level(self, family, mat):
-        mesh = generate_mesh(family, 4, seed=0)
+        mesh = shared_mesh(family, 4, seed=0)
         case = manufactured_case("b", mat)
         calls = []
 
@@ -145,7 +146,7 @@ class TestEnergyErrorNorm:
         "family", [MeshFamily.CONC_U, MeshFamily.POLY_U, MeshFamily.HEX_S], ids=lambda f: f.value
     )
     def test_matches_sum_over_each_cells_rule(self, family, mat):
-        mesh = generate_mesh(family, 8, seed=0)
+        mesh = shared_mesh(family, 8, seed=0)
         case = manufactured_case("b", mat)
         result, errors = run_level(mesh, mat, case, methods=("vem",))
         Cinv = compliance_matrix(mat)
@@ -160,7 +161,7 @@ class TestEnergyErrorNorm:
         case = manufactured_case("a", mat)
         errs = []
         for n in (8, 16):
-            mesh = generate_mesh(MeshFamily.QUAD_S, n)
+            mesh = shared_mesh(MeshFamily.QUAD_S, n)
             _, errors = run_level(mesh, mat, case, methods=("vem",))
             errs.append(errors["vem"])
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
@@ -168,7 +169,7 @@ class TestEnergyErrorNorm:
     def test_invariant_under_cycle_rotation(self, mat):
         # rotating each cell's start vertex changes the ear-clip triangulation;
         # for the polynomial case the rule is exact, so the norms must agree
-        mesh = generate_mesh(MeshFamily.CONC_U, 3, seed=5)
+        mesh = shared_mesh(MeshFamily.CONC_U, 3, seed=5)
         rotated = mesh_from_cells(
             mesh.vertices.copy(),
             [np.roll(c, k % len(c)) for k, c in enumerate(mesh_cells(mesh))],
@@ -182,7 +183,7 @@ class TestEnergyErrorNorm:
 
     def test_triangulation_sensitivity_bounded_for_trig_case(self, mat):
         # non-polynomial integrands see rule-level differences only
-        mesh = generate_mesh(MeshFamily.CONC_U, 3, seed=5)
+        mesh = shared_mesh(MeshFamily.CONC_U, 3, seed=5)
         rotated = mesh_from_cells(
             mesh.vertices.copy(),
             [np.roll(c, k % len(c)) for k, c in enumerate(mesh_cells(mesh))],
