@@ -1,8 +1,10 @@
 """Manufactured displacement fields with their exact strains, stresses, loads.
 
 All fields are vectorized over x and y and return component stacks on the
-last axis. Body forces are hand-differentiated closed forms; the test suite
-cross-checks them against finite differences of the stresses.
+last axis: called with the two (m,) coordinate columns of m points, a field
+gives (m, width) values. Every caller samples a field through `sample`, which
+holds it to that contract. Body forces are hand-differentiated closed forms;
+the test suite cross-checks them against finite differences of the stresses.
 """
 
 from __future__ import annotations
@@ -23,6 +25,18 @@ class ManufacturedCase:
     strain: object         # eps(x, y) -> (..., 3) engineering components
     stress: object         # sigma(x, y) -> (..., 3)
     body_force: object     # b(x, y) -> (..., 2)
+
+
+def sample(field, points: np.ndarray, width: int, name: str) -> np.ndarray:
+    """`field` called once at the (m, 2) `points`, as (m, width) floats.
+
+    Any other result shape raises ValueError naming the field: a (2, m) stack
+    would be re-paired, and a constant or an (m, 1) column broadcast.
+    """
+    values = np.asarray(field(points[:, 0], points[:, 1]), dtype=float)
+    if values.shape != (len(points), width):
+        raise ValueError(f"{name} gave shape {values.shape} at {len(points)} points")
+    return values
 
 
 def stress_from_strain(material: LameMaterial, strain):

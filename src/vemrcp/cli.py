@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cases import CASE_IDS, manufactured_case
+from .cases import CASE_IDS, manufactured_case, sample
 from .material import LameMaterial, von_mises
 from .mesh import GENERATED_FAMILIES, MeshFamily, PolygonalMesh, cell_records, load_mesh
 from .recovery import evaluate_recovered_stress
@@ -131,35 +131,24 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
+def _errors(record: ConvergenceRecord) -> list[str]:
+    """The record's E_vem, E_rcp0 and E_rcp1 as text; an absent method is nan."""
+    return [_fmt(record.errors.get(m, float("nan"))) for m in METHODS]
+
+
 def write_csv(records: list[ConvergenceRecord], path) -> None:
     """One row per refinement level; absent methods are written as nan."""
     lines = [CSV_HEADER]
     for r in records:
-        cols = [
-            r.test,
-            r.family.value,
-            str(r.level),
-            _fmt(r.h),
-            str(r.dofs),
-            _fmt(r.errors.get("vem", float("nan"))),
-            _fmt(r.errors.get("rcp0", float("nan"))),
-            _fmt(r.errors.get("rcp1", float("nan"))),
-            _fmt(r.wall_time),
-        ]
-        lines.append(",".join(cols))
+        cols = [r.test, r.family.value, str(r.level), _fmt(r.h), str(r.dofs), *_errors(r)]
+        lines.append(",".join(cols + [_fmt(r.wall_time)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def write_dat(records: list[ConvergenceRecord], path) -> None:
     """Gnuplot-friendly companion file: h_e and the error columns."""
     lines = ["# h_e E_vem E_rcp0 E_rcp1"]
-    for r in records:
-        lines.append(
-            " ".join(
-                [_fmt(r.h)]
-                + [_fmt(r.errors.get(m, float("nan"))) for m in METHODS]
-            )
-        )
+    lines.extend(" ".join([_fmt(r.h), *_errors(r)]) for r in records)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -197,7 +186,7 @@ def _von_mises_fields(result, material, methods) -> dict:
         if method in result.recovered:
             stresses = evaluate_recovered_stress(result.recovered[method], cells, centroids)
             fields[f"vm_{method}"] = von_mises(stresses, material)
-    exact = result.case.stress(centroids[:, 0], centroids[:, 1])
+    exact = sample(result.case.stress, centroids, 3, "exact stress")
     fields["vm_exact"] = von_mises(exact, material)
     return fields
 

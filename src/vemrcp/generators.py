@@ -40,7 +40,7 @@ MeshArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 def generate_mesh(family: MeshFamily, subdivisions: int, seed: int = 0) -> PolygonalMesh:
     """Build a mesh of the requested family with ~`subdivisions` cells per side."""
     for name, value in (("subdivisions", subdivisions), ("seed", seed)):
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"{name} must be an integer, got {value!r}")
     subdivisions, seed = int(subdivisions), int(seed)        # numpy integers would overflow
     if subdivisions < 1:

@@ -181,17 +181,20 @@ class PolygonalMesh:
     def boundary_vertices(self) -> np.ndarray:
         return np.nonzero(self.boundary_vertex_flags)[0]
 
-    def checked_cells(self, cells) -> np.ndarray:
-        """Cell ids `cells` (one or an array) as int64; TypeError names the first one if
-        they are not integers, ValueError the first one out of range."""
-        ids = np.asarray(cells)
-        if ids.size and ids.dtype.kind not in "iu":
-            raise TypeError(f"cell id {ids.flat[0].item()!r} is not an integer")
-        bad = (ids < 0) | (ids >= self.num_cells)
-        if bad.any():
-            raise ValueError(f"cell id {ids[bad].flat[0]} out of range for a mesh of "
-                             f"{self.num_cells} cells")
-        return ids.astype(np.int64, copy=False)
+
+def checked_cells(cells, count: int) -> np.ndarray:
+    """Cell ids `cells` (one or an array) of a mesh of `count` cells, as int64.
+
+    TypeError names the first id if they are not integers (a bool is not one),
+    ValueError the first one out of range; nothing wraps or truncates.
+    """
+    ids = np.asarray(cells)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise TypeError(f"cell id {ids.flat[0].item()!r} is not an integer")
+    bad = (ids < 0) | (ids >= count)
+    if bad.any():
+        raise ValueError(f"cell id {ids[bad].flat[0]} out of range for a mesh of {count} cells")
+    return ids.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import PolygonalMesh, ear_clip
+from .mesh import PolygonalMesh, checked_cells, ear_clip
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -38,11 +38,18 @@ TRI7_WEIGHTS = np.array(
 def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule over the ear-clip triangulation of a cell; a miss fills every cell.
 
-    A miss on an id that is not a cell raises TypeError or ValueError and fills nothing.
+    The hit path takes a Python int only: any other id (2.0 and True hash like
+    the int keys) goes through `checked_cells`, so on a cold or a warm cache an
+    id that is not one cell raises the same TypeError or ValueError, and a
+    miss on it fills nothing.
     """
     cache = mesh._quadrature_cache
-    if cell not in cache:
-        mesh.checked_cells(cell)
+    if type(cell) is not int or cell not in cache:
+        ids = checked_cells(cell, mesh.num_cells)
+        if ids.ndim:
+            raise TypeError(f"one cell id expected, got an array of shape {ids.shape}")
+        cell = ids.item()
+    if not cache:
         rules = {}
         for cells, idx in mesh.groups:
             coords = mesh.vertices[idx]                                  # (k, n, 2)

@@ -36,10 +36,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .cases import sample
 from .material import LameMaterial, compliance_matrix, elastic_matrix
-from .mesh import PolygonalMesh
+from .mesh import PolygonalMesh, checked_cells
 # Unused here; kept only because the benchmark's span tracer wraps recovery.cell_quadrature.
 from .quadrature import cell_quadrature  # noqa: F401
+from .vem import vertex_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +91,7 @@ def build_patch(mesh: PolygonalMesh, cells, kind: str) -> Patches:
     vertex with it: the pattern of row c of A A^T, where A is the cell-vertex
     incidence matrix. An id that is not a cell raises TypeError or ValueError.
     """
-    cells = mesh.checked_cells(cells)
+    cells = checked_cells(cells, mesh.num_cells)
     if kind not in RECOVERY_KINDS:
         raise ValueError(f"unknown recovery kind {kind!r}")
     if kind == "rcp0":
@@ -115,10 +117,12 @@ def patch_systems(
     Returns (centers (npatch, 2), scales (npatch,), loads (npatch, 2),
     constants (npatch, 3), H (npatch, 4, 4), g (npatch, 4)).
 
-    `displacement` is either the global dof vector (its trace is interpolated
-    linearly per edge) or a callable u(x, y) -> (m, 2) evaluated at the Gauss
-    points. `body_force` is a vectorized callable b(x, y) -> (m, 2), called
-    once at all patch centres.
+    `displacement` is either the global dof vector, one (u, v) pair per
+    vertex (its trace is interpolated linearly per edge), or a callable
+    u(x, y) -> (m, 2) sampled at the Gauss points. `body_force` is a
+    vectorized callable b(x, y) -> (m, 2), sampled once at all patch centres.
+    Both are read through `cases.sample` and `vem.vertex_pairs`, so a field
+    of another shape or a dof vector of another length raises ValueError.
     """
     owner, member = patches
     npatch = int(owner[-1]) + 1
@@ -144,12 +148,12 @@ def patch_systems(
     t = mesh.vertices[mesh.edge_ends] - a
     edge_cell = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.offsets))
     work = np.zeros((len(a), 3, 3))
+    uv = None if callable(displacement) else vertex_pairs(mesh, displacement)
     for gp in _GAUSS2:
         x = a + gp * t
-        if callable(displacement):
-            u = np.asarray(displacement(x[:, 0], x[:, 1]), dtype=float)
+        if uv is None:
+            u = sample(displacement, x, 2, "displacement")
         else:
-            uv = np.asarray(displacement, dtype=float).reshape(-1, 2)
             u = (1.0 - gp) * uv[mesh.indices] + gp * uv[mesh.edge_ends]
         # Gauss weight |e|/2 times the unit outer normal is (t_y, -t_x) / 2.
         pair = 0.5 * np.column_stack(
@@ -167,7 +171,7 @@ def patch_systems(
         constants = S[:, 0] @ elastic_matrix(material) / patch_area[:, None]
 
     # Particular stress (-bx (x - cx), -by (y - cy), 0) = xi V[0] + eta V[1].
-    loads = np.asarray(body_force(centers[:, 0], centers[:, 1]), dtype=float)
+    loads = sample(body_force, centers, 2, "body force")
     V = (loads * scales[:, None])[:, :, None] * -np.eye(2, 3)
     # g = sum_a _LINEAR[a]^T (S[a + 1] - C^-1 sum_b J[a, b] V[b])
     g = np.einsum("aik,pai->pk", _LINEAR, S[:, 1:] - (J @ V) @ Cinv)
@@ -258,7 +262,9 @@ def recover_field(
 
 def evaluate_recovered_stress(field: RecoveredStressField, cell, points) -> np.ndarray:
     """Recovered stress of `cell` at one point or an (m, 2) stack. `cell` is one cell id,
-    or an int array aligned with the (m, 2) points that names the cell of each point."""
+    or an int array aligned with the (m, 2) points that names the cell of each point;
+    an id that is not a cell of the field raises TypeError or ValueError."""
+    cell = checked_cells(cell, len(field.coefficients))
     coef = field.coefficients[cell]
     d = np.asarray(points, dtype=float) - field.centers[cell]
     return coef[..., 0, :] + d[..., :1] * coef[..., 1, :] + d[..., 1:] * coef[..., 2, :]

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from .cases import ManufacturedCase, manufactured_case, stress_from_strain, zero_body_force
+from .cases import ManufacturedCase, manufactured_case, sample, stress_from_strain, zero_body_force
 from .generators import generate_mesh
 from .material import LameMaterial, compliance_matrix
 from .mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh
@@ -52,16 +52,17 @@ def energy_error_norm(
 
     `stresses` maps a name to a callable stress(cells, points) -> (m, 3),
     where `cells` is an int array naming the cell of each of the (m, 2)
-    points. The cell rules are stacked, and the exact stress and the
-    compliance matrix formed, once for all fields; each field is then called
-    once on the stack. Returns a dict of the same names mapped to the norms.
+    points. The cell rules are stacked, and the exact stress sampled (see
+    `cases.sample`) and the compliance matrix formed, once for all fields;
+    each field is then called once on the stack. Returns a dict of the same
+    names mapped to the norms.
     """
     nc = mesh.num_cells
     rules = [cell_quadrature(mesh, ci) for ci in range(nc)]
     cells = np.repeat(np.arange(nc), [len(w) for _, w in rules])
     pts = np.concatenate([p for p, _ in rules])
     w = np.concatenate([w for _, w in rules])
-    exact = case.stress(pts[:, 0], pts[:, 1])
+    exact = sample(case.stress, pts, 3, "exact stress")
     Cinv = compliance_matrix(material)
     norms = {}
     for name, stress in stresses.items():
@@ -232,7 +233,7 @@ def run_patch_test(
     for family in families if families is not None else GENERATED_FAMILIES:
         mesh = generate_mesh(family, subdivisions, seed)
         result, errors = run_level(mesh, material, case, methods)
-        exact = case.displacement(mesh.vertices[:, 0], mesh.vertices[:, 1]).ravel()
+        exact = sample(case.displacement, mesh.vertices, 2, "exact displacement").ravel()
         interior = np.repeat(~mesh.boundary_vertex_flags, 2)
         diff = np.abs(result.displacement[interior] - exact[interior])
         rel = float(diff.max() / np.abs(exact).max()) if interior.any() else 0.0

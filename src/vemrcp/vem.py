@@ -16,10 +16,12 @@ blocks, one per vertex pair of a cell, then expanded to CSR.
 
 The layer hands on plain arrays: `element_matrices` returns (Kc, S) and
 `assemble_global` (K, f). A body force is always a vectorized callable
-b(x, y) -> (m, 2), `cases.zero_body_force` when there is none. The
-displacement is all the solve hands on: the element stress C Pi_m u is
-computed from the mesh, the material and u alone, and the Dirichlet data
-travels as one full-length `prescribed` vector that is zero at the free dofs.
+b(x, y) -> (m, 2), `cases.zero_body_force` when there is none; it and the
+boundary data are read through `cases.sample`. The displacement is all the
+solve hands on: the element stress C Pi_m u is computed from the mesh, the
+material and u alone, and the Dirichlet data travels as one full-length
+`prescribed` vector that is zero at the free dofs. A dof vector is read
+through `vertex_pairs`: one (u, v) pair per vertex, no more and no fewer.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .cases import zero_body_force
+from .cases import sample, zero_body_force
 from .material import LameMaterial, elastic_matrix
 from .mesh import MeshError, PolygonalMesh
 
@@ -132,22 +134,18 @@ def assemble_global(
     expanded to the canonical ndof x ndof CSR; vertices in no cell keep
     empty rows.
 
-    `body_force` is a vectorized callable b(x, y) -> (m, 2). It is called
+    `body_force` is a vectorized callable b(x, y) -> (m, 2). It is sampled
     once, at all cell centroids, and each cell's b |E| is spread evenly over
-    its vertices. Any other result shape raises ValueError: a constant (2,)
-    would otherwise be indexed as if it held one value per cell.
+    its vertices.
     """
     nv = mesh.num_vertices
-    ndof = 2 * nv
     C = elastic_matrix(material)
-    f = np.zeros(ndof)
-    b = np.asarray(body_force(*mesh.centroids.T), dtype=float)
-    if b.shape != (mesh.num_cells, 2):
-        raise ValueError(f"body force gave shape {b.shape} at {mesh.num_cells} centroids")
+    f = np.zeros((nv, 2))
+    b = sample(body_force, mesh.centroids, 2, "body force")
     keys, blocks = [], []
     for cells, idx in mesh.groups:
         k, n = idx.shape
-        np.add.at(f.reshape(nv, 2), idx, (b[cells] * (mesh.areas[cells, None] / n))[:, None])
+        np.add.at(f, idx, (b[cells] * (mesh.areas[cells, None] / n))[:, None])
         Kc, S = element_matrices(mesh.vertices[idx], mesh.areas[cells], cells, C)
         Kc[:, 0::2, 0::2] += S
         Kc[:, 1::2, 1::2] += S
@@ -160,33 +158,32 @@ def assemble_global(
     blocks = np.concatenate(blocks, axis=1)   # frees the per-group list before the sums
     blocks = np.stack([np.bincount(inverse, row, len(pattern)) for row in blocks], axis=-1)
     indptr = np.searchsorted(pattern, nv * np.arange(nv + 1))
-    K = sp.bsr_matrix((blocks.reshape(-1, 2, 2), pattern % nv, indptr), shape=(ndof, ndof)).tocsr()
-    return K, f
+    K = sp.bsr_matrix((blocks.reshape(-1, 2, 2), pattern % nv, indptr), shape=(f.size, f.size))
+    return K.tocsr(), f.ravel()
 
 
 def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, vertices, values) -> ConstrainedSystem:
     """Eliminate prescribed vertex displacements from the assembled system K u = f.
 
     `vertices` is an index array and `values` the (m, 2) prescribed (u, v)
-    of each. The right-hand side of the remaining free block absorbs the
-    coupling term K[free] @ prescribed.
+    of each. Both are marked per vertex row; the free dofs are the unmarked
+    entries of those (u, v) rows in order. The right-hand side of the
+    remaining free block absorbs the coupling term K[free] @ prescribed.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     if len(vertices) == 0:
         raise ValueError("empty Dirichlet set leaves the rigid modes unconstrained")
-    ndof = len(f)
-    dofs = np.stack([2 * vertices, 2 * vertices + 1], axis=-1)
-    fixed_mask = np.zeros(ndof, dtype=bool)
-    fixed_mask[dofs] = True
-    prescribed = np.zeros(ndof)
-    prescribed[dofs] = values
-    free = np.nonzero(~fixed_mask)[0]
+    prescribed = np.zeros((len(f) // 2, 2))
+    prescribed[vertices] = values
+    is_free = np.ones(prescribed.shape, dtype=bool)
+    is_free[vertices] = False
+    free = np.flatnonzero(is_free)
     free_rows = K[free]
     return ConstrainedSystem(
         matrix=free_rows[:, free].tocsr(),
-        rhs=f[free] - free_rows @ prescribed,
+        rhs=f[free] - free_rows @ prescribed.ravel(),
         free=free,
-        prescribed=prescribed,
+        prescribed=prescribed.ravel(),
     )
 
 
@@ -217,10 +214,25 @@ def solve_system(constrained: ConstrainedSystem) -> np.ndarray:
     return u
 
 
+def vertex_pairs(mesh: PolygonalMesh, u) -> np.ndarray:
+    """The interleaved dof vector `u` as one (u, v) row per vertex of `mesh`.
+
+    Any shape but (2 nv,) raises ValueError naming the displacement.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (2 * mesh.num_vertices,):
+        raise ValueError(f"displacement has shape {u.shape}, not ({2 * mesh.num_vertices},) "
+                         f"for {mesh.num_vertices} vertices")
+    return u.reshape(-1, 2)
+
+
 def element_stresses(mesh: PolygonalMesh, material: LameMaterial, u: np.ndarray) -> np.ndarray:
-    """Constant stress C Pi_m u of every cell as an (ncells, 3) array; Pi_m = B / |E|."""
+    """Constant stress C Pi_m u of every cell as an (ncells, 3) array; Pi_m = B / |E|.
+
+    `u` is the dof vector, read by `vertex_pairs`.
+    """
     C = elastic_matrix(material)
-    uv = u.reshape(-1, 2)
+    uv = vertex_pairs(mesh, u)
     out = np.empty((mesh.num_cells, 3))
     for cells, idx in mesh.groups:
         Pi_m = compute_B(mesh.vertices[idx]) / mesh.areas[cells, None, None]
@@ -236,14 +248,14 @@ def solve_dirichlet_problem(
 ) -> np.ndarray:
     """Assemble, constrain every boundary vertex, and solve.
 
-    body_force is a vectorized callable b(x, y) -> (m, 2), called once at all
-    cell centroids (see `assemble_global`). boundary_displacement is a
-    vectorized callable u(x, y) -> (m, 2) too, called once at all boundary
-    vertices. K and f go straight into `apply_dirichlet`, so the full
-    stiffness is released before the factorisation.
+    body_force is a vectorized callable b(x, y) -> (m, 2), sampled once at
+    all cell centroids (see `assemble_global`). boundary_displacement is a
+    vectorized callable u(x, y) -> (m, 2) too, sampled once at all boundary
+    vertices; like the load, any other result shape raises ValueError. K and
+    f go straight into `apply_dirichlet`, so the full stiffness is released
+    before the factorisation.
     """
     boundary = mesh.boundary_vertices()
-    x, y = mesh.vertices[boundary].T
-    values = np.asarray(boundary_displacement(x, y), dtype=float).reshape(-1, 2)
+    values = sample(boundary_displacement, mesh.vertices[boundary], 2, "boundary displacement")
     constrained = apply_dirichlet(*assemble_global(mesh, material, body_force), boundary, values)
     return solve_system(constrained)

@@ -598,6 +598,13 @@ class TestGenerators:
         with pytest.raises(TypeError, match=rf"^subdivisions must be an integer, got {n}$"):
             generate_mesh(family, n)
 
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_count_and_seed_rejected(self, flag):
+        with pytest.raises(TypeError, match=rf"^subdivisions must be an integer, got {flag!r}$"):
+            generate_mesh("quad-s", flag)
+        with pytest.raises(TypeError, match=rf"^seed must be an integer, got {flag!r}$"):
+            generate_mesh("quad-u", 3, seed=flag)
+
     def test_non_integer_seed_named(self):
         with pytest.raises(TypeError, match=r"^seed must be an integer, got 1\.5$"):
             generate_mesh("quad-u", 3, seed=1.5)

@@ -124,3 +124,25 @@ class TestPolygonQuadrature:
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 cell_quadrature(mesh, cell)
         assert mesh._quadrature_cache == {}
+
+    @pytest.mark.parametrize("cell, error, message", [
+        (-1, ValueError, "cell id -1 out of range for a mesh of 9 cells"),
+        (9, ValueError, "cell id 9 out of range for a mesh of 9 cells"),
+        (np.int64(9), ValueError, "cell id 9 out of range for a mesh of 9 cells"),
+        (2.0, TypeError, "cell id 2.0 is not an integer"),
+        (True, TypeError, "cell id True is not an integer"),
+        (np.True_, TypeError, "cell id True is not an integer"),
+        ([1, 2], TypeError, "one cell id expected, got an array of shape (2,)"),
+    ])
+    def test_bad_cell_id_rejected_on_a_warm_cache(self, cell, error, message):
+        # 2.0 and True hash like the keys 2 and 1, so only the hit path's type check stops them.
+        mesh = generate_mesh(MeshFamily.QUAD_S, 3)
+        cell_quadrature(mesh, 0)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cell_quadrature(mesh, cell)
+
+    def test_numpy_integer_id_gets_the_same_rule(self):
+        mesh = generate_mesh(MeshFamily.QUAD_S, 3)
+        for cell in (np.int64(4), np.uint8(4), np.array(4)):
+            pts, w = cell_quadrature(mesh, cell)          # the first is a cold miss
+            assert pts is cell_quadrature(mesh, 4)[0] and w is cell_quadrature(mesh, 4)[1]

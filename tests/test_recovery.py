@@ -27,10 +27,11 @@ from oracles import (
     vertex_patch_per_cell,
 )
 from vemrcp.cases import manufactured_case, zero_body_force
+from vemrcp.cli import _von_mises_fields
 from vemrcp.material import LameMaterial, compliance_matrix
 from vemrcp.mesh import (GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, load_mesh,
                          validate_mesh)
-from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
+from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS, cell_quadrature
 from vemrcp.recovery import (
     _LINEAR,
     RECOVERY_KINDS,
@@ -42,7 +43,7 @@ from vemrcp.recovery import (
     recover_field,
     solve_patches,
 )
-from vemrcp.study import linear_patch_case, run_level
+from vemrcp.study import linear_patch_case, run_level, run_patch_test
 from vemrcp.vem import element_stresses, solve_dirichlet_problem
 
 
@@ -611,6 +612,90 @@ class TestLoadCalls:
             assert len(load.calls) == 1
             assert len(load.calls[0]) == mesh.num_cells
             np.testing.assert_array_equal(load.calls[0], field.centers)
+
+    def test_one_exact_stress_call_per_norm_and_export(self, mat):
+        mesh = shared_mesh(MeshFamily.CONC_U, 8, seed=0)
+        base = manufactured_case("b", mat)
+        stress = RecordedField(base.stress)
+        case = dataclasses.replace(base, stress=stress)
+        result, _ = run_level(mesh, mat, case, methods=("vem", "rcp1"))
+        assert len(stress.calls) == 1
+        rules = [cell_quadrature(mesh, ci) for ci in range(mesh.num_cells)]
+        np.testing.assert_array_equal(stress.calls[0], np.concatenate([p for p, _ in rules]))
+        stress.calls.clear()
+        fields = _von_mises_fields(result, mat, ("vem", "rcp1"))
+        assert fields.keys() == {"vm_vem", "vm_rcp1", "vm_exact"}
+        assert len(stress.calls) == 1
+        np.testing.assert_array_equal(stress.calls[0], mesh.centroids)
+
+    def test_patch_test_samples_the_displacement_once_per_use(self, mat, monkeypatch):
+        recorded = []
+
+        def recorded_case(material):
+            case = linear_patch_case(material)
+            recorded.append(RecordedField(case.displacement))
+            return dataclasses.replace(case, displacement=recorded[-1])
+
+        monkeypatch.setattr("vemrcp.study.linear_patch_case", recorded_case)
+        [result] = run_patch_test(mat, [MeshFamily.HEX_S], subdivisions=3, methods=("vem",))
+        assert result.passed()
+        mesh = shared_mesh(MeshFamily.HEX_S, 3)
+        # The boundary data of the solve, then the exact field at every vertex.
+        [calls] = [r.calls for r in recorded]
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], mesh.vertices[mesh.boundary_vertices()])
+        np.testing.assert_array_equal(calls[1], mesh.vertices)
+
+
+class TestCheckedInput:
+    """Every field and vector `recover_field` reads has one shape; any other raises
+    ValueError naming it. A cell id that is not a cell of the field is rejected."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        mat = LameMaterial(1.0, 1.0)
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
+        case = manufactured_case("b", mat)
+        u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+        return mat, mesh, case, u
+
+    @pytest.mark.parametrize("kind", RECOVERY_KINDS)
+    @pytest.mark.parametrize("load, shape", [
+        (lambda x, y: np.ones((len(x), 1)), "(9, 1)"),
+        (lambda x, y: 1.0, "()"),
+        (lambda x, y: np.ones((2, len(x))), "(2, 9)"),
+    ], ids=["column", "scalar", "transposed"])
+    def test_malformed_load_rejected(self, solved, kind, load, shape):
+        mat, mesh, _, u = solved
+        with pytest.raises(ValueError, match=f"^body force gave shape {re.escape(shape)} at 9 points$"):
+            recover_field(mesh, mat, u, load, kind)
+
+    @pytest.mark.parametrize("kind", RECOVERY_KINDS)
+    @pytest.mark.parametrize("extra", [2, -2], ids=["long", "short"])
+    def test_dof_vector_of_wrong_length_rejected(self, solved, kind, extra):
+        mat, mesh, case, u = solved
+        u = np.zeros(len(u) + extra)
+        message = rf"^displacement has shape \({len(u)},\), not \(32,\) for 16 vertices$"
+        with pytest.raises(ValueError, match=message):
+            recover_field(mesh, mat, u, case.body_force, kind)
+
+    def test_transposed_trace_rejected(self, solved):
+        mat, mesh, case, _ = solved
+        with pytest.raises(ValueError, match=r"^displacement gave shape \(2, 36\) at 36 points$"):
+            recover_field(mesh, mat, lambda x, y: np.stack([x, y]), case.body_force, "rcp0")
+
+    @pytest.mark.parametrize("cell, error, message", [
+        (-1, ValueError, "cell id -1 out of range for a mesh of 9 cells"),
+        (9, ValueError, "cell id 9 out of range for a mesh of 9 cells"),
+        (np.array([0, 9]), ValueError, "cell id 9 out of range for a mesh of 9 cells"),
+        (2.0, TypeError, "cell id 2.0 is not an integer"),
+        (True, TypeError, "cell id True is not an integer"),
+    ])
+    def test_bad_cell_id_rejected(self, solved, cell, error, message):
+        mat, mesh, case, u = solved
+        field = recover_field(mesh, mat, u, case.body_force, "rcp1")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            evaluate_recovered_stress(field, cell, np.full((2, 2), 0.5))
 
 
 class TestEvaluateRecovered:

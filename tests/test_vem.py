@@ -545,6 +545,26 @@ class TestElementStress:
         np.testing.assert_allclose(element_stresses(mesh, mat, v), 0.0, atol=1e-12)
 
 
+class TestCheckedInput:
+    """The boundary data and the dof vector have one shape; any other raises ValueError."""
+
+    def test_transposed_boundary_data_rejected(self, mat):
+        # np.stack([u, v]) is (2, m); reshaped to (m, 2) it would pair (u0, u1), (u2, u3), ...
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
+        m = len(mesh.boundary_vertices())
+        message = rf"^boundary displacement gave shape \(2, {m}\) at {m} points$"
+        with pytest.raises(ValueError, match=message):
+            solve_dirichlet_problem(mesh, mat, zero_body_force, lambda x, y: np.stack([x, y]))
+
+    @pytest.mark.parametrize("extra", [2, -2], ids=["long", "short"])
+    def test_dof_vector_of_wrong_length_rejected(self, extra, mat):
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
+        u = np.zeros(2 * mesh.num_vertices + extra)
+        message = rf"^displacement has shape \({len(u)},\), not \(32,\) for 16 vertices$"
+        with pytest.raises(ValueError, match=message):
+            element_stresses(mesh, mat, u)
+
+
 class TestTriangleEquivalence:
     """On triangle meshes the scheme coincides with linear-triangle FEM."""
 

@@ -1,13 +1,14 @@
 """Manufactured-case consistency, error-norm, and study-orchestration tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from conftest import shared_mesh
 from oracles import fd_strain, fd_stress_divergence, mesh_cells, mesh_from_cells
-from vemrcp.cases import CASE_IDS, manufactured_case
+from vemrcp.cases import CASE_IDS, manufactured_case, sample
 from vemrcp.generators import GenerationError, generate_mesh
 from vemrcp.material import compliance_matrix, elastic_matrix
 from vemrcp.mesh import MeshFamily
@@ -72,7 +73,45 @@ class TestManufacturedCases:
             manufactured_case("d", mat)
 
 
+class TestSample:
+    """`cases.sample` calls a field once and holds it to (m, width)."""
+
+    def test_one_call_gives_m_by_width_floats(self):
+        calls = []
+
+        def field(x, y):
+            calls.append((x, y))
+            return np.stack([x, y, x * y], axis=-1).astype(np.float32)
+
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        values = sample(field, pts, 3, "stress")
+        assert values.dtype == float and values.shape == (3, 3)
+        np.testing.assert_array_equal(values[:, 2], [0.0, 6.0, 20.0])
+        [(x, y)] = calls
+        np.testing.assert_array_equal(np.column_stack([x, y]), pts)
+
+    @pytest.mark.parametrize("result, shape", [
+        (lambda x, y: np.stack([x, y]), "(2, 3)"),
+        (lambda x, y: np.stack([x, y], axis=-1)[:, :1], "(3, 1)"),
+        (lambda x, y: x, "(3,)"),
+        (lambda x, y: (1.0, 0.0), "(2,)"),
+        (lambda x, y: 0.0, "()"),
+    ], ids=["transposed", "column", "flat", "constant", "scalar"])
+    def test_other_shapes_rejected(self, result, shape):
+        pts = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=f"^load gave shape {re.escape(shape)} at 3 points$"):
+            sample(result, pts, 2, "load")
+
+
 class TestEnergyErrorNorm:
+    def test_flat_exact_stress_rejected(self, mat):
+        mesh = shared_mesh(MeshFamily.QUAD_S, 2)
+        case = manufactured_case("a", mat)
+        case = dataclasses.replace(case, stress=lambda x, y: x + y)
+        m = sum(len(cell_quadrature(mesh, c)[1]) for c in range(mesh.num_cells))
+        with pytest.raises(ValueError, match=rf"^exact stress gave shape \({m},\) at {m} points$"):
+            energy_error_norm(mesh, mat, case, {"zero": lambda cells, pts: np.zeros((len(pts), 3))})
+
     def test_exact_provider_gives_zero(self, mat):
         for family in (MeshFamily.HEX_S, MeshFamily.CONC_S):
             mesh = shared_mesh(family, 3, seed=1)
