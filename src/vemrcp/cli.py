@@ -131,24 +131,35 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _errors(record: ConvergenceRecord) -> list[str]:
-    """The record's E_vem, E_rcp0 and E_rcp1 as text; an absent method is nan."""
-    return [_fmt(record.errors.get(m, float("nan"))) for m in METHODS]
-
-
 def write_csv(records: list[ConvergenceRecord], path) -> None:
     """One row per refinement level; absent methods are written as nan."""
     lines = [CSV_HEADER]
     for r in records:
-        cols = [r.test, r.family.value, str(r.level), _fmt(r.h), str(r.dofs), *_errors(r)]
-        lines.append(",".join(cols + [_fmt(r.wall_time)]))
+        cols = [
+            r.test,
+            r.family.value,
+            str(r.level),
+            _fmt(r.h),
+            str(r.dofs),
+            _fmt(r.errors.get("vem", float("nan"))),
+            _fmt(r.errors.get("rcp0", float("nan"))),
+            _fmt(r.errors.get("rcp1", float("nan"))),
+            _fmt(r.wall_time),
+        ]
+        lines.append(",".join(cols))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def write_dat(records: list[ConvergenceRecord], path) -> None:
     """Gnuplot-friendly companion file: h_e and the error columns."""
     lines = ["# h_e E_vem E_rcp0 E_rcp1"]
-    lines.extend(" ".join([_fmt(r.h), *_errors(r)]) for r in records)
+    for r in records:
+        lines.append(
+            " ".join(
+                [_fmt(r.h)]
+                + [_fmt(r.errors.get(m, float("nan"))) for m in METHODS]
+            )
+        )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -5,9 +5,9 @@ INDENT or DEDENT, or a docstring. A docstring here is a string expression
 statement: a logical line whose only tokens are strings. A token that spans
 lines (a multi-line string argument, say) makes each of its lines count.
 
-    python tests/code_lines.py [PACKAGE_DIR]    # default: src/vemrcp
+    python tests/code_lines.py
 
-prints one row per module and the total.
+prints one row per module of src/vemrcp and the total.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vemrcp"
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER}
@@ -34,11 +36,10 @@ def code_lines(source: str) -> int:
     return len(counted)
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    root = Path(args[0] if args else Path(__file__).resolve().parents[1] / "src" / "vemrcp")
-    counts = {p.name: code_lines(p.read_text(encoding="utf-8")) for p in sorted(root.glob("*.py"))}
-    width = max(map(len, counts), default=5)
+def main() -> int:
+    counts = {p.name: code_lines(p.read_text(encoding="utf-8"))
+              for p in sorted(PACKAGE.glob("*.py"))}
+    width = max(map(len, counts))
     for name, n in counts.items():
         print(f"{name:<{width}} {n:>6}")
     print(f"{'total':<{width}} {sum(counts.values()):>6}")
