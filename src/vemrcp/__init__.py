@@ -11,7 +11,6 @@ from .mesh import (
     PolygonalMesh,
     load_mesh,
     save_mesh,
-    validate_mesh,
 )
 from .quadrature import cell_quadrature
 from .recovery import (

@@ -2,9 +2,11 @@
 
 Structured families (tri-s, quad-s, hex-s, conc-s) are fully deterministic
 and ignore the seed; unstructured ones (tri-u, quad-u, poly-u, conc-u) are
-deterministic for a fixed (family, subdivisions, seed) triple. Every
-generated mesh is validated before it is returned. hex-s and poly-u clip all
-their convex cells at once, one array step per side of the square.
+deterministic for a fixed (family, subdivisions, seed) triple. The mesh
+constructor checks every generated mesh, and `generate_mesh` adds the one
+check that only a generator can promise: the cell areas sum to 1, the area
+of the unit square. hex-s and poly-u clip all their convex cells at once,
+one array step per side of the square.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .mesh import (
     PolygonalMesh,
     cycle_successor,
     polygon_moments,
-    validate_mesh,
 )
 
 
@@ -64,8 +65,10 @@ def generate_mesh(family: MeshFamily, subdivisions: int, seed: int = 0) -> Polyg
     }[family]
     arrays = builder(subdivisions, rng)
     try:
-        mesh = PolygonalMesh(*arrays, family)
-        validate_mesh(mesh)
+        mesh = PolygonalMesh(*arrays)
+        area_sum = float(mesh.areas.sum())          # the cells must tile the unit square
+        if abs(area_sum - 1.0) > 1e-10:
+            raise MeshError(f"cell areas sum to {area_sum!r}, expected 1.0")
     except MeshError as exc:
         raise GenerationError(f"{family.value} (n={subdivisions}, seed={seed}): {exc}") from exc
     return mesh

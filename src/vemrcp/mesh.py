@@ -7,8 +7,12 @@ to the next has the global id offsets[ci] + k. The mesh is built from that
 pair alone. All derived topology (edge incidence, boundary flags, and the
 cells grouped by vertex count, which every per-cell kernel stacks) and the
 cell moments of degree <= 2 (area, centroid, central second moments, in
-closed form from the vertices) are built once at construction, which also
-rejects bad cells and bad edges; `validate_mesh` checks the rest.
+closed form from the vertices) are built once at construction. The
+constructor is also the one place that checks a mesh: each cell a simple
+counterclockwise polygon, each edge conforming, the whole simply connected.
+So every `PolygonalMesh` is one that the solver, the quadrature and the
+recovery can use; only `generate_mesh` also checks that the cells tile the
+unit square.
 Areas and centroids of ragged cycles come from one kernel, `polygon_moments`,
 which the generators and `load_mesh` use too. Only the per-cell quadrature
 rules are cached lazily on the instance, so a mesh is not safe to share
@@ -35,7 +39,7 @@ class MeshFormatError(MeshError):
 
 
 class MeshValidationError(MeshError):
-    """A mesh failed its structural invariants."""
+    """A mesh file holds a mesh that breaks an invariant of the constructor (see `load_mesh`)."""
 
 
 class MeshFamily(Enum):
@@ -75,14 +79,16 @@ class PolygonalMesh:
     file or generator. `groups` holds, per vertex count n in ascending order,
     the ids (k,) of the cells with n vertices, ascending, and their vertex
     indices (k, n). Per cell, `areas`, `centroids` and `second_moments`
-    (the 2x2 integral of (x - c)(x - c)^T about the centroid c) are exact. A
-    bad cell raises MeshError naming the first one (a cell whose moments
-    overflow or underflow is bad); so does an edge used by three cells or
-    an interior edge run twice the same way, naming the first.
+    (the 2x2 integral of (x - c)(x - c)^T about the centroid c) are exact.
+
+    MeshError names the first broken invariant, checked in this order: a
+    bad cell (fewer than 3 vertices, a repeated or out-of-range vertex, not
+    counterclockwise, moments that overflow or underflow); an edge used by
+    three cells or an interior edge run twice the same way; a cell whose
+    boundary crosses itself; an Euler characteristic V - E + F other than 1.
     """
 
-    def __init__(self, vertices: np.ndarray, offsets: np.ndarray, indices: np.ndarray,
-                 family: MeshFamily):
+    def __init__(self, vertices: np.ndarray, offsets: np.ndarray, indices: np.ndarray):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
@@ -101,7 +107,6 @@ class PolygonalMesh:
         if len(vertices) == 0:
             raise MeshError("mesh has no vertices")
         self.vertices, self.offsets, self.indices = vertices, offsets, idx
-        self.family = family
         counts = np.diff(offsets)
         nc, nv = len(counts), len(vertices)
         cell_of = np.repeat(np.arange(nc), counts)
@@ -161,6 +166,13 @@ class PolygonalMesh:
             (i, j), n = self.edges[e], users[appearance[e]]
             raise MeshError(f"edge ({i},{j}): shared by {n} cells" if n > 2
                             else f"edge ({i},{j}): traversed twice in the same direction")
+        crossing = np.concatenate([cells[_crossing_cells(vertices[group])]
+                                   for cells, group in self.groups])
+        if len(crossing):
+            raise MeshError(f"cell {crossing.min()}: self-intersecting boundary")
+        euler = nv - len(self.edges) + nc
+        if euler != 1:
+            raise MeshError(f"Euler characteristic V-E+F = {euler}, expected 1")
         d = vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]]
         self.average_edge_length = float(np.hypot(d[:, 0], d[:, 1]).mean())
 
@@ -182,18 +194,20 @@ class PolygonalMesh:
         return np.nonzero(self.boundary_vertex_flags)[0]
 
 
-def checked_cells(cells, count: int) -> np.ndarray:
-    """Cell ids `cells` (one or an array) of a mesh of `count` cells, as int64.
+def checked_ids(ids, count: int, kind: str) -> np.ndarray:
+    """Ids (one or an array) of the `count` cells or vertices (`kind` "cell" or "vertex") of a mesh.
 
-    TypeError names the first id if they are not integers (a bool is not one),
-    ValueError the first one out of range; nothing wraps or truncates.
+    Returns them as int64. TypeError names the first id if they are not
+    integers (a bool is not one), ValueError the first one out of range;
+    nothing wraps or truncates.
     """
-    ids = np.asarray(cells)
+    ids = np.asarray(ids)
     if ids.size and ids.dtype.kind not in "iu":
-        raise TypeError(f"cell id {ids.flat[0].item()!r} is not an integer")
+        raise TypeError(f"{kind} id {ids.flat[0].item()!r} is not an integer")
     bad = (ids < 0) | (ids >= count)
     if bad.any():
-        raise ValueError(f"cell id {ids[bad].flat[0]} out of range for a mesh of {count} cells")
+        plural = {"cell": "cells", "vertex": "vertices"}[kind]
+        raise ValueError(f"{kind} id {ids[bad].flat[0]} out of range for a mesh of {count} {plural}")
     return ids.astype(np.int64, copy=False)
 
 
@@ -298,30 +312,6 @@ def ear_clip(points: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def validate_mesh(mesh: PolygonalMesh) -> None:
-    """Check the invariants beyond the constructor's; raise MeshValidationError for the first.
-
-    Every cell boundary must be simple and the tessellation simply connected
-    (Euler characteristic 1); the cells of a generated family must tile the
-    unit square. Cell orientation and edge incidence are the constructor's.
-    """
-    crossing = np.concatenate([cells[_crossing_cells(mesh.vertices[idx])]
-                               for cells, idx in mesh.groups])
-    if len(crossing):
-        raise MeshValidationError(f"cell {crossing.min()}: self-intersecting boundary")
-    euler = mesh.num_vertices - len(mesh.edges) + mesh.num_cells
-    if euler != 1:
-        raise MeshValidationError(f"Euler characteristic V-E+F = {euler}, expected 1")
-    # Cell areas are positive: the constructor rejects any other cell.
-    area_sum = float(mesh.areas.sum())
-    if mesh.family is not MeshFamily.EXTERNAL and abs(area_sum - 1.0) > 1e-10:
-        raise MeshValidationError(f"cell areas sum to {area_sum!r}, expected 1.0")
-
-
-# ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
 
@@ -399,11 +389,9 @@ def load_mesh(path) -> PolygonalMesh:
         logger.warning("%s: cell %d was clockwise; reversed to counterclockwise", path, k)
     flat = flat[np.where(np.repeat(clockwise, counts), start + end - 1 - pos, pos)]
     try:
-        mesh = PolygonalMesh(vertices, offsets, flat, MeshFamily.EXTERNAL)
-        validate_mesh(mesh)
+        return PolygonalMesh(vertices, offsets, flat)
     except MeshError as exc:
         raise MeshValidationError(f"{path}: {exc}") from exc
-    return mesh
 
 
 def save_mesh(mesh: PolygonalMesh, path) -> None:

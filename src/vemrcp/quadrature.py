@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import PolygonalMesh, checked_cells, ear_clip
+from .mesh import PolygonalMesh, checked_ids, ear_clip
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -39,13 +39,13 @@ def cell_quadrature(mesh: PolygonalMesh, cell: int) -> tuple[np.ndarray, np.ndar
     """Composite rule over the ear-clip triangulation of a cell; a miss fills every cell.
 
     The hit path takes a Python int only: any other id (2.0 and True hash like
-    the int keys) goes through `checked_cells`, so on a cold or a warm cache an
+    the int keys) goes through `checked_ids`, so on a cold or a warm cache an
     id that is not one cell raises the same TypeError or ValueError, and a
     miss on it fills nothing.
     """
     cache = mesh._quadrature_cache
     if type(cell) is not int or cell not in cache:
-        ids = checked_cells(cell, mesh.num_cells)
+        ids = checked_ids(cell, mesh.num_cells, "cell")
         if ids.ndim:
             raise TypeError(f"one cell id expected, got an array of shape {ids.shape}")
         cell = ids.item()

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .cases import sample
 from .material import LameMaterial, compliance_matrix, elastic_matrix
-from .mesh import PolygonalMesh, checked_cells
+from .mesh import PolygonalMesh, checked_ids
 # Unused here; kept only because the benchmark's span tracer wraps recovery.cell_quadrature.
 from .quadrature import cell_quadrature  # noqa: F401
 from .vem import vertex_pairs
@@ -91,7 +91,7 @@ def build_patch(mesh: PolygonalMesh, cells, kind: str) -> Patches:
     vertex with it: the pattern of row c of A A^T, where A is the cell-vertex
     incidence matrix. An id that is not a cell raises TypeError or ValueError.
     """
-    cells = checked_cells(cells, mesh.num_cells)
+    cells = checked_ids(cells, mesh.num_cells, "cell")
     if kind not in RECOVERY_KINDS:
         raise ValueError(f"unknown recovery kind {kind!r}")
     if kind == "rcp0":
@@ -264,7 +264,7 @@ def evaluate_recovered_stress(field: RecoveredStressField, cell, points) -> np.n
     """Recovered stress of `cell` at one point or an (m, 2) stack. `cell` is one cell id,
     or an int array aligned with the (m, 2) points that names the cell of each point;
     an id that is not a cell of the field raises TypeError or ValueError."""
-    cell = checked_cells(cell, len(field.coefficients))
+    cell = checked_ids(cell, len(field.coefficients), "cell")
     coef = field.coefficients[cell]
     d = np.asarray(points, dtype=float) - field.centers[cell]
     return coef[..., 0, :] + d[..., :1] * coef[..., 1, :] + d[..., 1:] * coef[..., 2, :]

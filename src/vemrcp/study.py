@@ -54,7 +54,8 @@ def energy_error_norm(
     where `cells` is an int array naming the cell of each of the (m, 2)
     points. The cell rules are stacked, and the exact stress sampled (see
     `cases.sample`) and the compliance matrix formed, once for all fields;
-    each field is then called once on the stack. Returns a dict of the same
+    each field is then called once on the stack, and any result shape but
+    (m, 3) raises ValueError naming the field. Returns a dict of the same
     names mapped to the norms.
     """
     nc = mesh.num_cells
@@ -66,7 +67,10 @@ def energy_error_norm(
     Cinv = compliance_matrix(material)
     norms = {}
     for name, stress in stresses.items():
-        d = exact - stress(cells, pts)
+        values = np.asarray(stress(cells, pts), dtype=float)
+        if values.shape != exact.shape:
+            raise ValueError(f"stress {name!r} gave shape {values.shape} at {len(pts)} points")
+        d = exact - values
         # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits a long dot across its
         # threads, which would tie the last bits to OPENBLAS_NUM_THREADS.
         norms[name] = float(np.sum(w * np.einsum("mi,mi->m", d @ Cinv, d)))

@@ -34,7 +34,7 @@ from scipy.sparse.linalg import splu
 
 from .cases import sample, zero_body_force
 from .material import LameMaterial, elastic_matrix
-from .mesh import MeshError, PolygonalMesh
+from .mesh import MeshError, PolygonalMesh, checked_ids
 
 
 class SolveError(Exception):
@@ -169,11 +169,19 @@ def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, vertices, values) -> Constr
     of each. Both are marked per vertex row; the free dofs are the unmarked
     entries of those (u, v) rows in order. The right-hand side of the
     remaining free block absorbs the coupling term K[free] @ prescribed.
+    Vertex ids go through `mesh.checked_ids` (TypeError or ValueError naming
+    the first bad one); ids of any shape but (m,) or values of any shape but
+    (m, 2) raise ValueError.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if len(vertices) == 0:
+    nv = len(f) // 2
+    vertices = checked_ids(vertices, nv, "vertex")
+    if vertices.size == 0:
         raise ValueError("empty Dirichlet set leaves the rigid modes unconstrained")
-    prescribed = np.zeros((len(f) // 2, 2))
+    values = np.asarray(values, dtype=float)
+    if vertices.ndim != 1 or values.shape != (len(vertices), 2):
+        raise ValueError(f"Dirichlet values have shape {values.shape} for vertex ids of shape "
+                         f"{vertices.shape}: expected (m, 2) values for (m,) ids")
+    prescribed = np.zeros((nv, 2))
     prescribed[vertices] = values
     is_free = np.ones(prescribed.shape, dtype=bool)
     is_free[vertices] = False

@@ -28,7 +28,7 @@ def rng():
 
 def single_cell_mesh(coords) -> PolygonalMesh:
     coords = np.asarray(coords, dtype=float)
-    return PolygonalMesh(coords, [0, len(coords)], np.arange(len(coords)), MeshFamily.EXTERNAL)
+    return PolygonalMesh(coords, [0, len(coords)], np.arange(len(coords)))
 
 
 @pytest.fixture

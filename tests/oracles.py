@@ -14,7 +14,7 @@ from scipy.sparse.linalg import spsolve
 
 from vemrcp.generators import _merge_points
 from vemrcp.material import compliance_matrix, elastic_matrix
-from vemrcp.mesh import MeshError, MeshFamily, PolygonalMesh, ear_clip
+from vemrcp.mesh import MeshError, PolygonalMesh, ear_clip
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS
 from vemrcp.vem import element_matrices
 
@@ -23,10 +23,10 @@ from vemrcp.vem import element_matrices
 # cells one at a time
 # ---------------------------------------------------------------------------
 
-def mesh_from_cells(vertices, cells, family=MeshFamily.EXTERNAL) -> PolygonalMesh:
+def mesh_from_cells(vertices, cells) -> PolygonalMesh:
     """A mesh from a list of vertex-index sequences, one per cell."""
     offsets = np.concatenate([[0], np.cumsum([len(c) for c in cells])])
-    return PolygonalMesh(vertices, offsets, np.concatenate(cells), family)
+    return PolygonalMesh(vertices, offsets, np.concatenate(cells))
 
 
 def mesh_cells(mesh) -> list[np.ndarray]:

@@ -47,7 +47,6 @@ from vemrcp.mesh import (
     load_mesh,
     polygon_moments,
     save_mesh,
-    validate_mesh,
 )
 from vemrcp.quadrature import cell_quadrature
 from vemrcp.recovery import build_patch
@@ -191,8 +190,7 @@ class TestCellMoments:
     def test_far_origin_costs_no_digits(self):
         mesh = shared_mesh(MeshFamily.QUAD_U, 8, seed=0)
         shift = np.array([1e4, -1e4])
-        far = PolygonalMesh(mesh.vertices + shift, mesh.offsets, mesh.indices,
-                            MeshFamily.EXTERNAL)
+        far = PolygonalMesh(mesh.vertices + shift, mesh.offsets, mesh.indices)
         np.testing.assert_allclose(far.areas, mesh.areas, rtol=1e-9)
         np.testing.assert_allclose(far.centroids - shift, mesh.centroids, rtol=0, atol=1e-10)
         np.testing.assert_allclose(far.second_moments, mesh.second_moments, rtol=0,
@@ -485,7 +483,6 @@ class TestGenerators:
 
     def test_poly_u_n4_seed42(self):
         mesh = generate_mesh(MeshFamily.POLY_U, 4, seed=42)
-        validate_mesh(mesh)
         total = sum(cell_area(mesh, ci) for ci in range(mesh.num_cells))
         assert total == pytest.approx(1.0, abs=1e-10)
         # A 16-cell tessellation certainly has interior edges, each run by two cell edges.
@@ -494,7 +491,7 @@ class TestGenerators:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_all_families_validate(self, family):
         for n, seed in ((1, 0), (3, 0), (6, 7)):
-            validate_mesh(generate_mesh(family, n, seed))
+            generate_mesh(family, n, seed)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_area_and_euler(self, family):
@@ -563,8 +560,9 @@ class TestGenerators:
         "cells, message",
         [([[0, 1, 1, 2]], "cell 0 repeats a vertex"),
          ([[0, 1, 2], [0, 1, 3]], "edge (0,1): traversed twice in the same direction"),
+         ([[0, 1, 3]], "Euler characteristic V-E+F = 2, expected 1"),
          ([[0, 1, 3, 2]], "cell areas sum to 0.5, expected 1.0")],
-        ids=["constructor", "edge", "validation"],
+        ids=["constructor", "edge", "euler", "validation"],
     )
     def test_invalid_builder_output_names_family_n_and_seed(self, monkeypatch, cells, message):
         verts = np.array([(0, 0), (1, 0), (0, 1), (0.5, 0.5)], dtype=float)
@@ -776,13 +774,13 @@ class TestConstructorChecks:
     )
     def test_first_bad_cell_named(self, cells, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
-            mesh_from_cells(np.array(self.SQUARE, dtype=float), cells, MeshFamily.EXTERNAL)
+            mesh_from_cells(np.array(self.SQUARE, dtype=float), cells)
 
     def test_non_finite_vertex_rejected(self):
         verts = np.array(self.SQUARE, dtype=float)
         verts[2, 1] = np.nan
         with pytest.raises(MeshError, match="^non-finite vertex coordinates$"):
-            mesh_from_cells(verts, [[0, 1, 2, 3]], MeshFamily.EXTERNAL)
+            mesh_from_cells(verts, [[0, 1, 2, 3]])
 
     @pytest.mark.parametrize(
         "scale, cells, message",
@@ -799,7 +797,7 @@ class TestConstructorChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MeshError, match=f"^{message}$"):
-                mesh_from_cells(verts, cells, MeshFamily.EXTERNAL)
+                mesh_from_cells(verts, cells)
 
     @pytest.mark.parametrize(
         "offsets, indices",
@@ -809,7 +807,7 @@ class TestConstructorChecks:
     )
     def test_from_ragged_rejects_bad_offsets(self, offsets, indices):
         with pytest.raises(MeshError, match="^offsets must rise from 0"):
-            PolygonalMesh(np.array(self.SQUARE, dtype=float), offsets, indices, MeshFamily.EXTERNAL)
+            PolygonalMesh(np.array(self.SQUARE, dtype=float), offsets, indices)
 
     @pytest.mark.parametrize(
         "offsets, indices, message",
@@ -822,23 +820,21 @@ class TestConstructorChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MeshError, match=f"^{message} must hold whole numbers$"):
-                PolygonalMesh(np.array(self.SQUARE, dtype=float), offsets, indices,
-                              MeshFamily.EXTERNAL)
+                PolygonalMesh(np.array(self.SQUARE, dtype=float), offsets, indices)
 
     def test_whole_valued_float_indices_accepted(self):
-        mesh = PolygonalMesh(np.array(self.SQUARE, dtype=float), [0.0, 4.0], [0.0, 1.0, 2.0, 3.0],
-                             MeshFamily.EXTERNAL)
+        mesh = PolygonalMesh(np.array(self.SQUARE, dtype=float), [0.0, 4.0], [0.0, 1.0, 2.0, 3.0])
         assert mesh.indices.dtype == mesh.offsets.dtype == np.int64
         np.testing.assert_array_equal(mesh.indices, [0, 1, 2, 3])
 
     @pytest.mark.parametrize("vertices", [np.zeros(8), np.zeros((4, 3))], ids=["flat", "3-d"])
     def test_vertices_must_be_nv_by_2(self, vertices):
         with pytest.raises(MeshError, match=r"^vertices must be an \(nv, 2\) array$"):
-            PolygonalMesh(vertices, [0, 3], [0, 1, 2], MeshFamily.EXTERNAL)
+            PolygonalMesh(vertices, [0, 3], [0, 1, 2])
 
     def test_cells_without_vertices_rejected(self):
         with pytest.raises(MeshError, match="^mesh has no vertices$"):
-            PolygonalMesh(np.empty((0, 2)), [0, 3], [0, 1, 2], MeshFamily.EXTERNAL)
+            PolygonalMesh(np.empty((0, 2)), [0, 3], [0, 1, 2])
 
     def test_topology_arrays_are_read_only(self):
         # The vertex-count groups too: each cell once, in the group of its count, ids ascending.
@@ -862,24 +858,27 @@ class TestValidation:
     OVERLAPPING = np.array([(0, 0), (1, 0), (1, 1), (0, 1)] * 2, dtype=float)
     FAN = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)], dtype=float)
 
-    def test_overlapping_cells_fail(self):
-        mesh = mesh_from_cells(self.OVERLAPPING, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.QUAD_S)
-        with pytest.raises(MeshValidationError, match="areas sum|Euler"):
-            validate_mesh(mesh)
+    def test_overlapping_cells_fail(self, monkeypatch):
+        # A generated family with two copies of one square: the constructor's Euler check
+        # fires before generate_mesh's unit-square tiling check could.
+        cells = [[0, 1, 2, 3], [4, 5, 6, 7]]
+        monkeypatch.setattr("vemrcp.generators._quad_structured",
+                            lambda n, rng: (self.OVERLAPPING, [0, 4, 8], np.concatenate(cells)))
+        with pytest.raises(MeshError, match="areas sum|Euler"):
+            generate_mesh(MeshFamily.QUAD_S, 1)
 
     def test_overlapping_external_cells_fail_topologically(self):
-        mesh = mesh_from_cells(self.OVERLAPPING, [[0, 1, 2, 3], [4, 5, 6, 7]], MeshFamily.EXTERNAL)
         message = r"^Euler characteristic V-E\+F = 2, expected 1$"
-        with pytest.raises(MeshValidationError, match=message):
-            validate_mesh(mesh)
+        with pytest.raises(MeshError, match=message):
+            mesh_from_cells(self.OVERLAPPING, [[0, 1, 2, 3], [4, 5, 6, 7]])
 
     def test_dangling_edge_fails(self):
         with pytest.raises(MeshError, match="shared by 3|same direction"):
-            mesh_from_cells(self.FAN, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
+            mesh_from_cells(self.FAN, [[0, 1, 2], [0, 3, 1], [0, 1, 4]])
 
     def test_edge_of_three_cells_fails_validation(self):
         with pytest.raises(MeshError, match=r"^edge \(0,1\): shared by 3 cells$"):
-            mesh_from_cells(self.FAN, [[0, 1, 2], [0, 3, 1], [0, 1, 4]], MeshFamily.EXTERNAL)
+            mesh_from_cells(self.FAN, [[0, 1, 2], [0, 3, 1], [0, 1, 4]])
 
     def test_first_bad_edge_in_order_of_appearance(self):
         # Cell 0 runs (0,2) before (0,1): the same-direction (0,2) is named, not the lower key.
@@ -887,13 +886,13 @@ class TestValidation:
         cells = [[2, 0, 1], [2, 0, 3], [0, 4, 1], [0, 1, 5]]
         message = r"^edge \(0,2\): traversed twice in the same direction$"
         with pytest.raises(MeshError, match=message):
-            mesh_from_cells(verts, cells, MeshFamily.EXTERNAL)
+            mesh_from_cells(verts, cells)
 
     def test_self_intersecting_cell_reported(self):
         # ccw by signed area, but the last two edges cross the bottom edge
         pts = np.array([(0, 0), (3, 0), (3, 3), (0, 3), (2, -1)], dtype=float) / 3.0
-        with pytest.raises(MeshValidationError, match="^cell 0: self-intersecting boundary$"):
-            validate_mesh(single_cell_mesh(pts))
+        with pytest.raises(MeshError, match="^cell 0: self-intersecting boundary$"):
+            single_cell_mesh(pts)
 
     def test_simplicity_matches_pairwise_reference(self, rng):
         # random vertex cycles, many of them self-intersecting, oriented ccw
@@ -901,23 +900,22 @@ class TestValidation:
             pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(4, 9)), 2))
             if shoelace(pts)[0] < 0.0:
                 pts = pts[::-1]
-            mesh = single_cell_mesh(pts)
             if is_simple_polygon(pts):
-                validate_mesh(mesh)
+                single_cell_mesh(pts)
             else:
                 message = "^cell 0: self-intersecting boundary$"
-                with pytest.raises(MeshValidationError, match=message):
-                    validate_mesh(mesh)
+                with pytest.raises(MeshError, match=message):
+                    single_cell_mesh(pts)
 
     def test_same_direction_edge_reported(self):
         verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], dtype=float)
         message = r"^edge \(0,1\): traversed twice in the same direction$"
         with pytest.raises(MeshError, match=message):
-            mesh_from_cells(verts, [[0, 1, 2], [0, 1, 3]], MeshFamily.EXTERNAL)
+            mesh_from_cells(verts, [[0, 1, 2], [0, 1, 3]])
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_generator_round_trip(self, family):
-        validate_mesh(generate_mesh(family, 5, seed=13))
+        generate_mesh(family, 5, seed=13)
 
 
 _PMESH = "pmesh 1\n4 2\n0 0\n1 0\n1 1\n0 1\n3 0 1 2\n3 0 2 3\n"
@@ -959,7 +957,6 @@ class TestMeshFile:
             loaded = load_mesh(path)
             np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
             assert all((a == b).all() for a, b in zip(mesh_cells(loaded), mesh_cells(mesh)))
-            assert loaded.family is MeshFamily.EXTERNAL
 
     def test_single_cell_file(self, tmp_path):
         path = tmp_path / "square.pmesh"
@@ -1103,7 +1100,7 @@ class TestMeshFile:
             ("5 1\n0 0\n3 0\n3 3\n0 3\n2 -1\n5 0 1 2 3 4\n", "cell 0: self-intersecting boundary"),
             ("6 2\n0 0\n1 0\n0 1\n2 0\n3 0\n2 1\n3 0 1 2\n3 3 4 5\n",
              "Euler characteristic V-E+F = 2, expected 1"),
-            # A bad edge is the constructor's, so it is named before a self-intersecting cell.
+            # Edges are checked before cell boundaries cross, so the bad edge is named.
             ("6 2\n0 0\n1 0\n0.5 1\n3 -3\n3 3\n1.5 -1\n3 0 1 2\n5 0 1 3 4 5\n",
              "edge (0,1): traversed twice in the same direction"),
         ],

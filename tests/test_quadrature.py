@@ -6,7 +6,7 @@ import pytest
 
 from oracles import cell_coords, mesh_from_cells, quadrature_rules_per_cell, shoelace
 from vemrcp.generators import generate_mesh
-from vemrcp.mesh import GENERATED_FAMILIES, MeshError, MeshFamily
+from vemrcp.mesh import GENERATED_FAMILIES, MeshError, MeshFamily, ear_clip
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS, cell_quadrature
 
 
@@ -75,17 +75,14 @@ class TestPolygonQuadrature:
                 assert_rules_match_oracle(generate_mesh(family, n, seed=seed))
 
     def test_rules_match_oracle_when_a_collinear_vertex_emits_no_triangle(self):
-        # Cells 1 and 2 form the five-vertex group; cell 2 is a square with a vertex
-        # in the middle of its bottom side, so one of its three ear-clip steps is empty.
-        triangle = np.array([(0, 0), (1, 0), (0, 1)], dtype=float)
-        pentagon = np.array([(0, 0), (2, 0), (3, 1.5), (1, 3), (-1, 1.5)]) + 10.0
-        split_square = np.array([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)], dtype=float) + 20.0
-        quad = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float) + 30.0
-        mesh = mesh_from_cells(
-            np.concatenate([triangle, pentagon, split_square, quad]),
-            [np.arange(3), np.arange(3, 8), np.arange(8, 13), np.arange(13, 17)],
-            MeshFamily.EXTERNAL,
-        )
+        # Cells 1 and 2 form the five-vertex group; cell 2 is the square [20, 22]^2 with a
+        # vertex in the middle of its bottom side, so one of its three ear-clip steps is
+        # empty. The convex pentagon lies to its left, the triangle on top of it and the
+        # quad to its right: one connected mesh.
+        vertices = np.array([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2), (3, 0), (3, 2), (1, 3),
+                             (-1, 0), (-1, 2), (-1.5, 1)], dtype=float) + 20.0
+        cells = [[4, 3, 7], [8, 0, 4, 9, 10], [0, 1, 2, 3, 4], [2, 5, 6, 3]]
+        mesh = mesh_from_cells(vertices, cells)
         assert_rules_match_oracle(mesh)
         assert [len(cell_quadrature(mesh, ci)[1]) for ci in range(4)] == [7, 21, 14, 14]
 
@@ -96,21 +93,23 @@ class TestPolygonQuadrature:
         with pytest.raises(ValueError):
             w[0] = 0.5
 
-    def test_clip_failure_names_the_mesh_cell(self):
-        # Cell 2 is a non-simple pentagon, the second cell of the five-vertex group.
-        triangle = np.array([(0, 0), (1, 0), (0, 1)], dtype=float) + 10.0
+    def test_clip_failure_names_the_mesh_cell(self, monkeypatch, unit_square_mesh):
+        # A stack of mesh cells 1 and 2, five vertices each; cell 2 is not simple. (The mesh
+        # constructor rejects such a cell, so only a direct call can hand one in.)
         pentagon = np.array([(0, 0), (2, 0), (3, 1.5), (1, 3), (-1, 1.5)]) + 20.0
         crossed = np.array([(0, 4), (2, 4), (0, 0), (5, 1), (0, 3)], dtype=float)
-        mesh = mesh_from_cells(
-            np.concatenate([triangle, pentagon, crossed]),
-            [np.arange(3), np.arange(3, 8), np.arange(8, 13)],
-            MeshFamily.EXTERNAL,
-        )
+        with pytest.raises(MeshError, match="^cell 2: ear clipping failed"):
+            ear_clip(np.stack([pentagon, crossed]), np.array([1, 2]))
+
+        def fail(points, cells):
+            raise MeshError(f"cell {cells[0]}: ear clipping failed")
+
         # A failed fill caches nothing, so asking again fails again.
+        monkeypatch.setattr("vemrcp.quadrature.ear_clip", fail)
         for _ in range(2):
-            with pytest.raises(MeshError, match="^cell 2: ear clipping failed"):
-                cell_quadrature(mesh, 0)
-        assert mesh._quadrature_cache == {}
+            with pytest.raises(MeshError, match="^cell 0: ear clipping failed"):
+                cell_quadrature(unit_square_mesh, 0)
+        assert unit_square_mesh._quadrature_cache == {}
 
     @pytest.mark.parametrize("cell, error, message", [
         (-1, ValueError, "cell id -1 out of range for a mesh of 9 cells"),

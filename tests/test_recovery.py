@@ -29,8 +29,7 @@ from oracles import (
 from vemrcp.cases import manufactured_case, zero_body_force
 from vemrcp.cli import _von_mises_fields
 from vemrcp.material import LameMaterial, compliance_matrix
-from vemrcp.mesh import (GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, load_mesh,
-                         validate_mesh)
+from vemrcp.mesh import GENERATED_FAMILIES, MeshError, MeshFamily, PolygonalMesh, load_mesh
 from vemrcp.quadrature import TRI7_BARY, TRI7_WEIGHTS, cell_quadrature
 from vemrcp.recovery import (
     _LINEAR,
@@ -457,9 +456,7 @@ class TestFallbackMesh:
 
     @pytest.fixture
     def mesh(self):
-        mesh = load_mesh(Path(__file__).parent / "data" / "fallback.pmesh")
-        validate_mesh(mesh)
-        return mesh
+        return load_mesh(Path(__file__).parent / "data" / "fallback.pmesh")
 
     @pytest.mark.parametrize("case_id", ["a", "b", "c"])
     def test_rcp1_falls_back_to_single_cell_fit(self, mesh, mat, case_id):
@@ -778,8 +775,7 @@ class TestFrameInvariance:
         case = manufactured_case("b", mat)
         base = shared_mesh(MeshFamily.QUAD_U, 3, seed=9)
         shift = np.array([100.0, 100.0])
-        shifted = PolygonalMesh(base.vertices + shift, base.offsets, base.indices,
-                                MeshFamily.EXTERNAL)
+        shifted = PolygonalMesh(base.vertices + shift, base.offsets, base.indices)
 
         def shifted_fn(fn):
             return lambda x, y: fn(x - shift[0], y - shift[1])
@@ -808,8 +804,7 @@ class TestFrameInvariance:
         # x -> scale x + shift with the same vertex displacements divides every strain by scale.
         mat = LameMaterial(1.0, 1.0)
         mesh = shared_mesh(family, 4, seed=0)
-        moved = PolygonalMesh(scale * mesh.vertices + shift, mesh.offsets, mesh.indices,
-                              mesh.family)
+        moved = PolygonalMesh(scale * mesh.vertices + shift, mesh.offsets, mesh.indices)
         u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
         cells = np.arange(mesh.num_cells)
         before = evaluate_recovered_stress(
@@ -832,13 +827,13 @@ class TestFrameInvariance:
         cells = np.arange(mesh.num_cells)
         before = evaluate_recovered_stress(
             recover_field(mesh, mat, u, zero_body_force, kind), cells, mesh.centroids)
-        moved = PolygonalMesh(1e-76 * mesh.vertices, mesh.offsets, mesh.indices, mesh.family)
+        moved = PolygonalMesh(1e-76 * mesh.vertices, mesh.offsets, mesh.indices)
         field = recover_field(moved, mat, u, zero_body_force, kind)
         assert field.fallback_cells == ()
         after = evaluate_recovered_stress(field, cells, moved.centroids)
         assert np.abs(1e-76 * after - before).max() <= 1e-14 * np.abs(before).max()
         with pytest.raises(MeshError, match="^cell 0 has moments that underflow$"):
-            PolygonalMesh(1e-77 * mesh.vertices, mesh.offsets, mesh.indices, mesh.family)
+            PolygonalMesh(1e-77 * mesh.vertices, mesh.offsets, mesh.indices)
 
 
 class TestBoundaryWork:

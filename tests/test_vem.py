@@ -1,5 +1,6 @@
 """Element operators, assembly, Dirichlet handling, solve, and stress tests."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -281,7 +282,7 @@ class TestRankCheck:
     def square_and_sliver(height):
         # Cell 1 is a ccw triangle hanging below the square's bottom edge.
         vertices = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, -height)], dtype=float)
-        return PolygonalMesh(vertices, [0, 4, 7], [0, 1, 2, 3, 0, 4, 1], MeshFamily.EXTERNAL)
+        return PolygonalMesh(vertices, [0, 4, 7], [0, 1, 2, 3, 0, 4, 1])
 
     def test_flat_sliver_raises(self, mat):
         with pytest.raises(MeshError) as info:
@@ -296,7 +297,7 @@ class TestRankCheck:
     def test_scaled_squares_assemble(self, scale, mat):
         # r1 and r2 are lengths: the rank test must not compare them with the dimensionless sqrt(n).
         mesh = shared_mesh(MeshFamily.QUAD_S, 8)
-        scaled = PolygonalMesh(scale * mesh.vertices, mesh.offsets, mesh.indices, mesh.family)
+        scaled = PolygonalMesh(scale * mesh.vertices, mesh.offsets, mesh.indices)
         assert np.isfinite(assemble_global(scaled, mat)[0].data).all()
         (cells, idx), = mesh.groups
         C = elastic_matrix(mat)
@@ -353,7 +354,7 @@ class TestAssemblyAndSolve:
 
     def test_stiffness_unchanged_far_from_origin(self, mat):
         mesh = shared_mesh(MeshFamily.QUAD_U, 8)
-        shifted = PolygonalMesh(mesh.vertices + [1e4, -1e4], mesh.offsets, mesh.indices, mesh.family)
+        shifted = PolygonalMesh(mesh.vertices + [1e4, -1e4], mesh.offsets, mesh.indices)
         K = assemble_global(mesh, mat)[0].toarray()
         K_shifted = assemble_global(shifted, mat)[0].toarray()
         assert np.max(np.abs(K_shifted - K)) <= 1e-10 * np.max(np.abs(K))
@@ -368,6 +369,31 @@ class TestAssemblyAndSolve:
         K, f = assemble_global(unit_square_mesh, mat)
         with pytest.raises(ValueError, match="Dirichlet"):
             apply_dirichlet(K, f, [], np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("vertices, error, message", [
+        ([99], ValueError, "vertex id 99 out of range for a mesh of 16 vertices"),
+        ([3, -1], ValueError, "vertex id -1 out of range for a mesh of 16 vertices"),
+        ([1.0], TypeError, "vertex id 1.0 is not an integer"),
+        ([True], TypeError, "vertex id True is not an integer"),
+    ])
+    def test_bad_dirichlet_vertex_named(self, mat, vertices, error, message):
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
+        assert mesh.num_vertices == 16
+        K, f = assemble_global(mesh, mat)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            apply_dirichlet(K, f, vertices, np.zeros((len(vertices), 2)))
+
+    @pytest.mark.parametrize("vertices, values", [
+        ([0, 1, 2], np.zeros((2, 3))), ([0, 1, 2], np.zeros((3, 1))), ([0, 1, 2], 0.0),
+        ([[0, 1]], np.zeros((1, 2))), (5, np.zeros((1, 2))),
+    ], ids=["2x3", "column", "scalar", "2-d-ids", "0-d-id"])
+    def test_dirichlet_values_of_other_shape_rejected(self, mat, vertices, values):
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
+        K, f = assemble_global(mesh, mat)
+        message = (f"Dirichlet values have shape {np.shape(values)} for vertex ids of shape "
+                   f"{np.shape(vertices)}: expected (m, 2) values for (m,) ids")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_dirichlet(K, f, vertices, values)
 
     def test_zero_boundary_keeps_rhs(self, mat):
         mesh = shared_mesh(MeshFamily.QUAD_S, 3)
@@ -491,13 +517,19 @@ class TestBlockAssembly:
         np.testing.assert_allclose(K.data, ref.data, rtol=0, atol=1e-15 * np.abs(ref.data).max())
 
     def test_unreferenced_vertex_keeps_empty_rows(self, mat):
-        vertices = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], dtype=float)
-        mesh = PolygonalMesh(vertices, [0, 4], [0, 1, 2, 3], MeshFamily.EXTERNAL)
+        # Four quads around the hole [1, 2]^2 of [0, 3]^2, and vertex 8, in the hole, in no
+        # cell: V - E + F = 9 - 12 + 4 = 1. Each of the eight others couples to six vertices.
+        vertices = np.array([(0, 0), (3, 0), (3, 3), (0, 3), (1, 1), (2, 1), (2, 2), (1, 2),
+                             (1.5, 1.5)], dtype=float)
+        quads = [[k, (k + 1) % 4, (k + 1) % 4 + 4, k + 4] for k in range(4)]
+        mesh = PolygonalMesh(vertices, [0, 4, 8, 12, 16], np.concatenate(quads))
         K, _ = assemble_global(mesh, mat)
-        assert K.shape == (10, 10)
-        assert K.indptr[8] == K.indptr[10] == K.nnz == 64
-        expected = stiffness(*cell_ops(mesh, mat))
-        np.testing.assert_allclose(K.toarray()[:8, :8], expected, rtol=0, atol=1e-15)
+        assert K.shape == (18, 18)
+        assert K.indptr[16] == K.indptr[18] == K.nnz == 8 * 6 * 4
+        ref = assemble_triplets(mesh, mat)
+        np.testing.assert_array_equal(K.indptr, ref.indptr)
+        np.testing.assert_array_equal(K.indices, ref.indices)
+        np.testing.assert_allclose(K.data, ref.data, rtol=0, atol=1e-15 * np.abs(ref.data).max())
 
     def test_memory_peak_bounded(self, mat):
         # Measured peaks: 6.1 MiB for the block assembly, 19.2 MiB for `assemble_triplets`' sum.

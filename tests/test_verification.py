@@ -112,6 +112,18 @@ class TestEnergyErrorNorm:
         with pytest.raises(ValueError, match=rf"^exact stress gave shape \({m},\) at {m} points$"):
             energy_error_norm(mesh, mat, case, {"zero": lambda cells, pts: np.zeros((len(pts), 3))})
 
+    @pytest.mark.parametrize("shape", ["m1", "3m", "scalar"])
+    def test_method_stress_of_other_shape_rejected(self, mat, shape):
+        # An (m, 1) column used to broadcast to the norm of a zero (m, 3) field, 22.4.
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
+        case = manufactured_case("a", mat)
+        result = {"m1": lambda m: np.zeros((m, 1)), "3m": lambda m: np.zeros((3, m)),
+                  "scalar": lambda m: 0.0}[shape]
+        m = sum(len(cell_quadrature(mesh, c)[1]) for c in range(mesh.num_cells))
+        got = re.escape(str(np.shape(result(m))))
+        with pytest.raises(ValueError, match=rf"^stress 'vem' gave shape {got} at {m} points$"):
+            energy_error_norm(mesh, mat, case, {"vem": lambda cells, pts: result(len(pts))})
+
     def test_exact_provider_gives_zero(self, mat):
         for family in (MeshFamily.HEX_S, MeshFamily.CONC_S):
             mesh = shared_mesh(family, 3, seed=1)
@@ -212,7 +224,6 @@ class TestEnergyErrorNorm:
         rotated = mesh_from_cells(
             mesh.vertices.copy(),
             [np.roll(c, k % len(c)) for k, c in enumerate(mesh_cells(mesh))],
-            mesh.family,
         )
         case = manufactured_case("a", mat)
         _, errors = run_level(mesh, mat, case, methods=("vem", "rcp1"))
@@ -226,7 +237,6 @@ class TestEnergyErrorNorm:
         rotated = mesh_from_cells(
             mesh.vertices.copy(),
             [np.roll(c, k % len(c)) for k, c in enumerate(mesh_cells(mesh))],
-            mesh.family,
         )
         case = manufactured_case("b", mat)
         _, errors = run_level(mesh, mat, case, methods=("vem",))
