@@ -6,9 +6,9 @@ fields) added to a particular stress that balances the body force sampled at
 the patch centre. The mode coefficients minimize the patch complementary
 energy, in which the computed displacement enters only through its trace on
 the outer patch boundary: exactly the data a virtual element solution
-provides. Modes and particular stress are affine, so a fit hands on each
-cell's stress as one affine field: its value at the patch centre and its x
-and y derivatives.
+provides, its vertex values, linear along each edge. Modes and particular
+stress are affine, so a fit hands on each cell's stress as one affine field:
+its value at the patch centre and its x and y derivatives.
 
 Modes are expressed in coordinates (xi, eta) centred on the patch's area
 centroid and scaled by the square root of its area. The first moments of
@@ -17,9 +17,10 @@ are C S[0] / |P|, the patch mean of the VEM cell stresses (S[0] is the work of
 the constant modes), and the four linear modes, whose xi and eta coefficients
 are `_LINEAR`, solve a 4x4 system built from the patch's central second
 moment. That moment is the parallel-axis sum of the cell moments the mesh
-stores; the boundary work sums each member's own work, two Gauss points per
-edge (on an edge between two members it cancels). All patches are solved as
-one stack, and only that 4x4 solve is checked.
+stores; the boundary work sums each member's own work, in closed form per
+edge since the trace is linear there (on an edge between two members it
+cancels). All patches are solved as one stack, and only that 4x4 solve is
+checked.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
@@ -44,8 +45,6 @@ from .quadrature import cell_quadrature  # noqa: F401
 from .vem import vertex_pairs
 
 logger = logging.getLogger(__name__)
-
-_GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 RECOVERY_KINDS = ("rcp0", "rcp1")
 
@@ -117,18 +116,21 @@ def patch_systems(
     Returns (centers (npatch, 2), scales (npatch,), loads (npatch, 2),
     constants (npatch, 3), H (npatch, 4, 4), g (npatch, 4)).
 
-    `displacement` is either the global dof vector, one (u, v) pair per
-    vertex (its trace is interpolated linearly per edge), or a callable
-    u(x, y) -> (m, 2) sampled at the Gauss points. `body_force` is a
-    vectorized callable b(x, y) -> (m, 2), sampled once at all patch centres.
-    Both are read through `cases.sample` and `vem.vertex_pairs`, so a field
-    of another shape or a dof vector of another length raises ValueError.
+    `displacement` is the global dof vector, one (u, v) pair per vertex, read
+    by `vem.vertex_pairs`: its trace is linear along each edge, so the work on
+    it is integrated in closed form. `body_force` is a vectorized callable
+    b(x, y) -> (m, 2), sampled once at all patch centres by `cases.sample`. A
+    dof vector of another length or a load of another shape raises
+    ValueError; a callable displacement raises TypeError.
     """
     owner, member = patches
     npatch = int(owner[-1]) + 1
     area, centroid, second = mesh.areas, mesh.centroids, mesh.second_moments
     patch_area = np.bincount(owner, area[member], minlength=npatch)
     centers = _sum_by(owner, area[member, None] * centroid[member], npatch) / patch_area[:, None]
+    # Scaling xi and eta by sqrt|P| keeps H, g and the linear coefficients at the
+    # size of the stress rather than stress / length; without it the norms in
+    # `solve_patches` overflow on a mesh at a 1e-76 scale.
     scales = np.sqrt(patch_area)
 
     # Central second moment J of (xi, eta) by the parallel-axis identity.
@@ -142,29 +144,28 @@ def patch_systems(
     H = np.einsum("pab,abkl->pkl", J, np.einsum("aik,ij,bjl->abkl", _LINEAR, Cinv, _LINEAR))
 
     # Work of each mode's traction on the displacement trace over the boundary
-    # of every cell: W[c, 0] sums the weighted traction pairs at the Gauss
-    # points and W[c, 1:] their first moments about the centroid of c.
+    # of every cell, in closed form. On the edge a + s t, 0 <= s <= 1, the trace
+    # runs linearly from u_a to u_b, and (t_y, -t_x) ds is the outer normal
+    # times arc length. With P = `pair`, W[c, 0] sums P((u_a + u_b) / 2) over
+    # the edges of c, and W[c, 1:], the first moments about its centroid c,
+    # sums (a - c) P((u_a + u_b) / 2) + t P(u_a / 6 + u_b / 3).
+    uv = vertex_pairs(mesh, displacement)
+    ua, ub = uv[mesh.indices], uv[mesh.edge_ends]
     a = mesh.vertices[mesh.indices]
     t = mesh.vertices[mesh.edge_ends] - a
     edge_cell = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.offsets))
-    work = np.zeros((len(a), 3, 3))
-    uv = None if callable(displacement) else vertex_pairs(mesh, displacement)
-    for gp in _GAUSS2:
-        x = a + gp * t
-        if uv is None:
-            u = sample(displacement, x, 2, "displacement")
-        else:
-            u = (1.0 - gp) * uv[mesh.indices] + gp * uv[mesh.edge_ends]
-        # Gauss weight |e|/2 times the unit outer normal is (t_y, -t_x) / 2.
-        pair = 0.5 * np.column_stack(
-            [t[:, 1] * u[:, 0], -t[:, 0] * u[:, 1], t[:, 1] * u[:, 1] - t[:, 0] * u[:, 0]]
-        )
-        arm = np.column_stack([np.ones(len(x)), x - centroid[edge_cell]])
-        work += arm[:, :, None] * pair[:, None, :]
+
+    def pair(u):                         # u paired with the scaled outer normal (t_y, -t_x)
+        return np.column_stack(
+            [t[:, 1] * u[:, 0], -t[:, 0] * u[:, 1], t[:, 1] * u[:, 1] - t[:, 0] * u[:, 0]])
+
+    mean = pair(0.5 * (ua + ub))
+    work = np.concatenate([mean[:, None], (a - centroid[edge_cell])[:, :, None] * mean[:, None]
+                           + t[:, :, None] * pair(ua / 6.0 + ub / 3.0)[:, None]], axis=1)
     W = _sum_by(edge_cell, work, mesh.num_cells)[member]
     # A patch's work is its members' sum: on an edge between two members both
-    # sides see one trace at the same Gauss points with opposite normals, so
-    # they cancel. The first moments move to the patch frame as J does.
+    # sides see one trace with opposite normals, so they cancel. The first
+    # moments move to the patch frame as J does.
     W[:, 1:] = (W[:, 1:] + shift[:, :, None] * W[:, :1]) / s[:, :, None]
     S = _sum_by(owner, W, npatch)
     with np.errstate(all="ignore"):      # an overflow fails the patch in `recover_field`

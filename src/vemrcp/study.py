@@ -19,7 +19,7 @@ from .recovery import (
     evaluate_recovered_stress,
     recover_field,
 )
-from .vem import SolveError, element_stresses, solve_dirichlet_problem
+from .vem import SolveError, element_stresses, solve_dirichlet_problem, vertex_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -238,7 +238,7 @@ def run_patch_test(
         mesh = generate_mesh(family, subdivisions, seed)
         result, errors = run_level(mesh, material, case, methods)
         exact = sample(case.displacement, mesh.vertices, 2, "exact displacement")
-        diff = np.abs(result.displacement.reshape(-1, 2) - exact)[~mesh.boundary_vertex_flags]
+        diff = np.abs(vertex_pairs(mesh, result.displacement) - exact)[~mesh.boundary_vertex_flags]
         rel = float(diff.max() / np.abs(exact).max()) if diff.size else 0.0
         results.append(PatchTestResult(family=family, displacement_error=rel, errors=errors))
     return results

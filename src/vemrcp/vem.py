@@ -171,7 +171,8 @@ def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, vertices, values) -> Constr
     remaining free block absorbs the coupling term K[free] @ prescribed.
     Vertex ids go through `mesh.checked_ids` (TypeError or ValueError naming
     the first bad one); ids of any shape but (m,) or values of any shape but
-    (m, 2) raise ValueError.
+    (m, 2) raise ValueError, and so does an id listed twice, naming the first
+    that repeats an earlier one.
     """
     nv = len(f) // 2
     vertices = checked_ids(vertices, nv, "vertex")
@@ -181,6 +182,9 @@ def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, vertices, values) -> Constr
     if vertices.ndim != 1 or values.shape != (len(vertices), 2):
         raise ValueError(f"Dirichlet values have shape {values.shape} for vertex ids of shape "
                          f"{vertices.shape}: expected (m, 2) values for (m,) ids")
+    repeats = np.setdiff1d(np.arange(len(vertices)), np.unique(vertices, return_index=True)[1])
+    if len(repeats):
+        raise ValueError(f"vertex id {vertices[repeats[0]]} is listed more than once")
     prescribed = np.zeros((nv, 2))
     prescribed[vertices] = values
     is_free = np.ones(prescribed.shape, dtype=bool)

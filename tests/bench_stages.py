@@ -42,8 +42,7 @@ def run_levels(levels) -> dict:
     """Time every stage of each level in this interpreter; returns {"family/n": record}."""
     from functools import partial                   # imported here: only workers load a tree
 
-    import numpy as np
-    from vemrcp.cases import manufactured_case
+    from vemrcp.cases import manufactured_case, sample
     from vemrcp.cli import StudyConfig
     from vemrcp.generators import generate_mesh
     from vemrcp.material import LameMaterial
@@ -67,7 +66,7 @@ def run_levels(levels) -> dict:
         mesh = timed("generate", generate_mesh, family, n, SEED)
         K, f = timed("assemble", assemble_global, mesh, material, case.body_force)
         boundary = mesh.boundary_vertices()
-        values = np.asarray(case.displacement(*mesh.vertices[boundary].T)).reshape(-1, 2)
+        values = sample(case.displacement, mesh.vertices[boundary], 2, "boundary displacement")
         constrained = timed("dirichlet", apply_dirichlet, K, f, boundary, values)
         del K, f
         u = timed("solve", solve_system, constrained)

@@ -318,31 +318,31 @@ class TestSolvePatch:
         assert not failed.any()
 
     def test_constant_stress_round_trip(self, mat):
-        # exact boundary displacement of a constant-stress state
+        # A constant-stress state's displacement is linear, so its vertex values give
+        # its trace exactly.
         sigma = np.array([1.7, -0.6, 0.8])
         eps = compliance_matrix(mat) @ sigma
-
-        def displacement(x, y):
-            return np.stack(
-                [eps[0] * x + 0.5 * eps[2] * y, eps[1] * y + 0.5 * eps[2] * x], axis=-1
-            )
-
         mesh = centered_square_mesh()
-        *_, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
+        x, y = mesh.vertices.T
+        u = np.column_stack([eps[0] * x + 0.5 * eps[2] * y, eps[1] * y + 0.5 * eps[2] * x])
+        *_, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", u.ravel())
         (linear,), failed, _ = solve_patches(H[None], g[None])
         assert not failed.any()
         np.testing.assert_allclose(constants, sigma, atol=1e-9)
         np.testing.assert_allclose(linear, 0.0, atol=1e-9)
 
     def test_linear_stress_in_span_round_trip(self, mat, rng):
+        # The quadratic trace of the bending field reaches only the oracle, whose Gauss
+        # rule integrates it exactly; TestBoundaryWork ties patch_systems to the oracle.
         displacement, stress = bending_case(mat)
         pts = 0.5 * np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) + np.array([0.25, -0.4])
         mesh = single_cell_mesh(pts)
-        center, scale, _, constants, H, g = one_patch_system(mesh, mat, 0, "rcp0", displacement)
-        (linear,), failed, _ = solve_patches(H[None], g[None])
+        (center,), (scale,), _, (H,), (g,) = patch_systems_outer_edges(
+            mesh, mat, build_patch(mesh, [0], "rcp0"), displacement, zero_body_force)
+        (beta,), failed, _ = solve_patches(H[None], g[None])
         assert not failed.any()
         probe = rng.uniform(-0.2, 0.2, size=(20, 2)) + np.array([0.25, -0.4])
-        recovered = stress_modes_at(center, scale, probe) @ np.concatenate([constants, linear])
+        recovered = stress_modes_at(center, scale, probe) @ beta
         np.testing.assert_allclose(recovered, stress(probe[:, 0], probe[:, 1]), atol=1e-9)
 
 
@@ -676,10 +676,11 @@ class TestCheckedInput:
         with pytest.raises(ValueError, match=message):
             recover_field(mesh, mat, u, case.body_force, kind)
 
-    def test_transposed_trace_rejected(self, solved):
+    def test_callable_displacement_rejected(self, solved):
+        # The recovery reads the displacement as the VEM gives it: vertex values.
         mat, mesh, case, _ = solved
-        with pytest.raises(ValueError, match=r"^displacement gave shape \(2, 36\) at 36 points$"):
-            recover_field(mesh, mat, lambda x, y: np.stack([x, y]), case.body_force, "rcp0")
+        with pytest.raises(TypeError):
+            recover_field(mesh, mat, case.displacement, case.body_force, "rcp1")
 
     @pytest.mark.parametrize("cell, error, message", [
         (-1, ValueError, "cell id -1 out of range for a mesh of 9 cells"),
@@ -780,13 +781,13 @@ class TestFrameInvariance:
         def shifted_fn(fn):
             return lambda x, y: fn(x - shift[0], y - shift[1])
 
-        # an unloaded linear stress in the mode span, then case b with its load
+        # The vertex values of an unloaded linear stress in the mode span, then those of
+        # case b with its load; both meshes get the same values.
         loads = ((bending, zero_body_force), (case.displacement, case.body_force))
         for displacement, body_force in loads:
-            field_a = recover_field(base, mat, displacement, body_force, "rcp1")
-            field_b = recover_field(
-                shifted, mat, shifted_fn(displacement), shifted_fn(body_force), "rcp1"
-            )
+            u = displacement(*base.vertices.T).ravel()
+            field_a = recover_field(base, mat, u, body_force, "rcp1")
+            field_b = recover_field(shifted, mat, u, shifted_fn(body_force), "rcp1")
             for ci in range(base.num_cells):
                 pts = random_points_in_cell(base, ci, rng, 4)
                 sa = evaluate_recovered_stress(field_a, ci, pts)
@@ -845,6 +846,7 @@ class TestBoundaryWork:
         case = manufactured_case("b", mat)
         u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         bending, _ = bending_case(mat)
+        bending = bending(*mesh.vertices.T).ravel()
         Cinv = compliance_matrix(mat)
         cells = np.arange(mesh.num_cells)
         for kind in RECOVERY_KINDS:

@@ -375,6 +375,9 @@ class TestAssemblyAndSolve:
         ([3, -1], ValueError, "vertex id -1 out of range for a mesh of 16 vertices"),
         ([1.0], TypeError, "vertex id 1.0 is not an integer"),
         ([True], TypeError, "vertex id True is not an integer"),
+        # A repeated id would otherwise keep the last of its values.
+        ([0, 0, 5], ValueError, "vertex id 0 is listed more than once"),
+        ([3, 5, 7, 5, 3], ValueError, "vertex id 5 is listed more than once"),
     ])
     def test_bad_dirichlet_vertex_named(self, mat, vertices, error, message):
         mesh = shared_mesh(MeshFamily.QUAD_S, 3)
