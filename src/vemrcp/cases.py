@@ -31,12 +31,18 @@ def sample(field, points: np.ndarray, width: int, name: str) -> np.ndarray:
     """`field` called once at the (m, 2) `points`, as (m, width) floats.
 
     Any other result shape raises ValueError naming the field: a (2, m) stack
-    would be re-paired, and a constant or an (m, 1) column broadcast.
+    would be re-paired, and a constant or an (m, 1) column broadcast. When m
+    equals `width`, a transposed (width, m) stack has the shape of the answer,
+    so the field is called at the m points and a repeat of the first, must
+    give (m + 1, width), and the first m rows are returned.
     """
+    m = len(points)
+    if m == width:
+        points = np.concatenate([points, points[:1]])
     values = np.asarray(field(points[:, 0], points[:, 1]), dtype=float)
     if values.shape != (len(points), width):
         raise ValueError(f"{name} gave shape {values.shape} at {len(points)} points")
-    return values
+    return values[:m]
 
 
 def stress_from_strain(material: LameMaterial, strain):

@@ -8,11 +8,12 @@ pair alone. All derived topology (edge incidence, boundary flags, and the
 cells grouped by vertex count, which every per-cell kernel stacks) and the
 cell moments of degree <= 2 (area, centroid, central second moments, in
 closed form from the vertices) are built once at construction. The
-constructor is also the one place that checks a mesh: each cell a simple
-counterclockwise polygon, each edge conforming, the whole simply connected.
-So every `PolygonalMesh` is one that the solver, the quadrature and the
-recovery can use; only `generate_mesh` also checks that the cells tile the
-unit square.
+constructor is also the one place that checks a mesh's topology and cell
+shapes: each cell a simple counterclockwise polygon, each edge conforming,
+the whole simply connected; only `generate_mesh` also checks that the cells
+tile the unit square. One geometric check comes later: `vem.linear_complement`
+rejects, at assembly, a cell too flat to carry the linear fields (its centred
+vertex coordinates rank deficient), which the constructor accepts.
 Areas and centroids of ragged cycles come from one kernel, `polygon_moments`,
 which the generators and `load_mesh` use too. Only the per-cell quadrature
 rules are cached lazily on the instance, so a mesh is not safe to share

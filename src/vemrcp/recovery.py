@@ -17,10 +17,11 @@ are C S[0] / |P|, the patch mean of the VEM cell stresses (S[0] is the work of
 the constant modes), and the four linear modes, whose xi and eta coefficients
 are `_LINEAR`, solve a 4x4 system built from the patch's central second
 moment. That moment is the parallel-axis sum of the cell moments the mesh
-stores; the boundary work sums each member's own work, in closed form per
-edge since the trace is linear there (on an edge between two members it
-cancels). All patches are solved as one stack, and only that 4x4 solve is
-checked.
+stores; the boundary work sums each member's own work, `vem.boundary_work`,
+the closed form per edge that also gives the VEM stresses (on an edge
+between two members it cancels). So the rcp0 constants are the VEM cell
+stresses bit for bit. All patches are solved as one stack, and only that
+4x4 solve is checked.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
@@ -42,7 +43,7 @@ from .material import LameMaterial, compliance_matrix, elastic_matrix
 from .mesh import PolygonalMesh, checked_ids
 # Unused here; kept only because the benchmark's span tracer wraps recovery.cell_quadrature.
 from .quadrature import cell_quadrature  # noqa: F401
-from .vem import vertex_pairs
+from .vem import boundary_work, sum_by
 
 logger = logging.getLogger(__name__)
 
@@ -62,11 +63,24 @@ class RecoveryConditioningError(Exception):
 class RecoveredStressField:
     """Recovered stress of every cell, affine in x and y: at (x, y) in cell c it is
     coefficients[c, 0] + (x - cx) coefficients[c, 1] + (y - cy) coefficients[c, 2],
-    (cx, cy) = centers[c]. The particular stress of the load is included."""
+    (cx, cy) = centers[c]. The particular stress of the load is included.
+
+    Float arrays are kept, not copied. Coefficients of any shape but (n, 3, 3)
+    or centers of any shape but (n, 2) raise ValueError naming both shapes; a
+    fallback cell goes through `mesh.checked_ids` against those n cells."""
 
     centers: np.ndarray               # (ncells, 2) patch centre, also the load sample point
     coefficients: np.ndarray          # (ncells, 3, 3) stress at the centre, d/dx, d/dy
     fallback_cells: tuple = ()
+
+    def __post_init__(self):
+        self.centers = np.asarray(self.centers, dtype=float)
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
+        n = len(self.coefficients) if self.coefficients.ndim else 0
+        if self.coefficients.shape != (n, 3, 3) or self.centers.shape != (n, 2):
+            raise ValueError(f"coefficients of shape {self.coefficients.shape} and centers of "
+                             f"shape {self.centers.shape}: expected (n, 3, 3) and (n, 2)")
+        checked_ids(self.fallback_cells, n, "cell")
 
 
 class Patches(NamedTuple):
@@ -74,13 +88,6 @@ class Patches(NamedTuple):
 
     owner: np.ndarray                 # (npair,) patch index in [0, npatch)
     member_cells: np.ndarray          # (npair,) cell id
-
-
-def _sum_by(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum the rows of `values` that share an `owner` index in [0, n)."""
-    flat = values.reshape(len(owner), -1)
-    sums = [np.bincount(owner, col, minlength=n) for col in flat.T]
-    return np.stack(sums, axis=-1).reshape((n,) + values.shape[1:])
 
 
 def build_patch(mesh: PolygonalMesh, cells, kind: str) -> Patches:
@@ -116,9 +123,9 @@ def patch_systems(
     Returns (centers (npatch, 2), scales (npatch,), loads (npatch, 2),
     constants (npatch, 3), H (npatch, 4, 4), g (npatch, 4)).
 
-    `displacement` is the global dof vector, one (u, v) pair per vertex, read
-    by `vem.vertex_pairs`: its trace is linear along each edge, so the work on
-    it is integrated in closed form. `body_force` is a vectorized callable
+    `displacement` is the global dof vector, one (u, v) pair per vertex: its
+    trace is linear along each edge, and `vem.boundary_work` integrates each
+    member's work on it in closed form. `body_force` is a vectorized callable
     b(x, y) -> (m, 2), sampled once at all patch centres by `cases.sample`. A
     dof vector of another length or a load of another shape raises
     ValueError; a callable displacement raises TypeError.
@@ -127,7 +134,7 @@ def patch_systems(
     npatch = int(owner[-1]) + 1
     area, centroid, second = mesh.areas, mesh.centroids, mesh.second_moments
     patch_area = np.bincount(owner, area[member], minlength=npatch)
-    centers = _sum_by(owner, area[member, None] * centroid[member], npatch) / patch_area[:, None]
+    centers = sum_by(owner, area[member, None] * centroid[member], npatch) / patch_area[:, None]
     # Scaling xi and eta by sqrt|P| keeps H, g and the linear coefficients at the
     # size of the stress rather than stress / length; without it the norms in
     # `solve_patches` overflow on a mesh at a 1e-76 scale.
@@ -138,36 +145,20 @@ def patch_systems(
     shift = centroid[member] - centers[owner]
     phi = shift / s
     cell_j = area[member, None, None] * phi[:, :, None] * phi[:, None, :]
-    J = _sum_by(owner, cell_j + second[member] / (s * s)[:, :, None], npatch)
+    J = sum_by(owner, cell_j + second[member] / (s * s)[:, :, None], npatch)
 
     Cinv = compliance_matrix(material)
     H = np.einsum("pab,abkl->pkl", J, np.einsum("aik,ij,bjl->abkl", _LINEAR, Cinv, _LINEAR))
 
     # Work of each mode's traction on the displacement trace over the boundary
-    # of every cell, in closed form. On the edge a + s t, 0 <= s <= 1, the trace
-    # runs linearly from u_a to u_b, and (t_y, -t_x) ds is the outer normal
-    # times arc length. With P = `pair`, W[c, 0] sums P((u_a + u_b) / 2) over
-    # the edges of c, and W[c, 1:], the first moments about its centroid c,
-    # sums (a - c) P((u_a + u_b) / 2) + t P(u_a / 6 + u_b / 3).
-    uv = vertex_pairs(mesh, displacement)
-    ua, ub = uv[mesh.indices], uv[mesh.edge_ends]
-    a = mesh.vertices[mesh.indices]
-    t = mesh.vertices[mesh.edge_ends] - a
-    edge_cell = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.offsets))
-
-    def pair(u):                         # u paired with the scaled outer normal (t_y, -t_x)
-        return np.column_stack(
-            [t[:, 1] * u[:, 0], -t[:, 0] * u[:, 1], t[:, 1] * u[:, 1] - t[:, 0] * u[:, 0]])
-
-    mean = pair(0.5 * (ua + ub))
-    work = np.concatenate([mean[:, None], (a - centroid[edge_cell])[:, :, None] * mean[:, None]
-                           + t[:, :, None] * pair(ua / 6.0 + ub / 3.0)[:, None]], axis=1)
-    W = _sum_by(edge_cell, work, mesh.num_cells)[member]
+    # of every member: row 0 is the work of the constant modes, rows 1-2 its
+    # first moments about the member's centroid (`vem.boundary_work`).
+    W = boundary_work(mesh, displacement)[member]
     # A patch's work is its members' sum: on an edge between two members both
     # sides see one trace with opposite normals, so they cancel. The first
     # moments move to the patch frame as J does.
     W[:, 1:] = (W[:, 1:] + shift[:, :, None] * W[:, :1]) / s[:, :, None]
-    S = _sum_by(owner, W, npatch)
+    S = sum_by(owner, W, npatch)
     with np.errstate(all="ignore"):      # an overflow fails the patch in `recover_field`
         constants = S[:, 0] @ elastic_matrix(material) / patch_area[:, None]
 

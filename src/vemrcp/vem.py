@@ -7,21 +7,27 @@ the displacement enters its construction, so no interior shape functions are
 ever evaluated. The Gram matrix of the constant-strain basis is G = |E| I,
 so the projector is Pi_m = B / |E|.
 
-Every kernel works on all cells of one vertex count n at once: the mesh
-groups its cells by n at construction (`PolygonalMesh.groups`), and a group
-of k cells is a stack of (k, n, 2) vertex coordinates, (k, 3, 2n)
-projectors, (k, 2n, 2n) consistency stiffnesses and (k, n, n)
-per-component stabilizations. The global stiffness is summed in 2 x 2
-blocks, one per vertex pair of a cell, then expanded to CSR.
+The stiffness kernels work on all cells of one vertex count n at once: the
+mesh groups its cells by n at construction (`PolygonalMesh.groups`), and a
+group of k cells is a stack of (k, n, 2) vertex coordinates, (k, 3, 2n)
+projectors B / |E| (`compute_B`), (k, 2n, 2n) consistency stiffnesses and
+(k, n, n) per-component stabilizations. The global stiffness is summed in
+2 x 2 blocks, one per vertex pair of a cell, then expanded to CSR.
+
+A displacement is read through one formula, `boundary_work`: the work of
+the constant strain modes and of their first moments on its trace, summed
+in closed form per cell edge over all cells at once. Its row 0 is B u, so
+the element stress C Pi_m u is C B u / |E| (`element_stresses`), and the
+recovery reads the same array for its patch systems.
 
 The layer hands on plain arrays: `element_matrices` returns (Kc, S) and
 `assemble_global` (K, f). A body force is always a vectorized callable
 b(x, y) -> (m, 2), `cases.zero_body_force` when there is none; it and the
 boundary data are read through `cases.sample`. The displacement is all the
-solve hands on: the element stress C Pi_m u is computed from the mesh, the
-material and u alone, and the Dirichlet data travels as one full-length
-`prescribed` vector that is zero at the free dofs. A dof vector is read
-through `vertex_pairs`: one (u, v) pair per vertex, no more and no fewer.
+solve hands on: the element stress is computed from the mesh, the material
+and u alone, and the Dirichlet data travels as one full-length `prescribed`
+vector that is zero at the free dofs. A dof vector is read through
+`vertex_pairs`: one (u, v) pair per vertex, no more and no fewer.
 """
 
 from __future__ import annotations
@@ -238,18 +244,48 @@ def vertex_pairs(mesh: PolygonalMesh, u) -> np.ndarray:
     return u.reshape(-1, 2)
 
 
-def element_stresses(mesh: PolygonalMesh, material: LameMaterial, u: np.ndarray) -> np.ndarray:
-    """Constant stress C Pi_m u of every cell as an (ncells, 3) array; Pi_m = B / |E|.
+def sum_by(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of `values` that share an `owner` index in [0, n), in row order."""
+    flat = values.reshape(len(owner), -1)
+    sums = [np.bincount(owner, col, minlength=n) for col in flat.T]
+    return np.stack(sums, axis=-1).reshape((n,) + values.shape[1:])
 
-    `u` is the dof vector, read by `vertex_pairs`.
+
+def boundary_work(mesh: PolygonalMesh, u) -> np.ndarray:
+    """The boundary pairing B u of every cell and its first moments, (ncells, 3, 3).
+
+    Row 0 of a cell is B u = |E| eps_E, the work of the constant strain modes
+    on the trace of `u` that defines the projected strain; rows 1 and 2 are
+    its first moments in x and y about the cell's centroid c. On the edge a + s t, 0 <= s <= 1, the trace runs
+    linearly from u_a to u_b, and (t_y, -t_x) ds is the outer normal times arc
+    length, so each edge is exact in closed form. With P = `pair`, row 0 sums
+    P((u_a + u_b) / 2) over the edges of the cell, and rows 1-2 sum
+    (a - c) P((u_a + u_b) / 2) + t P(u_a / 6 + u_b / 3). `u` is the dof
+    vector, read by `vertex_pairs`.
     """
-    C = elastic_matrix(material)
     uv = vertex_pairs(mesh, u)
-    out = np.empty((mesh.num_cells, 3))
-    for cells, idx in mesh.groups:
-        Pi_m = compute_B(mesh.vertices[idx]) / mesh.areas[cells, None, None]
-        out[cells] = np.einsum("ij,kjd,kd->ki", C, Pi_m, uv[idx].reshape(len(cells), -1))
-    return out
+    ua, ub = uv[mesh.indices], uv[mesh.edge_ends]
+    a = mesh.vertices[mesh.indices]
+    t = mesh.vertices[mesh.edge_ends] - a
+
+    def pair(u):                         # u paired with the scaled outer normal (t_y, -t_x)
+        return np.column_stack(
+            [t[:, 1] * u[:, 0], -t[:, 0] * u[:, 1], t[:, 1] * u[:, 1] - t[:, 0] * u[:, 0]])
+
+    edge_cell = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.offsets))
+    arm = a - mesh.centroids[edge_cell]
+    mean = pair(0.5 * (ua + ub))
+    work = np.concatenate([mean[:, None], arm[:, :, None] * mean[:, None]
+                           + t[:, :, None] * pair(ua / 6.0 + ub / 3.0)[:, None]], axis=1)
+    return sum_by(edge_cell, work, mesh.num_cells)
+
+
+def element_stresses(mesh: PolygonalMesh, material: LameMaterial, u: np.ndarray) -> np.ndarray:
+    """Constant stress C Pi_m u = C B u / |E| of every cell as an (ncells, 3) array.
+
+    B u is row 0 of `boundary_work`; `u` is the dof vector, read by `vertex_pairs`.
+    """
+    return boundary_work(mesh, u)[:, 0] @ elastic_matrix(material) / mesh.areas[:, None]
 
 
 def solve_dirichlet_problem(

@@ -381,6 +381,16 @@ class TestRecoverField:
             scale = np.sqrt(mesh.areas[ci])
             np.testing.assert_allclose(field.coefficients[ci, 1:] * scale, 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+    def test_rcp0_constants_are_the_vem_stresses_bitwise(self, family, mat):
+        # Both read row 0 of vem.boundary_work and apply C / |E| by one expression.
+        mesh = shared_mesh(family, 8)
+        for case_id in ("a", "b", "c"):
+            case = manufactured_case(case_id, mat)
+            u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
+            field = recover_field(mesh, mat, u, case.body_force, "rcp0")
+            np.testing.assert_array_equal(field.coefficients[:, 0], element_stresses(mesh, mat, u))
+
     def test_unknown_kind_rejected(self, mat, unit_square_mesh):
         with pytest.raises(ValueError, match="kind"):
             recover_field(unit_square_mesh, mat, np.zeros(8), zero_body_force, "vem")
@@ -681,6 +691,35 @@ class TestCheckedInput:
         mat, mesh, case, _ = solved
         with pytest.raises(TypeError):
             recover_field(mesh, mat, case.displacement, case.body_force, "rcp1")
+
+    def test_own_field_kept_as_built(self, solved):
+        mat, mesh, case, u = solved
+        field = recover_field(mesh, mat, u, case.body_force, "rcp1")
+        rebuilt = RecoveredStressField(field.centers, field.coefficients, field.fallback_cells)
+        assert rebuilt.centers is field.centers and rebuilt.coefficients is field.coefficients
+
+    @pytest.mark.parametrize("centers, coefficients", [
+        ((2, 2), (3, 3, 3)),
+        ((3, 2), (3, 3)),
+        ((3, 3), (3, 3, 3)),
+        ((3, 2), (3, 3, 2)),
+        ((3, 2), ()),
+    ], ids=["short-centers", "flat-coefficients", "wide-centers", "narrow-coefficients",
+            "scalar-coefficients"])
+    def test_hand_built_field_of_other_shape_rejected(self, centers, coefficients):
+        message = (f"coefficients of shape {coefficients} and centers of shape {centers}: "
+                   "expected (n, 3, 3) and (n, 2)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecoveredStressField(np.zeros(centers), np.zeros(coefficients))
+
+    @pytest.mark.parametrize("fallback, error, message", [
+        ((3,), ValueError, "cell id 3 out of range for a mesh of 3 cells"),
+        ((0, -1), ValueError, "cell id -1 out of range for a mesh of 3 cells"),
+        ((1.0,), TypeError, "cell id 1.0 is not an integer"),
+    ], ids=["past-end", "negative", "float"])
+    def test_hand_built_fallback_cell_checked(self, fallback, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            RecoveredStressField(np.zeros((3, 2)), np.zeros((3, 3, 3)), fallback)
 
     @pytest.mark.parametrize("cell, error, message", [
         (-1, ValueError, "cell id -1 out of range for a mesh of 9 cells"),

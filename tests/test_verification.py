@@ -9,11 +9,12 @@ import pytest
 from conftest import shared_mesh
 from oracles import fd_strain, fd_stress_divergence, mesh_cells, mesh_from_cells
 from vemrcp.cases import CASE_IDS, manufactured_case, sample
+from vemrcp.cli import _von_mises_fields
 from vemrcp.generators import GenerationError, generate_mesh
-from vemrcp.material import compliance_matrix, elastic_matrix
-from vemrcp.mesh import MeshFamily
+from vemrcp.material import LameMaterial, compliance_matrix, elastic_matrix
+from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily
 from vemrcp.quadrature import cell_quadrature
-from vemrcp.recovery import evaluate_recovered_stress
+from vemrcp.recovery import evaluate_recovered_stress, recover_field
 from vemrcp.study import (
     METHODS,
     ConvergenceRecord,
@@ -25,6 +26,7 @@ from vemrcp.study import (
     run_patch_test,
     run_study_level,
 )
+from vemrcp.vem import assemble_global
 
 
 class TestManufacturedCases:
@@ -77,18 +79,41 @@ class TestSample:
     """`cases.sample` calls a field once and holds it to (m, width)."""
 
     def test_one_call_gives_m_by_width_floats(self):
-        calls = []
-
         def field(x, y):
             calls.append((x, y))
             return np.stack([x, y, x * y], axis=-1).astype(np.float32)
 
-        pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        values = sample(field, pts, 3, "stress")
-        assert values.dtype == float and values.shape == (3, 3)
-        np.testing.assert_array_equal(values[:, 2], [0.0, 6.0, 20.0])
-        [(x, y)] = calls
-        np.testing.assert_array_equal(np.column_stack([x, y]), pts)
+        for m in (2, 3, 4):
+            calls = []
+            pts = np.arange(2.0 * m).reshape(m, 2)
+            values = sample(field, pts, 3, "stress")
+            assert values.dtype == float and values.shape == (m, 3)
+            np.testing.assert_array_equal(values[:, 2], pts[:, 0] * pts[:, 1])
+            [(x, y)] = calls
+            # At m == width the field also sees the first point again (see the next test).
+            seen = pts[[0, 1, 2, 0]] if m == 3 else pts
+            np.testing.assert_array_equal(np.column_stack([x, y]), seen)
+
+    def test_transposed_result_rejected_when_m_equals_width(self, mat):
+        # tri-s n = 1 has 2 cells: a (2, m) stack of the load has the shape (m, 2) there.
+        mesh = shared_mesh(MeshFamily.TRI_S, 1)
+        u = np.zeros(2 * mesh.num_vertices)
+        message = r"^body force gave shape \(2, 3\) at 3 points$"
+        with pytest.raises(ValueError, match=message):
+            assemble_global(mesh, mat, lambda x, y: np.stack([x, y]))
+        with pytest.raises(ValueError, match=message):
+            recover_field(mesh, mat, u, lambda x, y: np.stack([x, y]), "rcp0")
+
+    def test_transposed_exact_stress_rejected_by_vtk_export(self, mat):
+        # Three cells: the exact stress sampled at their centroids is (3, 3) either way round.
+        mesh = mesh_from_cells([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)],
+                               [[0, 1, 4], [1, 2, 4], [2, 3, 0, 4]])
+        base = manufactured_case("a", mat)
+        case = dataclasses.replace(base, stress=lambda x, y: np.moveaxis(base.stress(x, y), -1, 0))
+        result, _ = run_level(mesh, mat, base, methods=("vem",))
+        result = dataclasses.replace(result, case=case)
+        with pytest.raises(ValueError, match=r"^exact stress gave shape \(3, 4\) at 4 points$"):
+            _von_mises_fields(result, mat, ("vem",))
 
     @pytest.mark.parametrize("result, shape", [
         (lambda x, y: np.stack([x, y]), "(2, 3)"),
@@ -101,6 +126,25 @@ class TestSample:
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError, match=f"^load gave shape {re.escape(shape)} at 3 points$"):
             sample(result, pts, 2, "load")
+
+
+class TestMaterialScaling:
+    """Both Lame constants times 8, a power of two, scale C, the load, the stiffness
+    and every stress by exactly 8 and leave the displacement as it was, so each
+    squared norm E_* is exactly 8 times the original. The check is bitwise: a step
+    that does not commute with the scaling, such as an absolute tolerance or a sum
+    of scaled and unscaled terms, breaks it."""
+
+    @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+    def test_errors_scale_exactly_and_fallbacks_stay(self, family):
+        mesh = shared_mesh(family, 8)
+        for case_id in CASE_IDS:
+            runs = [run_level(mesh, m, manufactured_case(case_id, m))
+                    for m in (LameMaterial(1.0, 1.0), LameMaterial(8.0, 8.0))]
+            (base, base_errors), (scaled, scaled_errors) = runs
+            assert scaled_errors == {m: 8.0 * e for m, e in base_errors.items()}, case_id
+            assert ({m: f.fallback_cells for m, f in scaled.recovered.items()}
+                    == {m: f.fallback_cells for m, f in base.recovered.items()}), case_id
 
 
 class TestEnergyErrorNorm:
