@@ -32,6 +32,7 @@ from .vem import (
     SolveError,
     apply_dirichlet,
     assemble_global,
+    boundary_work,
     element_matrices,
     element_stresses,
     solve_dirichlet_problem,

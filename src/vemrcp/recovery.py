@@ -17,11 +17,13 @@ are C S[0] / |P|, the patch mean of the VEM cell stresses (S[0] is the work of
 the constant modes), and the four linear modes, whose xi and eta coefficients
 are `_LINEAR`, solve a 4x4 system built from the patch's central second
 moment. That moment is the parallel-axis sum of the cell moments the mesh
-stores; the boundary work sums each member's own work, `vem.boundary_work`,
-the closed form per edge that also gives the VEM stresses (on an edge
-between two members it cancels). So the rcp0 constants are the VEM cell
-stresses bit for bit. All patches are solved as one stack, and only that
-4x4 solve is checked.
+stores; the boundary work sums each member's own work (on an edge between
+two members it cancels). A fit reads that work from W, the (ncells, 3, 3)
+array of `vem.boundary_work`, the closed form per edge that also gives the
+VEM stresses: the caller evaluates it once per displacement and hands the
+same W to `element_stresses` and to every fit, the rcp1 fallback refit
+included. So the rcp0 constants are the VEM cell stresses bit for bit. All
+patches are solved as one stack, and only that 4x4 solve is checked.
 
 The recovered field of a cell always comes from the patch centered on it:
 "rcp0" uses the degenerate single-cell patch, "rcp1" the vertex-neighbor
@@ -43,7 +45,7 @@ from .material import LameMaterial, compliance_matrix, elastic_matrix
 from .mesh import PolygonalMesh, checked_ids
 # Unused here; kept only because the benchmark's span tracer wraps recovery.cell_quadrature.
 from .quadrature import cell_quadrature  # noqa: F401
-from .vem import boundary_work, sum_by
+from .vem import checked_work, sum_by
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +116,7 @@ def patch_systems(
     mesh: PolygonalMesh,
     material: LameMaterial,
     patches: Patches,
-    displacement,
+    work: np.ndarray,
     body_force,
 ) -> tuple[np.ndarray, ...]:
     """The constant-mode coefficients and the linear-mode system H x = g of every patch.
@@ -123,12 +125,11 @@ def patch_systems(
     Returns (centers (npatch, 2), scales (npatch,), loads (npatch, 2),
     constants (npatch, 3), H (npatch, 4, 4), g (npatch, 4)).
 
-    `displacement` is the global dof vector, one (u, v) pair per vertex: its
-    trace is linear along each edge, and `vem.boundary_work` integrates each
-    member's work on it in closed form. `body_force` is a vectorized callable
-    b(x, y) -> (m, 2), sampled once at all patch centres by `cases.sample`. A
-    dof vector of another length or a load of another shape raises
-    ValueError; a callable displacement raises TypeError.
+    `work` is the (ncells, 3, 3) `vem.boundary_work` of the displacement, as
+    `recover_field` checked it: each member's work is read as `work[member]`.
+    `body_force` is a vectorized callable b(x, y) -> (m, 2), sampled once at
+    all patch centres by `cases.sample`; a load of another shape raises
+    ValueError.
     """
     owner, member = patches
     npatch = int(owner[-1]) + 1
@@ -153,7 +154,7 @@ def patch_systems(
     # Work of each mode's traction on the displacement trace over the boundary
     # of every member: row 0 is the work of the constant modes, rows 1-2 its
     # first moments about the member's centroid (`vem.boundary_work`).
-    W = boundary_work(mesh, displacement)[member]
+    W = work[member]
     # A patch's work is its members' sum: on an edge between two members both
     # sides see one trace with opposite normals, so they cancel. The first
     # moments move to the patch frame as J does.
@@ -212,11 +213,15 @@ def _reason(checks: np.ndarray) -> str:
 def recover_field(
     mesh: PolygonalMesh,
     material: LameMaterial,
-    displacement,
+    work,
     body_force,
     kind: str,
 ) -> RecoveredStressField:
     """Run the patch recovery centered on every cell.
+
+    `work` is the (ncells, 3, 3) `vem.boundary_work` of the displacement: the
+    only way the recovery reads it. Both fits read the same array; any other
+    shape, a dof vector say, raises ValueError (`vem.checked_work`).
 
     A vertex-neighbor patch that fails a check of `solve_patches`, or whose field is not
     finite, falls back to its single-cell patch; a warning names each such cell and its
@@ -227,7 +232,7 @@ def recover_field(
     def fit(cells, patch_kind):
         patches = build_patch(mesh, cells, patch_kind)
         centers, scales, loads, constants, *system = patch_systems(
-            mesh, material, patches, displacement, body_force)
+            mesh, material, patches, work, body_force)
         linear, failed, checks = solve_patches(*system)
         # The constants are the stress at the centre; _LINEAR[a] @ linear is its derivative
         # in xi or eta, and d/dx = d/dxi / scale. The particular stress adds -bx to d sx/dx
@@ -238,6 +243,7 @@ def recover_field(
             coefficients[:, [1, 2], [0, 1]] -= loads
         return centers, coefficients, failed | ~np.isfinite(coefficients).all(axis=(1, 2)), checks
 
+    work = checked_work(mesh, work)
     centers, coefficients, failed, checks = fit(np.arange(mesh.num_cells), kind)
     fallback = np.flatnonzero(failed) if kind == "rcp1" else np.arange(0)
     for c in fallback:
@@ -255,8 +261,13 @@ def recover_field(
 def evaluate_recovered_stress(field: RecoveredStressField, cell, points) -> np.ndarray:
     """Recovered stress of `cell` at one point or an (m, 2) stack. `cell` is one cell id,
     or an int array aligned with the (m, 2) points that names the cell of each point;
-    an id that is not a cell of the field raises TypeError or ValueError."""
+    an id that is not a cell of the field raises TypeError or ValueError, and ids and
+    points that do not line up raise ValueError naming both shapes."""
     cell = checked_ids(cell, len(field.coefficients), "cell")
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (2,) or cell.shape not in ((), points.shape[:-1]):
+        raise ValueError(f"cell ids of shape {cell.shape} and points of shape {points.shape}: "
+                         "expected one id, or one per point of (m, 2) points")
     coef = field.coefficients[cell]
-    d = np.asarray(points, dtype=float) - field.centers[cell]
+    d = points - field.centers[cell]
     return coef[..., 0, :] + d[..., :1] * coef[..., 1, :] + d[..., 1:] * coef[..., 2, :]

@@ -19,7 +19,7 @@ from .recovery import (
     evaluate_recovered_stress,
     recover_field,
 )
-from .vem import SolveError, element_stresses, solve_dirichlet_problem, vertex_pairs
+from .vem import SolveError, boundary_work, element_stresses, solve_dirichlet_problem, vertex_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -94,16 +94,21 @@ def run_level(
     case: ManufacturedCase,
     methods=METHODS,
 ) -> tuple[LevelResult, dict]:
-    """Solve one mesh and compute the requested error norms."""
+    """Solve one mesh and compute the requested error norms.
+
+    The displacement is read once, as its `boundary_work`; that one array
+    feeds the element stresses and every recovery fit.
+    """
     u = solve_dirichlet_problem(mesh, material, case.body_force, case.displacement)
-    stresses = element_stresses(mesh, material, u)
+    work = boundary_work(mesh, u)
+    stresses = element_stresses(mesh, material, work)
     result = LevelResult(mesh=mesh, case=case, displacement=u, cell_stresses=stresses)
     fields = {}
     for method in methods:
         if method == "vem":
             fields[method] = lambda cells, points: stresses[cells]
         else:
-            recovered = recover_field(mesh, material, u, case.body_force, method)
+            recovered = recover_field(mesh, material, work, case.body_force, method)
             result.recovered[method] = recovered
             fields[method] = partial(evaluate_recovered_stress, recovered)
     errors = energy_error_norm(mesh, material, case, fields)

@@ -16,18 +16,21 @@ projectors B / |E| (`compute_B`), (k, 2n, 2n) consistency stiffnesses and
 
 A displacement is read through one formula, `boundary_work`: the work of
 the constant strain modes and of their first moments on its trace, summed
-in closed form per cell edge over all cells at once. Its row 0 is B u, so
-the element stress C Pi_m u is C B u / |E| (`element_stresses`), and the
-recovery reads the same array for its patch systems.
+in closed form per cell edge over all cells at once. A study level takes it
+once, as a read-only (ncells, 3, 3) array W, and hands W on: its row 0 is
+B u, so the element stress C Pi_m u is C B u / |E| (`element_stresses`),
+and the recovery reads the same W for every patch system. Both check W's
+shape through `checked_work`.
 
 The layer hands on plain arrays: `element_matrices` returns (Kc, S) and
 `assemble_global` (K, f). A body force is always a vectorized callable
 b(x, y) -> (m, 2), `cases.zero_body_force` when there is none; it and the
 boundary data are read through `cases.sample`. The displacement is all the
 solve hands on: the element stress is computed from the mesh, the material
-and u alone, and the Dirichlet data travels as one full-length `prescribed`
-vector that is zero at the free dofs. A dof vector is read through
-`vertex_pairs`: one (u, v) pair per vertex, no more and no fewer.
+and the boundary work of u alone, and the Dirichlet data travels as one
+full-length `prescribed` vector that is zero at the free dofs. A dof vector
+is read through `vertex_pairs`: one (u, v) pair per vertex, no more and no
+fewer.
 """
 
 from __future__ import annotations
@@ -261,7 +264,8 @@ def boundary_work(mesh: PolygonalMesh, u) -> np.ndarray:
     length, so each edge is exact in closed form. With P = `pair`, row 0 sums
     P((u_a + u_b) / 2) over the edges of the cell, and rows 1-2 sum
     (a - c) P((u_a + u_b) / 2) + t P(u_a / 6 + u_b / 3). `u` is the dof
-    vector, read by `vertex_pairs`.
+    vector, read by `vertex_pairs`; the array is read-only, so one evaluation
+    can feed the element stresses and every recovery fit of a level.
     """
     uv = vertex_pairs(mesh, u)
     ua, ub = uv[mesh.indices], uv[mesh.edge_ends]
@@ -277,15 +281,29 @@ def boundary_work(mesh: PolygonalMesh, u) -> np.ndarray:
     mean = pair(0.5 * (ua + ub))
     work = np.concatenate([mean[:, None], arm[:, :, None] * mean[:, None]
                            + t[:, :, None] * pair(ua / 6.0 + ub / 3.0)[:, None]], axis=1)
-    return sum_by(edge_cell, work, mesh.num_cells)
+    work = sum_by(edge_cell, work, mesh.num_cells)
+    work.flags.writeable = False
+    return work
 
 
-def element_stresses(mesh: PolygonalMesh, material: LameMaterial, u: np.ndarray) -> np.ndarray:
+def checked_work(mesh: PolygonalMesh, work) -> np.ndarray:
+    """`work` as the float (ncells, 3, 3) array `boundary_work` gives for `mesh`.
+
+    Any other shape, a dof vector say, raises ValueError naming it.
+    """
+    work = np.asarray(work, dtype=float)
+    if work.shape != (mesh.num_cells, 3, 3):
+        raise ValueError(f"boundary work has shape {work.shape}, not ({mesh.num_cells}, 3, 3)")
+    return work
+
+
+def element_stresses(mesh: PolygonalMesh, material: LameMaterial, work) -> np.ndarray:
     """Constant stress C Pi_m u = C B u / |E| of every cell as an (ncells, 3) array.
 
-    B u is row 0 of `boundary_work`; `u` is the dof vector, read by `vertex_pairs`.
+    B u is row 0 of `work`, the cells' `boundary_work` on the displacement u,
+    checked by `checked_work`.
     """
-    return boundary_work(mesh, u)[:, 0] @ elastic_matrix(material) / mesh.areas[:, None]
+    return checked_work(mesh, work)[:, 0] @ elastic_matrix(material) / mesh.areas[:, None]
 
 
 def solve_dirichlet_problem(

@@ -8,12 +8,13 @@ Run from the repository root, for example against a clone of the parent commit:
 Each tree is a checkout whose `src/` holds `vemrcp`. In every round each tree runs once,
 in a fresh interpreter with `PYTHONPATH=<tree>/src` (the tree order alternates between
 rounds). A run times, per level of case `b` with seed 0, `generate_mesh`,
-`assemble_global`, `apply_dirichlet`, `solve_system`, `element_stresses`, `recover_field`
-for `rcp0` and `rcp1`, and `energy_error_norm` twice: cold, with the quadrature rules
-built on the fresh mesh, and warm. Then the CLI (`--test b` by default) is timed end to end
-in another fresh interpreter. The JSON file holds the environment, each tree's commit
-(and whether its `src/` has uncommitted edits), every run, the per-tree medians and each
-level's E_*. The file is not a pytest module.
+`assemble_global`, `apply_dirichlet`, `solve_system`, `boundary_work` (the `work` stage),
+`element_stresses`, `recover_field` for `rcp0` and `rcp1`, and `energy_error_norm` twice:
+cold, with the quadrature rules built on the fresh mesh, and warm. The stresses and both
+fits read the one W that the `work` stage gives, as `study.run_level` does. Then the CLI
+(`--test b` by default) is timed end to end in another fresh interpreter. The JSON file
+holds the environment, each tree's commit (and whether its `src/` has uncommitted edits),
+every run, the per-tree medians and each level's E_*. The file is not a pytest module.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 # The six levels of the ROADMAP stage table.
 LEVELS = (("conc-u", 64), ("quad-u", 128), ("hex-s", 64), ("tri-u", 64), ("poly-u", 32),
           ("poly-u", 64))
-STAGES = ("generate", "assemble", "dirichlet", "solve", "stresses", "rcp0", "rcp1",
+STAGES = ("generate", "assemble", "dirichlet", "solve", "work", "stresses", "rcp0", "rcp1",
           "norm_cold", "norm_warm")
 CASE, SEED = "b", 0
 
@@ -48,7 +49,8 @@ def run_levels(levels) -> dict:
     from vemrcp.material import LameMaterial
     from vemrcp.recovery import evaluate_recovered_stress, recover_field
     from vemrcp.study import energy_error_norm
-    from vemrcp.vem import apply_dirichlet, assemble_global, element_stresses, solve_system
+    from vemrcp.vem import (apply_dirichlet, assemble_global, boundary_work, element_stresses,
+                            solve_system)
 
     defaults = StudyConfig()
     material = LameMaterial(defaults.lam, defaults.mu)
@@ -70,10 +72,11 @@ def run_levels(levels) -> dict:
         constrained = timed("dirichlet", apply_dirichlet, K, f, boundary, values)
         del K, f
         u = timed("solve", solve_system, constrained)
-        stresses = timed("stresses", element_stresses, mesh, material, u)
+        work = timed("work", boundary_work, mesh, u)
+        stresses = timed("stresses", element_stresses, mesh, material, work)
         fields = {"vem": lambda cells, points: stresses[cells]}
         for kind in ("rcp0", "rcp1"):
-            field = timed(kind, recover_field, mesh, material, u, case.body_force, kind)
+            field = timed(kind, recover_field, mesh, material, work, case.body_force, kind)
             fields[kind] = partial(evaluate_recovered_stress, field)
         errors = timed("norm_cold", energy_error_norm, mesh, material, case, fields)
         timed("norm_warm", energy_error_norm, mesh, material, case, fields)

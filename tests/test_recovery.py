@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,8 +43,8 @@ from vemrcp.recovery import (
     recover_field,
     solve_patches,
 )
-from vemrcp.study import linear_patch_case, run_level, run_patch_test
-from vemrcp.vem import element_stresses, solve_dirichlet_problem
+from vemrcp.study import METHODS, linear_patch_case, run_level, run_patch_test
+from vemrcp.vem import boundary_work, element_stresses, solve_dirichlet_problem
 
 
 def centered_square_mesh(side=1.0):
@@ -71,7 +72,8 @@ def bending_case(mat):
 
 def one_patch_system(mesh, mat, cell, kind, displacement, body_force=zero_body_force):
     """Centre, scale, load sample, constants, H and g of the one patch centred on `cell`."""
-    system = patch_systems(mesh, mat, build_patch(mesh, [cell], kind), displacement, body_force)
+    system = patch_systems(mesh, mat, build_patch(mesh, [cell], kind),
+                           boundary_work(mesh, displacement), body_force)
     return tuple(a[0] for a in system)
 
 
@@ -155,7 +157,8 @@ class TestParticularSolution:
     def test_zero_force_gives_zero_field(self, mat, rng):
         mesh = shared_mesh(MeshFamily.QUAD_S, 2)
         load = RecordedField(zero_body_force)
-        field = recover_field(mesh, mat, np.zeros(2 * mesh.num_vertices), load, "rcp1")
+        work = boundary_work(mesh, np.zeros(2 * mesh.num_vertices))
+        field = recover_field(mesh, mat, work, load, "rcp1")
         assert len(load.calls) == 1
         np.testing.assert_array_equal(load.calls[0], field.centers)
         np.testing.assert_array_equal(field.coefficients, 0.0)
@@ -169,7 +172,8 @@ class TestParticularSolution:
             return np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
 
         load = RecordedField(unit_x_force)
-        field = particular_only(monkeypatch, mesh, mat, np.zeros(8), load, "rcp0")
+        field = particular_only(monkeypatch, mesh, mat, boundary_work(mesh, np.zeros(8)), load,
+                                "rcp0")
         np.testing.assert_allclose(field.centers[0], 0.0, atol=1e-15)
         assert len(load.calls) == 1
         np.testing.assert_array_equal(load.calls[0], field.centers)
@@ -183,7 +187,7 @@ class TestParticularSolution:
         mesh = shared_mesh(MeshFamily.POLY_U, 3, seed=6)
         u = np.zeros(2 * mesh.num_vertices)
         load = RecordedField(case.body_force)
-        field = particular_only(monkeypatch, mesh, mat, u, load, "rcp0")
+        field = particular_only(monkeypatch, mesh, mat, boundary_work(mesh, u), load, "rcp0")
         # one load call, at the patch centres
         assert len(load.calls) == 1
         np.testing.assert_array_equal(load.calls[0], field.centers)
@@ -273,7 +277,7 @@ class TestPatchSystem:
         assert np.isfinite(constants).all()
         assert failed.tolist() == [True]
         with pytest.raises(RecoveryConditioningError):
-            recover_field(mesh, mat, np.ones(8), zero_body_force, "rcp0")
+            recover_field(mesh, mat, boundary_work(mesh, np.ones(8)), zero_body_force, "rcp0")
 
 
 def _refined_triangle_integral(corners, integrand, depth):
@@ -355,7 +359,7 @@ class TestRecoverField:
         mesh = shared_mesh(family, 3, seed=1)
         case = linear_patch_case(mat)
         u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
-        field = recover_field(mesh, mat, u, zero_body_force, kind)
+        field = recover_field(mesh, mat, boundary_work(mesh, u), zero_body_force, kind)
         expected = case.stress(0.0, 0.0)
         for ci in range(mesh.num_cells):
             pts = random_points_in_cell(mesh, ci, rng, 3)
@@ -371,8 +375,8 @@ class TestRecoverField:
         u = solve_dirichlet_problem(
             mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)
         )
-        stresses = element_stresses(mesh, mat, u)
-        field = recover_field(mesh, mat, u, case.body_force, "rcp0")
+        stresses = element_stresses(mesh, mat, boundary_work(mesh, u))
+        field = recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, "rcp0")
         for ci in range(mesh.num_cells):
             # at the patch center the field is its constant-mode block
             np.testing.assert_allclose(field.coefficients[ci, 0], stresses[ci], atol=1e-9)
@@ -388,12 +392,14 @@ class TestRecoverField:
         for case_id in ("a", "b", "c"):
             case = manufactured_case(case_id, mat)
             u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
-            field = recover_field(mesh, mat, u, case.body_force, "rcp0")
-            np.testing.assert_array_equal(field.coefficients[:, 0], element_stresses(mesh, mat, u))
+            work = boundary_work(mesh, u)
+            field = recover_field(mesh, mat, work, case.body_force, "rcp0")
+            np.testing.assert_array_equal(field.coefficients[:, 0],
+                                          element_stresses(mesh, mat, work))
 
     def test_unknown_kind_rejected(self, mat, unit_square_mesh):
         with pytest.raises(ValueError, match="kind"):
-            recover_field(unit_square_mesh, mat, np.zeros(8), zero_body_force, "vem")
+            recover_field(unit_square_mesh, mat, np.zeros((1, 3, 3)), zero_body_force, "vem")
 
     def test_fallback_to_single_cell_patch(self, mat, monkeypatch):
         import vemrcp.recovery as rec
@@ -403,8 +409,8 @@ class TestRecoverField:
         u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
         original = rec.patch_systems
 
-        def singular_H(mesh_, material, patches, displacement, body_force):
-            system = original(mesh_, material, patches, displacement, body_force)
+        def singular_H(mesh_, material, patches, work, body_force):
+            system = original(mesh_, material, patches, work, body_force)
             # The full fit requests every cell in order, so patch 1 is centred on cell 1.
             if np.count_nonzero(patches.owner == 1) > 1:
                 H = system[4]
@@ -412,7 +418,7 @@ class TestRecoverField:
             return system
 
         monkeypatch.setattr(rec, "patch_systems", singular_H)
-        field = rec.recover_field(mesh, mat, u, zero_body_force, "rcp1")
+        field = rec.recover_field(mesh, mat, boundary_work(mesh, u), zero_body_force, "rcp1")
         assert field.fallback_cells == (1,)
         expected = case.stress(0.0, 0.0)
         np.testing.assert_allclose(field.coefficients[1, 0], expected, atol=1e-9)
@@ -431,9 +437,9 @@ class TestPatchMean:
         for case_id in ("a", "b", "c"):
             case = manufactured_case(case_id, mat)
             u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
-            stresses = element_stresses(mesh, mat, u)
+            stresses = element_stresses(mesh, mat, boundary_work(mesh, u))
             for kind in RECOVERY_KINDS:
-                field = recover_field(mesh, mat, u, case.body_force, kind)
+                field = recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, kind)
                 owner, member = build_patch(mesh, cells, kind)
                 weight = mesh.areas[member, None]
                 mean = np.stack([np.bincount(owner, w) for w in (weight * stresses[member]).T], -1)
@@ -482,15 +488,17 @@ class TestFallbackMesh:
         # Cell 2's record is its single-cell fit: the patch system of cell 2 alone, and
         # bit for bit the recovery on a mesh of that one cell.
         (center,), (scale,), (b,), (constants,), H, g = patch_systems(
-            mesh, mat, build_patch(mesh, [2], "rcp0"), result.displacement, case.body_force)
+            mesh, mat, build_patch(mesh, [2], "rcp0"), boundary_work(mesh, result.displacement),
+            case.body_force)
         (linear,), failed, _ = solve_patches(H, g)
         assert not failed.any()
         beta = np.concatenate([constants, linear])
         np.testing.assert_array_equal(field.centers[2], center)
         ids = cell_ids(mesh, 2)
-        alone = recover_field(single_cell_mesh(mesh.vertices[ids]), mat,
-                              result.displacement.reshape(-1, 2)[ids].ravel(), case.body_force,
-                              "rcp0")
+        cell = single_cell_mesh(mesh.vertices[ids])
+        alone = recover_field(cell, mat,
+                              boundary_work(cell, result.displacement.reshape(-1, 2)[ids].ravel()),
+                              case.body_force, "rcp0")
         np.testing.assert_array_equal(alone.centers[0], center)
         np.testing.assert_array_equal(alone.coefficients[0], field.coefficients[2])
         pts = mesh.vertices[ids]
@@ -503,7 +511,7 @@ class TestFallbackMesh:
         case = manufactured_case("a", mat)
         u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         with caplog.at_level(logging.WARNING, logger="vemrcp.recovery"):
-            recover_field(mesh, mat, u, case.body_force, "rcp1")
+            recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, "rcp1")
         [message] = [r.getMessage() for r in caplog.records]
         assert re.fullmatch(r"cell 2: vertex patch failed \(condition number 2\.\d+e\+12 above "
                             r"1e\+12\), using single-cell patch", message), message
@@ -513,6 +521,47 @@ class TestFallbackMesh:
         with pytest.raises(RecoveryConditioningError,
                            match=r"^patch at cell 1: condition number 2\.\d+e\+12 above 1e\+12$"):
             run_level(mesh, mat, case, methods=("vem", "rcp0"))
+
+
+class TestSharedWork:
+    """A study level reads the displacement once: one read-only `boundary_work` array W
+    feeds the element stresses and every recovery fit, the rcp1 fallback refit included."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Every W `boundary_work` gives, with a copy taken as it is made."""
+        import vemrcp.vem
+
+        original, made = vemrcp.vem.boundary_work, []
+
+        def counted(mesh, u):
+            work = original(mesh, u)
+            made.append((work, work.copy()))
+            return work
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vemrcp") and getattr(module, "boundary_work", None) is original:
+                monkeypatch.setattr(module, "boundary_work", counted)
+        return made
+
+    def check_one_evaluation(self, made, result):
+        [(work, at_birth)] = made
+        assert not work.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            work[0, 0, 0] = 1.0
+        assert work.tobytes() == at_birth.tobytes()
+        assert at_birth.tobytes() == boundary_work(result.mesh, result.displacement).tobytes()
+
+    def test_one_evaluation_per_generated_level(self, evaluations, mat):
+        mesh = shared_mesh(MeshFamily.CONC_U, 8)
+        result, _ = run_level(mesh, mat, manufactured_case("b", mat), methods=METHODS)
+        self.check_one_evaluation(evaluations, result)
+
+    def test_one_evaluation_with_a_fallback_refit(self, evaluations, mat):
+        mesh = load_mesh(Path(__file__).parent / "data" / "fallback.pmesh")
+        result, _ = run_level(mesh, mat, manufactured_case("b", mat), methods=("vem", "rcp1"))
+        assert result.recovered["rcp1"].fallback_cells == (2,)
+        self.check_one_evaluation(evaluations, result)
 
 
 class TestNearlyIncompressible:
@@ -547,7 +596,7 @@ class TestNearlyIncompressible:
         u[0] = np.nan
         with pytest.raises(RecoveryConditioningError,
                            match=r"^patch at cell 0: backward error nan above 1\.42e-14$"):
-            recover_field(mesh, mat, u, zero_body_force, "rcp0")
+            recover_field(mesh, mat, boundary_work(mesh, u), zero_body_force, "rcp0")
 
     def test_backward_error_named_in_warning_and_error(self, mat, monkeypatch, caplog):
         # Forced: patch 1 of every fit fails its backward error.
@@ -566,12 +615,12 @@ class TestNearlyIncompressible:
         monkeypatch.setattr(rec, "solve_patches", inaccurate)
         reason = "backward error 1 above 1.42e-14"
         with caplog.at_level(logging.WARNING, logger="vemrcp.recovery"):
-            field = rec.recover_field(mesh, mat, u, zero_body_force, "rcp1")
+            field = rec.recover_field(mesh, mat, boundary_work(mesh, u), zero_body_force, "rcp1")
         assert field.fallback_cells == (1,)
         assert [r.getMessage() for r in caplog.records] == [
             f"cell 1: vertex patch failed ({reason}), using single-cell patch"]
         with pytest.raises(RecoveryConditioningError, match=rf"^patch at cell 1: {reason}$"):
-            rec.recover_field(mesh, mat, u, zero_body_force, "rcp0")
+            rec.recover_field(mesh, mat, boundary_work(mesh, u), zero_body_force, "rcp0")
 
     def test_non_finite_coefficient_after_conversion_named(self, mat, monkeypatch):
         # Forced: a zero patch scale makes the gradient of finite mode coefficients
@@ -589,16 +638,17 @@ class TestNearlyIncompressible:
         u = np.random.default_rng(3).standard_normal(8)
         with pytest.raises(RecoveryConditioningError,
                            match=r"^patch at cell 0: a mode coefficient is not finite$"):
-            rec.recover_field(mesh, mat, u, zero_body_force, "rcp0")
+            rec.recover_field(mesh, mat, boundary_work(mesh, u), zero_body_force, "rcp0")
 
     def test_overflowing_constants_named(self, rng):
         # The linear-mode system passes both checks; only the closed-form
         # constants C S[0] / |P| overflow.
         mat = LameMaterial(1e300, 1.0)
         u = 1e10 * rng.standard_normal(8)
+        mesh = centered_square_mesh()
         with pytest.raises(RecoveryConditioningError,
                            match=r"^patch at cell 0: a mode coefficient is not finite$"):
-            recover_field(centered_square_mesh(), mat, u, zero_body_force, "rcp0")
+            recover_field(mesh, mat, boundary_work(mesh, u), zero_body_force, "rcp0")
 
 
 class TestLoadCalls:
@@ -615,7 +665,7 @@ class TestLoadCalls:
         np.testing.assert_array_equal(load.calls[0], mesh.centroids)
         for kind in RECOVERY_KINDS:
             load.calls.clear()
-            field = recover_field(mesh, mat, u, load, kind)
+            field = recover_field(mesh, mat, boundary_work(mesh, u), load, kind)
             assert len(load.calls) == 1
             assert len(load.calls[0]) == mesh.num_cells
             np.testing.assert_array_equal(load.calls[0], field.centers)
@@ -675,26 +725,43 @@ class TestCheckedInput:
     def test_malformed_load_rejected(self, solved, kind, load, shape):
         mat, mesh, _, u = solved
         with pytest.raises(ValueError, match=f"^body force gave shape {re.escape(shape)} at 9 points$"):
-            recover_field(mesh, mat, u, load, kind)
+            recover_field(mesh, mat, boundary_work(mesh, u), load, kind)
 
     @pytest.mark.parametrize("kind", RECOVERY_KINDS)
     @pytest.mark.parametrize("extra", [2, -2], ids=["long", "short"])
     def test_dof_vector_of_wrong_length_rejected(self, solved, kind, extra):
+        # The recovery reads u only through its `boundary_work`, which rejects the vector;
+        # handed to a fit in W's place, the vector is rejected by its shape.
         mat, mesh, case, u = solved
         u = np.zeros(len(u) + extra)
         message = rf"^displacement has shape \({len(u)},\), not \(32,\) for 16 vertices$"
         with pytest.raises(ValueError, match=message):
+            boundary_work(mesh, u)
+        with pytest.raises(ValueError, match=rf"^boundary work has shape \({len(u)},\), "):
             recover_field(mesh, mat, u, case.body_force, kind)
 
     def test_callable_displacement_rejected(self, solved):
-        # The recovery reads the displacement as the VEM gives it: vertex values.
+        # The displacement is read as the VEM gives it: vertex values.
         mat, mesh, case, _ = solved
+        with pytest.raises(TypeError):
+            boundary_work(mesh, case.displacement)
         with pytest.raises(TypeError):
             recover_field(mesh, mat, case.displacement, case.body_force, "rcp1")
 
+    @pytest.mark.parametrize("shape", [(32,), (9, 3), (10, 3, 3)],
+                             ids=["dof-vector", "rows", "extra-cell"])
+    def test_work_of_other_shape_rejected(self, solved, shape):
+        mat, mesh, case, _ = solved
+        message = rf"^boundary work has shape {re.escape(str(shape))}, not \(9, 3, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            element_stresses(mesh, mat, np.zeros(shape))
+        for kind in RECOVERY_KINDS:
+            with pytest.raises(ValueError, match=message):
+                recover_field(mesh, mat, np.zeros(shape), case.body_force, kind)
+
     def test_own_field_kept_as_built(self, solved):
         mat, mesh, case, u = solved
-        field = recover_field(mesh, mat, u, case.body_force, "rcp1")
+        field = recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, "rcp1")
         rebuilt = RecoveredStressField(field.centers, field.coefficients, field.fallback_cells)
         assert rebuilt.centers is field.centers and rebuilt.coefficients is field.coefficients
 
@@ -730,10 +797,25 @@ class TestCheckedInput:
     ])
     def test_bad_cell_id_rejected(self, solved, cell, error, message):
         mat, mesh, case, u = solved
-        field = recover_field(mesh, mat, u, case.body_force, "rcp1")
+        field = recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, "rcp1")
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             evaluate_recovered_stress(field, cell, np.full((2, 2), 0.5))
 
+
+    @pytest.mark.parametrize("cell, points", [
+        ([0, 1, 2], (4, 3)),
+        ([0, 1, 2], (2, 2)),
+        ([0, 1, 2], (2,)),
+        (0, (4, 3)),
+        (0, ()),
+    ], ids=["wide-points", "fewer-points", "one-point", "one-id-wide-points", "scalar-point"])
+    def test_ids_and_points_that_do_not_line_up_rejected(self, solved, cell, points):
+        # Three ids against one (2,) point used to evaluate every cell at that point.
+        mat, mesh, case, u = solved
+        field = recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, "rcp1")
+        message = f"cell ids of shape {np.shape(cell)} and points of shape {points}: "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            evaluate_recovered_stress(field, np.array(cell), np.full(points, 0.5))
 
 class TestEvaluateRecovered:
     def test_unit_constant_mode(self, mat):
@@ -751,7 +833,7 @@ class TestEvaluateRecovered:
         mesh = shared_mesh(MeshFamily.HEX_S, 3)
         case = linear_patch_case(mat)
         u = solve_dirichlet_problem(mesh, mat, zero_body_force, case.displacement)
-        field = recover_field(mesh, mat, u, zero_body_force, "rcp0")
+        field = recover_field(mesh, mat, boundary_work(mesh, u), zero_body_force, "rcp0")
         for ci in (0, 5):
             value = evaluate_recovered_stress(field, ci, field.centers[ci])
             np.testing.assert_allclose(value, field.coefficients[ci, 0], atol=1e-15)
@@ -760,7 +842,7 @@ class TestEvaluateRecovered:
         mesh = shared_mesh(MeshFamily.CONC_U, 4, seed=0)
         case = manufactured_case("b", mat)
         u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
-        field = recover_field(mesh, mat, u, case.body_force, "rcp1")
+        field = recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, "rcp1")
         cells = rng.integers(0, mesh.num_cells, 200)
         pts = rng.uniform(0.0, 1.0, (200, 2))
         expected = [evaluate_recovered_stress(field, int(c), p) for c, p in zip(cells, pts)]
@@ -775,7 +857,7 @@ class TestEvaluateRecovered:
             mesh, mat, case.body_force, lambda x, y: case.displacement(x, y)
         )
         for kind in ("rcp0", "rcp1"):
-            field = recover_field(mesh, mat, u, case.body_force, kind)
+            field = recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, kind)
             loads = case.body_force(*field.centers.T)
             for ci in range(mesh.num_cells):
                 pts = random_points_in_cell(mesh, ci, rng, 10)
@@ -801,7 +883,7 @@ class TestEvaluateRecovered:
         u = solve_dirichlet_problem(mesh, mat, case.body_force, case.displacement)
         cells = np.arange(mesh.num_cells)
         for kind in RECOVERY_KINDS:
-            field = recover_field(mesh, mat, u, case.body_force, kind)
+            field = recover_field(mesh, mat, boundary_work(mesh, u), case.body_force, kind)
             div = fd_stress_divergence(
                 lambda x, y: evaluate_recovered_stress(field, cells, np.stack([x, y], axis=-1)),
                 *mesh.centroids.T, h=1e-4,
@@ -825,8 +907,9 @@ class TestFrameInvariance:
         loads = ((bending, zero_body_force), (case.displacement, case.body_force))
         for displacement, body_force in loads:
             u = displacement(*base.vertices.T).ravel()
-            field_a = recover_field(base, mat, u, body_force, "rcp1")
-            field_b = recover_field(shifted, mat, u, shifted_fn(body_force), "rcp1")
+            field_a = recover_field(base, mat, boundary_work(base, u), body_force, "rcp1")
+            field_b = recover_field(shifted, mat, boundary_work(shifted, u),
+                                    shifted_fn(body_force), "rcp1")
             for ci in range(base.num_cells):
                 pts = random_points_in_cell(base, ci, rng, 4)
                 sa = evaluate_recovered_stress(field_a, ci, pts)
@@ -847,10 +930,10 @@ class TestFrameInvariance:
         moved = PolygonalMesh(scale * mesh.vertices + shift, mesh.offsets, mesh.indices)
         u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
         cells = np.arange(mesh.num_cells)
-        before = evaluate_recovered_stress(
-            recover_field(mesh, mat, u, zero_body_force, kind), cells, mesh.centroids)
-        after = evaluate_recovered_stress(
-            recover_field(moved, mat, u, zero_body_force, kind), cells, moved.centroids)
+        before = evaluate_recovered_stress(recover_field(
+            mesh, mat, boundary_work(mesh, u), zero_body_force, kind), cells, mesh.centroids)
+        after = evaluate_recovered_stress(recover_field(
+            moved, mat, boundary_work(moved, u), zero_body_force, kind), cells, moved.centroids)
         np.testing.assert_allclose(scale * after, before, rtol=0,
                                    atol=1e-9 * np.abs(before).max())
 
@@ -865,10 +948,10 @@ class TestFrameInvariance:
         mesh = shared_mesh(MeshFamily.QUAD_S, 4)
         u = np.random.default_rng(7).standard_normal(2 * mesh.num_vertices)
         cells = np.arange(mesh.num_cells)
-        before = evaluate_recovered_stress(
-            recover_field(mesh, mat, u, zero_body_force, kind), cells, mesh.centroids)
+        before = evaluate_recovered_stress(recover_field(
+            mesh, mat, boundary_work(mesh, u), zero_body_force, kind), cells, mesh.centroids)
         moved = PolygonalMesh(1e-76 * mesh.vertices, mesh.offsets, mesh.indices)
-        field = recover_field(moved, mat, u, zero_body_force, kind)
+        field = recover_field(moved, mat, boundary_work(moved, u), zero_body_force, kind)
         assert field.fallback_cells == ()
         after = evaluate_recovered_stress(field, cells, moved.centroids)
         assert np.abs(1e-76 * after - before).max() <= 1e-14 * np.abs(before).max()
@@ -892,8 +975,8 @@ class TestBoundaryWork:
             for request in (cells, cells[::-3]):
                 patches = build_patch(mesh, request, kind)
                 for displacement, body_force in ((u, case.body_force), (bending, zero_body_force)):
-                    *got, constants, H, g = patch_systems(mesh, mat, patches, displacement,
-                                                          body_force)
+                    *got, constants, H, g = patch_systems(
+                        mesh, mat, patches, boundary_work(mesh, displacement), body_force)
                     *want, H7, g7 = patch_systems_outer_edges(mesh, mat, patches, displacement,
                                                               body_force)
                     for a, b in zip(got, want):                  # centers, scales, loads

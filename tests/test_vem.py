@@ -35,6 +35,7 @@ from vemrcp.vem import (
     SolveError,
     apply_dirichlet,
     assemble_global,
+    boundary_work,
     compute_B,
     element_matrices,
     element_stresses,
@@ -498,7 +499,7 @@ class TestGroupedAssembly:
             B = compute_B(cell_coords(mesh, ci)[None])[0]
             u_cell = np.stack([u[2 * verts], u[2 * verts + 1]], axis=-1).ravel()
             expected.append(C @ (B / shoelace(cell_coords(mesh, ci))[0]) @ u_cell)
-        got = element_stresses(mesh, mat, u)
+        got = element_stresses(mesh, mat, boundary_work(mesh, u))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
@@ -562,7 +563,7 @@ class TestPatchTestProperty:
         exact = case.displacement(mesh.vertices[:, 0], mesh.vertices[:, 1]).ravel()
         np.testing.assert_allclose(u, exact, atol=1e-10)
         # constant stress reproduced exactly on every cell
-        stresses = element_stresses(mesh, mat, u)
+        stresses = element_stresses(mesh, mat, boundary_work(mesh, u))
         expected = case.stress(0.0, 0.0)
         np.testing.assert_allclose(stresses, np.broadcast_to(expected, stresses.shape), atol=1e-9)
 
@@ -571,13 +572,15 @@ class TestElementStress:
     def test_uniaxial_strain_stress(self, unit_square_mesh, mat):
         v = dof_vector_from(unit_square_mesh, 0, lambda x, y: (x, 0.0))
         np.testing.assert_allclose(
-            element_stresses(unit_square_mesh, mat, v), [[3, 1, 0]], atol=1e-13
+            element_stresses(unit_square_mesh, mat, boundary_work(unit_square_mesh, v)),
+            [[3, 1, 0]], atol=1e-13
         )
 
     def test_rigid_motion_stress_free(self, mat, rng):
         mesh = random_polygon_mesh(rng)
         v = dof_vector_from(mesh, 0, lambda x, y: (1 - 2 * y, 0.5 + 2 * x))
-        np.testing.assert_allclose(element_stresses(mesh, mat, v), 0.0, atol=1e-12)
+        np.testing.assert_allclose(element_stresses(mesh, mat, boundary_work(mesh, v)), 0.0,
+                                   atol=1e-12)
 
 
 class TestCheckedInput:
@@ -593,11 +596,12 @@ class TestCheckedInput:
 
     @pytest.mark.parametrize("extra", [2, -2], ids=["long", "short"])
     def test_dof_vector_of_wrong_length_rejected(self, extra, mat):
+        # The dof vector is read by `boundary_work` alone; the element stresses read its W.
         mesh = shared_mesh(MeshFamily.QUAD_S, 3)
         u = np.zeros(2 * mesh.num_vertices + extra)
         message = rf"^displacement has shape \({len(u)},\), not \(32,\) for 16 vertices$"
         with pytest.raises(ValueError, match=message):
-            element_stresses(mesh, mat, u)
+            boundary_work(mesh, u)
 
 
 class TestTriangleEquivalence:
@@ -622,7 +626,7 @@ class TestTriangleEquivalence:
         )
         scale = np.abs(u_ref).max()
         np.testing.assert_allclose(u, u_ref, atol=1e-10 * scale)
-        stresses = element_stresses(mesh, mat, u)
+        stresses = element_stresses(mesh, mat, boundary_work(mesh, u))
         np.testing.assert_allclose(
             stresses, stress_ref, atol=1e-10 * np.abs(stress_ref).max()
         )

