@@ -164,27 +164,26 @@ def write_dat(records: list[ConvergenceRecord], path) -> None:
 
 
 def write_vtk(mesh: PolygonalMesh, cell_fields: dict, path) -> None:
-    """Legacy-ASCII unstructured grid with one scalar per cell per field."""
+    """Legacy-ASCII unstructured grid with one scalar per cell per field.
+
+    Each field must have shape (ncells,); any other shape raises ValueError naming the
+    field. Numbers are written as `_fmt` writes them, each block (points, cells, each field)
+    with one `%` format of a repeated line.
+    """
+    nv, nc = mesh.num_vertices, mesh.num_cells
     for name, values in cell_fields.items():
-        if len(values) != mesh.num_cells:
-            raise ValueError(
-                f"field {name!r} has {len(values)} values for {mesh.num_cells} cells"
-            )
-    out = ["# vtk DataFile Version 2.0", "vemrcp cell data", "ASCII",
-           "DATASET UNSTRUCTURED_GRID"]
-    out.append(f"POINTS {mesh.num_vertices} double")
-    for x, y in mesh.vertices:
-        out.append(f"{_fmt(x)} {_fmt(y)} 0.0")
-    out.append(f"CELLS {mesh.num_cells} {len(mesh.indices) + mesh.num_cells}")
-    out.extend(cell_records(mesh))
-    out.append(f"CELL_TYPES {mesh.num_cells}")
-    out.extend(["7"] * mesh.num_cells)  # VTK_POLYGON
-    out.append(f"CELL_DATA {mesh.num_cells}")
+        if np.shape(values) != (nc,):
+            raise ValueError(f"field {name!r} of shape {np.shape(values)} has "
+                             f"{np.size(values)} values for {nc} cells; expected shape ({nc},)")
+    out = ["# vtk DataFile Version 2.0\nvemrcp cell data\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+           f"POINTS {nv} double\n",
+           "%.12e %.12e 0.0\n" * nv % tuple(mesh.vertices.ravel().tolist()),
+           f"CELLS {nc} {len(mesh.indices) + nc}\n", "\n".join(cell_records(mesh)) + "\n",
+           f"CELL_TYPES {nc}\n", "7\n" * nc, f"CELL_DATA {nc}\n"]  # 7: VTK_POLYGON
     for name, values in cell_fields.items():
-        out.append(f"SCALARS {name} double 1")
-        out.append("LOOKUP_TABLE default")
-        out.extend(_fmt(float(v)) for v in values)
-    Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
+        out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        out.append("%.12e\n" * nc % tuple(np.asarray(values, dtype=float).tolist()))
+    Path(path).write_text("".join(out), encoding="ascii")
 
 
 def _von_mises_fields(result, material, methods) -> dict:

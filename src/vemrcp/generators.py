@@ -157,7 +157,7 @@ def _hex_structured(n: int, rng) -> MeshArrays:
     i, j = np.meshgrid(np.arange(-1, i_max + 1), np.arange(-1, j_max + 1), indexing="ij")
     cy = row_h * j + np.where(i % 2, 0.5 * row_h, 0.0) + shift
     corners = np.stack([1.5 * radius * i, cy], axis=-1).reshape(-1, 1, 2) + hex_offsets
-    points, counts = _clip_to_unit_square(corners.reshape(-1, 2), np.full(len(corners), 6))
+    points, counts, _ = _clip_to_unit_square(corners.reshape(-1, 2), np.full(len(corners), 6))
     points, ids = _merge_points(points)
     return points, np.concatenate([[0], np.cumsum(counts[counts > 0])]), ids
 
@@ -167,6 +167,8 @@ def _clip_to_unit_square(points: np.ndarray, counts: np.ndarray):
 
     Returns the runs clipped to [0,1]^2 in the same form, each keeping its orientation, cw or
     ccw; a polygon left with fewer than three vertices or an |area| below 1e-14 gets count 0.
+    Also returns the centroids (kept, 2) of the kept polygons, from the `polygon_moments`
+    call of that area test.
     """
     offsets = np.concatenate([[0], np.cumsum(counts)])
     for axis, level, keep in ((0, 0.0, np.greater_equal), (0, 1.0, np.less_equal),
@@ -184,8 +186,9 @@ def _clip_to_unit_square(points: np.ndarray, counts: np.ndarray):
         clipped[(first[:-1] + inside)[crossing]] = cut
         points, offsets = clipped, first[offsets]
     counts = np.diff(offsets)
-    kept = (counts >= 3) & (np.abs(polygon_moments(points, offsets)[0]) >= 1e-14)
-    return points[np.repeat(kept, counts)], np.where(kept, counts, 0)
+    area, centroids = polygon_moments(points, offsets)
+    kept = (counts >= 3) & (np.abs(area) >= 1e-14)
+    return points[np.repeat(kept, counts)], np.where(kept, counts, 0), centroids[kept]
 
 
 # ---------------------------------------------------------------------------
@@ -272,36 +275,39 @@ def _tri_unstructured(n: int, rng) -> MeshArrays:
 def _poly_unstructured(n: int, rng) -> MeshArrays:
     """Voronoi tessellation of Lloyd-relaxed random seeds, cut to the square.
 
-    The sweeps clip qhull's cycles, cw or ccw, as they come. Only the final cycles are sorted by
-    angle (ccw, from vertex 0, where `ear_clip` starts), then their shared points merged.
+    The sweeps clip qhull's cycles, cw or ccw, as they come, and move each seed to the centroid
+    of its clipped region that the clipper's sliver test computed. Only the final cycles are
+    sorted by angle (ccw, from vertex 0, where `ear_clip` starts), then their shared points merged.
     """
     seeds = rng.uniform(0.05, 0.95, size=(n * n, 2))
     for _ in range(30):
-        seeds = np.clip(polygon_moments(*_clipped_regions(seeds))[1], 1e-9, 1.0 - 1e-9)
-    points, offsets = _clipped_regions(seeds)
+        seeds = np.clip(_clipped_regions(seeds)[2], 1e-9, 1.0 - 1e-9)
+    points, offsets, _ = _clipped_regions(seeds)
     points, ids = _merge_points(_by_angle(points, np.diff(offsets)))
     return points, offsets, ids
 
 
-def _clipped_regions(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clipped_regions(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Voronoi regions of the seeds (in [0,1]^2) next to `_FAR_SITES`, clipped as qhull cycles them.
 
     The far sites' hull holds the square, so every region is bounded. For p in the square no far
     site is within 10, every seed is within sqrt(2), and no image of a seed t across a side is
     nearer than t, which is on p's side: so the clipped regions are those of PolyMesher's full
-    mirror. Returns (points, offsets); an unbounded, degenerate or lost region is a GenerationError.
+    mirror. Returns (points, offsets, centroids), the centroids from the clipper; an unbounded,
+    degenerate or lost region is a GenerationError.
     """
     vor = Voronoi(np.vstack([seeds, _FAR_SITES]))
     regions = list(map(vor.regions.__getitem__, vor.point_region[:len(seeds)]))
     counts = np.fromiter(map(len, regions), dtype=np.int64, count=len(seeds))
     ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=np.int64, count=counts.sum())
-    bad = np.union1d(np.flatnonzero(counts < 3), np.repeat(np.arange(len(seeds)), counts)[ids < 0])
-    if len(bad):
+    if (counts < 3).any() or (ids < 0).any():
+        bad = np.union1d(np.flatnonzero(counts < 3),
+                         np.repeat(np.arange(len(seeds)), counts)[ids < 0])
         raise GenerationError(f"poly-u: unbounded or degenerate Voronoi region for seed {bad[0]}")
-    points, counts = _clip_to_unit_square(vor.vertices[ids], counts)
+    points, counts, centroids = _clip_to_unit_square(vor.vertices[ids], counts)
     if not counts.all():
         raise GenerationError(f"poly-u: clipping dropped the region of seed {np.argmin(counts)}")
-    return points, np.concatenate([[0], np.cumsum(counts)])
+    return points, np.concatenate([[0], np.cumsum(counts)]), centroids
 
 
 def _by_angle(xy: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -396,18 +396,23 @@ def load_mesh(path) -> PolygonalMesh:
 
 
 def save_mesh(mesh: PolygonalMesh, path) -> None:
-    """Write the text format read by load_mesh; 17 significant digits load back exactly."""
+    """Write the text format read by load_mesh; 17 significant digits load back exactly.
+
+    The vertex block is one `%` format of a repeated 'x y' line.
+    """
     path = Path(path)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_MAGIC}\n{mesh.num_vertices} {mesh.num_cells}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
+        fh.write("%.17g %.17g\n" * mesh.num_vertices % tuple(mesh.vertices.ravel().tolist()))
         fh.write("\n".join(cell_records(mesh)) + "\n")
 
 
 def cell_records(mesh: PolygonalMesh) -> list[str]:
-    """One 'n i0 i1 ... i(n-1)' line per cell, as in the text format and in legacy VTK."""
-    counts = np.diff(mesh.offsets)
-    tokens = np.insert(mesh.indices, mesh.offsets[:-1], counts).astype(str)
-    bounds = (mesh.offsets + np.arange(mesh.num_cells + 1)).tolist()
-    return [" ".join(tokens[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    """One 'n i0 i1 ... i(n-1)' line per cell, in cell order, as in the text format and in
+    legacy VTK. Each vertex-count group of `mesh.groups` is one `%` format of a repeated line."""
+    records = np.empty(mesh.num_cells, dtype=object)
+    for cells, idx in mesh.groups:
+        k, n = idx.shape
+        line = str(n) + " %d" * n
+        records[cells] = ("\n".join([line] * k) % tuple(idx.ravel().tolist())).split("\n")
+    return records.tolist()

@@ -572,3 +572,43 @@ def assemble_triplets(mesh, material) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ndof, ndof),
     ).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# text output one number at a time
+# ---------------------------------------------------------------------------
+
+def cell_records_per_cell(mesh) -> list[str]:
+    """One 'n i0 ... i(n-1)' line per cell, joined cell by cell (reference records)."""
+    return [" ".join(map(str, [len(c), *c.tolist()])) for c in mesh_cells(mesh)]
+
+
+def write_vtk_per_number(mesh, cell_fields: dict, path) -> None:
+    """The legacy-VTK file of `vemrcp.cli.write_vtk`, one f-string per number.
+
+    The writer that the block-formatted one replaced, kept as its byte reference.
+    """
+    out = ["# vtk DataFile Version 2.0", "vemrcp cell data", "ASCII",
+           "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
+    for x, y in mesh.vertices:
+        out.append(f"{x:.12e} {y:.12e} 0.0")
+    out.append(f"CELLS {mesh.num_cells} {len(mesh.indices) + mesh.num_cells}")
+    out.extend(cell_records_per_cell(mesh))
+    out.append(f"CELL_TYPES {mesh.num_cells}")
+    out.extend(["7"] * mesh.num_cells)
+    out.append(f"CELL_DATA {mesh.num_cells}")
+    for name, values in cell_fields.items():
+        out.append(f"SCALARS {name} double 1")
+        out.append("LOOKUP_TABLE default")
+        out.extend(f"{float(v):.12e}" for v in values)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def save_mesh_per_number(mesh, path) -> None:
+    """The `.pmesh` file of `vemrcp.mesh.save_mesh`, one f-string per coordinate (reference)."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"pmesh 1\n{mesh.num_vertices} {mesh.num_cells}\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{x:.17g} {y:.17g}\n")
+        fh.write("\n".join(cell_records_per_cell(mesh)) + "\n")

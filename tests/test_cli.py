@@ -2,12 +2,14 @@
 
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import shared_mesh
+from oracles import write_vtk_per_number
 from vemrcp.cli import (
     CSV_HEADER,
     StudyConfig,
@@ -200,6 +202,37 @@ class TestWriteVtk:
     def test_field_length_enforced(self, tmp_path, unit_square_mesh):
         with pytest.raises(ValueError, match="2 values for 1 cells"):
             write_vtk(unit_square_mesh, {"vm": [1.0, 2.0]}, tmp_path / "m.vtk")
+
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 1), (3,), ()], ids=str)
+    def test_field_of_other_shape_rejected(self, tmp_path, unit_square_mesh, shape):
+        # A (ncells, 3) stress used to pass the length check and fail in float() with TypeError.
+        values = np.ones(shape)
+        message = re.escape(f"field 'sigma' of shape {shape} has {values.size} values for 1 cells")
+        with pytest.raises(ValueError, match=f"^{message}; expected shape \\(1,\\)$"):
+            write_vtk(unit_square_mesh, {"vm": [1.0], "sigma": values}, tmp_path / "m.vtk")
+        assert not (tmp_path / "m.vtk").exists()
+
+    @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+    def test_bytes_match_per_number_writer(self, tmp_path, rng, family):
+        mesh = shared_mesh(family, 8)
+        nc = mesh.num_cells
+        fields = {"scaled": rng.standard_normal(nc) * 10.0 ** rng.integers(-300, 300, nc),
+                  "x": mesh.centroids[:, 0], "listed": rng.uniform(size=nc).tolist()}
+        write_vtk(mesh, fields, tmp_path / "block.vtk")
+        write_vtk_per_number(mesh, fields, tmp_path / "ref.vtk")
+        assert (tmp_path / "block.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+    def test_special_values_match_per_number_writer(self, tmp_path):
+        mesh = shared_mesh(MeshFamily.QUAD_S, 3)
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308, 0.0, -5e-324])
+        single = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-45, 3e38, -3e38, 0.0, 0.1],
+                          dtype=np.float32)
+        fields = {"special": values, "float32": single}
+        write_vtk(mesh, fields, tmp_path / "block.vtk")
+        write_vtk_per_number(mesh, fields, tmp_path / "ref.vtk")
+        text = (tmp_path / "block.vtk").read_text()
+        assert text == (tmp_path / "ref.vtk").read_text()
+        assert "\nnan\ninf\n-inf\n-0.000000000000e+00\n4.940656458412e-324\n" in text
 
     def test_exact_von_mises_value_for_case_a(self, tmp_path, unit_square_mesh, mat):
         from vemrcp.cases import manufactured_case

@@ -15,6 +15,7 @@ from scipy.spatial import Voronoi
 from conftest import shared_mesh, single_cell_mesh
 from oracles import (
     cell_coords,
+    cell_records_per_cell,
     clip_to_unit_square_per_polygon,
     ear_clip_per_cell,
     hex_structured_per_polygon,
@@ -23,6 +24,7 @@ from oracles import (
     mesh_from_cells,
     poisson_disk_per_candidate,
     random_simple_polygon,
+    save_mesh_per_number,
     shoelace,
     vertex_patch_per_cell,
 )
@@ -42,6 +44,7 @@ from vemrcp.mesh import (
     MeshFormatError,
     MeshValidationError,
     PolygonalMesh,
+    cell_records,
     cycle_successor,
     ear_clip,
     load_mesh,
@@ -395,14 +398,18 @@ class TestGenerators:
             offsets = np.concatenate([[0], np.cumsum(counts)])
             cell = np.repeat(np.arange(len(counts)), counts)
             reverse = offsets[cell] + offsets[cell + 1] - 1 - np.arange(offsets[-1])
-            kept, kept_counts = _clip_to_unit_square(points, counts)
-            flipped, flipped_counts = _clip_to_unit_square(points[reverse], counts)
+            kept, kept_counts, kept_centroids = _clip_to_unit_square(points, counts)
+            flipped, flipped_counts, flipped_centroids = _clip_to_unit_square(points[reverse],
+                                                                              counts)
             np.testing.assert_array_equal(flipped_counts, kept_counts)
             out = np.concatenate([[0], np.cumsum(kept_counts)])
             area, centroid = polygon_moments(kept, out)
             flipped_area, flipped_centroid = polygon_moments(flipped, out)
             np.testing.assert_allclose(flipped_area, -area, rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(flipped_centroid, centroid, rtol=0.0, atol=1e-15)
+            # The returned centroids are those of the kept runs, bit for bit.
+            np.testing.assert_array_equal(kept_centroids, centroid[kept_counts > 0])
+            np.testing.assert_array_equal(flipped_centroids, flipped_centroid[kept_counts > 0])
             for a, b in zip(np.split(kept, out[1:-1]), np.split(flipped, out[1:-1])):
                 gap = np.abs(a[:, None] - b[None]).max(axis=-1)       # the same point set
                 assert len(a) == 0 or max(gap.min(0).max(), gap.min(1).max()) <= 1e-15
@@ -422,7 +429,8 @@ class TestGenerators:
 
         for seed in range(3):
             seeds = np.random.default_rng(seed).uniform(0.05, 0.95, size=(n * n, 2))
-            points, offsets = _clipped_regions(seeds)
+            points, offsets, centroids = _clipped_regions(seeds)
+            np.testing.assert_array_equal(centroids, polygon_moments(points, offsets)[1])
             vor = mirrored(seeds)
             regions = [vor.regions[vor.point_region[k]] for k in range(n * n)]
             ref_counts = np.array([len(r) for r in regions])
@@ -527,11 +535,12 @@ class TestGenerators:
         outside = np.array([(1.2, 0.2), (1.6, 0.2), (1.6, 0.6), (1.2, 0.6)])
         corner = np.array([(0.3, 0.0), (0.0, 0.3), (-0.3, 0.0), (0.0, -0.3)]) + [1e-3, 2e-3]
         sliver = np.array([(-0.5, 0.2), (0.0, 0.2), (0.0, 0.6)])   # meets the square in a segment
-        points, counts = _clip_to_unit_square(np.vstack([inside, outside, corner, sliver]),
-                                              np.array([3, 4, 4, 3]))
+        points, counts, centroids = _clip_to_unit_square(
+            np.vstack([inside, outside, corner, sliver]), np.array([3, 4, 4, 3]))
         np.testing.assert_array_equal(counts, [3, 0, 5, 0])
         np.testing.assert_array_equal(points[:3], inside)
         np.testing.assert_array_equal(points[3:], clip_to_unit_square_per_polygon(corner))
+        np.testing.assert_array_equal(centroids, polygon_moments(points, np.array([0, 3, 8]))[1])
         assert any(np.array_equal(p, [0.0, 0.0]) for p in points[3:])
 
     def test_merge_points_keeps_first_of_each_cluster(self):
@@ -584,7 +593,8 @@ class TestGenerators:
     def test_dropped_region_named(self, monkeypatch):
         def drop_second(points, counts):
             kept = np.arange(len(counts)) != 1
-            return points[np.repeat(kept, counts)], counts * kept
+            points, counts = points[np.repeat(kept, counts)], counts * kept
+            return points, counts, polygon_moments(points, np.cumsum([0, *counts]))[1][kept]
 
         monkeypatch.setattr("vemrcp.generators._clip_to_unit_square", drop_second)
         message = "^poly-u: clipping dropped the region of seed 1$"
@@ -957,6 +967,28 @@ class TestMeshFile:
             loaded = load_mesh(path)
             np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
             assert all((a == b).all() for a, b in zip(mesh_cells(loaded), mesh_cells(mesh)))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_save_load_save_is_byte_identical(self, tmp_path, family):
+        mesh = shared_mesh(family, 8)
+        first, second, reference = (tmp_path / f"{k}.pmesh" for k in ("first", "second", "ref"))
+        save_mesh(mesh, first)
+        loaded = load_mesh(first)
+        save_mesh(loaded, second)
+        save_mesh_per_number(mesh, reference)
+        assert loaded.vertices.tobytes() == mesh.vertices.tobytes()
+        assert second.read_bytes() == first.read_bytes() == reference.read_bytes()
+
+    def test_cell_records_keep_cell_order_across_vertex_counts(self):
+        # A quad between two triangles: the groups (3: cells 0, 2; 4: cell 1) interleave.
+        vertices = np.array([(0, 0), (0.5, 0), (1, 0), (1, 1), (0.5, 1), (0, 1)], dtype=float)
+        mesh = mesh_from_cells(vertices, [[1, 2, 3], [0, 1, 4, 5], [1, 3, 4]])
+        assert [cells.tolist() for cells, _ in mesh.groups] == [[0, 2], [1]]
+        assert cell_records(mesh) == ["3 1 2 3", "4 0 1 4 5", "3 1 3 4"]
+        for family in (MeshFamily.HEX_S, MeshFamily.POLY_U):
+            mesh = shared_mesh(family, 8)
+            assert len(mesh.groups) > 1
+            assert cell_records(mesh) == cell_records_per_cell(mesh)
 
     def test_single_cell_file(self, tmp_path):
         path = tmp_path / "square.pmesh"
